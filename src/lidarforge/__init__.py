@@ -13,7 +13,7 @@ from .losses import (LossWeights, loss_ce, loss_contrastive, loss_heads,
                      mean_class_features)
 from .mesh_bank import (AnomalyObject, MeshBank, ReflectivityCatalog, TriangleMesh,
                         augment, build_anomaly_object, load_off, load_target_heights,
-                        place, reflectivity_of, sample_surface)
+                        place, sample_surface)
 from .metrics import (EvalPair, auroc, auroc_trapezoid, average_precision,
                       fpr_at_tpr, range_binned_ap, roc_curve)
 from .range_projection import RangeImage, beam_rows_of, project, reproject, write_pgm

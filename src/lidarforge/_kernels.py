@@ -1,43 +1,30 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels of the projection pipeline, in pure numpy.
 
-The backend is chosen once at import: numba is used when it imports
-cleanly and the ``LIDARFORGE_NO_NUMBA`` environment variable is unset
-(or "0").  Both paths produce bitwise-identical results: ties on range
-are broken toward the smaller point index in either backend, so forged
-datasets do not depend on which backend ran.
-
-``benchmarks/bench_projection.py`` compares the two paths.
+``scatter_min`` resolves range-image cell collisions: the point with
+the minimum range wins each cell, and ties on range go to the smaller
+point index, as in a sequential scan with a strict ``<``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_FLAG = "LIDARFORGE_NO_NUMBA"
+# no compiled backend; kept because perfbench/worker.py stamps both names on each result
+HAVE_NUMBA = USE_NUMBA = False
 
 
-def _numba_requested() -> bool:
-    return os.environ.get(ENV_FLAG, "0").strip().lower() not in ("1", "true", "yes")
-
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and _numba_requested()
-
-
-def _scatter_min_numpy(rows, cols, ranges, height, width):
+def scatter_min(rows: np.ndarray, cols: np.ndarray, ranges: np.ndarray,
+                height: int, width: int):
     """Winner-per-cell by minimum range, ties to the smaller index.
 
+    Returns ``(index_grid, range_grid)`` of shape (height, width): the
+    winning index into the inputs (-1 empty) and its range (+inf empty).
     lexsort is stable, so sorting by (cell, range) and taking the first
     entry per cell yields the same winner as a sequential scan.
     """
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    cols = np.ascontiguousarray(cols, dtype=np.int64)
+    ranges = np.ascontiguousarray(ranges, dtype=np.float64)
     n = rows.shape[0]
     cells = rows.astype(np.int64) * width + cols.astype(np.int64)
     order = np.lexsort((ranges, cells))
@@ -51,40 +38,3 @@ def _scatter_min_numpy(rows, cols, ranges, height, width):
     index_grid.ravel()[win_cells] = win_index
     range_grid.ravel()[win_cells] = ranges[order][first]
     return index_grid, range_grid
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _scatter_min_numba(rows, cols, ranges, height, width):  # pragma: no cover
-        index_grid = np.full((height, width), -1, dtype=np.int64)
-        range_grid = np.full((height, width), np.inf, dtype=np.float64)
-        for i in range(rows.shape[0]):
-            u = rows[i]
-            v = cols[i]
-            r = ranges[i]
-            if r < range_grid[u, v]:
-                range_grid[u, v] = r
-                index_grid[u, v] = i
-        return index_grid, range_grid
-
-
-def scatter_min(rows: np.ndarray, cols: np.ndarray, ranges: np.ndarray,
-                height: int, width: int, backend: str | None = None):
-    """Dispatch to the configured backend.
-
-    ``backend`` forces "numba" or "numpy" regardless of the default;
-    used by the benchmark and by backend-equivalence tests.
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    cols = np.ascontiguousarray(cols, dtype=np.int64)
-    ranges = np.ascontiguousarray(ranges, dtype=np.float64)
-    if backend is None:
-        backend = "numba" if USE_NUMBA else "numpy"
-    if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        return _scatter_min_numba(rows, cols, ranges, height, width)
-    if backend == "numpy":
-        return _scatter_min_numpy(rows, cols, ranges, height, width)
-    raise ValueError(f"unknown backend {backend!r}")

@@ -307,10 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     forge.add_argument("--max-radius", type=float, default=None)
     forge.add_argument("--catalog", default=None, help="reflectivity config (default: bundled)")
     forge.add_argument("--heights", default=None, help="target-height config (default: bundled)")
-    forge.add_argument("--object-points", type=int, default=50_000)
-    forge.add_argument("--noise-scale", type=float, default=0.05)
-    forge.add_argument("--neighbors", type=int, default=10)
-    forge.add_argument("--normalization", choices=("mean", "max"), default="mean")
+    defaults = ForgeParams()
+    forge.add_argument("--object-points", type=int, default=defaults.object_points)
+    forge.add_argument("--noise-scale", type=float, default=defaults.noise_scale)
+    forge.add_argument("--neighbors", type=int, default=defaults.normal_neighbors)
+    forge.add_argument("--normalization", choices=("mean", "max"),
+                       default=defaults.normalization)
     forge.add_argument("--workers", type=int, default=1)
     forge.set_defaults(func=cmd_forge)
 

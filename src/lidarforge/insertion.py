@@ -19,7 +19,8 @@ from scipy.spatial import cKDTree
 
 from . import mesh_bank
 from .errors import PlacementInfeasibleError, ValidationError
-from .intensity import estimate_normals, lambert_intensity, normalize_and_noise
+from .intensity import (DEFAULT_NEIGHBORS, estimate_normals, lambert_intensity,
+                        normalize_and_noise)
 from .mesh_bank import AnomalyObject, MeshBank
 from .range_projection import project
 from .scan_io import (LabelArray, PointCloud, SensorConfig, check_pair,
@@ -86,7 +87,7 @@ class ForgeParams:
     object_points: int = mesh_bank.DEFAULT_SAMPLE_COUNT
     scale_range: tuple = mesh_bank.DEFAULT_SCALE_RANGE
     noise_scale: float = 0.05
-    normal_neighbors: int = 10
+    normal_neighbors: int = DEFAULT_NEIGHBORS
     normalization: str = "mean"
 
 
@@ -163,7 +164,7 @@ def pick_placement(scene: PointCloud, labels: LabelArray, policy: SplitPolicy,
     is found.  Pass a prebuilt ``surface`` when placing repeatedly into
     the same scan.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if surface is None:
         surface = PlacementSurface(scene, labels, policy)
 
@@ -214,7 +215,7 @@ def compose_scan(scene: PointCloud, labels: LabelArray, objects: list,
     """
     check_pair(scene, labels)
     _reject_preexisting_anomaly_labels(labels, policy)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     if not objects:
         img = project(scene, cfg)

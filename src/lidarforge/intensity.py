@@ -16,7 +16,6 @@ from scipy.spatial import cKDTree
 from .errors import ValidationError
 
 DEFAULT_NEIGHBORS = 10
-DEFAULT_NOISE_SCALE = 0.05
 _DEGENERATE_EIGRATIO = 1e-8
 
 
@@ -29,10 +28,6 @@ class SurfaceNormalField:
         self.normals = normals
         self.neighbor_count = neighbor_count
         self.degenerate = degenerate
-
-    def take(self, indices: np.ndarray) -> "SurfaceNormalField":
-        idx = np.asarray(indices)
-        return SurfaceNormalField(self.normals[idx], self.neighbor_count, self.degenerate[idx])
 
 
 def estimate_normals(points: np.ndarray, k: int = DEFAULT_NEIGHBORS) -> SurfaceNormalField:
@@ -136,7 +131,7 @@ def normalize_and_noise(raw: np.ndarray, scene_mean: float, sigma: float,
     anchor = raw.mean() if policy == "mean" else (raw.max() if raw.size else 0.0)
     scaled = raw * (scene_mean / anchor) if anchor > 0 else raw.copy()
 
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     if sigma > 0:
         scaled = scaled + rng.normal(0.0, sigma * scene_mean, size=raw.shape)
     return np.clip(scaled, 0.0, 1.0)

@@ -124,7 +124,7 @@ def sample_surface(mesh: TriangleMesh, n: int, seed: int | np.random.Generator) 
     total = areas.sum()
     if total <= 0:
         raise ValidationError("mesh has zero total surface area")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
 
     face_idx = rng.choice(len(areas), size=n, p=areas / total)
     r1 = rng.random(n)
@@ -172,10 +172,6 @@ class ReflectivityCatalog:
             return self._values[category]
         except KeyError:
             raise UnknownCategoryError(category, self._values) from None
-
-
-def reflectivity_of(catalog: ReflectivityCatalog, category: str) -> float:
-    return catalog.get(category)
 
 
 def load_target_heights(path: str | os.PathLike | None = None) -> dict[str, float]:
@@ -238,7 +234,7 @@ def augment(obj: AnomalyObject, seed: int | np.random.Generator,
     from ``scale_range`` unless forced explicitly.  The transform is a
     similarity: pairwise distances scale by exactly the drawn factor.
     """
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     if yaw is None:
         yaw = float(rng.uniform(0.0, 2.0 * np.pi))
     if scale is None:

@@ -98,8 +98,7 @@ def _cell_coords(xyz: np.ndarray, cfg: SensorConfig):
     return rows, cols, ranges, in_fov
 
 
-def project(cloud: PointCloud, cfg: SensorConfig, scene_count: int | None = None,
-            backend: str | None = None) -> RangeImage:
+def project(cloud: PointCloud, cfg: SensorConfig, scene_count: int | None = None) -> RangeImage:
     """Project a cloud onto the range image, resolving cell collisions
     by minimum range.
 
@@ -117,9 +116,8 @@ def project(cloud: PointCloud, cfg: SensorConfig, scene_count: int | None = None
     rows, cols, ranges, in_fov = _cell_coords(cloud.xyz, cfg)
 
     keep = np.flatnonzero(in_fov)
-    index_grid, range_grid = scatter_min(
-        rows[keep], cols[keep], ranges[keep], cfg.beams, cfg.width, backend=backend
-    )
+    index_grid, range_grid = scatter_min(rows[keep], cols[keep], ranges[keep],
+                                         cfg.beams, cfg.width)
     # scatter_min indexes into the filtered arrays; map back to cloud indices
     filled = index_grid >= 0
     index_grid[filled] = keep[index_grid[filled]]

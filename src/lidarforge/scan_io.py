@@ -16,7 +16,7 @@ across threads.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -162,15 +162,12 @@ class SensorConfig:
     width: int
     fov_up_deg: float
     fov_down_deg: float
-    max_insert_radius_m: float = 50.0
 
     def __post_init__(self):
         if self.beams <= 0 or self.width <= 0:
             raise ValidationError("beams and width must be positive")
         if self.fov_rad <= 0:
             raise ValidationError("total vertical field of view must be positive")
-        if self.max_insert_radius_m <= 0:
-            raise ValidationError("max_insert_radius_m must be positive")
 
     @property
     def fov_up_rad(self) -> float:
@@ -186,16 +183,21 @@ class SensorConfig:
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "SensorConfig":
-        """Load from a key-value file with keys: beams, width, fov_up_deg,
-        fov_down_deg, max_insert_radius_m."""
+        """Load from a key-value file with exactly the keys beams, width,
+        fov_up_deg and fov_down_deg; any other key is a FormatError."""
         raw = read_keyvalue(path)
+        known = {f.name for f in fields(cls)}
+        for key in raw:
+            if key not in known:
+                hint = " (the insertion radius is set by --max-radius)" \
+                    if key == "max_insert_radius_m" else ""
+                raise FormatError(f"{path}: unknown sensor config key {key!r}{hint}")
         try:
             return cls(
                 beams=int(raw["beams"]),
                 width=int(raw["width"]),
                 fov_up_deg=float(raw["fov_up_deg"]),
                 fov_down_deg=float(raw["fov_down_deg"]),
-                max_insert_radius_m=float(raw.get("max_insert_radius_m", 50.0)),
             )
         except KeyError as exc:
             raise FormatError(f"{path}: missing sensor config key {exc.args[0]!r}") from None

@@ -195,12 +195,17 @@ def score_entropy(features: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=1) / np.log(n_classes)
 
 
-def score_semantic(cosine_score: np.ndarray, entropy_score: np.ndarray) -> np.ndarray:
+def score_semantic(cosine_score: np.ndarray,
+                   entropy_score: np.ndarray) -> tuple[np.ndarray, float]:
     """Product of the two semantic-head scores, normalized by the
-    per-scan maximum (identity when the maximum is zero)."""
+    per-scan maximum (identity when the maximum is zero).
+
+    Returns ``(scores, peak)``; the peak is the maximum product, 0 for
+    an empty scan.
+    """
     product = np.asarray(cosine_score, dtype=np.float64) * np.asarray(entropy_score, dtype=np.float64)
-    peak = product.max() if product.size else 0.0
-    return product / peak if peak > 0 else product
+    peak = float(product.max()) if product.size else 0.0
+    return (product / peak if peak > 0 else product), peak
 
 
 def score_contrastive(features: np.ndarray,
@@ -246,9 +251,7 @@ def compute_scores(features: FeatureSet, bank: PrototypeBank,
     result = classify(features.semantic, bank, metric=metric)
     s_cos = score_cosine(result.similarity)
     s_ent = score_entropy(features.semantic)
-    product = s_cos * s_ent
-    peak = float(product.max()) if product.size else 0.0
-    s_sem = product / peak if peak > 0 else product
+    s_sem, peak = score_semantic(s_cos, s_ent)
     s_cont = score_contrastive(features.contrastive, radius=radius)
     return ScoreVector(
         cosine=s_cos, entropy=s_ent, semantic=s_sem, contrastive=s_cont,

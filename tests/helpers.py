@@ -9,8 +9,7 @@ from lidarforge import LabelArray, PointCloud, SensorConfig, TriangleMesh
 ROAD_CLASS = 40
 ROAD_Z = -1.7
 
-TEST_SENSOR = SensorConfig(beams=32, width=512, fov_up_deg=8.0, fov_down_deg=24.0,
-                           max_insert_radius_m=50.0)
+TEST_SENSOR = SensorConfig(beams=32, width=512, fov_up_deg=8.0, fov_down_deg=24.0)
 
 
 def make_flat_scene(rng: np.random.Generator, n_points: int = 6000,

@@ -316,7 +316,7 @@ def test_criterion_8_end_to_end_smoke(mini_inputs, forge_env, tmp_path, capsys):
     out = tmp_path / "mini_split"
     sensor_cfg = tmp_path / "sensor.cfg"
     sensor_cfg.write_text("beams = 32\nwidth = 512\nfov_up_deg = 8.0\n"
-                          "fov_down_deg = 24.0\nmax_insert_radius_m = 50.0\n")
+                          "fov_down_deg = 24.0\n")
     code = cli_main(["forge", "--scans", str(scans_dir), "--labels", str(labels_dir),
                      "--meshes", str(forge_env), "--out", str(out),
                      "--sensor", str(sensor_cfg), "--policy", "single",

@@ -10,7 +10,6 @@ SENSOR_CFG = """beams = 32
 width = 512
 fov_up_deg = 8.0
 fov_down_deg = 24.0
-max_insert_radius_m = 50.0
 """
 
 

@@ -7,7 +7,7 @@ from helpers import make_cube_mesh
 from lidarforge import (AnomalyObject, FormatError, MeshBank, ReflectivityCatalog,
                         TriangleMesh, UnknownCategoryError, ValidationError, augment,
                         build_anomaly_object, load_off, load_target_heights, place,
-                        reflectivity_of, sample_surface)
+                        sample_surface)
 
 TETRA_OFF = """OFF
 4 4 6
@@ -116,9 +116,9 @@ class TestSampleSurface:
 class TestReflectivity:
     def test_tabulated_values(self):
         catalog = ReflectivityCatalog.default()
-        assert reflectivity_of(catalog, "toilet") == 0.60
-        assert reflectivity_of(catalog, "glass box") == 0.20
-        assert reflectivity_of(catalog, "xbox") == 0.30
+        assert catalog.get("toilet") == 0.60
+        assert catalog.get("glass box") == 0.20
+        assert catalog.get("xbox") == 0.30
 
     def test_all_29_categories_present(self):
         catalog = ReflectivityCatalog.default()

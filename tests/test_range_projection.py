@@ -5,7 +5,8 @@ from helpers import TEST_SENSOR, full_coverage_wall, make_random_cloud
 
 from lidarforge import (PointCloud, SensorConfig, ValidationError, beam_rows_of,
                         project, reproject, write_pgm)
-from lidarforge._kernels import HAVE_NUMBA, scatter_min
+from lidarforge._kernels import scatter_min
+from lidarforge.range_projection import _cell_coords
 
 KITTI_LIKE = SensorConfig(beams=64, width=2048, fov_up_deg=3.0, fov_down_deg=25.0)
 
@@ -175,7 +176,22 @@ class TestBeamRows:
         assert sum(len(v) for v in rows.values()) == n_obj
 
 
+def sequential_scatter_min(rows, cols, ranges, height, width):
+    """Reference winner-per-cell: one pass in index order with a strict
+    ``<``, so a tie on range keeps the earlier (smaller) index."""
+    index_grid = np.full((height, width), -1, dtype=np.int64)
+    range_grid = np.full((height, width), np.inf, dtype=np.float64)
+    for i in range(rows.shape[0]):
+        u, v, r = rows[i], cols[i], ranges[i]
+        if r < range_grid[u, v]:
+            range_grid[u, v] = r
+            index_grid[u, v] = i
+    return index_grid, range_grid
+
+
 class TestBackends:
+    """The numpy kernel against the sequential reference above."""
+
     def test_scatter_min_backends_identical(self):
         rng = np.random.default_rng(8)
         n = 20000
@@ -183,26 +199,36 @@ class TestBackends:
         cols = rng.integers(0, 512, n)
         ranges = rng.uniform(1.0, 80.0, n)
         ranges[: n // 2] = ranges[: n // 2].round(1)  # force some exact ties
-        idx_np, rng_np = scatter_min(rows, cols, ranges, 64, 512, backend="numpy")
-        if HAVE_NUMBA:
-            idx_nb, rng_nb = scatter_min(rows, cols, ranges, 64, 512, backend="numba")
-            np.testing.assert_array_equal(idx_np, idx_nb)
-            np.testing.assert_array_equal(rng_np, rng_nb)
+        idx, rgrid = scatter_min(rows, cols, ranges, 64, 512)
+        idx_ref, rgrid_ref = sequential_scatter_min(rows, cols, ranges, 64, 512)
+        np.testing.assert_array_equal(idx, idx_ref)
+        np.testing.assert_array_equal(rgrid, rgrid_ref)
 
+    def test_project_backend_equivalence(self):
+        rng = np.random.default_rng(9)
+        data = make_random_cloud(rng, 5000).data.copy()
+        # a few points outside the vertical FOV exercise the filter and
+        # the map back to cloud indices
+        data[:50, 2] = np.abs(data[:50, 2]) + 30.0
+        cloud = PointCloud(data)
+        img = project(cloud, TEST_SENSOR)
+        rows, cols, ranges, in_fov = _cell_coords(cloud.xyz, TEST_SENSOR)
+        assert not in_fov[:50].all()
+        # out-of-FOV points get an infinite range, so they never win a cell
+        ranges = np.where(in_fov, ranges, np.inf)
+        idx_ref, rgrid_ref = sequential_scatter_min(rows, cols, ranges,
+                                                    TEST_SENSOR.beams, TEST_SENSOR.width)
+        np.testing.assert_array_equal(img.point_index, idx_ref)
+        np.testing.assert_array_equal(img.ranges, rgrid_ref)
+
+
+class TestScatterMin:
     def test_tie_goes_to_first_index(self):
         rows = np.array([3, 3])
         cols = np.array([7, 7])
         ranges = np.array([5.0, 5.0])
-        idx, _ = scatter_min(rows, cols, ranges, 8, 8, backend="numpy")
+        idx, _ = scatter_min(rows, cols, ranges, 8, 8)
         assert idx[3, 7] == 0
-
-    def test_project_backend_equivalence(self):
-        rng = np.random.default_rng(9)
-        cloud = make_random_cloud(rng, 5000)
-        img_np = project(cloud, TEST_SENSOR, backend="numpy")
-        if HAVE_NUMBA:
-            img_nb = project(cloud, TEST_SENSOR, backend="numba")
-            np.testing.assert_array_equal(img_np.point_index, img_nb.point_index)
 
 
 class TestPgm:

@@ -131,7 +131,7 @@ class TestSensorConfig:
     def test_from_file(self, tmp_path):
         path = tmp_path / "sensor.cfg"
         path.write_text("beams = 64\nwidth = 2048\nfov_up_deg = 3.0\n"
-                        "fov_down_deg = 25.0\nmax_insert_radius_m = 50\n")
+                        "fov_down_deg = 25.0\n")
         cfg = SensorConfig.from_file(path)
         assert cfg.beams == 64 and cfg.width == 2048
         assert cfg.fov_rad == pytest.approx(np.deg2rad(28.0))
@@ -140,6 +140,20 @@ class TestSensorConfig:
         path = tmp_path / "sensor.cfg"
         path.write_text("beams = 64\n")
         with pytest.raises(FormatError, match="width"):
+            SensorConfig.from_file(path)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "sensor.cfg"
+        path.write_text("beams = 64\nwidth = 2048\nfov_up_deg = 3.0\n"
+                        "fov_down_deg = 25.0\nfov_up = 3.0\n")
+        with pytest.raises(FormatError, match="unknown sensor config key 'fov_up'"):
+            SensorConfig.from_file(path)
+
+    def test_radius_key_points_to_cli_flag(self, tmp_path):
+        path = tmp_path / "sensor.cfg"
+        path.write_text("beams = 64\nwidth = 2048\nfov_up_deg = 3.0\n"
+                        "fov_down_deg = 25.0\nmax_insert_radius_m = 30\n")
+        with pytest.raises(FormatError, match="'max_insert_radius_m'.*--max-radius"):
             SensorConfig.from_file(path)
 
     def test_zero_fov_rejected(self):

@@ -146,16 +146,18 @@ class TestScores:
             score_entropy(np.zeros((3, 1)))
 
     def test_semantic_normalizes_by_peak(self):
-        out = score_semantic(np.array([0.4, 0.8]), np.array([0.5, 0.5]))
+        out, peak = score_semantic(np.array([0.4, 0.8]), np.array([0.5, 0.5]))
         np.testing.assert_allclose(out, [0.5, 1.0], atol=1e-12)
+        assert peak == pytest.approx(0.4, abs=1e-12)
 
     def test_semantic_all_equal_products(self):
-        out = score_semantic(np.array([0.3, 0.3]), np.array([0.7, 0.7]))
+        out, _ = score_semantic(np.array([0.3, 0.3]), np.array([0.7, 0.7]))
         np.testing.assert_allclose(out, 1.0, atol=1e-12)
 
     def test_semantic_zero_products_stay_zero(self):
-        out = score_semantic(np.array([0.0, 0.0]), np.array([0.5, 0.9]))
+        out, peak = score_semantic(np.array([0.0, 0.0]), np.array([0.5, 0.9]))
         np.testing.assert_array_equal(out, [0.0, 0.0])
+        assert peak == 0.0
 
     def test_contrastive_boundaries(self):
         # squared norms: 0, exactly 5 (2^2 + 1^2), 2.5, >5
