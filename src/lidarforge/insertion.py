@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import mesh_bank
-from .errors import PlacementInfeasibleError, ValidationError
+from .errors import LidarForgeError, PlacementInfeasibleError, ValidationError
 from .intensity import (DEFAULT_NEIGHBORS, estimate_normals, lambert_intensity,
                         normalize_and_noise)
 from .mesh_bank import AnomalyObject, MeshBank
@@ -259,14 +259,14 @@ def compose_scan(scene: PointCloud, labels: LabelArray, objects: list,
 
         if m_surv > 0:
             dense = object_f32[j].astype(np.float64)
+            own = mine - lo
+            pts_surv = dense[own]
             k_eff = min(params.normal_neighbors, dense.shape[0] - 1)
             if k_eff >= 2:
-                field = estimate_normals(dense, k=k_eff)
-                normals = field.normals[mine - lo]
+                normals = estimate_normals(dense, k=k_eff, at=own).normals
             else:
-                d = np.linalg.norm(dense, axis=1, keepdims=True)
-                normals = (-dense / np.where(d > 0, d, 1.0))[mine - lo]
-            pts_surv = dense[mine - lo]
+                d = np.linalg.norm(pts_surv, axis=1, keepdims=True)
+                normals = -pts_surv / np.where(d > 0, d, 1.0)
             raw = lambert_intensity(pts_surv, normals, obj.reflectivity)
             final = normalize_and_noise(raw, scene_mean, params.noise_scale, rng,
                                         policy=params.normalization)
@@ -405,8 +405,9 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
 
     Deterministic for a given master seed: each scan is keyed by
     (master seed, scan id) only, so the output tree is byte-identical
-    regardless of worker count.  Unreadable scans are skipped and
-    reported in the manifest.
+    regardless of worker count.  Scans that cannot be read, or whose
+    forging raises a LidarForgeError, are skipped and reported in the
+    manifest.
     """
     if not pairs:
         raise ValidationError("scan list is empty")
@@ -422,8 +423,11 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
             check_pair(scene, labels)
         except Exception as exc:  # noqa: BLE001 - skip-and-report contract
             return sid, None, f"{type(exc).__name__}: {exc}"
-        result = forge_scan(scene, labels, sid, cfg, policy, bank,
-                            target_heights, scan_seed(master_seed, sid), params)
+        try:
+            result = forge_scan(scene, labels, sid, cfg, policy, bank,
+                                target_heights, scan_seed(master_seed, sid), params)
+        except LidarForgeError as exc:  # skip-and-report contract
+            return sid, None, f"{type(exc).__name__}: {exc}"
         write_scan(result.cloud, out_dir / "velodyne" / f"{sid}.bin")
         write_labels(result.labels, out_dir / "labels" / f"{sid}.label")
         return sid, result, None

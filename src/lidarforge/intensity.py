@@ -30,7 +30,8 @@ class SurfaceNormalField:
         self.degenerate = degenerate
 
 
-def estimate_normals(points: np.ndarray, k: int = DEFAULT_NEIGHBORS) -> SurfaceNormalField:
+def estimate_normals(points: np.ndarray, k: int = DEFAULT_NEIGHBORS,
+                     at: np.ndarray | None = None) -> SurfaceNormalField:
     """Estimate normals from the k nearest neighbors of each point.
 
     The normal is the eigenvector of the neighborhood covariance with
@@ -38,6 +39,12 @@ def estimate_normals(points: np.ndarray, k: int = DEFAULT_NEIGHBORS) -> SurfaceN
     component with magnitude above 1e-12 made positive), then flipped
     toward the sensor at the origin.  Neighborhoods of rank < 2 get the
     sensor-facing direction and are flagged degenerate.
+
+    ``at`` is an optional integer index array: the estimate is then made
+    only at ``points[at]``, one row per entry, with neighbors still
+    searched among all of ``points``.  Every step is per point, so the
+    result is bitwise equal to the full estimate indexed by ``at``, at
+    the cost of ``len(at)`` points instead of ``len(points)``.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -45,7 +52,9 @@ def estimate_normals(points: np.ndarray, k: int = DEFAULT_NEIGHBORS) -> SurfaceN
         raise ValidationError(f"need at least k+1={k + 1} points, got {n}")
 
     tree = cKDTree(pts)
-    _, idx = tree.query(pts, k=k + 1)
+    query = pts if at is None else pts[at]
+    m = query.shape[0]
+    _, idx = tree.query(query, k=k + 1)
     neighbors = pts[idx[:, 1:]]  # drop the query point itself
 
     centered = neighbors - neighbors.mean(axis=1, keepdims=True)
@@ -58,13 +67,13 @@ def estimate_normals(points: np.ndarray, k: int = DEFAULT_NEIGHBORS) -> SurfaceN
     # deterministic sign: first component with |v| > 1e-12 positive
     significant = np.abs(normals) > 1e-12
     first = np.argmax(significant, axis=1)
-    lead = normals[np.arange(n), first]
+    lead = normals[np.arange(m), first]
     normals[lead < 0] *= -1.0
 
     # orient toward the sensor
-    d = np.linalg.norm(pts, axis=1)
+    d = np.linalg.norm(query, axis=1)
     safe_d = np.where(d > 0, d, 1.0)
-    toward_sensor = -pts / safe_d[:, None]
+    toward_sensor = -query / safe_d[:, None]
     flip = np.einsum("ij,ij->i", normals, toward_sensor) < 0
     normals[flip] *= -1.0
 

@@ -8,11 +8,14 @@ ASCII OFF files anywhere below it.
 
 from __future__ import annotations
 
+import itertools
 import os
+import re
 import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -39,76 +42,117 @@ class TriangleMesh:
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
+# a comment runs to the end of its line, wherever str.splitlines ends lines
+_COMMENT = re.compile("#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+# face tokens as np.fromstring separates them, and the integers it reads
+# (at most 18 digits, so every one fits in int64)
+_FACE_TOKEN = re.compile(r"[^ \t\n\r\v\f]+")
+_INTEGER = re.compile(r"[+-]?[0-9]{1,18}")
+
+
 def load_off(path: str | os.PathLike) -> TriangleMesh:
     """Parse an ASCII OFF mesh.
 
-    Tolerates the header token glued to the counts line ("OFF490 518 0"),
-    a quirk of many ModelNet files.
+    The body is read as a stream of whitespace-separated tokens, with
+    ``#`` comments and blank lines ignored, so line breaks may fall
+    anywhere.  Tolerates the header token glued to the counts line
+    ("OFF490 518 0"), a quirk of many ModelNet files.  Tokens after the
+    last face are ignored.  Raises FormatError naming the file and,
+    where one token is at fault, its line.
     """
-    lines = Path(path).read_text(encoding="utf-8", errors="replace").splitlines()
-    tokens: list[str] = []
-    token_lines: list[int] = []
+    text = Path(path).read_text(encoding="utf-8", errors="replace")
+    body = _COMMENT.sub("", text)  # removes no line break, so lines keep their numbers
 
-    first_content = None
-    for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if first_content is None:
-            if not body.startswith("OFF"):
-                raise FormatError(f"{path}:{lineno}: missing OFF header")
-            first_content = lineno
-            body = body[3:].strip()
-            if not body:
-                continue
-        for tok in body.split():
-            tokens.append(tok)
-            token_lines.append(lineno)
-    if first_content is None:
-        raise FormatError(f"{path}: empty file, missing OFF header")
+    def line_at(offset: int) -> int:
+        return len(body[:offset + 1].splitlines())
 
-    pos = 0
+    def fail(offset: int | None, message: str) -> NoReturn:
+        where = f"{path}:{line_at(offset)}" if offset is not None else f"{path}"
+        raise FormatError(f"{where}: {message}")
 
-    def take(n: int, what: str) -> list[str]:
-        nonlocal pos
-        if pos + n > len(tokens):
-            lineno = token_lines[-1] if tokens else first_content
-            raise FormatError(f"{path}:{lineno}: unexpected end of file while reading {what}")
-        out = tokens[pos:pos + n]
-        pos += n
-        return out
+    def end_of_file(what: str) -> NoReturn:
+        # the last token, or the header when there is none
+        fail(len(body.rstrip()) - 1, f"unexpected end of file while reading {what}")
 
+    header = len(body) - len(body.lstrip())
+    if header == len(body):
+        fail(None, "empty file, missing OFF header")
+    if not body.startswith("OFF", header):
+        fail(header, "missing OFF header")
+
+    after_header = body[header + 3:]
+    counts = after_header.split(None, 3)
+    first = len(body) - len(after_header.lstrip()) if counts else header
     try:
-        n_vertices, n_faces, _n_edges = (int(t) for t in take(3, "counts"))
+        n_vertices, n_faces, _n_edges = (int(t) for t in counts[:3])
     except ValueError:
-        raise FormatError(f"{path}:{token_lines[0]}: malformed counts line") from None
+        fail(first, "malformed counts line")
     if n_vertices < 0 or n_faces < 0:
-        raise FormatError(f"{path}:{token_lines[0]}: negative counts")
+        fail(first, "negative counts")
 
+    # split off exactly the vertex tokens; the rest is the face section
+    parts = counts[3].split(None, 3 * n_vertices) if len(counts) > 3 else []
+    if len(parts) < 3 * n_vertices:
+        end_of_file("vertices")
+    faces_text = parts[3 * n_vertices] if len(parts) > 3 * n_vertices else ""
     try:
-        flat = np.array([float(t) for t in take(3 * n_vertices, "vertices")], dtype=np.float64)
+        vertices = np.array(parts[:3 * n_vertices], dtype=np.float64).reshape(n_vertices, 3)
     except ValueError:
-        raise FormatError(f"{path}: non-numeric vertex coordinate") from None
-    vertices = flat.reshape(n_vertices, 3)
+        fail(None, "non-numeric vertex coordinate")
 
-    faces = np.empty((n_faces, 3), dtype=np.int64)
-    for i in range(n_faces):
-        where = token_lines[pos] if pos < len(token_lines) else token_lines[-1]
-        arity = int(take(1, "face arity")[0])
-        if arity != 3:
-            raise FormatError(f"{path}:{where}: face with {arity} vertices; only triangles supported")
-        idx = [int(t) for t in take(3, "face indices")]
-        for j in idx:
-            if not 0 <= j < n_vertices:
-                raise FormatError(
-                    f"{path}:{where}: face index {j} out of range for {n_vertices} vertices"
-                )
-        faces[i] = idx
+    need = 4 * n_faces
+    try:
+        flat = np.fromstring(faces_text, dtype=np.int64, sep=" ")
+    except ValueError:  # a token that is not an integer
+        flat = None
+    bad = None
+    if flat is None or flat.size < need:
+        flat, bad = _leading_integers(faces_text)
+    faces_base = len(body) - len(faces_text)
 
-    mesh = TriangleMesh(vertices=vertices, faces=faces)
+    def face_token(k: int) -> int:
+        """Offset in body of token k of the face section."""
+        match = next(itertools.islice(_FACE_TOKEN.finditer(faces_text), k, None))
+        return faces_base + match.start()
+
+    # faces in full before the stream ends; check them in file order
+    whole = min(flat.size, need) // 4
+    table = flat[:4 * whole].reshape(whole, 4)
+    in_range = (table[:, 1:] >= 0) & (table[:, 1:] < n_vertices)
+    good = (table[:, 0] == 3) & in_range.all(axis=1)
+    if not good.all():
+        i = int(np.argmin(good))
+        if table[i, 0] != 3:
+            fail(face_token(4 * i), f"face with {table[i, 0]} vertices; only triangles supported")
+        j = int(table[i, 1 + np.argmin(in_range[i])])
+        fail(face_token(4 * i),
+             f"face index {j} out of range for {n_vertices} vertices")
+    if whole < n_faces:
+        # the stream ends inside face `whole`, at the end of the file or at a bad token
+        partial = flat[4 * whole:]
+        if partial.size and partial[0] != 3:
+            fail(face_token(4 * whole),
+                 f"face with {partial[0]} vertices; only triangles supported")
+        if bad is None or (partial.size and partial.size + len(faces_text[bad:].split()) < 4):
+            end_of_file("face indices" if partial.size else "face arity")
+        token = _FACE_TOKEN.match(faces_text, bad).group()
+        fail(faces_base + bad, f"non-integer face token {token!r}")
+
+    mesh = TriangleMesh(vertices=vertices, faces=np.ascontiguousarray(table[:, 1:]))
     if n_faces == 0 or not (mesh.face_areas() > 0).any():
-        raise FormatError(f"{path}: mesh has no face with nonzero area")
+        fail(None, "mesh has no face with nonzero area")
     return mesh
+
+
+def _leading_integers(text: str) -> tuple[np.ndarray, int | None]:
+    """The integer tokens that open ``text``, and the offset of the first
+    token that is not one (None when every token is an integer)."""
+    values = []
+    for match in _FACE_TOKEN.finditer(text):
+        if not _INTEGER.fullmatch(match.group()):
+            return np.array(values, dtype=np.int64), match.start()
+        values.append(int(match.group()))
+    return np.array(values, dtype=np.int64), None
 
 
 def sample_surface(mesh: TriangleMesh, n: int, seed: int | np.random.Generator) -> np.ndarray:

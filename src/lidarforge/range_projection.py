@@ -8,7 +8,8 @@ Each point maps to a grid cell via
 with fov = fov_up + fov_down (radians, positive magnitudes).  Indices
 are floored and then clamped, so a point exactly on the lower FOV
 boundary stays in the bottom row; points strictly outside the vertical
-field of view are discarded.  When several points fall into one cell
+field of view, and points at the sensor origin (zero range, so no
+direction), are discarded.  When several points fall into one cell
 the one with the minimum range wins, emulating line of sight.
 
 Cells store the index of the winning point, so re-projection recovers
@@ -79,20 +80,18 @@ def _cell_coords(xyz: np.ndarray, cfg: SensorConfig):
     """Return (rows, cols, ranges, in_fov mask) for every point."""
     pts = np.asarray(xyz, dtype=np.float64)
     ranges = np.linalg.norm(pts, axis=1)
-    zero = ranges == 0.0
-    if zero.any():
-        idx = int(np.flatnonzero(zero)[0])
-        raise ValidationError(f"point at sensor origin (zero range) at index {idx}")
+    # a point at the sensor origin has no direction: it lies outside the FOV
+    seen = ranges > 0.0
 
     yaw = np.arctan2(pts[:, 1], pts[:, 0])
-    elevation = np.arcsin(np.clip(pts[:, 2] / ranges, -1.0, 1.0))
+    elevation = np.arcsin(np.clip(pts[:, 2] / np.where(seen, ranges, 1.0), -1.0, 1.0))
 
     u = 0.5 * (1.0 - yaw / np.pi) * cfg.width
     v = (1.0 - (elevation + cfg.fov_down_rad) / cfg.fov_rad) * cfg.beams
 
     # keep points on the FOV edge despite float32 quantization of inputs
     tol = 1e-4
-    in_fov = (v >= -tol) & (v <= cfg.beams + tol)
+    in_fov = seen & (v >= -tol) & (v <= cfg.beams + tol)
     cols = np.clip(np.floor(u).astype(np.int64), 0, cfg.width - 1)
     rows = np.clip(np.floor(v).astype(np.int64), 0, cfg.beams - 1)
     return rows, cols, ranges, in_fov

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -259,6 +261,23 @@ class TestForgeScan:
         pytest.fail("no anomaly draw in 40 seeds")
 
 
+    def test_point_at_sensor_origin_does_not_abort(self, tmp_path):
+        rng = np.random.default_rng(2)
+        scene, labels = make_flat_scene(rng, 3000)
+        data = scene.data.copy()
+        data[0, :3] = 0.0
+        scene = PointCloud(data)
+        bank = _bank_with_cube(tmp_path)
+        for seed in range(30):
+            result = forge_scan(scene, labels, "o", TEST_SENSOR, single_policy(),
+                                bank, HEIGHTS, seed=seed, params=FAST)
+            if result.modified:
+                # re-projected like any point outside the field of view
+                assert (np.linalg.norm(result.cloud.xyz, axis=1) > 0).all()
+                return
+        pytest.fail("no anomaly scan in 30 seeds")
+
+
 def _bank_with_cube(tmp_root=None):
     import tempfile
     from pathlib import Path
@@ -333,6 +352,23 @@ class TestForgeSplit:
         assert [sid for sid, _ in summary.skipped] == ["000001"]
         assert "# skipped: 000001" in (out / "manifest.tsv").read_text()
         assert not (out / "velodyne" / "000001.bin").exists()
+
+    def test_scan_failing_to_forge_skipped_and_reported(self, tmp_path):
+        scans, labels = self._dataset(tmp_path, n_scans=3, seed=5)
+        dark = read_scan(scans / "000001.bin").data.copy()
+        dark[:, 3] = 0.0  # no scene mean intensity to blend objects into
+        write_scan(PointCloud(dark), scans / "000001.bin")
+        bank = _bank_with_cube(tmp_path / "meshes")
+        out = tmp_path / "out"
+        every_scan = replace(single_policy(), anomaly_ratio=1.0)
+        summary = forge_split(discover_pairs(scans, labels), out, every_scan,
+                              TEST_SENSOR, bank, HEIGHTS, master_seed=10, params=FAST)
+        assert summary.skipped == [
+            ("000001", "ValidationError: scene mean intensity must be positive, got 0.0")]
+        assert summary.scan_count == 2
+        assert "# skipped: 000001\tValidationError" in (out / "manifest.tsv").read_text()
+        assert sorted(p.name for p in (out / "velodyne").iterdir()) == ["000000.bin", "000002.bin"]
+        assert sorted(p.name for p in (out / "labels").iterdir()) == ["000000.label", "000002.label"]
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         scans, labels = self._dataset(tmp_path, n_scans=6, seed=4)

@@ -64,6 +64,49 @@ class TestEstimateNormals:
             estimate_normals(np.zeros((5, 3)), k=10)
 
 
+def _object_cloud():
+    """Sphere points with exact duplicates, then a collinear run through
+    the origin, then the origin once more."""
+    rng = np.random.default_rng(12)
+    sphere = fibonacci_sphere(3000, center=[6.0, -2.0, 1.0])
+    duplicates = sphere[rng.integers(0, 3000, 200)]
+    t = np.linspace(-1.0, 1.0, 15)[:, None]
+    line = t * np.array([[1.0, 0.5, 0.0]])  # t = 0 at row 3207
+    origin = np.zeros((1, 3))
+    return np.vstack([sphere, duplicates, line, origin])
+
+
+class TestEstimateNormalsAt:
+    """``at=idx`` must equal the full estimate indexed by ``idx``, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["random", "repeated", "empty", "duplicates",
+                                      "rank-deficient", "origin", "all"])
+    def test_bitwise_equal_to_full_estimate(self, name):
+        pts = _object_cloud()
+        rng = np.random.default_rng(13)
+        idx = {
+            "random": rng.choice(len(pts), 150, replace=False),
+            "repeated": np.array([5, 5, 17, 5, 3000, 3000, 42]),
+            "empty": np.array([], dtype=np.int64),
+            "duplicates": np.arange(3000, 3200),
+            "rank-deficient": np.arange(3200, 3215),
+            "origin": np.array([len(pts) - 1, 3207, 0]),
+            "all": np.arange(len(pts)),
+        }[name]
+        full = estimate_normals(pts, k=10)
+        part = estimate_normals(pts, k=10, at=idx)
+        assert part.normals.shape == (len(idx), 3)
+        assert np.array_equal(part.normals, full.normals[idx])
+        assert np.array_equal(part.degenerate, full.degenerate[idx])
+        assert part.neighbor_count == 10
+
+    def test_cases_reach_the_special_paths(self):
+        pts = _object_cloud()
+        field = estimate_normals(pts, k=10, at=np.arange(3200, len(pts)))
+        assert field.degenerate.all()  # collinear neighborhoods
+        np.testing.assert_array_equal(field.normals[[7, -1]], [[0.0, 0.0, 1.0]] * 2)  # origin
+
+
 class TestLambertIntensity:
     def test_head_on_one_meter(self):
         assert lambert_intensity([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], 0.6) == pytest.approx(0.6, abs=1e-15)

@@ -21,6 +21,64 @@ TETRA_OFF = """OFF
 3 1 2 3
 """
 
+_TETRA_VERTS = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+
+# (id, text, line of the error or None, message after "<path>:<line>: ")
+OFF_ERROR_CASES = [
+    ("comments",
+     "# hand-made\nOFF  # header\n4 4 6\n# vertices\n" + _TETRA_VERTS
+     + "# faces\n3 0 1 2\n3 0 1 3\n3 0 2 3  # fine\n3 1 2 9  # bad\n",
+     13, "face index 9 out of range for 4 vertices"),
+    ("glued-header-truncated-vertices", "OFF4 4 6\n0 0 0\n1 0 0\n",
+     3, "unexpected end of file while reading vertices"),
+    ("header-own-line-truncated-indices",
+     "OFF\n\n4 2 0\n" + _TETRA_VERTS + "3 0 1 2\n3 0 1\n",
+     9, "unexpected end of file while reading face indices"),
+    ("blank-lines-arity-4",
+     "\nOFF\n\n4 2 0\n\n" + _TETRA_VERTS + "\n3 0 1 2\n\n4 0 1 2 3\n",
+     13, "face with 4 vertices; only triangles supported"),
+    ("truncated-vertices", "OFF\n4 4 6\n0 0 0\n1 0 0\n",
+     4, "unexpected end of file while reading vertices"),
+    ("truncated-faces", TETRA_OFF.replace("3 1 2 3\n", ""),
+     9, "unexpected end of file while reading face arity"),
+    ("truncated-face-indices", TETRA_OFF.replace("3 1 2 3\n", "3 1 2\n"),
+     10, "unexpected end of file while reading face indices"),
+    ("arity-4", TETRA_OFF.replace("3 0 1 3", "4 0 1 3 2"),
+     8, "face with 4 vertices; only triangles supported"),
+    ("arity-4-before-truncation", TETRA_OFF.replace("3 0 1 3", "4 0 1 3").replace("3 1 2 3\n", ""),
+     8, "face with 4 vertices; only triangles supported"),
+    ("index-out-of-range", TETRA_OFF.replace("3 1 2 3", "3 1 2 99"),
+     10, "face index 99 out of range for 4 vertices"),
+    ("negative-index", TETRA_OFF.replace("3 0 1 2", "3 0 -1 2"),
+     7, "face index -1 out of range for 4 vertices"),
+    ("non-numeric-vertex", TETRA_OFF.replace("0 1 0", "0 one 0"),
+     None, "non-numeric vertex coordinate"),
+    ("missing-header", "# comment\n4 4 6\n0 0 0\n", 2, "missing OFF header"),
+    ("empty", "# only a comment\n\n", None, "empty file, missing OFF header"),
+    ("header-only", "OFF\n", 1, "malformed counts line"),
+    ("truncated-counts", "OFF\n4 4\n", 2, "malformed counts line"),
+    ("malformed-counts", "OFF\n# c\n4 four 6\n", 3, "malformed counts line"),
+    ("negative-counts", "OFF -4 4 6\n", 1, "negative counts"),
+    ("no-faces", "OFF\n4 0 0\n" + _TETRA_VERTS, None, "mesh has no face with nonzero area"),
+    ("zero-area", "OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n",
+     None, "mesh has no face with nonzero area"),
+]
+OFF_ERRORS = [case[1:] for case in OFF_ERROR_CASES]
+
+
+def reference_off(text: str) -> TriangleMesh:
+    """Token-by-token reading of a well-formed OFF text, the reference for load_off."""
+    tokens = " ".join(line.split("#", 1)[0] for line in text.splitlines()).split()
+    glued = tokens.pop(0)[3:]
+    if glued:
+        tokens.insert(0, glued)
+    n_vertices, n_faces = int(tokens[0]), int(tokens[1])
+    vertex_tokens = tokens[3:3 + 3 * n_vertices]
+    face_tokens = tokens[3 + 3 * n_vertices:3 + 3 * n_vertices + 4 * n_faces]
+    vertices = np.array([float(t) for t in vertex_tokens]).reshape(n_vertices, 3)
+    faces = np.array([int(t) for t in face_tokens], dtype=np.int64).reshape(n_faces, 4)
+    return TriangleMesh(vertices=vertices, faces=faces[:, 1:].copy())
+
 
 class TestLoadOff:
     def test_tetrahedron(self, tmp_path):
@@ -56,6 +114,58 @@ class TestLoadOff:
         path.write_text("OFF\n4 4 6\n0 0 0\n1 0 0\n")
         with pytest.raises(FormatError, match="vertices"):
             load_off(path)
+
+    @pytest.mark.parametrize("text", [
+        TETRA_OFF.replace("OFF\n4 4 6", "# exported\nOFF # header\n4 4 6 # counts"),
+        TETRA_OFF.replace("\n", "\n\n  \n"),
+        TETRA_OFF.replace("\n", "\r\n"),
+        TETRA_OFF.replace("0 1 0\n0 0 1\n3 0 1 2", "0 1 0 0\n0 1 3\n0 1 2"),
+        TETRA_OFF + "trailing data\n",
+    ], ids=["comments", "blank-lines", "crlf", "tokens-across-lines", "trailing-data"])
+    def test_accepted_layouts(self, tmp_path, text):
+        path = tmp_path / "m.off"
+        path.write_text(text, newline="")
+        mesh = load_off(path)
+        ref = reference_off(TETRA_OFF)
+        np.testing.assert_array_equal(mesh.vertices, ref.vertices)
+        np.testing.assert_array_equal(mesh.faces, ref.faces)
+        assert mesh.faces.dtype == np.int64 and mesh.vertices.dtype == np.float64
+
+    def test_matches_token_reference_bitwise(self, tmp_path):
+        rng = np.random.default_rng(11)
+        vertices = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-3, 4, (300, 1))
+        faces = np.stack([rng.permutation(300)[:3] for _ in range(500)])
+        tokens = [repr(float(v)) for v in vertices.ravel()]
+        tokens += [str(int(t)) for f in faces for t in (3, *f)]
+        breaks = rng.random(len(tokens)) < 0.3
+        body = "".join(tok + ("\n" if brk else " ") for tok, brk in zip(tokens, breaks))
+        text = f"OFF\n# random layout\n300 500 0\n{body}\n"
+        path = tmp_path / "r.off"
+        path.write_text(text)
+        mesh, ref = load_off(path), reference_off(text)
+        assert np.array_equal(mesh.vertices, ref.vertices)
+        assert np.array_equal(mesh.faces, ref.faces)
+
+    @pytest.mark.parametrize("text, line, message", OFF_ERRORS,
+                             ids=[case[0] for case in OFF_ERROR_CASES])
+    def test_error_message_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.off"
+        path.write_text(text)
+        where = f"{path}:{line}" if line else f"{path}"
+        with pytest.raises(FormatError) as info:
+            load_off(path)
+        assert str(info.value) == f"{where}: {message}"
+
+    @pytest.mark.parametrize("face, token", [
+        ("3 0 1 x", "x"), ("3 0 1 2.0", "2.0"), ("3.0 0 1 2", "3.0"), ("x 0 1 2", "x"),
+        ("3 1e0 1 2", "1e0"),
+    ])
+    def test_non_integer_face_token(self, tmp_path, face, token):
+        path = tmp_path / "bad.off"
+        path.write_text(TETRA_OFF.replace("3 0 2 3", face))
+        with pytest.raises(FormatError) as info:
+            load_off(path)
+        assert str(info.value) == f"{path}:9: non-integer face token {token!r}"
 
 
 class TestSampleSurface:

@@ -61,10 +61,13 @@ class TestProject:
                for r, c in zip(*np.nonzero(img.filled))}
         assert got == {key: i for key, (i, _) in expected.items()}
 
-    def test_origin_point_rejected(self):
+    def test_origin_point_is_outside_fov(self):
         cloud = PointCloud.from_xyz(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-        with pytest.raises(ValidationError, match="index 1"):
-            project(cloud, KITTI_LIKE)
+        img = project(cloud, KITTI_LIKE)
+        assert img.point_index[img.filled].tolist() == [0]
+        assert _cell_coords(cloud.xyz, KITTI_LIKE)[3].tolist() == [True, False]
+        only_origin = project(PointCloud.from_xyz(np.zeros((3, 3))), KITTI_LIKE)
+        assert not only_origin.filled.any()
 
     def test_pole_point_is_valid_but_out_of_fov(self):
         cloud = PointCloud.from_xyz(np.array([[0.0, 0.0, 5.0], [10.0, 0.0, 0.0]]))
