@@ -25,16 +25,16 @@ def scatter_min(rows: np.ndarray, cols: np.ndarray, ranges: np.ndarray,
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     cols = np.ascontiguousarray(cols, dtype=np.int64)
     ranges = np.ascontiguousarray(ranges, dtype=np.float64)
-    n = rows.shape[0]
-    cells = rows.astype(np.int64) * width + cols.astype(np.int64)
+    cells = rows * width + cols
     order = np.lexsort((ranges, cells))
-    first = np.ones(n, dtype=bool)
-    first[1:] = cells[order][1:] != cells[order][:-1]
-    win_cells = cells[order][first]
+    sorted_cells = cells[order]
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = sorted_cells[1:] != sorted_cells[:-1]
+    win_cells = sorted_cells[first]
     win_index = order[first]
 
     index_grid = np.full((height, width), -1, dtype=np.int64)
     range_grid = np.full((height, width), np.inf, dtype=np.float64)
     index_grid.ravel()[win_cells] = win_index
-    range_grid.ravel()[win_cells] = ranges[order][first]
+    range_grid.ravel()[win_cells] = ranges[win_index]
     return index_grid, range_grid

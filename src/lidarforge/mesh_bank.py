@@ -13,6 +13,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import NoReturn
@@ -35,11 +36,15 @@ class TriangleMesh:
         self.vertices.setflags(write=False)
         self.faces.setflags(write=False)
 
+    @cached_property
     def face_areas(self) -> np.ndarray:
+        """Per-face areas, computed once per mesh and read-only."""
         a = self.vertices[self.faces[:, 0]]
         b = self.vertices[self.faces[:, 1]]
         c = self.vertices[self.faces[:, 2]]
-        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        areas.setflags(write=False)
+        return areas
 
 
 # a comment runs to the end of its line, wherever str.splitlines ends lines
@@ -139,7 +144,7 @@ def load_off(path: str | os.PathLike) -> TriangleMesh:
         fail(faces_base + bad, f"non-integer face token {token!r}")
 
     mesh = TriangleMesh(vertices=vertices, faces=np.ascontiguousarray(table[:, 1:]))
-    if n_faces == 0 or not (mesh.face_areas() > 0).any():
+    if n_faces == 0 or not (mesh.face_areas > 0).any():
         fail(None, "mesh has no face with nonzero area")
     return mesh
 
@@ -164,7 +169,7 @@ def sample_surface(mesh: TriangleMesh, n: int, seed: int | np.random.Generator) 
     """
     if n <= 0:
         raise ValidationError(f"sample count must be positive, got {n}")
-    areas = mesh.face_areas()
+    areas = mesh.face_areas
     total = areas.sum()
     if total <= 0:
         raise ValidationError("mesh has zero total surface area")

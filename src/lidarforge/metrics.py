@@ -2,7 +2,11 @@
 
 All metrics use step-function (non-interpolated) conventions with tied
 scores grouped into a single threshold block, and are invariant under
-strictly increasing transforms of the scores.  Metrics that are not
+strictly increasing transforms of the scores.  Each metric call sorts
+the score values once (``np.sort``, no argsort): the distinct sorted
+values are the thresholds, and binary searches into the sorted values
+and into the sorted positive scores count the points at or above each
+one, so every count is an exact integer.  Metrics that are not
 defined for an input (no positives, no negatives, empty range bin)
 raise UndefinedMetricError or report a typed absence rather than 0.
 """
@@ -58,40 +62,37 @@ def _require_both_classes(pair: EvalPair, metric: str) -> None:
         raise UndefinedMetricError(f"{metric} undefined: no negative points")
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned their group average."""
-    n = values.shape[0]
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], n]
-    group_rank = 0.5 * (starts + ends - 1) + 1.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(group_rank, ends - starts)
-    return ranks
-
-
 def auroc(pair: EvalPair) -> float:
     """Area under the ROC curve via the rank statistic, with tied
     positive/negative pairs contributing one half."""
     _require_both_classes(pair, "auroc")
-    ranks = _average_ranks(pair.scores)
-    p = pair.positives
-    rank_sum = float(ranks[pair.truth].sum())
+    ordered = np.sort(pair.scores)
+    pos = pair.scores[pair.truth]
+    # a positive's tie group fills the sorted positions below .. above-1
+    below = np.searchsorted(ordered, pos, "left")
+    above = np.searchsorted(ordered, pos, "right")
+    ranks = 0.5 * (below + above - 1) + 1.0
+    p = pos.shape[0]
+    rank_sum = float(ranks.sum())
     return (rank_sum - 0.5 * p * (p + 1)) / (p * pair.negatives)
 
 
 def _threshold_blocks(pair: EvalPair):
-    """Cumulative (tp, fp) after each distinct score threshold, scores
-    descending, ties grouped into one block."""
-    order = np.argsort(-pair.scores, kind="stable")
-    s = pair.scores[order]
-    t = pair.truth[order]
-    last_of_block = np.r_[s[1:] != s[:-1], True]
-    tp = np.cumsum(t)[last_of_block].astype(np.float64)
-    fp = np.cumsum(~t)[last_of_block].astype(np.float64)
-    thresholds = s[last_of_block]
-    return tp, fp, thresholds
+    """Counts (tp, fp) of points scoring at or above each distinct score
+    threshold, thresholds descending, ties grouped into one block.
+
+    ``-0.0`` and ``0.0`` are one block; its threshold may be either.
+    """
+    ordered = np.sort(pair.scores)
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    # a positive's left insertion point in `ordered` is the start of its tie block
+    hit = np.searchsorted(ordered, pair.scores[pair.truth], "left")
+    per_block = np.bincount(np.searchsorted(starts, hit), minlength=starts.shape[0])
+    # with blocks descending, the counts at or above each threshold are prefix sums
+    starts = starts[::-1]
+    tp = np.cumsum(per_block[::-1])
+    fp = (ordered.shape[0] - starts) - tp
+    return tp.astype(np.float64), fp.astype(np.float64), ordered[starts]
 
 
 def roc_curve(pair: EvalPair):

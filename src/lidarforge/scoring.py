@@ -20,6 +20,8 @@ from .configfile import write_keyvalue
 from .errors import FormatError, ValidationError
 
 DEFAULT_NORM_THRESHOLD = 5.0
+# rows per block in compute_scores: each (rows, C) temporary stays in cache
+_BLOCK_ROWS = 4096
 TENSOR_MAGIC = int.from_bytes(b"FEATBIN1", "little")
 _HEADER_BYTES = 24
 
@@ -244,18 +246,42 @@ class ScoreVector:
             raise ValidationError(f"unknown score name {name!r}") from None
 
 
+def _row_blocks(n: int):
+    """Spans ``(lo, hi)`` covering ``range(n)`` in blocks of
+    ``_BLOCK_ROWS`` rows (one empty span when ``n == 0``).
+
+    A 1-row tail joins the block before it: numpy computes a 1-row
+    matmul as a matrix-vector product, which rounds differently.
+    """
+    starts = list(range(0, n, _BLOCK_ROWS)) or [0]
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
 def compute_scores(features: FeatureSet, bank: PrototypeBank,
                    radius: float = DEFAULT_NORM_THRESHOLD,
                    metric: str = "cosine") -> ScoreVector:
-    """Run the full scoring path on one scan's features."""
-    result = classify(features.semantic, bank, metric=metric)
-    s_cos = score_cosine(result.similarity)
-    s_ent = score_entropy(features.semantic)
+    """Run the full scoring path on one scan's features.
+
+    The per-point stages run on row blocks; only the semantic score,
+    which needs the per-scan peak, runs on the whole scan.  The result
+    is bitwise equal to running each stage on the whole scan.
+    """
+    n = features.count
+    predictions = np.empty(n, dtype=np.intp)
+    s_cos, s_ent, s_cont = np.empty(n), np.empty(n), np.empty(n)
+    for lo, hi in _row_blocks(n):
+        sem = features.semantic[lo:hi]
+        result = classify(sem, bank, metric=metric)
+        predictions[lo:hi] = result.predictions
+        s_cos[lo:hi] = score_cosine(result.similarity)
+        s_ent[lo:hi] = score_entropy(sem)
+        s_cont[lo:hi] = score_contrastive(features.contrastive[lo:hi], radius=radius)
     s_sem, peak = score_semantic(s_cos, s_ent)
-    s_cont = score_contrastive(features.contrastive, radius=radius)
     return ScoreVector(
         cosine=s_cos, entropy=s_ent, semantic=s_sem, contrastive=s_cont,
-        fused=score_fused(s_sem, s_cont), predictions=result.predictions,
+        fused=score_fused(s_sem, s_cont), predictions=predictions,
         semantic_peak=peak,
     )
 
@@ -299,4 +325,9 @@ def write_scores(path_base: str | os.PathLike, scores: ScoreVector,
 
 
 def read_scores(path: str | os.PathLike) -> np.ndarray:
-    return np.frombuffer(Path(path).read_bytes(), dtype="<f4").astype(np.float64)
+    """Read a raw float32 ``.scores`` file as float64."""
+    raw = Path(path).read_bytes()
+    if len(raw) % 4 != 0:
+        raise FormatError(
+            f"{path}: truncated score file, {len(raw)} bytes is not a multiple of 4")
+    return np.frombuffer(raw, dtype="<f4").astype(np.float64)

@@ -158,6 +158,21 @@ class TestScoreAndEval:
         assert "ap = 1.000000000" in text
         assert "fpr_at_95tpr = 0.000000000" in text
 
+    def test_eval_truncated_score_file_reports_error(self, tmp_path, capsys):
+        feat_dir, label_dir, proto = self._setup(tmp_path)
+        out_dir = tmp_path / "scores"
+        assert main(["score", "--features", str(feat_dir), "--prototypes", str(proto),
+                     "--out", str(out_dir)]) == 0
+        score_path = out_dir / "scan0.scores"
+        score_path.write_bytes(score_path.read_bytes()[:-1])
+        capsys.readouterr()
+        code = main(["eval", "--scores", str(out_dir), "--labels", str(label_dir),
+                     "--anomaly-label", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(score_path) in err and "1599 bytes" in err
+
     def test_single_class_features_rejected(self, tmp_path, capsys):
         feat_dir = tmp_path / "features"
         feat_dir.mkdir()

@@ -200,7 +200,7 @@ class TestSampleSurface:
         verts = rng.standard_normal((12, 3))
         faces = np.array([[i, i + 1, i + 2] for i in range(0, 12, 3)])
         mesh = TriangleMesh(vertices=verts, faces=faces)
-        areas = mesh.face_areas()
+        areas = mesh.face_areas
         pts = sample_surface(mesh, 50_000, seed=3)
         # recover the face of each sample by distance to face planes
         counts = np.zeros(len(faces))

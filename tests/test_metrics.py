@@ -205,3 +205,103 @@ class TestEvalPair:
         fpr, tpr, _ = roc_curve(pair)
         assert fpr[0] == 0.0 and tpr[0] == 0.0
         assert fpr[-1] == 1.0 and tpr[-1] == 1.0
+
+
+# -- argsort reference: the stable-argsort implementation that the value
+# sorts in lidarforge.metrics replaced, kept to pin exact equality ----------
+
+def reference_average_ranks(values):
+    """1-based ranks with ties assigned their group average."""
+    n = values.shape[0]
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], n]
+    group_rank = 0.5 * (starts + ends - 1) + 1.0
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(group_rank, ends - starts)
+    return ranks
+
+
+def reference_threshold_blocks(scores, truth):
+    """Cumulative (tp, fp) after each distinct score threshold, scores
+    descending, ties grouped into one block."""
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    t = truth[order]
+    last_of_block = np.r_[s[1:] != s[:-1], True]
+    tp = np.cumsum(t)[last_of_block].astype(np.float64)
+    fp = np.cumsum(~t)[last_of_block].astype(np.float64)
+    return tp, fp, s[last_of_block]
+
+
+def reference_metrics(scores, truth, ranges):
+    p, n = int(truth.sum()), int((~truth).sum())
+    rank_sum = float(reference_average_ranks(scores)[truth].sum())
+    tp, fp, thresholds = reference_threshold_blocks(scores, truth)
+    tpr = tp / p
+    k = int(np.argmax(tpr >= 0.95))
+
+    def ap(sc, tr):
+        tp_, fp_, _ = reference_threshold_blocks(sc, tr)
+        recall = tp_ / tr.sum()
+        return float(np.sum((recall - np.r_[0.0, recall[:-1]]) * (tp_ / (tp_ + fp_))))
+
+    binned = {}
+    for lo, hi in zip((0, 10, 20, 30, 40), (10, 20, 30, 40, 50)):
+        inside = (ranges >= lo) & (ranges < hi)
+        binned[f"{lo}_{hi}"] = ap(scores[inside], truth[inside]) if truth[inside].any() else None
+    return {
+        "auroc": (rank_sum - 0.5 * p * (p + 1)) / (p * n),
+        "fpr_at_tpr": float(fp[k] / n),
+        "average_precision": ap(scores, truth),
+        "range_binned_ap": binned,
+        "roc_curve": (np.r_[0.0, fp / n], np.r_[0.0, tp / p], thresholds),
+    }
+
+
+def _tie_heavy_float32(rng):
+    n = 5000
+    truth = rng.random(n) < 0.05
+    scores = np.round(rng.random(n), 3).astype(np.float32).astype(np.float64)
+    return scores, truth
+
+
+def _all_tied(rng):
+    n = 300
+    return np.full(n, 0.25), rng.random(n) < 0.3
+
+
+def _single_positive(rng):
+    n = 1000
+    truth = np.zeros(n, dtype=bool)
+    truth[417] = True
+    return np.round(rng.random(n), 2), truth
+
+
+def _negative_scores(rng):
+    n = 2000
+    return np.round(-rng.exponential(3.0, n), 1), rng.random(n) < 0.2
+
+
+def _signed_zeros(rng):
+    n = 1000
+    scores = rng.choice(np.array([-0.0, 0.0, 0.5, -0.5, 1e-300]), n)
+    return scores, rng.random(n) < 0.4
+
+
+@pytest.mark.parametrize("make", [_tie_heavy_float32, _all_tied, _single_positive,
+                                  _negative_scores, _signed_zeros])
+def test_value_sort_metrics_equal_argsort_reference(make):
+    rng = np.random.default_rng(11)
+    scores, truth = make(rng)
+    ranges = rng.uniform(0.0, 55.0, scores.shape[0])
+    pair = EvalPair(scores, truth, ranges)
+    ref = reference_metrics(scores, truth, ranges)
+    assert auroc(pair) == ref["auroc"]
+    assert fpr_at_tpr(pair, 0.95) == ref["fpr_at_tpr"]
+    assert average_precision(pair) == ref["average_precision"]
+    assert range_binned_ap(pair) == ref["range_binned_ap"]
+    for got, expected in zip(roc_curve(pair), ref["roc_curve"]):
+        # array_equal compares by value, so a zero threshold may differ in sign
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)

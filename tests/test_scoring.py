@@ -5,7 +5,7 @@ from lidarforge import (FeatureSet, FormatError, PrototypeBank, ValidationError,
                         accumulate_prototypes, classify, compute_scores, read_tensor,
                         score_contrastive, score_cosine, score_entropy, score_fused,
                         score_semantic, write_tensor)
-from lidarforge.scoring import read_scores, write_scores
+from lidarforge.scoring import _BLOCK_ROWS, _row_blocks, read_scores, write_scores
 
 
 def make_bank(prototypes):
@@ -190,6 +190,72 @@ class TestScores:
         np.testing.assert_allclose(sv.fused, 0.5 * (sv.semantic + sv.contrastive), atol=1e-15)
 
 
+def one_shot_scores(features, bank, radius, metric):
+    """compute_scores composed from the per-stage functions, each run
+    on the whole scan at once."""
+    result = classify(features.semantic, bank, metric=metric)
+    s_cos = score_cosine(result.similarity)
+    s_ent = score_entropy(features.semantic)
+    s_sem, peak = score_semantic(s_cos, s_ent)
+    s_cont = score_contrastive(features.contrastive, radius=radius)
+    return {"cosine": s_cos, "entropy": s_ent, "semantic": s_sem, "contrastive": s_cont,
+            "fused": score_fused(s_sem, s_cont), "predictions": result.predictions,
+            "semantic_peak": peak}
+
+
+class TestBlockedComputeScores:
+    @pytest.mark.parametrize("metric", ["cosine", "dot"])
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   3 * _BLOCK_ROWS + 7])
+    def test_bitwise_equal_to_one_shot(self, n, metric):
+        rng = np.random.default_rng(n)
+        c = 19
+        # small dot products keep 1 - max similarity inside the clamp
+        bank = make_bank(rng.standard_normal((c, c)) * (1.0 if metric == "cosine" else 0.02))
+        sem = rng.standard_normal((n, c)) * 3.0
+        con = rng.standard_normal((n, c)) * 0.6
+        if n:
+            # rows whose best similarity is near 1 (every 7th and the last):
+            # 1 - similarity is exact there, so a rounding change shows
+            near = (np.arange(n) % 7 == 6) | (np.arange(n) == n - 1)
+            p = bank.prototypes[rng.integers(0, c, int(near.sum()))]
+            if metric == "cosine":
+                sem[near] = 2.0 * p + 0.1 * rng.standard_normal(p.shape)
+            else:
+                sem[near] = 0.99 * p / (p * p).sum(axis=1, keepdims=True)
+            zero = rng.choice(n, size=max(1, n // 500), replace=False)
+            sem[zero] = 0.0
+            con[zero] = 0.0
+            # logits spread by more than 745: a softmax entry underflows to 0
+            sem[n // 2] = 0.0
+            sem[n // 2, 3] = 800.0
+        feats = FeatureSet(semantic=sem, contrastive=con)
+        got = compute_scores(feats, bank, radius=5.0, metric=metric)
+        expected = one_shot_scores(feats, bank, 5.0, metric)
+        if n:
+            assert score_entropy(sem[n // 2][None, :])[0] == 0.0
+        for name, want in expected.items():
+            have = getattr(got, name)
+            if name == "semantic_peak":
+                assert type(have) is float and np.float64(have).tobytes() == np.float64(want).tobytes()
+            else:
+                assert have.dtype == want.dtype and have.shape == want.shape
+                assert have.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("n", [0, 1, 2, _BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS + 2,
+                                   2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7])
+    def test_row_blocks_cover_rows_without_1_row_tail(self, n):
+        spans = list(_row_blocks(n))
+        assert [i for lo, hi in spans for i in range(lo, hi)] == list(range(n))
+        assert all(0 < hi - lo <= _BLOCK_ROWS + 1 for lo, hi in spans) or spans == [(0, 0)]
+        assert n == 1 or all(hi - lo != 1 for lo, hi in spans)
+
+    def test_stage_errors_raised_for_empty_scan(self):
+        feats = FeatureSet(semantic=np.zeros((0, 1)), contrastive=np.zeros((0, 1)))
+        with pytest.raises(ValidationError, match="C<2"):
+            compute_scores(feats, make_bank(np.ones((1, 1))))
+
+
 class TestTensorIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -223,3 +289,9 @@ class TestTensorIO:
         np.testing.assert_allclose(back, sv.fused, atol=1e-7)
         meta = (tmp_path / "scan0.scores.meta").read_text()
         assert "score = fused" in meta and "semantic_peak" in meta
+
+    def test_truncated_score_file(self, tmp_path):
+        path = tmp_path / "scan0.scores"
+        path.write_bytes(np.arange(3, dtype="<f4").tobytes()[:-1])
+        with pytest.raises(FormatError, match=r"scan0\.scores.*11 bytes"):
+            read_scores(path)
