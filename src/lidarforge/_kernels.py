@@ -2,7 +2,9 @@
 
 ``scatter_min`` resolves range-image cell collisions: the point with
 the minimum range wins each cell, and ties on range go to the smaller
-point index, as in a sequential scan with a strict ``<``.
+point index, as in a sequential scan with a strict ``<``.  It runs in
+O(N) with two unbuffered ``np.minimum.at`` scatters, one over ranges
+and one over the indices of the points that tie their cell's minimum.
 """
 
 from __future__ import annotations
@@ -19,22 +21,23 @@ def scatter_min(rows: np.ndarray, cols: np.ndarray, ranges: np.ndarray,
 
     Returns ``(index_grid, range_grid)`` of shape (height, width): the
     winning index into the inputs (-1 empty) and its range (+inf empty).
-    lexsort is stable, so sorting by (cell, range) and taking the first
-    entry per cell yields the same winner as a sequential scan.
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    cols = np.ascontiguousarray(cols, dtype=np.int64)
-    ranges = np.ascontiguousarray(ranges, dtype=np.float64)
-    cells = rows * width + cols
-    order = np.lexsort((ranges, cells))
-    sorted_cells = cells[order]
-    first = np.ones(order.shape[0], dtype=bool)
-    first[1:] = sorted_cells[1:] != sorted_cells[:-1]
-    win_cells = sorted_cells[first]
-    win_index = order[first]
 
-    index_grid = np.full((height, width), -1, dtype=np.int64)
-    range_grid = np.full((height, width), np.inf, dtype=np.float64)
-    index_grid.ravel()[win_cells] = win_index
-    range_grid.ravel()[win_cells] = ranges[win_index]
-    return index_grid, range_grid
+    Preconditions: ``rows``/``cols`` lie inside the grid, and every
+    range is finite and not NaN.  ``np.minimum`` carries a NaN forward
+    into its cell, and an infinite range would tie an empty cell's
+    +inf.  ``project`` meets both: its ranges are norms of float32
+    coordinates, and its field-of-view filter keeps only positive
+    ranges (a NaN range fails every comparison of that filter).
+    """
+    cells = np.asarray(rows, dtype=np.int64) * width + np.asarray(cols, dtype=np.int64)
+    ranges = np.asarray(ranges, dtype=np.float64)
+    n = ranges.shape[0]
+
+    range_grid = np.full(height * width, np.inf, dtype=np.float64)
+    np.minimum.at(range_grid, cells, ranges)
+    # only points at their cell's minimum compete on index; n marks no winner
+    ties = np.flatnonzero(ranges == range_grid[cells])
+    index_grid = np.full(height * width, n, dtype=np.int64)
+    np.minimum.at(index_grid, cells[ties], ties)
+    index_grid[index_grid == n] = -1
+    return index_grid.reshape(height, width), range_grid.reshape(height, width)

@@ -132,6 +132,9 @@ def normalize_and_noise(raw: np.ndarray, scene_mean: float, sigma: float,
     raw = np.asarray(raw, dtype=np.float64)
     if scene_mean <= 0:
         raise ValidationError(f"scene mean intensity must be positive, got {scene_mean}")
+    if not np.isfinite(scene_mean):
+        # e.g. a float32 mean that overflowed; it would turn every object intensity into nan
+        raise ValidationError(f"scene mean intensity must be finite, got {scene_mean}")
     if (raw < 0).any():
         raise ValidationError("raw intensities must be non-negative")
     if policy not in ("mean", "max"):

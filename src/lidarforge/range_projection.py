@@ -63,11 +63,14 @@ class RangeImage:
     def surviving_indices(self) -> np.ndarray:
         """Winning point indices of all nonempty cells, sorted ascending.
 
-        Sorting by original index keeps scene points in their original
-        relative order and keeps each appended object contiguous.
+        Ascending original index keeps scene points in their original
+        relative order and keeps each appended object contiguous.  Each
+        point wins at most one cell, so marking winners in a mask and
+        reading it back gives that order without a sort.
         """
-        idx = self.point_index[self.filled]
-        return np.sort(idx)
+        won = np.zeros(self.source_count, dtype=bool)
+        won[self.point_index[self.filled]] = True
+        return np.flatnonzero(won)
 
     def provenance_grid(self) -> np.ndarray:
         """Per-cell provenance: -1 empty, 0 scene, 1 object."""

@@ -193,7 +193,9 @@ def score_entropy(features: np.ndarray) -> np.ndarray:
     if n_classes < 2:
         raise ValidationError(f"entropy undefined for C<2 (got C={n_classes})")
     p = softmax(f)
-    plogp = np.where(p > 0, p * np.log(p), 0.0)
+    # an entry that underflowed to 0 gives 0 * log(0) = nan, which the where discards
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(p > 0, p * np.log(p), 0.0)
     return -plogp.sum(axis=1) / np.log(n_classes)
 
 

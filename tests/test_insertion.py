@@ -1,7 +1,11 @@
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from helpers import (ROAD_CLASS, ROAD_Z, TEST_SENSOR, full_coverage_wall,
@@ -383,6 +387,78 @@ class TestForgeSplit:
                     for p in sorted(out.rglob("*")) if p.is_file()}
             trees.append(tree)
         assert trees[0] == trees[1]
+
+
+# every scan is selected for an anomaly, so every scan reaches the projection
+EVERY_SCAN = SplitPolicy(kind="single", anomaly_ratio=1.0,
+                         surface_classes=frozenset({ROAD_CLASS}),
+                         count_distribution=(1.0,), anomaly_label=2)
+
+
+def degenerate_scan(n_points, seed=0, origin_at=None, intensity_scale=1.0,
+                    below_fov=False, anomaly_at=None):
+    """A flat road scan with any mix of the defects a real split may hold.
+
+    Returns (cloud, labels, uses_anomaly_id).
+    """
+    scene, labels = make_flat_scene(np.random.default_rng(seed), n_points, r_max=15.0)
+    data, ids = scene.data.copy(), labels.class_ids.copy()
+    if origin_at is not None:
+        data[origin_at, :3] = 0.0
+    data[:, 3] *= intensity_scale
+    if below_fov:
+        data[:, :2] *= 0.2  # steeper than the 24 degree lower FOV edge: nothing visible
+    if anomaly_at is not None:
+        ids[anomaly_at] = EVERY_SCAN.anomaly_label
+    return PointCloud(data), LabelArray.from_class_ids(ids), anomaly_at is not None
+
+
+@st.composite
+def degenerate_scans(draw):
+    n_points = draw(st.sampled_from([0, 1, 2, 3, 1500]))
+    index = st.none() | st.integers(0, n_points - 1) if n_points else st.none()
+    return degenerate_scan(
+        n_points, seed=draw(st.integers(0, 2**16)), origin_at=draw(index),
+        # 0: all-zero intensities; 1e38: their float32 mean overflows
+        intensity_scale=draw(st.sampled_from([1.0, 0.0, 1e38])),
+        below_fov=draw(st.booleans()), anomaly_at=draw(index))
+
+
+class TestForgeSplitDegenerateScans:
+    @given(scans=st.lists(degenerate_scans(), min_size=1, max_size=3),
+           master_seed=st.integers(0, 2**32))
+    @example(scans=[degenerate_scan(1500, origin_at=0)], master_seed=0)
+    @example(scans=[degenerate_scan(1500, intensity_scale=0.0)], master_seed=0)
+    @example(scans=[degenerate_scan(1500, intensity_scale=1e38)], master_seed=0)
+    @example(scans=[degenerate_scan(1500, below_fov=True)], master_seed=0)
+    @example(scans=[degenerate_scan(n) for n in range(4)], master_seed=0)
+    @example(scans=[degenerate_scan(1500, anomaly_at=7)], master_seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_written_whole_or_skipped(self, scans, master_seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "in" / "velodyne").mkdir(parents=True)
+            (root / "in" / "labels").mkdir(parents=True)
+            for i, (scene, labels, _) in enumerate(scans):
+                write_scan(scene, root / "in" / "velodyne" / f"{i:06d}.bin")
+                write_labels(labels, root / "in" / "labels" / f"{i:06d}.label")
+            out = root / "out"
+            summary = forge_split(
+                discover_pairs(root / "in" / "velodyne", root / "in" / "labels"), out,
+                EVERY_SCAN, TEST_SENSOR, _bank_with_cube(root / "meshes"), HEIGHTS,
+                master_seed=master_seed, params=FAST)
+
+            skipped = {sid for sid, _ in summary.skipped}
+            assert {f"{i:06d}" for i, scan in enumerate(scans) if scan[2]} <= skipped
+            for i in range(len(scans)):
+                sid = f"{i:06d}"
+                scan_file = out / "velodyne" / f"{sid}.bin"
+                label_file = out / "labels" / f"{sid}.label"
+                if sid in skipped:
+                    assert not scan_file.exists() and not label_file.exists()
+                else:
+                    assert read_scan(scan_file).count == read_labels(label_file).count
+            assert summary.scan_count == len(scans) - len(skipped)
 
 
 class TestScanSeed:

@@ -183,6 +183,11 @@ class TestNormalizeAndNoise:
         with pytest.raises(ValidationError):
             normalize_and_noise(np.ones(5), scene_mean=0.0, sigma=0.0, seed=0)
 
+    def test_infinite_scene_mean_rejected(self):
+        # the float32 mean of a scan with huge remissions overflows to inf
+        with pytest.raises(ValidationError, match="must be finite, got inf"):
+            normalize_and_noise(np.ones(5), scene_mean=float("inf"), sigma=0.05, seed=0)
+
     def test_deterministic_given_seed(self):
         raw = np.linspace(0, 0.5, 100)
         a = normalize_and_noise(raw, 0.3, 0.05, seed=9)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import TEST_SENSOR, full_coverage_wall, make_random_cloud
 
 from lidarforge import (PointCloud, SensorConfig, ValidationError, beam_rows_of,
                         project, reproject, write_pgm)
 from lidarforge._kernels import scatter_min
-from lidarforge.range_projection import _cell_coords
+from lidarforge.range_projection import RangeImage, _cell_coords
 
 KITTI_LIKE = SensorConfig(beams=64, width=2048, fov_up_deg=3.0, fov_down_deg=25.0)
 
@@ -225,6 +227,23 @@ class TestBackends:
         np.testing.assert_array_equal(img.ranges, rgrid_ref)
 
 
+def _scatter_case(cells, ranges, height, width):
+    cells = np.asarray(cells, dtype=np.int64)
+    return (cells // width, cells % width, np.asarray(ranges, dtype=np.float64),
+            height, width)
+
+
+@st.composite
+def tie_heavy_scatters(draw):
+    """A small grid with few distinct ranges, so that exact ties are common."""
+    height = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 60))
+    cells = draw(st.lists(st.integers(0, height * width - 1), min_size=n, max_size=n))
+    ranges = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=n, max_size=n))
+    return _scatter_case(cells, ranges, height, width)
+
+
 class TestScatterMin:
     def test_tie_goes_to_first_index(self):
         rows = np.array([3, 3])
@@ -232,6 +251,24 @@ class TestScatterMin:
         ranges = np.array([5.0, 5.0])
         idx, _ = scatter_min(rows, cols, ranges, 8, 8)
         assert idx[3, 7] == 0
+
+    @given(case=tie_heavy_scatters())
+    @example(case=_scatter_case([], [], 3, 4))                                  # no points
+    @example(case=_scatter_case([5] * 7, [2.0, 1.0, 1.5, 1.0, 1.0, 0.5, 0.5], 3, 4))  # one cell
+    @example(case=_scatter_case([1, 6, 1, 1, 6, 1], [1.5, 1.0, 1.5, 1.5, 1.0, 1.5], 2, 4))  # repeated pairs
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sequential_reference(self, case):
+        rows, cols, ranges, height, width = case
+        idx, rgrid = scatter_min(rows, cols, ranges, height, width)
+        idx_ref, rgrid_ref = sequential_scatter_min(rows, cols, ranges, height, width)
+        np.testing.assert_array_equal(idx, idx_ref)
+        np.testing.assert_array_equal(rgrid, rgrid_ref)
+        assert idx.dtype == np.int64 and rgrid.dtype == np.float64
+
+        img = RangeImage(point_index=idx, ranges=rgrid, config=TEST_SENSOR,
+                         source_count=ranges.shape[0], scene_count=ranges.shape[0])
+        np.testing.assert_array_equal(img.surviving_indices(),
+                                      np.sort(img.point_index[img.filled]))
 
 
 class TestPgm:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from lidarforge import (FeatureSet, FormatError, PrototypeBank, ValidationError,
                         accumulate_prototypes, classify, compute_scores, read_tensor,
                         score_contrastive, score_cosine, score_entropy, score_fused,
                         score_semantic, write_tensor)
-from lidarforge.scoring import _BLOCK_ROWS, _row_blocks, read_scores, write_scores
+from lidarforge.scoring import _BLOCK_ROWS, _row_blocks, read_scores, softmax, write_scores
 
 
 def make_bank(prototypes):
@@ -140,6 +142,18 @@ class TestScores:
     def test_entropy_two_class_value(self):
         logits = np.array([[0.0, np.log(3.0)]])  # softmax = (0.25, 0.75)
         assert score_entropy(logits)[0] == pytest.approx(0.8113, abs=1e-4)
+
+    def test_entropy_underflow_is_silent_and_unchanged(self):
+        # logits spread by more than 745: softmax entries underflow to 0
+        logits = np.array([[0.0, 800.0, 1.0], [-900.0, 0.0, 0.0], [0.5, 0.0, 0.25]])
+        p = softmax(logits)
+        assert (p == 0.0).sum() == 3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = -np.where(p > 0, p * np.log(p), 0.0).sum(axis=1) / np.log(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = score_entropy(logits)
+        assert out.tobytes() == expected.tobytes()
 
     def test_entropy_single_class_rejected(self):
         with pytest.raises(ValidationError, match="C<2"):
