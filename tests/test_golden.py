@@ -4,7 +4,10 @@ A fixed synthetic split is forged through the CLI with one and with two
 workers, then scored and evaluated.  The SHA-256 of the forged tree
 (``velodyne/``, ``labels/``, ``manifest.tsv``) and of the eval report
 must equal the digests committed below, so a refactor that changes a
-single output byte fails here instead of going unnoticed.
+single output byte fails here instead of going unnoticed.  A third
+digest covers ``forge_scan``'s retry paths (re-placement after full
+occlusion, a spent retry budget, an object that never survives) on a
+half-walled scene, which the split above never reaches.
 
 The digests depend on the numpy/scipy/LAPACK build: normal estimation
 goes through ``numpy.linalg.eigh`` and ``scipy.spatial.cKDTree``, whose
@@ -18,13 +21,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import make_cube_mesh, make_flat_scene, write_off
+from helpers import (ROAD_CLASS, TEST_SENSOR, full_coverage_wall, make_cube_mesh,
+                     make_flat_scene, write_off)
 
-from lidarforge import read_labels, write_labels, write_scan, write_tensor
+from lidarforge import (ForgeParams, LabelArray, MeshBank, PointCloud, ReflectivityCatalog,
+                        SplitPolicy, forge_scan, read_labels, write_labels, write_scan,
+                        write_tensor)
 from lidarforge.cli import main
 
 TREE_SHA256 = "39b55318928f7d031046a7867d3f834173edc3e22c61c67a67e824d1a3c6321b"
 REPORT_SHA256 = "181aab366e34937294d317b35b957d58ae90fcbb3fd14a76eee745c4ff4ddf74"
+RETRY_SHA256 = "83945189b0910948c150a1fa6db2874a557da29dbe0cb61708e40617e85ed0eb"
 
 SENSOR_CFG = "beams = 32\nwidth = 512\nfov_up_deg = 8.0\nfov_down_deg = 24.0\n"
 N_CLASSES = 4
@@ -119,3 +126,53 @@ def test_eval_report_matches_golden_digest(inputs, capsys):
     capsys.readouterr()
     assert "ap_bin_40_50 = " in report
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == REPORT_SHA256
+
+
+def half_wall_scene():
+    """A wall at 5 m over the y > 0 half of the azimuth, in front of a
+    road annulus at 8-12 m: objects placed behind the wall lose every
+    cell, objects on the open half survive."""
+    wall = full_coverage_wall(TEST_SENSOR, 5.0)
+    wall = wall[wall[:, 1] > 0]
+    road, road_labels = make_flat_scene(np.random.default_rng(22), 3000, r_min=8, r_max=12)
+    scene = PointCloud(np.vstack([
+        np.column_stack([wall, np.full(len(wall), 0.3)]).astype(np.float32), road.data]))
+    labels = LabelArray(np.concatenate([np.zeros(len(wall), dtype=np.uint32),
+                                        road_labels.words]))
+    return scene, labels
+
+
+def test_retry_paths_match_golden_digest(tmp_path):
+    (tmp_path / "chair").mkdir()
+    write_off(make_cube_mesh(), tmp_path / "chair" / "chair_0001.off")
+    bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}))
+    scene, labels = half_wall_scene()
+    params = ForgeParams(object_points=1500)
+
+    h = hashlib.sha256()
+    outcomes = {}
+    for budget in (0, 1, 2, 10):
+        policy = SplitPolicy.multi(surface_classes=(ROAD_CLASS,), anomaly_label=2,
+                                   retry_budget=budget)
+        for seed in range(16):
+            r = forge_scan(scene, labels, "w", TEST_SENSOR, policy, bank, {"chair": 0.9},
+                           seed=seed, params=params)
+            h.update(r.cloud.data.tobytes())
+            h.update(r.labels.words.tobytes())
+            h.update(repr(r.records).encode() + repr(r.modified).encode())
+            outcomes[budget, seed] = ([rec.surviving_count > 0 for rec in r.records],
+                                      r.modified)
+
+    def dead_at_first_try(seed):
+        return not all(outcomes[0, seed][0])
+
+    # an object occluded at its first site survives after re-placement
+    assert any(dead_at_first_try(seed) and alive and all(alive) and modified
+               for (budget, seed), (alive, modified) in outcomes.items() if budget > 0)
+    # the budget is spent with one object still dead and another alive
+    assert any(budget > 0 and modified and not all(alive)
+               for (budget, _), (alive, modified) in outcomes.items())
+    # every object stays dead: the scan is written unchanged
+    assert any(alive and not any(alive) and not modified
+               for alive, modified in outcomes.values())
+    assert h.hexdigest() == RETRY_SHA256
