@@ -73,6 +73,8 @@ def _build_policy(args) -> SplitPolicy:
 def cmd_forge(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise ValidationError(f"--seed must be an unsigned 64-bit value, got {args.seed}")
+    if args.workers < 1:
+        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
     out_dir = Path(args.out)
     if out_dir.exists():
         raise ValidationError(f"output directory {out_dir} already exists")

@@ -10,6 +10,7 @@ anomaly label; surviving scene points are carried through bit-exact.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -59,8 +60,8 @@ class SplitPolicy:
         total = sum(self.count_distribution)
         if abs(total - 1.0) > 1e-9 or any(p < 0 for p in self.count_distribution):
             raise ValidationError(f"count distribution must be a probability vector, got {self.count_distribution}")
-        if self.max_radius <= 0:
-            raise ValidationError("max_radius must be positive")
+        if not 0 < self.max_radius < math.inf:
+            raise ValidationError(f"max_radius must be positive and finite, got {self.max_radius}")
         if not self.surface_classes:
             raise ValidationError("at least one allowed surface class is required")
 
@@ -89,6 +90,15 @@ class ForgeParams:
     noise_scale: float = 0.05
     normal_neighbors: int = DEFAULT_NEIGHBORS
     normalization: str = "mean"
+
+    def __post_init__(self):
+        # normals need k >= 2 neighbours, and k + 1 points on every object
+        if not self.object_points > self.normal_neighbors >= 2:
+            raise ValidationError(
+                f"need object points > normal neighbors >= 2, got "
+                f"{self.object_points} and {self.normal_neighbors}")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValidationError(f"noise scale must be finite and >= 0, got {self.noise_scale}")
 
 
 @dataclass(frozen=True)
@@ -406,8 +416,8 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
     Deterministic for a given master seed: each scan is keyed by
     (master seed, scan id) only, so the output tree is byte-identical
     regardless of worker count.  Scans that cannot be read, or whose
-    forging raises a LidarForgeError, are skipped and reported in the
-    manifest.
+    forging or writing raises a LidarForgeError, are skipped and
+    reported in the manifest, with none of their files left behind.
     """
     if not pairs:
         raise ValidationError("scan list is empty")
@@ -423,13 +433,17 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
             check_pair(scene, labels)
         except Exception as exc:  # noqa: BLE001 - skip-and-report contract
             return sid, None, f"{type(exc).__name__}: {exc}"
+        scan_file = out_dir / "velodyne" / f"{sid}.bin"
+        label_file = out_dir / "labels" / f"{sid}.label"
         try:
             result = forge_scan(scene, labels, sid, cfg, policy, bank,
                                 target_heights, scan_seed(master_seed, sid), params)
+            write_scan(result.cloud, scan_file)
+            write_labels(result.labels, label_file)
         except LidarForgeError as exc:  # skip-and-report contract
+            scan_file.unlink(missing_ok=True)
+            label_file.unlink(missing_ok=True)
             return sid, None, f"{type(exc).__name__}: {exc}"
-        write_scan(result.cloud, out_dir / "velodyne" / f"{sid}.bin")
-        write_labels(result.labels, out_dir / "labels" / f"{sid}.label")
         return sid, result, None
 
     if workers <= 1:

@@ -69,6 +69,21 @@ class TestForgeCommand:
         assert main(args) == 1
         assert not (root / "out_c").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--object-points", "0"), ("--object-points", "1"), ("--object-points", "10"),
+        ("--neighbors", "0"), ("--neighbors", "1"),
+        ("--noise-scale", "nan"), ("--noise-scale", "-1"),
+        ("--max-radius", "nan"), ("--max-radius", "inf"),
+        ("--workers", "0"),
+    ])
+    def test_invalid_knob_rejected_before_output(self, forge_inputs, capsys, flag, value):
+        root = forge_inputs
+        out = root / "out_knob"
+        assert main(forge_args(root, out) + [flag, value]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+        assert not list(root.glob("out_knob.tmp.*"))
+
     def test_manifest_echoes_config(self, forge_inputs):
         root = forge_inputs
         assert main(forge_args(root, root / "out_d", seed=11)) == 0

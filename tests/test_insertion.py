@@ -16,6 +16,7 @@ from lidarforge import (ForgeParams, LabelArray, PlacementInfeasibleError,
                         ValidationError, build_anomaly_object, compose_scan,
                         forge_scan, forge_split, pick_placement, place, project,
                         reproject, scan_seed)
+from lidarforge import insertion
 from lidarforge.insertion import PlacementSurface, discover_pairs
 from lidarforge.mesh_bank import MeshBank
 from lidarforge.scan_io import read_labels, read_scan, write_labels, write_scan
@@ -371,6 +372,26 @@ class TestForgeSplit:
             ("000001", "ValidationError: scene mean intensity must be positive, got 0.0")]
         assert summary.scan_count == 2
         assert "# skipped: 000001\tValidationError" in (out / "manifest.tsv").read_text()
+        assert sorted(p.name for p in (out / "velodyne").iterdir()) == ["000000.bin", "000002.bin"]
+        assert sorted(p.name for p in (out / "labels").iterdir()) == ["000000.label", "000002.label"]
+
+    def test_scan_failing_to_write_skipped_and_reported(self, tmp_path, monkeypatch):
+        scans, labels = self._dataset(tmp_path, n_scans=3, seed=6)
+        real_write_labels = insertion.write_labels
+
+        def write_labels_failing_for_one(words, path):
+            if Path(path).stem == "000001":
+                raise ValidationError("label write refused")
+            real_write_labels(words, path)
+
+        monkeypatch.setattr(insertion, "write_labels", write_labels_failing_for_one)
+        bank = _bank_with_cube(tmp_path / "meshes")
+        out = tmp_path / "out"
+        summary = forge_split(discover_pairs(scans, labels), out, single_policy(),
+                              TEST_SENSOR, bank, HEIGHTS, master_seed=11, params=FAST)
+        assert summary.skipped == [("000001", "ValidationError: label write refused")]
+        assert summary.scan_count == 2
+        # the scan file was written before the label write failed, and is removed
         assert sorted(p.name for p in (out / "velodyne").iterdir()) == ["000000.bin", "000002.bin"]
         assert sorted(p.name for p in (out / "labels").iterdir()) == ["000000.label", "000002.label"]
 
