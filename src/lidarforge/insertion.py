@@ -211,77 +211,52 @@ def pick_placement(scene: PointCloud, labels: LabelArray, policy: SplitPolicy,
     )
 
 
-def compose_scan(scene: PointCloud, labels: LabelArray, objects: list,
-                 cfg: SensorConfig, policy: SplitPolicy,
-                 seed: int | np.random.Generator,
-                 params: ForgeParams = ForgeParams(),
-                 scan_id: str = "", record_seed: int = 0):
-    """Merge placed objects into a scan through the projection pipeline.
+def _occlude(scene: PointCloud, objects: list, cfg: SensorConfig):
+    """One occlusion pass: project the scene with the objects appended.
 
-    Returns (cloud, labels, records).  Output ordering: surviving scene
-    points first in their original relative order, then surviving
-    object points grouped per object.  Scene points and labels pass
-    through bit-exact; object points take the policy's anomaly label.
+    Returns (scene_idx, own): the surviving scene indices, and for each
+    object the indices of its surviving points within the object, all
+    ascending.
     """
-    check_pair(scene, labels)
-    _reject_preexisting_anomaly_labels(labels, policy)
-    rng = np.random.default_rng(seed)
-
-    if not objects:
-        img = project(scene, cfg)
-        idx = img.surviving_indices()
-        return scene.take(idx), labels.take(idx), []
-
-    for obj in objects:
-        horiz = np.linalg.norm(obj.points[:, :2], axis=1)
-        if float(horiz.max()) > policy.max_radius + 1e-9:
-            raise ValidationError(
-                f"object {obj.category!r} extends to {horiz.max():.2f} m, "
-                f"beyond the {policy.max_radius} m insertion radius"
-            )
-
-    n_scene = scene.count
-    object_f32 = [np.asarray(obj.points, dtype=np.float32) for obj in objects]
     blocks = [scene.data]
-    for pts in object_f32:
-        block = np.zeros((pts.shape[0], 4), dtype=np.float32)
-        block[:, :3] = pts
+    for obj in objects:
+        block = np.zeros((obj.points.shape[0], 4), dtype=np.float32)
+        block[:, :3] = obj.points
         blocks.append(block)
     combined = PointCloud(np.concatenate(blocks, axis=0), validate=False)
+    surviving = project(combined, cfg, scene_count=scene.count).surviving_indices()
+    starts = scene.count + np.cumsum([0] + [block.shape[0] for block in blocks[1:]])[:-1]
+    parts = np.split(surviving, np.searchsorted(surviving, starts))
+    return parts[0], [part - start for part, start in zip(parts[1:], starts)]
 
-    img = project(combined, cfg, scene_count=n_scene)
-    surviving = img.surviving_indices()
 
-    sizes = [pts.shape[0] for pts in object_f32]
-    block_starts = n_scene + np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
+def _finalize(scene: PointCloud, labels: LabelArray, objects: list,
+              scene_idx: np.ndarray, own: list, policy: SplitPolicy,
+              params: ForgeParams, rng: np.random.Generator,
+              scan_id: str, record_seed: int):
+    """Build (cloud, labels, records) from one occlusion pass.
 
+    Surviving scene rows pass through bit-exact.  Each object's
+    survivors get normals, Lambert intensities blended into the scene
+    with noise, and the anomaly label; an object with no survivor gets a
+    0-point record and draws nothing from ``rng``.
+    """
     scene_mean = float(scene.intensity.mean()) if scene.count else 0.0
-
-    out_data = [combined.data[surviving[surviving < n_scene]]]
-    out_words = [labels.words[surviving[surviving < n_scene]]]
+    out_data = [scene.data[scene_idx]]
+    out_words = [labels.words[scene_idx]]
     records = []
-    cursor = out_data[0].shape[0]
-
-    for j, obj in enumerate(objects):
-        lo, hi = int(block_starts[j]), int(block_starts[j]) + sizes[j]
-        mine = surviving[(surviving >= lo) & (surviving < hi)]
-        m_surv = int(mine.size)
-
-        if m_surv > 0:
-            dense = object_f32[j].astype(np.float64)
-            own = mine - lo
-            pts_surv = dense[own]
-            k_eff = min(params.normal_neighbors, dense.shape[0] - 1)
-            if k_eff >= 2:
-                normals = estimate_normals(dense, k=k_eff, at=own).normals
-            else:
-                d = np.linalg.norm(pts_surv, axis=1, keepdims=True)
-                normals = -pts_surv / np.where(d > 0, d, 1.0)
+    cursor = len(scene_idx)
+    for obj, mine in zip(objects, own):
+        m_surv = len(mine)
+        if m_surv:
+            dense = np.asarray(obj.points, dtype=np.float32).astype(np.float64)
+            pts_surv = dense[mine]
+            normals = estimate_normals(dense, k=params.normal_neighbors, at=mine).normals
             raw = lambert_intensity(pts_surv, normals, obj.reflectivity)
-            final = normalize_and_noise(raw, scene_mean, params.noise_scale, rng,
-                                        policy=params.normalization)
-            block = combined.data[mine].copy()
-            block[:, 3] = final.astype(np.float32)
+            block = np.empty((m_surv, 4), dtype=np.float32)
+            block[:, :3] = pts_surv
+            block[:, 3] = normalize_and_noise(raw, scene_mean, params.noise_scale, rng,
+                                              policy=params.normalization)
             out_data.append(block)
             out_words.append(np.full(m_surv, policy.anomaly_label, dtype=np.uint32))
 
@@ -296,8 +271,37 @@ def compose_scan(scene: PointCloud, labels: LabelArray, objects: list,
         cursor += m_surv
 
     cloud = PointCloud(np.concatenate(out_data, axis=0), validate=False)
-    words = LabelArray(np.concatenate(out_words))
-    return cloud, words, records
+    return cloud, LabelArray(np.concatenate(out_words)), records
+
+
+def compose_scan(scene: PointCloud, labels: LabelArray, objects: list,
+                 cfg: SensorConfig, policy: SplitPolicy,
+                 seed: int | np.random.Generator,
+                 params: ForgeParams = ForgeParams(),
+                 scan_id: str = "", record_seed: int = 0):
+    """Merge placed objects into a scan through the projection pipeline.
+
+    One occlusion pass projects the scene with the objects appended;
+    the output keeps each cell's winner.  Returns (cloud, labels,
+    records), one record per object in the given order.  Output
+    ordering: surviving scene points first in their original relative
+    order, then surviving object points grouped per object.  Scene
+    points and labels pass through bit-exact; object points take the
+    policy's anomaly label.  With no objects this is the scene's own
+    projection and re-projection.
+    """
+    check_pair(scene, labels)
+    _reject_preexisting_anomaly_labels(labels, policy)
+    for obj in objects:
+        horiz = np.linalg.norm(obj.points[:, :2], axis=1)
+        if float(horiz.max()) > policy.max_radius + 1e-9:
+            raise ValidationError(
+                f"object {obj.category!r} extends to {horiz.max():.2f} m, "
+                f"beyond the {policy.max_radius} m insertion radius"
+            )
+    scene_idx, own = _occlude(scene, objects, cfg)
+    return _finalize(scene, labels, objects, scene_idx, own, policy, params,
+                     np.random.default_rng(seed), scan_id, record_seed)
 
 
 @dataclass
@@ -317,8 +321,10 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
     A Bernoulli draw with the policy ratio decides anomaly presence;
     the object count follows the policy distribution.  Objects whose
     every point loses the occlusion contest are re-placed up to the
-    retry budget, then dropped.  Scans that end up with no surviving
-    object are emitted unchanged.
+    retry budget; a retry re-runs only the occlusion pass.  Then the
+    output is built once.  Objects still fully occluded are dropped and
+    keep a 0-point record after the surviving ones.  Scans that end up
+    with no surviving object are emitted unchanged.
     """
     check_pair(scene, labels)
     _reject_preexisting_anomaly_labels(labels, policy)
@@ -349,16 +355,18 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
     if not placed:
         return ForgeScanResult(scene, labels, [], modified=False)
 
-    def compose(objs):
-        return compose_scan(scene, labels, objs, cfg, policy, rng, params,
-                            scan_id=scan_id, record_seed=seed)
+    def draw_discarded_noise(own):
+        # the noise that composing this pass's survivors used to draw
+        for mine in own:
+            if len(mine) and params.noise_scale > 0:
+                rng.normal(size=len(mine))
 
-    cloud, words, records = compose(placed)
-    dead_records: list[InsertionRecord] = []
+    scene_idx, own = _occlude(scene, placed, cfg)
     for _ in range(policy.retry_budget):
-        dead = [j for j, rec in enumerate(records) if rec.surviving_count == 0]
+        dead = [j for j, mine in enumerate(own) if not len(mine)]
         if not dead:
             break
+        draw_discarded_noise(own)
         for j in dead:
             obj = placed[j]
             try:
@@ -372,19 +380,16 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
             base = replace(obj, points=obj.points - np.asarray(obj.translation),
                            translation=(0.0, 0.0, 0.0))
             placed[j] = mesh_bank.place(base, x, y, gz)
-        cloud, words, records = compose(placed)
+        scene_idx, own = _occlude(scene, placed, cfg)
     else:
-        alive = [obj for obj, rec in zip(placed, records) if rec.surviving_count > 0]
-        dead_records = [rec for rec in records if rec.surviving_count == 0]
-        placed = alive
-        if placed:
-            cloud, words, records = compose(placed)
-        else:
-            records = []
+        draw_discarded_noise(own)
 
-    if not placed:
-        return ForgeScanResult(scene, labels, dead_records, modified=False)
-    return ForgeScanResult(cloud, words, records + dead_records, modified=True)
+    cloud, words, records = _finalize(scene, labels, placed, scene_idx, own, policy,
+                                      params, rng, scan_id, seed)
+    records.sort(key=lambda rec: rec.surviving_count == 0)  # stable: survivors first
+    if not any(rec.surviving_count for rec in records):
+        return ForgeScanResult(scene, labels, records, modified=False)
+    return ForgeScanResult(cloud, words, records, modified=True)
 
 
 @dataclass

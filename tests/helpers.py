@@ -81,3 +81,17 @@ def full_coverage_wall(cfg: SensorConfig, distance: float = 5.0) -> np.ndarray:
     pts[:, 1] = distance * np.cos(elev) * np.sin(yaw)
     pts[:, 2] = distance * np.sin(elev)
     return pts
+
+
+def half_wall_scene():
+    """A wall at 5 m over the y > 0 half of the azimuth, in front of a
+    road annulus at 8-12 m: objects placed behind the wall lose every
+    cell, objects on the open half survive."""
+    wall = full_coverage_wall(TEST_SENSOR, 5.0)
+    wall = wall[wall[:, 1] > 0]
+    road, road_labels = make_flat_scene(np.random.default_rng(22), 3000, r_min=8, r_max=12)
+    scene = PointCloud(np.vstack([
+        np.column_stack([wall, np.full(len(wall), 0.3)]).astype(np.float32), road.data]))
+    labels = LabelArray(np.concatenate([np.zeros(len(wall), dtype=np.uint32),
+                                        road_labels.words]))
+    return scene, labels

@@ -21,12 +21,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import (ROAD_CLASS, TEST_SENSOR, full_coverage_wall, make_cube_mesh,
+from helpers import (ROAD_CLASS, TEST_SENSOR, half_wall_scene, make_cube_mesh,
                      make_flat_scene, write_off)
 
-from lidarforge import (ForgeParams, LabelArray, MeshBank, PointCloud, ReflectivityCatalog,
-                        SplitPolicy, forge_scan, read_labels, write_labels, write_scan,
-                        write_tensor)
+from lidarforge import (ForgeParams, MeshBank, ReflectivityCatalog, SplitPolicy, forge_scan,
+                        read_labels, write_labels, write_scan, write_tensor)
 from lidarforge.cli import main
 
 TREE_SHA256 = "39b55318928f7d031046a7867d3f834173edc3e22c61c67a67e824d1a3c6321b"
@@ -126,20 +125,6 @@ def test_eval_report_matches_golden_digest(inputs, capsys):
     capsys.readouterr()
     assert "ap_bin_40_50 = " in report
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == REPORT_SHA256
-
-
-def half_wall_scene():
-    """A wall at 5 m over the y > 0 half of the azimuth, in front of a
-    road annulus at 8-12 m: objects placed behind the wall lose every
-    cell, objects on the open half survive."""
-    wall = full_coverage_wall(TEST_SENSOR, 5.0)
-    wall = wall[wall[:, 1] > 0]
-    road, road_labels = make_flat_scene(np.random.default_rng(22), 3000, r_min=8, r_max=12)
-    scene = PointCloud(np.vstack([
-        np.column_stack([wall, np.full(len(wall), 0.3)]).astype(np.float32), road.data]))
-    labels = LabelArray(np.concatenate([np.zeros(len(wall), dtype=np.uint32),
-                                        road_labels.words]))
-    return scene, labels
 
 
 def test_retry_paths_match_golden_digest(tmp_path):

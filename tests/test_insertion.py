@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from helpers import (ROAD_CLASS, ROAD_Z, TEST_SENSOR, full_coverage_wall,
-                     make_cube_mesh, make_flat_scene, write_off)
+                     half_wall_scene, make_cube_mesh, make_flat_scene, write_off)
 
 from lidarforge import (ForgeParams, LabelArray, PlacementInfeasibleError,
                         PointCloud, ReflectivityCatalog, SplitPolicy,
@@ -265,6 +265,50 @@ class TestForgeScan:
                 return
         pytest.fail("no anomaly draw in 40 seeds")
 
+
+    def test_retry_reprojects_and_output_is_built_once(self, monkeypatch):
+        # passes[i] is True when occlusion pass i left some object with no point
+        passes, noised = [], []
+        real_project, real_noise = insertion.project, insertion.normalize_and_noise
+
+        def counting_project(cloud, cfg, scene_count=None):
+            img = real_project(cloud, cfg, scene_count=scene_count)
+            won = img.surviving_indices()
+            alive = np.unique((won[won >= img.scene_count] - img.scene_count)
+                              // FAST.object_points)
+            passes.append(alive.size < (cloud.count - img.scene_count) // FAST.object_points)
+            return img
+
+        def counting_noise(*args, **kwargs):
+            noised.append(1)
+            return real_noise(*args, **kwargs)
+
+        monkeypatch.setattr(insertion, "project", counting_project)
+        monkeypatch.setattr(insertion, "normalize_and_noise", counting_noise)
+        scene, labels = half_wall_scene()
+        bank = _bank_with_cube()
+        retried = once_at_zero_budget = False
+        for budget in (0, 1, 2, 10):
+            policy = multi_policy(retry_budget=budget)
+            for seed in range(16):
+                passes.clear()
+                noised.clear()
+                result = forge_scan(scene, labels, "w", TEST_SENSOR, policy, bank,
+                                    HEIGHTS, seed=seed, params=FAST)
+                if not result.records:
+                    assert passes == [] and noised == []
+                    continue
+                # a pass is followed by another only to retry a dead object
+                assert all(passes[:-1])
+                assert len(passes) <= budget + 1
+                assert not passes[-1] or len(passes) == budget + 1
+                # one noise draw per object in the output, none per attempt
+                assert len(noised) == sum(rec.surviving_count > 0 for rec in result.records)
+                retried |= len(passes) > 1
+                if budget == 0 and result.modified:
+                    assert len(passes) == 1
+                    once_at_zero_budget = True
+        assert retried and once_at_zero_budget
 
     def test_point_at_sensor_origin_does_not_abort(self, tmp_path):
         rng = np.random.default_rng(2)
