@@ -355,18 +355,11 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
     if not placed:
         return ForgeScanResult(scene, labels, [], modified=False)
 
-    def draw_discarded_noise(own):
-        # the noise that composing this pass's survivors used to draw
-        for mine in own:
-            if len(mine) and params.noise_scale > 0:
-                rng.normal(size=len(mine))
-
     scene_idx, own = _occlude(scene, placed, cfg)
     for _ in range(policy.retry_budget):
         dead = [j for j, mine in enumerate(own) if not len(mine)]
         if not dead:
             break
-        draw_discarded_noise(own)
         for j in dead:
             obj = placed[j]
             try:
@@ -381,8 +374,6 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
                            translation=(0.0, 0.0, 0.0))
             placed[j] = mesh_bank.place(base, x, y, gz)
         scene_idx, own = _occlude(scene, placed, cfg)
-    else:
-        draw_discarded_noise(own)
 
     cloud, words, records = _finalize(scene, labels, placed, scene_idx, own, policy,
                                       params, rng, scan_id, seed)

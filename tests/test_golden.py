@@ -30,7 +30,7 @@ from lidarforge.cli import main
 
 TREE_SHA256 = "39b55318928f7d031046a7867d3f834173edc3e22c61c67a67e824d1a3c6321b"
 REPORT_SHA256 = "181aab366e34937294d317b35b957d58ae90fcbb3fd14a76eee745c4ff4ddf74"
-RETRY_SHA256 = "83945189b0910948c150a1fa6db2874a557da29dbe0cb61708e40617e85ed0eb"
+RETRY_SHA256 = "77243f6e1c69a764223272a67c10faba5774ba9065689f3c5a4ba19691ae8ccd"
 
 SENSOR_CFG = "beams = 32\nwidth = 512\nfov_up_deg = 8.0\nfov_down_deg = 24.0\n"
 N_CLASSES = 4
