@@ -94,9 +94,8 @@ class ForgeParams:
     def __post_init__(self):
         # normals need k >= 2 neighbours, and k + 1 points on every object
         if not self.object_points > self.normal_neighbors >= 2:
-            raise ValidationError(
-                f"need object points > normal neighbors >= 2, got "
-                f"{self.object_points} and {self.normal_neighbors}")
+            raise ValidationError(f"need object points > normal neighbors >= 2, got "
+                                  f"{self.object_points} and {self.normal_neighbors}")
         if not 0 <= self.noise_scale < math.inf:
             raise ValidationError(f"noise scale must be finite and >= 0, got {self.noise_scale}")
 
@@ -220,12 +219,12 @@ def _occlude(scene: PointCloud, objects: list, cfg: SensorConfig):
     """
     blocks = [scene.data]
     for obj in objects:
-        block = np.zeros((obj.points.shape[0], 4), dtype=np.float32)
+        block = np.zeros((obj.count, 4), dtype=np.float32)
         block[:, :3] = obj.points
         blocks.append(block)
     combined = PointCloud(np.concatenate(blocks, axis=0), validate=False)
     surviving = project(combined, cfg, scene_count=scene.count).surviving_indices()
-    starts = scene.count + np.cumsum([0] + [block.shape[0] for block in blocks[1:]])[:-1]
+    starts = scene.count + np.cumsum([0] + [obj.count for obj in objects])[:-1]
     parts = np.split(surviving, np.searchsorted(surviving, starts))
     return parts[0], [part - start for part, start in zip(parts[1:], starts)]
 
@@ -259,7 +258,6 @@ def _finalize(scene: PointCloud, labels: LabelArray, objects: list,
                                               policy=params.normalization)
             out_data.append(block)
             out_words.append(np.full(m_surv, policy.anomaly_label, dtype=np.uint32))
-
         records.append(InsertionRecord(
             scan_id=scan_id, category=obj.category, yaw=obj.yaw,
             x=obj.translation[0], y=obj.translation[1], z=obj.translation[2],
@@ -279,26 +277,22 @@ def compose_scan(scene: PointCloud, labels: LabelArray, objects: list,
                  seed: int | np.random.Generator,
                  params: ForgeParams = ForgeParams(),
                  scan_id: str = "", record_seed: int = 0):
-    """Merge placed objects into a scan through the projection pipeline.
+    """Merge placed objects into a scan through one occlusion pass.
 
-    One occlusion pass projects the scene with the objects appended;
-    the output keeps each cell's winner.  Returns (cloud, labels,
-    records), one record per object in the given order.  Output
-    ordering: surviving scene points first in their original relative
-    order, then surviving object points grouped per object.  Scene
-    points and labels pass through bit-exact; object points take the
-    policy's anomaly label.  With no objects this is the scene's own
-    projection and re-projection.
+    Returns (cloud, labels, records), one record per object in the
+    given order.  Output ordering: surviving scene points first in their
+    original relative order, then surviving object points grouped per
+    object.  Scene points and labels pass through bit-exact; object
+    points take the policy's anomaly label.  With no objects the result
+    is the scene's own re-projection.
     """
     check_pair(scene, labels)
     _reject_preexisting_anomaly_labels(labels, policy)
     for obj in objects:
-        horiz = np.linalg.norm(obj.points[:, :2], axis=1)
-        if float(horiz.max()) > policy.max_radius + 1e-9:
-            raise ValidationError(
-                f"object {obj.category!r} extends to {horiz.max():.2f} m, "
-                f"beyond the {policy.max_radius} m insertion radius"
-            )
+        reach = float(np.linalg.norm(obj.points[:, :2], axis=1).max())
+        if reach > policy.max_radius + 1e-9:
+            raise ValidationError(f"object {obj.category!r} extends to {reach:.2f} m, "
+                                  f"beyond the {policy.max_radius} m insertion radius")
     scene_idx, own = _occlude(scene, objects, cfg)
     return _finalize(scene, labels, objects, scene_idx, own, policy, params,
                      np.random.default_rng(seed), scan_id, record_seed)
@@ -337,21 +331,26 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
                                    p=np.asarray(policy.count_distribution)))
 
     surface = PlacementSurface(scene, labels, policy)
-    placed: list[AnomalyObject] = []
-    for _ in range(n_objects):
-        category, mesh = bank.choose(rng)
-        obj = mesh_bank.build_anomaly_object(
-            mesh, category, bank.catalog, target_heights, rng,
-            n_points=params.object_points, scale_range=params.scale_range)
+
+    def settle(obj, others):
+        """``obj`` rested on a flat site clear of ``others``, or None."""
         try:
             x, y, gz = pick_placement(
                 scene, labels, policy, rng, object_radius=obj.xy_radius,
-                occupied=[(p.translation[0], p.translation[1], p.xy_radius) for p in placed],
+                occupied=[(p.translation[0], p.translation[1], p.xy_radius) for p in others],
                 surface=surface)
         except PlacementInfeasibleError:
-            continue
-        placed.append(mesh_bank.place(obj, x, y, gz))
+            return None
+        return mesh_bank.place(obj, x, y, gz)
 
+    placed: list[AnomalyObject] = []
+    for _ in range(n_objects):
+        category, mesh = bank.choose(rng)
+        obj = settle(mesh_bank.build_anomaly_object(
+            mesh, category, bank.catalog, target_heights, rng,
+            n_points=params.object_points, scale_range=params.scale_range), placed)
+        if obj is not None:
+            placed.append(obj)
     if not placed:
         return ForgeScanResult(scene, labels, [], modified=False)
 
@@ -362,17 +361,9 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
             break
         for j in dead:
             obj = placed[j]
-            try:
-                x, y, gz = pick_placement(
-                    scene, labels, policy, rng, object_radius=obj.xy_radius,
-                    occupied=[(p.translation[0], p.translation[1], p.xy_radius)
-                              for i, p in enumerate(placed) if i != j],
-                    surface=surface)
-            except PlacementInfeasibleError:
-                continue
             base = replace(obj, points=obj.points - np.asarray(obj.translation),
                            translation=(0.0, 0.0, 0.0))
-            placed[j] = mesh_bank.place(base, x, y, gz)
+            placed[j] = settle(base, placed[:j] + placed[j + 1:]) or obj
         scene_idx, own = _occlude(scene, placed, cfg)
 
     cloud, words, records = _finalize(scene, labels, placed, scene_idx, own, policy,

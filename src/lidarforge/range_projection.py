@@ -72,12 +72,6 @@ class RangeImage:
         won[self.point_index[self.filled]] = True
         return np.flatnonzero(won)
 
-    def provenance_grid(self) -> np.ndarray:
-        """Per-cell provenance: -1 empty, 0 scene, 1 object."""
-        out = np.full(self.point_index.shape, -1, dtype=np.int8)
-        out[self.filled] = (self.point_index[self.filled] >= self.scene_count).astype(np.int8)
-        return out
-
 
 def _cell_coords(xyz: np.ndarray, cfg: SensorConfig):
     """Return (rows, cols, ranges, in_fov mask) for every point."""
