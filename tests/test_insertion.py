@@ -265,8 +265,7 @@ class TestForgeScan:
                 return
         pytest.fail("no anomaly draw in 40 seeds")
 
-
-    def test_retry_reprojects_and_output_is_built_once(self, monkeypatch):
+    def test_retry_reprojects_and_output_is_built_once(self, tmp_path, monkeypatch):
         # passes[i] is True when occlusion pass i left some object with no point
         passes, noised = [], []
         real_project, real_noise = insertion.project, insertion.normalize_and_noise
@@ -286,7 +285,7 @@ class TestForgeScan:
         monkeypatch.setattr(insertion, "project", counting_project)
         monkeypatch.setattr(insertion, "normalize_and_noise", counting_noise)
         scene, labels = half_wall_scene()
-        bank = _bank_with_cube()
+        bank = _bank_with_cube(tmp_path)
         retried = once_at_zero_budget = False
         for budget in (0, 1, 2, 10):
             policy = multi_policy(retry_budget=budget)
@@ -309,6 +308,7 @@ class TestForgeScan:
                     assert len(passes) == 1
                     once_at_zero_budget = True
         assert retried and once_at_zero_budget
+
 
     def test_point_at_sensor_origin_does_not_abort(self, tmp_path):
         rng = np.random.default_rng(2)
