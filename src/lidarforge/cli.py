@@ -60,7 +60,11 @@ def _build_policy(args) -> SplitPolicy:
     anomaly_label, single_surfaces, multi_surfaces = STYLE_PRESETS[args.style]
     surfaces = single_surfaces if args.policy == "single" else multi_surfaces
     if args.surface_classes:
-        surfaces = tuple(int(t) for t in args.surface_classes.split(","))
+        try:
+            surfaces = tuple(int(t) for t in args.surface_classes.split(","))
+        except ValueError:
+            raise ValidationError(f"--surface-classes must be comma-separated integers, "
+                                  f"got {args.surface_classes!r}") from None
     if args.anomaly_label is not None:
         anomaly_label = args.anomaly_label
     kwargs = {}
@@ -170,7 +174,7 @@ def cmd_score(args) -> int:
     features_dir = Path(args.features)
     if not features_dir.is_dir():
         raise ValidationError(f"--features directory {features_dir} does not exist")
-    proto = scoring.read_tensor(args.prototypes).astype(np.float64)
+    proto = scoring.read_tensor(args.prototypes)
     bank = scoring.PrototypeBank(prototypes=proto, weights=np.ones(proto.shape[0]))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -179,8 +183,8 @@ def cmd_score(args) -> int:
 
     for stem, sem_path, cont_path in _feature_pairs(features_dir):
         feats = scoring.FeatureSet(
-            semantic=scoring.read_tensor(sem_path).astype(np.float64),
-            contrastive=scoring.read_tensor(cont_path).astype(np.float64),
+            semantic=scoring.read_tensor(sem_path),
+            contrastive=scoring.read_tensor(cont_path),
         )
         scores = scoring.compute_scores(feats, bank, radius=args.radius, metric=args.metric)
         scoring.write_scores(out_dir / stem, scores, which=args.score)
@@ -359,10 +363,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except LidarForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LidarForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

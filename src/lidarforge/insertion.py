@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import mesh_bank
 from .errors import LidarForgeError, PlacementInfeasibleError, ValidationError
@@ -24,12 +23,16 @@ from .intensity import (DEFAULT_NEIGHBORS, estimate_normals, lambert_intensity,
                         normalize_and_noise)
 from .mesh_bank import AnomalyObject, MeshBank
 from .range_projection import project
-from .scan_io import (LabelArray, PointCloud, SensorConfig, check_pair,
+from .scan_io import (CLASS_ID_MASK, LabelArray, PointCloud, SensorConfig, check_pair,
                       read_labels, read_scan, write_labels, write_scan)
 
 SINGLE_RATIO = 0.40
 MULTI_RATIO = 0.60
 MULTI_COUNT_DISTRIBUTION = (0.40, 0.30, 0.20, 0.10)
+MIN_SURFACE_POINTS = 30      # allowed points within the insertion radius
+FLATNESS_THRESHOLD = 0.2     # max height spread (m) of a site's neighbors
+GROUND_NEIGHBORHOOD = 1.0    # radius (m) of a site's neighborhood
+PLACEMENT_ATTEMPTS = 64
 
 
 @dataclass(frozen=True)
@@ -46,11 +49,7 @@ class SplitPolicy:
     count_distribution: tuple
     anomaly_label: int
     max_radius: float = 50.0
-    min_surface_points: int = 30
-    flatness_threshold: float = 0.2
-    ground_neighborhood: float = 1.0
     retry_budget: int = 10
-    placement_attempts: int = 64
 
     def __post_init__(self):
         if self.kind not in ("single", "multi"):
@@ -64,6 +63,12 @@ class SplitPolicy:
             raise ValidationError(f"max_radius must be positive and finite, got {self.max_radius}")
         if not self.surface_classes:
             raise ValidationError("at least one allowed surface class is required")
+        if not 0 <= self.anomaly_label <= CLASS_ID_MASK:
+            raise ValidationError(
+                f"anomaly label must be in [0, {CLASS_ID_MASK}], got {self.anomaly_label}")
+        if not all(0 <= cid <= CLASS_ID_MASK for cid in self.surface_classes):
+            raise ValidationError(f"surface classes must be in [0, {CLASS_ID_MASK}], "
+                                  f"got {sorted(self.surface_classes)}")
 
     @classmethod
     def single(cls, surface_classes=(40,), anomaly_label=2, **kwargs) -> "SplitPolicy":
@@ -143,7 +148,8 @@ class PlacementSurface:
     """Precomputed allowed-surface geometry of one scan.
 
     Reusable across placement draws: holds the allowed points' xy
-    positions, heights, radii and a KD-tree for neighborhood queries.
+    positions, heights and radii, and the insertion radius they are
+    filtered by.
     """
 
     def __init__(self, scene: PointCloud, labels: LabelArray, policy: SplitPolicy):
@@ -155,58 +161,59 @@ class PlacementSurface:
         self.xy = scene.xyz[allowed, :2].astype(np.float64)
         self.z = scene.xyz[allowed, 2].astype(np.float64)
         self.r_xy = np.linalg.norm(self.xy, axis=1)
-        self.tree = cKDTree(self.xy) if self.xy.shape[0] else None
+        self.max_radius = policy.max_radius
         self.in_radius_count = int((self.r_xy <= policy.max_radius).sum())
 
+    def heights_near(self, x: float, y: float) -> np.ndarray:
+        """Heights of the allowed points within GROUND_NEIGHBORHOOD of
+        (x, y), the boundary included."""
+        dx = self.xy[:, 0] - x
+        dy = self.xy[:, 1] - y
+        return self.z[dx * dx + dy * dy <= GROUND_NEIGHBORHOOD * GROUND_NEIGHBORHOOD]
 
-def pick_placement(scene: PointCloud, labels: LabelArray, policy: SplitPolicy,
-                   seed: int | np.random.Generator, object_radius: float = 0.0,
-                   occupied: list = (),
-                   surface: PlacementSurface | None = None) -> tuple[float, float, float]:
+
+def pick_placement(surface: PlacementSurface, seed: int | np.random.Generator,
+                   object_radius: float = 0.0,
+                   occupied: list = ()) -> tuple[float, float, float]:
     """Draw an insertion site on an allowed planar surface.
 
     Returns (x, y, ground_z) where ground_z is the median height of the
-    allowed-surface neighbors within 1 m of the site.  Candidates whose
-    neighborhood spreads more than the flatness threshold in z, or that
-    would overlap an entry of ``occupied`` ((x, y, radius) triples), are
-    rejected and redrawn.  Raises PlacementInfeasibleError when no site
-    is found.  Pass a prebuilt ``surface`` when placing repeatedly into
-    the same scan.
+    allowed-surface neighbors within GROUND_NEIGHBORHOOD of the site.
+    Candidates with fewer than 5 neighbors, whose neighbors spread more
+    than FLATNESS_THRESHOLD in z, or that would overlap an entry of
+    ``occupied`` ((x, y, radius) triples), are rejected and redrawn.
+    Raises PlacementInfeasibleError when no site is found.
     """
     rng = np.random.default_rng(seed)
-    if surface is None:
-        surface = PlacementSurface(scene, labels, policy)
-
-    if surface.in_radius_count < policy.min_surface_points:
+    if surface.in_radius_count < MIN_SURFACE_POINTS:
         raise PlacementInfeasibleError(
             f"only {surface.in_radius_count} allowed-surface points within "
-            f"{policy.max_radius} m (need {policy.min_surface_points})"
+            f"{surface.max_radius} m (need {MIN_SURFACE_POINTS})"
         )
 
     # the whole object must stay inside the radius
-    candidates = np.flatnonzero(surface.r_xy <= policy.max_radius - object_radius)
+    candidates = np.flatnonzero(surface.r_xy <= surface.max_radius - object_radius)
     if candidates.size == 0:
         raise PlacementInfeasibleError(
             f"no allowed-surface point leaves room for an object of radius {object_radius:.2f} m"
         )
 
-    for _ in range(policy.placement_attempts):
+    for _ in range(PLACEMENT_ATTEMPTS):
         pick = int(candidates[rng.integers(candidates.size)])
         cx, cy = surface.xy[pick]
 
         if any(np.hypot(cx - ox, cy - oy) < object_radius + orad for ox, oy, orad in occupied):
             continue
 
-        near = surface.tree.query_ball_point((cx, cy), policy.ground_neighborhood)
-        if len(near) < 5:
+        z_near = surface.heights_near(cx, cy)
+        if len(z_near) < 5:
             continue
-        z_near = surface.z[near]
-        if float(z_near.max() - z_near.min()) > policy.flatness_threshold:
+        if float(z_near.max() - z_near.min()) > FLATNESS_THRESHOLD:
             continue
         return float(cx), float(cy), float(np.median(z_near))
 
     raise PlacementInfeasibleError(
-        f"no flat non-overlapping site found in {policy.placement_attempts} attempts"
+        f"no flat non-overlapping site found in {PLACEMENT_ATTEMPTS} attempts"
     )
 
 
@@ -336,9 +343,8 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
         """``obj`` rested on a flat site clear of ``others``, or None."""
         try:
             x, y, gz = pick_placement(
-                scene, labels, policy, rng, object_radius=obj.xy_radius,
-                occupied=[(p.translation[0], p.translation[1], p.xy_radius) for p in others],
-                surface=surface)
+                surface, rng, obj.xy_radius,
+                [(p.translation[0], p.translation[1], p.xy_radius) for p in others])
         except PlacementInfeasibleError:
             return None
         return mesh_bank.place(obj, x, y, gz)

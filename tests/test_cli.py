@@ -1,5 +1,14 @@
+import contextlib
+import io
+import math
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import make_cube_mesh, make_flat_scene, write_off
 
@@ -13,12 +22,11 @@ fov_down_deg = 24.0
 """
 
 
-@pytest.fixture
-def forge_inputs(tmp_path):
+def write_forge_inputs(root):
     rng = np.random.default_rng(0)
-    scans = tmp_path / "in" / "velodyne"
-    labels = tmp_path / "in" / "labels"
-    meshes = tmp_path / "meshes" / "chair"
+    scans = root / "in" / "velodyne"
+    labels = root / "in" / "labels"
+    meshes = root / "meshes" / "chair"
     scans.mkdir(parents=True)
     labels.mkdir(parents=True)
     meshes.mkdir(parents=True)
@@ -27,9 +35,20 @@ def forge_inputs(tmp_path):
         write_scan(scene, scans / f"{i:06d}.bin")
         write_labels(lab, labels / f"{i:06d}.label")
     write_off(make_cube_mesh(), meshes / "chair_0001.off")
-    sensor = tmp_path / "sensor.cfg"
+    sensor = root / "sensor.cfg"
     sensor.write_text(SENSOR_CFG)
-    return tmp_path
+    return root
+
+
+@pytest.fixture
+def forge_inputs(tmp_path):
+    return write_forge_inputs(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def shared_forge_inputs(tmp_path_factory):
+    """forge_inputs once per module, for tests that run many forges."""
+    return write_forge_inputs(tmp_path_factory.mktemp("forge"))
 
 
 def forge_args(root, out, seed=7, workers=1):
@@ -75,6 +94,8 @@ class TestForgeCommand:
         ("--noise-scale", "nan"), ("--noise-scale", "-1"),
         ("--max-radius", "nan"), ("--max-radius", "inf"),
         ("--workers", "0"),
+        ("--anomaly-label", "-1"), ("--anomaly-label", "70000"),
+        ("--surface-classes", "abc"), ("--surface-classes", "70000"),
     ])
     def test_invalid_knob_rejected_before_output(self, forge_inputs, capsys, flag, value):
         root = forge_inputs
@@ -91,6 +112,57 @@ class TestForgeCommand:
         assert "# seed = 11" in manifest
         assert "# policy = single" in manifest
         assert "# anomaly_ratio = 0.4" in manifest
+
+
+# per knob: (valid values, edge values); edges mix invalid and boundary values
+FLOAT_EDGES = [math.nan, math.inf, -math.inf, 0.0, 1.0, -1.0]
+KNOBS = {
+    "object-points": (st.integers(50, 3000), [0, 1, -1, 10]),
+    "neighbors": (st.integers(2, 40), [0, 1, -1, 3000]),
+    "noise-scale": (st.floats(0.0, 2.0), FLOAT_EDGES),
+    "max-radius": (st.floats(0.5, 60.0), FLOAT_EDGES),
+    "anomaly-label": (st.integers(0, 100), [-1, 65535, 65536, 70000]),
+    "surface-classes": (st.sampled_from(["40", "40,44"]), ["abc", "40,,44", "-1", "70000"]),
+    # small worker counts only: each is a real thread pool
+    "workers": (st.sampled_from([1, 2]), [-1, 0]),
+}
+VALID_KNOBS = {"object-points": 1200, "neighbors": 10, "noise-scale": 0.05, "max-radius": 50.0,
+               "anomaly-label": 2, "surface-classes": "40", "workers": 1}
+
+
+@st.composite
+def knob_settings(draw):
+    """Valid values for every knob, then edge values for up to two of them."""
+    knobs = {name: draw(valid) for name, (valid, _) in KNOBS.items()}
+    for name in draw(st.sets(st.sampled_from(sorted(KNOBS)), max_size=2)):
+        knobs[name] = draw(st.sampled_from(KNOBS[name][1]))
+    return knobs
+
+
+class TestForgeKnobs:
+    @given(knobs=knob_settings())
+    @example(knobs={**VALID_KNOBS, "anomaly-label": -1})
+    @example(knobs={**VALID_KNOBS, "anomaly-label": 70000})
+    @example(knobs={**VALID_KNOBS, "surface-classes": "abc"})
+    @example(knobs={**VALID_KNOBS, "surface-classes": "70000"})
+    @settings(max_examples=100, deadline=None)
+    def test_forge_exits_cleanly(self, shared_forge_inputs, knobs):
+        root = shared_forge_inputs
+        parent = Path(tempfile.mkdtemp(dir=root))
+        # --flag=value: argparse would read a lone "-inf" as an option
+        args = forge_args(root, parent / "out") + [f"--{k}={v}" for k, v in knobs.items()]
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(args)
+            if code == 0:
+                assert [p.name for p in parent.iterdir()] == ["out"]
+            else:
+                assert code == 1
+                assert err.getvalue().startswith("error:")
+                assert not any(parent.iterdir())
+        finally:
+            shutil.rmtree(parent)
 
 
 class TestStylePresets:

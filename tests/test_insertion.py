@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.stats import kstest
 
 from helpers import (ROAD_CLASS, ROAD_Z, TEST_SENSOR, full_coverage_wall,
@@ -17,7 +18,7 @@ from lidarforge import (ForgeParams, LabelArray, PlacementInfeasibleError,
                         forge_scan, forge_split, pick_placement, place, project,
                         reproject, scan_seed)
 from lidarforge import insertion
-from lidarforge.insertion import PlacementSurface, discover_pairs
+from lidarforge.insertion import GROUND_NEIGHBORHOOD, PlacementSurface, discover_pairs
 from lidarforge.mesh_bank import MeshBank
 from lidarforge.scan_io import read_labels, read_scan, write_labels, write_scan
 
@@ -67,7 +68,7 @@ class TestPickPlacement:
     def test_flat_disc_placement(self):
         rng = np.random.default_rng(0)
         scene, labels = make_flat_scene(rng, 8000, r_min=4, r_max=20)
-        x, y, gz = pick_placement(scene, labels, single_policy(), seed=1)
+        x, y, gz = pick_placement(PlacementSurface(scene, labels, single_policy()), seed=1)
         assert np.hypot(x, y) <= 20.0 + 1e-6
         assert gz == pytest.approx(ROAD_Z, abs=0.02)
 
@@ -76,52 +77,84 @@ class TestPickPlacement:
         scene, _ = make_flat_scene(rng, 1000)
         labels = LabelArray.from_class_ids(np.full(1000, 50))
         with pytest.raises(PlacementInfeasibleError):
-            pick_placement(scene, labels, single_policy(), seed=0)
+            pick_placement(PlacementSurface(scene, labels, single_policy()), seed=0)
 
     def test_too_few_surface_points_infeasible(self):
         rng = np.random.default_rng(2)
         scene, labels = make_flat_scene(rng, 10)
         with pytest.raises(PlacementInfeasibleError):
-            pick_placement(scene, labels, single_policy(), seed=0)
+            pick_placement(PlacementSurface(scene, labels, single_policy()), seed=0)
 
     def test_object_radius_shrinks_reach(self):
         rng = np.random.default_rng(3)
         scene, labels = make_flat_scene(rng, 8000, r_min=4, r_max=49.5)
-        policy = single_policy()
+        surface = PlacementSurface(scene, labels, single_policy())
         for seed in range(20):
-            x, y, _ = pick_placement(scene, labels, policy, seed=seed, object_radius=5.0)
+            x, y, _ = pick_placement(surface, seed=seed, object_radius=5.0)
             assert np.hypot(x, y) <= 45.0 + 1e-6
 
     def test_overlap_rejection(self):
         rng = np.random.default_rng(4)
         scene, labels = make_flat_scene(rng, 8000, r_min=4, r_max=30)
+        surface = PlacementSurface(scene, labels, single_policy())
         occupied = [(10.0, 0.0, 3.0)]
         for seed in range(20):
-            x, y, _ = pick_placement(scene, labels, single_policy(), seed=seed,
-                                     object_radius=2.0, occupied=occupied)
+            x, y, _ = pick_placement(surface, seed=seed, object_radius=2.0, occupied=occupied)
             assert np.hypot(x - 10.0, y - 0.0) >= 5.0
 
     def test_rough_ground_rejected(self):
         rng = np.random.default_rng(5)
         scene, labels = make_flat_scene(rng, 4000, z_noise=0.5)  # spread >> threshold
         with pytest.raises(PlacementInfeasibleError):
-            pick_placement(scene, labels, single_policy(), seed=0)
+            pick_placement(PlacementSurface(scene, labels, single_policy()), seed=0)
 
     def test_uniform_over_annulus_ks(self):
         rng = np.random.default_rng(6)
         scene, labels = make_flat_scene(rng, 40_000, r_min=10, r_max=45)
-        policy = single_policy()
-        surface = PlacementSurface(scene, labels, policy)
+        surface = PlacementSurface(scene, labels, single_policy())
         draw = np.random.default_rng(7)
         xs, ys = [], []
         for _ in range(10_000):
-            x, y, _ = pick_placement(scene, labels, policy, seed=draw, surface=surface)
+            x, y, _ = pick_placement(surface, seed=draw)
             xs.append(x)
             ys.append(y)
         r_sq = np.square(xs) + np.square(ys)
         theta = np.mod(np.arctan2(ys, xs), 2 * np.pi)
         assert kstest(r_sq, "uniform", args=(100.0, 2025.0 - 100.0)).pvalue > 0.01
         assert kstest(theta, "uniform", args=(0.0, 2 * np.pi)).pvalue > 0.01
+
+
+def indexed_surface(xy):
+    """PlacementSurface over float32-cast road points whose heights are their indices."""
+    xy = np.asarray(xy, dtype=np.float32).reshape(-1, 2)
+    scene = PointCloud.from_xyz(np.column_stack([xy, np.arange(len(xy))]))
+    return PlacementSurface(scene, LabelArray.from_class_ids(np.full(len(xy), ROAD_CLASS)),
+                            single_policy())
+
+
+ONE_UP = float(np.nextafter(np.float32(1.0), np.float32(2.0)))      # 1 m plus one ulp
+FORTY_ONE_UP = float(np.nextafter(np.float32(41.0), np.float32(42.0)))
+# quarter-metre grid values make exact 1 m distances common
+COORD = st.floats(-3.0, 3.0, width=32) | st.integers(-12, 12).map(lambda k: k / 4)
+
+
+class TestPlacementSurface:
+    def test_heights_near_includes_the_boundary(self):
+        surface = indexed_surface([(1, 0), (0, 1), (-1, 0), (0, -1), (ONE_UP, 0), (0, -ONE_UP)])
+        assert sorted(surface.heights_near(0.0, 0.0)) == [0, 1, 2, 3]
+
+    @given(points=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=200),
+           offset=st.sampled_from([0.0, 40.0, -17.25]), query=st.tuples(COORD, COORD))
+    @example(points=[(1, 0), (0, 1), (-1, 0), (0, -1), (ONE_UP, 0), (0, -ONE_UP)],
+             offset=0.0, query=(0.0, 0.0))
+    @example(points=[(41, 0), (39, 0), (40, 1), (40, -1), (FORTY_ONE_UP, 0)],
+             offset=0.0, query=(40.0, 0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_heights_near_matches_kdtree(self, points, offset, query):
+        surface = indexed_surface(np.asarray(points) + offset)
+        x, y = (float(np.float32(q + offset)) for q in query)
+        expected = sorted(cKDTree(surface.xy).query_ball_point((x, y), GROUND_NEIGHBORHOOD))
+        assert sorted(surface.heights_near(x, y).astype(int)) == expected
 
 
 class TestComposeScan:
