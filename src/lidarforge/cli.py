@@ -26,7 +26,7 @@ import numpy as np
 
 from . import insertion, losses, metrics, scoring
 from .errors import LidarForgeError, ValidationError
-from .insertion import ForgeParams, SplitPolicy
+from .insertion import STYLE_PRESETS, ForgeParams, SplitPolicy
 from .mesh_bank import MeshBank, ReflectivityCatalog, load_target_heights
 from .range_projection import project, write_pgm
 from .scan_io import SensorConfig, read_labels, read_scan
@@ -35,13 +35,6 @@ BUNDLED_SENSORS = {
     "semantickitti": "sensor_semantickitti.cfg",
     "semanticposs": "sensor_semanticposs.cfg",
     "nuscenes": "sensor_nuscenes.cfg",
-}
-
-# per dataset style: anomaly label id, single-split surfaces, multi-split surfaces
-STYLE_PRESETS = {
-    "kitti": (2, (40,), (40, 44, 48, 49)),
-    "poss": (2, (22,), (22,)),
-    "nuscenes": (100, (24,), (24, 25, 26)),
 }
 
 
@@ -75,10 +68,6 @@ def _build_policy(args) -> SplitPolicy:
 
 
 def cmd_forge(args) -> int:
-    if not 0 <= args.seed < 2**64:
-        raise ValidationError(f"--seed must be an unsigned 64-bit value, got {args.seed}")
-    if args.workers < 1:
-        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
     out_dir = Path(args.out)
     if out_dir.exists():
         raise ValidationError(f"output directory {out_dir} already exists")
@@ -341,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also print forward loss values (needs --labels)")
     score.add_argument("--labels", default=None,
                        help="directory of <stem>.label files with class indices, for --losses")
-    score.add_argument("--temperature", type=float, default=0.1)
+    score.add_argument("--temperature", type=float, default=losses.LossWeights().temperature)
     score.set_defaults(func=cmd_score)
 
     ev = sub.add_parser("eval", help="evaluate score files against labels")
@@ -349,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--labels", required=True, help="directory of <stem>.label files")
     ev.add_argument("--scans", default=None,
                     help="directory of <stem>.bin scans; enables range-binned AP")
-    ev.add_argument("--anomaly-label", type=int, default=2)
+    ev.add_argument("--anomaly-label", type=int, default=STYLE_PRESETS["kitti"][0])
     ev.add_argument("--per-scan", action="store_true")
     ev.add_argument("--out", default=None, help="also write the report to this file")
     ev.set_defaults(func=cmd_eval)

@@ -31,10 +31,7 @@ def read_keyvalue(path: str | os.PathLike) -> dict[str, str]:
     return out
 
 
-def write_keyvalue(path: str | os.PathLike, pairs: dict[str, object], header: str = "") -> None:
+def write_keyvalue(path: str | os.PathLike, pairs: dict[str, object]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
         for key, value in pairs.items():
             fh.write(f"{key} = {value}\n")

@@ -34,6 +34,13 @@ FLATNESS_THRESHOLD = 0.2     # max height spread (m) of a site's neighbors
 GROUND_NEIGHBORHOOD = 1.0    # radius (m) of a site's neighborhood
 PLACEMENT_ATTEMPTS = 64
 
+# per dataset style: anomaly label id, single-split surfaces, multi-split surfaces
+STYLE_PRESETS = {
+    "kitti": (2, (40,), (40, 44, 48, 49)),
+    "poss": (2, (22,), (22,)),
+    "nuscenes": (100, (24,), (24, 25, 26)),
+}
+
 
 @dataclass(frozen=True)
 class SplitPolicy:
@@ -69,17 +76,24 @@ class SplitPolicy:
         if not all(0 <= cid <= CLASS_ID_MASK for cid in self.surface_classes):
             raise ValidationError(f"surface classes must be in [0, {CLASS_ID_MASK}], "
                                   f"got {sorted(self.surface_classes)}")
+        # objects rest on surface points, so those scenes would already use the anomaly id
+        if self.anomaly_label in self.surface_classes:
+            raise ValidationError(f"anomaly label {self.anomaly_label} is one of the "
+                                  f"surface classes {sorted(self.surface_classes)}")
 
     @classmethod
-    def single(cls, surface_classes=(40,), anomaly_label=2, **kwargs) -> "SplitPolicy":
-        """One object per anomaly scan, road surfaces only by default."""
+    def single(cls, surface_classes=STYLE_PRESETS["kitti"][1],
+               anomaly_label=STYLE_PRESETS["kitti"][0], **kwargs) -> "SplitPolicy":
+        """One object per anomaly scan, kitti road surfaces only by default."""
         return cls(kind="single", anomaly_ratio=SINGLE_RATIO,
                    surface_classes=frozenset(surface_classes),
                    count_distribution=(1.0,), anomaly_label=anomaly_label, **kwargs)
 
     @classmethod
-    def multi(cls, surface_classes=(40, 44, 48, 49), anomaly_label=2, **kwargs) -> "SplitPolicy":
-        """1-4 objects per anomaly scan on any permitted planar surface."""
+    def multi(cls, surface_classes=STYLE_PRESETS["kitti"][2],
+              anomaly_label=STYLE_PRESETS["kitti"][0], **kwargs) -> "SplitPolicy":
+        """1-4 objects per anomaly scan on any permitted planar surface,
+        the kitti ones by default."""
         return cls(kind="multi", anomaly_ratio=MULTI_RATIO,
                    surface_classes=frozenset(surface_classes),
                    count_distribution=MULTI_COUNT_DISTRIBUTION,
@@ -91,7 +105,6 @@ class ForgeParams:
     """Knobs of the insertion pipeline that are not split policy."""
 
     object_points: int = mesh_bank.DEFAULT_SAMPLE_COUNT
-    scale_range: tuple = mesh_bank.DEFAULT_SCALE_RANGE
     noise_scale: float = 0.05
     normal_neighbors: int = DEFAULT_NEIGHBORS
     normalization: str = "mean"
@@ -282,16 +295,15 @@ def _finalize(scene: PointCloud, labels: LabelArray, objects: list,
 def compose_scan(scene: PointCloud, labels: LabelArray, objects: list,
                  cfg: SensorConfig, policy: SplitPolicy,
                  seed: int | np.random.Generator,
-                 params: ForgeParams = ForgeParams(),
-                 scan_id: str = "", record_seed: int = 0):
+                 params: ForgeParams = ForgeParams()):
     """Merge placed objects into a scan through one occlusion pass.
 
     Returns (cloud, labels, records), one record per object in the
-    given order.  Output ordering: surviving scene points first in their
-    original relative order, then surviving object points grouped per
-    object.  Scene points and labels pass through bit-exact; object
-    points take the policy's anomaly label.  With no objects the result
-    is the scene's own re-projection.
+    given order, each with scan id "" and seed 0.  Output ordering:
+    surviving scene points first in their original relative order, then
+    surviving object points grouped per object.  Scene points and labels
+    pass through bit-exact; object points take the policy's anomaly
+    label.  With no objects the result is the scene's own re-projection.
     """
     check_pair(scene, labels)
     _reject_preexisting_anomaly_labels(labels, policy)
@@ -302,7 +314,7 @@ def compose_scan(scene: PointCloud, labels: LabelArray, objects: list,
                                   f"beyond the {policy.max_radius} m insertion radius")
     scene_idx, own = _occlude(scene, objects, cfg)
     return _finalize(scene, labels, objects, scene_idx, own, policy, params,
-                     np.random.default_rng(seed), scan_id, record_seed)
+                     np.random.default_rng(seed), scan_id="", record_seed=0)
 
 
 @dataclass
@@ -354,7 +366,7 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
         category, mesh = bank.choose(rng)
         obj = settle(mesh_bank.build_anomaly_object(
             mesh, category, bank.catalog, target_heights, rng,
-            n_points=params.object_points, scale_range=params.scale_range), placed)
+            n_points=params.object_points), placed)
         if obj is not None:
             placed.append(obj)
     if not placed:
@@ -411,9 +423,14 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
     regardless of worker count.  Scans that cannot be read, or whose
     forging or writing raises a LidarForgeError, are skipped and
     reported in the manifest, with none of their files left behind.
+    A master seed outside [0, 2**64) or fewer than one worker is
+    rejected before ``out_dir`` is created.
     """
     if not pairs:
         raise ValidationError("scan list is empty")
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
+    seeds = {sid: scan_seed(master_seed, sid) for sid, _, _ in pairs}
     out_dir = Path(out_dir)
     (out_dir / "velodyne").mkdir(parents=True, exist_ok=True)
     (out_dir / "labels").mkdir(parents=True, exist_ok=True)
@@ -430,7 +447,7 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
         label_file = out_dir / "labels" / f"{sid}.label"
         try:
             result = forge_scan(scene, labels, sid, cfg, policy, bank,
-                                target_heights, scan_seed(master_seed, sid), params)
+                                target_heights, seeds[sid], params)
             write_scan(result.cloud, scan_file)
             write_labels(result.labels, label_file)
         except LidarForgeError as exc:  # skip-and-report contract

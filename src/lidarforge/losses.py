@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .scoring import PrototypeBank, softmax
+from .scoring import DEFAULT_NORM_THRESHOLD, PrototypeBank, softmax
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class LossWeights:
     contrastive: float = 0.5
     objectosphere: float = 0.5
     temperature: float = 0.1
-    radius: float = 5.0
+    radius: float = DEFAULT_NORM_THRESHOLD
 
     def __post_init__(self):
         for name in ("ce", "lovasz", "prototype", "contrastive", "objectosphere"):
@@ -164,15 +164,14 @@ def mean_class_features(features, labels, num_classes: int):
     return means, counts
 
 
-def loss_contrastive(mean_features, bank: PrototypeBank, temperature: float,
-                     denominator: str = "standard"):
+def loss_contrastive(mean_features, bank: PrototypeBank, temperature: float):
     """Softmax alignment of each class's mean feature with its own
     unit-normalized prototype against all prototypes.
 
-    denominator "standard" sums exp(<mean_c, proto_i>/t) over classes i.
-    The "literal" variant repeats the numerator term in the denominator,
-    which makes every term log C independent of the features; it is kept
-    selectable for comparison only.
+    The denominator sums exp(<mean_c, proto_i>/t) over classes i.  The
+    paper's literal form repeats the numerator term there instead, which
+    makes the loss the constant C log C whatever the features, so it is
+    not used.
     """
     fbar = np.asarray(mean_features, dtype=np.float64)
     if temperature <= 0:
@@ -183,15 +182,10 @@ def loss_contrastive(mean_features, bank: PrototypeBank, temperature: float,
     if not bank.fully_initialized:
         missing = np.flatnonzero(~bank.initialized).tolist()
         raise ValidationError(f"prototype bank has uninitialized classes: {missing}")
-    if denominator not in ("standard", "literal"):
-        raise ValidationError(f"unknown denominator convention {denominator!r}")
 
     norms = np.linalg.norm(bank.prototypes, axis=1, keepdims=True)
     unit = bank.prototypes / np.where(norms > 0, norms, 1.0)
     c = bank.num_classes
-
-    if denominator == "literal":
-        return float(c * np.log(c)), np.zeros_like(fbar)
 
     logits = (fbar @ unit.T) / temperature           # (C, C): row c vs every prototype
     probs = softmax(logits)

@@ -135,21 +135,18 @@ def average_precision(pair: EvalPair) -> float:
     return float(np.sum((recall - prev_recall) * precision))
 
 
-def range_binned_ap(pair: EvalPair, edges=DEFAULT_RANGE_EDGES) -> dict:
-    """Average precision per range bin [e_i, e_i+1).
+def range_binned_ap(pair: EvalPair) -> dict:
+    """Average precision per range bin [e_i, e_i+1) of DEFAULT_RANGE_EDGES.
 
     Returns {"0_10": ap, ...}; bins without positive points map to
     None (undefined), never to 0 or NaN.
     """
     if pair.ranges is None:
         raise ValidationError("range_binned_ap needs per-point ranges")
-    edges = np.asarray(edges, dtype=np.float64)
-    if edges.ndim != 1 or len(edges) < 2 or (np.diff(edges) <= 0).any():
-        raise ValidationError("edges must be strictly increasing with at least two entries")
 
     out: dict[str, float | None] = {}
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        key = f"{lo:g}_{hi:g}".replace(".", "p")
+    for lo, hi in zip(DEFAULT_RANGE_EDGES[:-1], DEFAULT_RANGE_EDGES[1:]):
+        key = f"{lo:g}_{hi:g}"
         inside = (pair.ranges >= lo) & (pair.ranges < hi)
         if not inside.any() or not pair.truth[inside].any():
             out[key] = None

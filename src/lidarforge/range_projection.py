@@ -40,7 +40,6 @@ class RangeImage:
 
     point_index: np.ndarray
     ranges: np.ndarray
-    config: SensorConfig
     source_count: int
     scene_count: int
 
@@ -120,7 +119,6 @@ def project(cloud: PointCloud, cfg: SensorConfig, scene_count: int | None = None
     return RangeImage(
         point_index=index_grid,
         ranges=range_grid,
-        config=cfg,
         source_count=cloud.count,
         scene_count=scene_count,
     )
@@ -139,18 +137,15 @@ def reproject(img: RangeImage, cloud: PointCloud) -> PointCloud:
     return cloud.take(img.surviving_indices())
 
 
-def beam_rows_of(img: RangeImage, provenance: str = "object") -> dict[int, np.ndarray]:
-    """Group surviving point indices of the given provenance by beam row.
+def beam_rows_of(img: RangeImage) -> dict[int, np.ndarray]:
+    """Group surviving object point indices by beam row.
 
     Rows correspond to sensor beams; the result maps row -> sorted
     original point indices, with empty rows omitted.
     """
-    if provenance not in ("object", "scene"):
-        raise ValueError(f"provenance must be 'object' or 'scene', got {provenance!r}")
     rows_grid, _ = np.nonzero(img.filled)
     idx = img.point_index[img.filled]
-    is_object = idx >= img.scene_count
-    pick = is_object if provenance == "object" else ~is_object
+    pick = idx >= img.scene_count
     out: dict[int, np.ndarray] = {}
     for row in np.unique(rows_grid[pick]):
         members = idx[pick][rows_grid[pick] == row]

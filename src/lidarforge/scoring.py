@@ -34,8 +34,9 @@ class FeatureSet:
     contrastive: np.ndarray
 
     def __post_init__(self):
-        sem = np.asarray(self.semantic, dtype=np.float64)
-        con = np.asarray(self.contrastive, dtype=np.float64)
+        # no float64 copy of the heads: the scores and losses convert what they read
+        sem = np.asarray(self.semantic)
+        con = np.asarray(self.contrastive)
         if sem.ndim != 2 or con.ndim != 2:
             raise ValidationError("feature matrices must be 2-D (N, C)")
         if sem.shape != con.shape:

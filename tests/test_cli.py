@@ -94,7 +94,7 @@ class TestForgeCommand:
         ("--noise-scale", "nan"), ("--noise-scale", "-1"),
         ("--max-radius", "nan"), ("--max-radius", "inf"),
         ("--workers", "0"),
-        ("--anomaly-label", "-1"), ("--anomaly-label", "70000"),
+        ("--anomaly-label", "-1"), ("--anomaly-label", "70000"), ("--anomaly-label", "40"),
         ("--surface-classes", "abc"), ("--surface-classes", "70000"),
     ])
     def test_invalid_knob_rejected_before_output(self, forge_inputs, capsys, flag, value):

@@ -472,6 +472,16 @@ class TestForgeSplit:
         assert sorted(p.name for p in (out / "velodyne").iterdir()) == ["000000.bin", "000002.bin"]
         assert sorted(p.name for p in (out / "labels").iterdir()) == ["000000.label", "000002.label"]
 
+    @pytest.mark.parametrize("master_seed, workers", [(-1, 1), (2**64, 1), (0, 0), (0, -3)])
+    def test_bad_seed_or_workers_rejected_before_output(self, tmp_path, master_seed, workers):
+        scans, labels = self._dataset(tmp_path, n_scans=2)
+        bank = _bank_with_cube(tmp_path / "meshes")
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError):
+            forge_split(discover_pairs(scans, labels), out, single_policy(), TEST_SENSOR,
+                        bank, HEIGHTS, master_seed=master_seed, params=FAST, workers=workers)
+        assert not out.exists()
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         scans, labels = self._dataset(tmp_path, n_scans=6, seed=4)
         bank = _bank_with_cube(tmp_path / "meshes")

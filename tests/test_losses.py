@@ -66,6 +66,20 @@ class TestCrossEntropy:
         _, grad = loss_ce(f, y, w)
         assert_grad_close(grad, fd_grad(lambda x: loss_ce(x, y, w)[0], f))
 
+    def test_class_weights_scale_each_point(self):
+        rng = np.random.default_rng(4)
+        f = rng.standard_normal((9, 3))
+        y = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2])
+        w = np.array([0.0, 1.0, 3.0])
+        value, grad = loss_ce(f, y, w)
+        log_p = f - np.log(np.exp(f).sum(axis=1, keepdims=True))
+        assert value == pytest.approx(-(w[y] * log_p[np.arange(9), y]).sum() / 9, abs=1e-12)
+        # a zero-weight class contributes neither value nor gradient
+        assert not grad[y == 0].any()
+        assert_grad_close(grad, fd_grad(lambda x: loss_ce(x, y, w)[0], f))
+        with pytest.raises(ValidationError):
+            loss_ce(f, y, w[:2])
+
 
 class TestPrototypeLoss:
     def test_parallel_features_vanish(self):
@@ -222,17 +236,6 @@ class TestContrastive:
             den = sum(np.exp(fbar[cls] @ unit[i] / tau) for i in range(c))
             total -= np.log(num / den)
         assert value == pytest.approx(total, abs=1e-9)
-
-    def test_literal_denominator_is_constant(self):
-        rng = np.random.default_rng(8)
-        c = 5
-        bank = make_bank(rng.standard_normal((c, c)))
-        for _ in range(3):
-            fbar = rng.standard_normal((c, c))
-            value, grad = loss_contrastive(fbar, bank, temperature=0.1,
-                                           denominator="literal")
-            assert value == pytest.approx(c * np.log(c), abs=1e-12)
-            assert not grad.any()
 
     def test_invariant_to_prototype_rescaling(self):
         rng = np.random.default_rng(9)

@@ -152,7 +152,7 @@ class TestBeamRows:
         obj = np.array([[5.0, 0.0, -8.66]])
         cloud = PointCloud.from_xyz(np.vstack([scene, obj]))
         img = project(cloud, TEST_SENSOR, scene_count=1)
-        assert beam_rows_of(img, "object") == {}
+        assert beam_rows_of(img) == {}
 
     def test_three_beam_object(self):
         cfg = TEST_SENSOR
@@ -167,7 +167,7 @@ class TestBeamRows:
         scene = np.array([[40.0, 0.0, 0.0]])
         cloud = PointCloud.from_xyz(np.vstack([scene, np.array(pts)]))
         img = project(cloud, cfg, scene_count=1)
-        rows = beam_rows_of(img, "object")
+        rows = beam_rows_of(img)
         assert len(rows) == 3
 
     def test_counts_partition_object_survivors(self):
@@ -176,7 +176,7 @@ class TestBeamRows:
         objects = make_random_cloud(rng, 500)
         cloud = PointCloud(np.vstack([scene.data, objects.data]))
         img = project(cloud, TEST_SENSOR, scene_count=1000)
-        rows = beam_rows_of(img, "object")
+        rows = beam_rows_of(img)
         n_obj = int((img.surviving_indices() >= 1000).sum())
         assert sum(len(v) for v in rows.values()) == n_obj
 
@@ -265,7 +265,7 @@ class TestScatterMin:
         np.testing.assert_array_equal(rgrid, rgrid_ref)
         assert idx.dtype == np.int64 and rgrid.dtype == np.float64
 
-        img = RangeImage(point_index=idx, ranges=rgrid, config=TEST_SENSOR,
+        img = RangeImage(point_index=idx, ranges=rgrid,
                          source_count=ranges.shape[0], scene_count=ranges.shape[0])
         np.testing.assert_array_equal(img.surviving_indices(),
                                       np.sort(img.point_index[img.filled]))
