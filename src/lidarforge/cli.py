@@ -27,6 +27,7 @@ import numpy as np
 from . import insertion, losses, metrics, scoring
 from .errors import LidarForgeError, ValidationError
 from .insertion import STYLE_PRESETS, ForgeParams, SplitPolicy
+from .intensity import NORMALIZATIONS
 from .mesh_bank import MeshBank, ReflectivityCatalog, load_target_heights
 from .range_projection import project, write_pgm
 from .scan_io import SensorConfig, read_labels, read_scan
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     forge.add_argument("--object-points", type=int, default=defaults.object_points)
     forge.add_argument("--noise-scale", type=float, default=defaults.noise_scale)
     forge.add_argument("--neighbors", type=int, default=defaults.normal_neighbors)
-    forge.add_argument("--normalization", choices=("mean", "max"),
+    forge.add_argument("--normalization", choices=NORMALIZATIONS,
                        default=defaults.normalization)
     forge.add_argument("--workers", type=int, default=1)
     forge.set_defaults(func=cmd_forge)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import mesh_bank
 from .errors import LidarForgeError, PlacementInfeasibleError, ValidationError
-from .intensity import (DEFAULT_NEIGHBORS, estimate_normals, lambert_intensity,
-                        normalize_and_noise)
+from .intensity import (DEFAULT_NEIGHBORS, NORMALIZATIONS, estimate_normals,
+                        lambert_intensity, normalize_and_noise)
 from .mesh_bank import AnomalyObject, MeshBank
 from .range_projection import project
 from .scan_io import (CLASS_ID_MASK, LabelArray, PointCloud, SensorConfig, check_pair,
@@ -68,6 +69,9 @@ class SplitPolicy:
             raise ValidationError(f"count distribution must be a probability vector, got {self.count_distribution}")
         if not 0 < self.max_radius < math.inf:
             raise ValidationError(f"max_radius must be positive and finite, got {self.max_radius}")
+        if not isinstance(self.retry_budget, numbers.Integral) or self.retry_budget < 0:
+            raise ValidationError(
+                f"retry budget must be an integer >= 0, got {self.retry_budget!r}")
         if not self.surface_classes:
             raise ValidationError("at least one allowed surface class is required")
         if not 0 <= self.anomaly_label <= CLASS_ID_MASK:
@@ -116,6 +120,9 @@ class ForgeParams:
                                   f"{self.object_points} and {self.normal_neighbors}")
         if not 0 <= self.noise_scale < math.inf:
             raise ValidationError(f"noise scale must be finite and >= 0, got {self.noise_scale}")
+        if self.normalization not in NORMALIZATIONS:
+            raise ValidationError(f"normalization must be one of {NORMALIZATIONS}, "
+                                  f"got {self.normalization!r}")
 
 
 @dataclass(frozen=True)
@@ -242,7 +249,7 @@ def _occlude(scene: PointCloud, objects: list, cfg: SensorConfig):
         block = np.zeros((obj.count, 4), dtype=np.float32)
         block[:, :3] = obj.points
         blocks.append(block)
-    combined = PointCloud(np.concatenate(blocks, axis=0), validate=False)
+    combined = PointCloud(np.concatenate(blocks, axis=0))
     surviving = project(combined, cfg, scene_count=scene.count).surviving_indices()
     starts = scene.count + np.cumsum([0] + [obj.count for obj in objects])[:-1]
     parts = np.split(surviving, np.searchsorted(surviving, starts))
@@ -260,7 +267,9 @@ def _finalize(scene: PointCloud, labels: LabelArray, objects: list,
     with noise, and the anomaly label; an object with no survivor gets a
     0-point record and draws nothing from ``rng``.
     """
-    scene_mean = float(scene.intensity.mean()) if scene.count else 0.0
+    # a float32 mean may overflow; normalize_and_noise rejects the infinite mean
+    with np.errstate(over="ignore"):
+        scene_mean = float(scene.intensity.mean()) if scene.count else 0.0
     out_data = [scene.data[scene_idx]]
     out_words = [labels.words[scene_idx]]
     records = []
@@ -288,7 +297,7 @@ def _finalize(scene: PointCloud, labels: LabelArray, objects: list,
         ))
         cursor += m_surv
 
-    cloud = PointCloud(np.concatenate(out_data, axis=0), validate=False)
+    cloud = PointCloud(np.concatenate(out_data, axis=0))
     return cloud, LabelArray(np.concatenate(out_words)), records
 
 
@@ -440,7 +449,6 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
         try:
             scene = read_scan(scan_path)
             labels = read_labels(label_path)
-            check_pair(scene, labels)
         except Exception as exc:  # noqa: BLE001 - skip-and-report contract
             return sid, None, f"{type(exc).__name__}: {exc}"
         scan_file = out_dir / "velodyne" / f"{sid}.bin"
@@ -456,6 +464,7 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
             return sid, None, f"{type(exc).__name__}: {exc}"
         return sid, result, None
 
+    # kept serial: one worker in a thread pool measured ~7 MB more peak RSS on forge-single
     if workers <= 1:
         outcomes = [work(item) for item in pairs]
     else:

@@ -16,6 +16,7 @@ from scipy.spatial import cKDTree
 from .errors import ValidationError
 
 DEFAULT_NEIGHBORS = 10
+NORMALIZATIONS = ("mean", "max")   # the anchors normalize_and_noise can scale to
 _DEGENERATE_EIGRATIO = 1e-8
 
 
@@ -137,7 +138,7 @@ def normalize_and_noise(raw: np.ndarray, scene_mean: float, sigma: float,
         raise ValidationError(f"scene mean intensity must be finite, got {scene_mean}")
     if (raw < 0).any():
         raise ValidationError("raw intensities must be non-negative")
-    if policy not in ("mean", "max"):
+    if policy not in NORMALIZATIONS:
         raise ValidationError(f"unknown normalization policy {policy!r}")
 
     anchor = raw.mean() if policy == "mean" else (raw.max() if raw.size else 0.0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .scoring import DEFAULT_NORM_THRESHOLD, PrototypeBank, softmax
+from .scoring import DEFAULT_NORM_THRESHOLD, PrototypeBank, log_softmax, softmax
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ def loss_ce(features, labels, class_weights=None):
         raise ValidationError(f"class weights must be ({c},)")
     p = softmax(f)
     point_w = w[y]
-    # log softmax computed stably from the shifted logits
-    shifted = f - f.max(axis=1, keepdims=True)
-    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_p = log_softmax(f)
     value = -(point_w * log_p[np.arange(n), y]).sum() / n
 
     grad = p * point_w[:, None]
@@ -87,13 +85,13 @@ def loss_prototype(features, labels, bank: PrototypeBank | None):
     if bank is None or not bank.initialized.any():
         return 0.0, grad, False
 
-    proto = bank.prototypes
-    proto_norms = np.linalg.norm(proto, axis=1)
+    # a zero-norm prototype keeps its zero-norm row in the unit bank: no direction to pull
+    live = bank.initialized & (np.linalg.norm(bank.unit, axis=1) > 0)
     value = 0.0
     for c in np.unique(y):
-        if not bank.initialized[c] or proto_norms[c] == 0:
+        if not live[c]:
             continue
-        u = proto[c] / proto_norms[c]
+        u = bank.unit[c]
         rows = np.flatnonzero(y == c)
         fc = f[rows]
         norms = np.linalg.norm(fc, axis=1)
@@ -179,20 +177,13 @@ def loss_contrastive(mean_features, bank: PrototypeBank, temperature: float):
     if fbar.ndim != 2 or fbar.shape[0] != bank.num_classes:
         raise ValidationError(
             f"mean features must be ({bank.num_classes}, D), got {fbar.shape}")
-    if not bank.fully_initialized:
-        missing = np.flatnonzero(~bank.initialized).tolist()
-        raise ValidationError(f"prototype bank has uninitialized classes: {missing}")
+    bank.require_complete()
 
-    norms = np.linalg.norm(bank.prototypes, axis=1, keepdims=True)
-    unit = bank.prototypes / np.where(norms > 0, norms, 1.0)
-    c = bank.num_classes
-
+    unit = bank.unit
     logits = (fbar @ unit.T) / temperature           # (C, C): row c vs every prototype
     probs = softmax(logits)
-    own = np.arange(c)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    value = float(-log_probs[own, own].sum())
+    own = np.arange(bank.num_classes)
+    value = float(-log_softmax(logits)[own, own].sum())
 
     grad = -(unit - probs @ unit) / temperature      # d(-log p_cc)/d fbar_c
     return value, grad

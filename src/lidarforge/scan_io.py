@@ -24,8 +24,6 @@ import numpy as np
 from .configfile import read_keyvalue
 from .errors import FormatError, ValidationError
 
-POINT_RECORD_BYTES = 16
-LABEL_RECORD_BYTES = 4
 CLASS_ID_MASK = 0xFFFF
 
 
@@ -33,33 +31,32 @@ class PointCloud:
     """A LiDAR scan: N points of (x, y, z, intensity) as float32.
 
     Coordinates are meters, intensity is the sensor remission value
-    (non-negative; raw sensors may exceed 1).
+    (non-negative; raw sensors may exceed 1).  Every cloud is validated
+    when it is built.
     """
 
     __slots__ = ("_data",)
 
-    def __init__(self, data: np.ndarray, validate: bool = True):
+    def __init__(self, data: np.ndarray):
         data = np.ascontiguousarray(data, dtype=np.float32)
         if data.ndim != 2 or data.shape[1] != 4:
             raise ValidationError(f"point cloud must be (N, 4), got shape {data.shape}")
         data.setflags(write=False)
         self._data = data
-        if validate:
-            self.validate()
+        self.validate()
 
     @classmethod
-    def from_xyz(cls, xyz: np.ndarray, intensity: np.ndarray | float = 0.0,
-                 validate: bool = True) -> "PointCloud":
+    def from_xyz(cls, xyz: np.ndarray, intensity: np.ndarray | float = 0.0) -> "PointCloud":
         xyz = np.asarray(xyz, dtype=np.float32)
         data = np.empty((xyz.shape[0], 4), dtype=np.float32)
         data[:, :3] = xyz
         data[:, 3] = intensity
-        return cls(data, validate=validate)
+        return cls(data)
 
     def validate(self) -> None:
-        bad = ~np.isfinite(self._data).all(axis=1)
-        if bad.any():
-            idx = int(np.flatnonzero(bad)[0])
+        # one pass over the whole array; the per-row pass only finds the index
+        if not np.isfinite(self._data).all():
+            idx = int(np.flatnonzero(~np.isfinite(self._data).all(axis=1))[0])
             raise ValidationError(f"non-finite value at point index {idx}")
         neg = self._data[:, 3] < 0
         if neg.any():
@@ -88,7 +85,7 @@ class PointCloud:
 
     def take(self, indices: np.ndarray) -> "PointCloud":
         """Select points by index, preserving exact float bits."""
-        return PointCloud(self._data[np.asarray(indices)], validate=False)
+        return PointCloud(self._data[np.asarray(indices)])
 
     def tobytes(self) -> bytes:
         return self._data.tobytes()
@@ -203,22 +200,31 @@ class SensorConfig:
             raise FormatError(f"{path}: missing sensor config key {exc.args[0]!r}") from None
 
 
+def read_records(path: str | os.PathLike, dtype: str, width: int, what: str) -> np.ndarray:
+    """Read a file of fixed-size records as an (N, width) array of ``dtype``.
+
+    Raises FormatError, naming the file as ``what``, when the byte
+    length is not a whole number of records; the message reports the
+    offset of the incomplete record.
+    """
+    raw = Path(path).read_bytes()
+    record_bytes = np.dtype(dtype).itemsize * width
+    if len(raw) % record_bytes != 0:
+        offset = len(raw) - (len(raw) % record_bytes)
+        raise FormatError(
+            f"{path}: truncated {what}, {len(raw)} bytes is not a multiple of "
+            f"{record_bytes}; incomplete record starts at byte offset {offset}"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(-1, width)
+
+
 def read_scan(path: str | os.PathLike) -> PointCloud:
     """Read a ``.bin`` scan file.
 
     Raises FormatError when the byte length is not a multiple of 16
-    (reporting the offset of the first incomplete record) and
-    ValidationError on non-finite values.
+    and ValidationError on non-finite values.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) % POINT_RECORD_BYTES != 0:
-        offset = len(raw) - (len(raw) % POINT_RECORD_BYTES)
-        raise FormatError(
-            f"{path}: truncated scan, {len(raw)} bytes is not a multiple of "
-            f"{POINT_RECORD_BYTES}; incomplete record starts at byte offset {offset}"
-        )
-    data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
-    return PointCloud(data)
+    return PointCloud(read_records(path, "<f4", 4, "scan"))
 
 
 def write_scan(cloud: PointCloud, path: str | os.PathLike) -> None:
@@ -229,14 +235,7 @@ def write_scan(cloud: PointCloud, path: str | os.PathLike) -> None:
 
 def read_labels(path: str | os.PathLike) -> LabelArray:
     """Read a ``.label`` file of little-endian uint32 words."""
-    raw = Path(path).read_bytes()
-    if len(raw) % LABEL_RECORD_BYTES != 0:
-        offset = len(raw) - (len(raw) % LABEL_RECORD_BYTES)
-        raise FormatError(
-            f"{path}: truncated label file, {len(raw)} bytes is not a multiple of "
-            f"{LABEL_RECORD_BYTES}; incomplete record starts at byte offset {offset}"
-        )
-    return LabelArray(np.frombuffer(raw, dtype="<u4"))
+    return LabelArray(read_records(path, "<u4", 1, "label file").ravel())
 
 
 def write_labels(labels: LabelArray, path: str | os.PathLike) -> None:

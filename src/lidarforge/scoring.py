@@ -12,12 +12,14 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .configfile import write_keyvalue
 from .errors import FormatError, ValidationError
+from .scan_io import read_records
 
 DEFAULT_NORM_THRESHOLD = 5.0
 # rows per block in compute_scores: each (rows, C) temporary stays in cache
@@ -89,6 +91,17 @@ class PrototypeBank:
     def num_classes(self) -> int:
         return self.prototypes.shape[0]
 
+    @cached_property
+    def unit(self) -> np.ndarray:
+        """The prototypes scaled to unit norm; a zero row stays zero."""
+        return _unit_rows(self.prototypes)[0]
+
+    def require_complete(self) -> None:
+        """Raise ValidationError unless every class has a prototype."""
+        if not self.fully_initialized:
+            missing = np.flatnonzero(~self.initialized).tolist()
+            raise ValidationError(f"prototype bank has uninitialized classes: {missing}")
+
 
 def accumulate_prototypes(features: np.ndarray, labels: np.ndarray,
                           predictions: np.ndarray,
@@ -152,13 +165,10 @@ def classify(features: np.ndarray, bank: PrototypeBank,
     similarity and are flagged.
     """
     f = np.asarray(features, dtype=np.float64)
-    if not bank.fully_initialized:
-        missing = np.flatnonzero(~bank.initialized).tolist()
-        raise ValidationError(f"prototype bank has uninitialized classes: {missing}")
+    bank.require_complete()
     if metric == "cosine":
         fu, zero = _unit_rows(f)
-        pu, _ = _unit_rows(bank.prototypes)
-        sim = fu @ pu.T
+        sim = fu @ bank.unit.T
         sim[zero] = 0.0
     elif metric == "dot":
         zero = np.linalg.norm(f, axis=1) == 0
@@ -185,6 +195,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """log(softmax(logits)), computed stably from the shifted logits."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def score_entropy(features: np.ndarray) -> np.ndarray:
@@ -329,8 +346,4 @@ def write_scores(path_base: str | os.PathLike, scores: ScoreVector,
 
 def read_scores(path: str | os.PathLike) -> np.ndarray:
     """Read a raw float32 ``.scores`` file as float64."""
-    raw = Path(path).read_bytes()
-    if len(raw) % 4 != 0:
-        raise FormatError(
-            f"{path}: truncated score file, {len(raw)} bytes is not a multiple of 4")
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    return read_records(path, "<f4", 1, "score file").ravel().astype(np.float64)

@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -482,6 +483,26 @@ class TestForgeSplit:
                         bank, HEIGHTS, master_seed=master_seed, params=FAST, workers=workers)
         assert not out.exists()
 
+    @pytest.mark.parametrize("budget", [1.5, -3])
+    def test_bad_retry_budget_rejected_before_output(self, tmp_path, budget):
+        scans, labels = self._dataset(tmp_path, n_scans=2)
+        bank = _bank_with_cube(tmp_path / "meshes")
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match="retry budget"):
+            forge_split(discover_pairs(scans, labels), out, single_policy(retry_budget=budget),
+                        TEST_SENSOR, bank, HEIGHTS, master_seed=0, params=FAST)
+        assert not out.exists()
+
+    def test_unknown_normalization_rejected_before_output(self, tmp_path):
+        scans, labels = self._dataset(tmp_path, n_scans=2)
+        bank = _bank_with_cube(tmp_path / "meshes")
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match="normalization"):
+            forge_split(discover_pairs(scans, labels), out, single_policy(), TEST_SENSOR,
+                        bank, HEIGHTS, master_seed=0,
+                        params=replace(FAST, normalization="bogus"))
+        assert not out.exists()
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         scans, labels = self._dataset(tmp_path, n_scans=6, seed=4)
         bank = _bank_with_cube(tmp_path / "meshes")
@@ -567,6 +588,21 @@ class TestForgeSplitDegenerateScans:
                 else:
                     assert read_scan(scan_file).count == read_labels(label_file).count
             assert summary.scan_count == len(scans) - len(skipped)
+
+    def test_overflowing_scene_mean_skipped_without_warning(self, tmp_path):
+        scene, labels, _ = degenerate_scan(1500, intensity_scale=1e38)
+        (tmp_path / "velodyne").mkdir()
+        (tmp_path / "labels").mkdir()
+        write_scan(scene, tmp_path / "velodyne" / "000000.bin")
+        write_labels(labels, tmp_path / "labels" / "000000.label")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = forge_split(
+                discover_pairs(tmp_path / "velodyne", tmp_path / "labels"), tmp_path / "out",
+                EVERY_SCAN, TEST_SENSOR, _bank_with_cube(tmp_path / "meshes"), HEIGHTS,
+                master_seed=0, params=FAST)
+        assert summary.skipped == [
+            ("000000", "ValidationError: scene mean intensity must be finite, got inf")]
 
 
 class TestScanSeed:

@@ -28,8 +28,10 @@ class TestReadScan:
     def test_truncated_reports_offset(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 33)
-        with pytest.raises(FormatError, match="offset 32"):
+        with pytest.raises(FormatError) as info:
             read_scan(path)
+        assert str(info.value) == (f"{path}: truncated scan, 33 bytes is not a multiple of 16; "
+                                   "incomplete record starts at byte offset 32")
 
     def test_nonfinite_reports_index(self, tmp_path):
         data = np.zeros((3, 4), dtype="<f4")
@@ -52,8 +54,10 @@ class TestReadLabels:
     def test_truncated(self, tmp_path):
         path = tmp_path / "bad.label"
         path.write_bytes(b"\x00" * 7)
-        with pytest.raises(FormatError, match="offset 4"):
+        with pytest.raises(FormatError) as info:
             read_labels(path)
+        assert str(info.value) == (f"{path}: truncated label file, 7 bytes is not a multiple "
+                                   "of 4; incomplete record starts at byte offset 4")
 
 
 class TestRoundTrip:
@@ -85,10 +89,8 @@ class TestRoundTrip:
 
     def test_nan_cloud_rejected_before_write(self, tmp_path):
         data = np.zeros((2, 4), dtype=np.float32)
-        cloud = PointCloud(data, validate=False)
-        data_view = np.array(cloud.data)
-        data_view[0, 0] = np.nan
-        bad = PointCloud(data_view, validate=False)
+        bad = PointCloud(data[:])  # the cloud freezes the view; data stays writable
+        data[0, 0] = np.nan
         path = tmp_path / "never.bin"
         with pytest.raises(ValidationError):
             write_scan(bad, path)

@@ -7,7 +7,9 @@ from lidarforge import (FeatureSet, FormatError, PrototypeBank, ValidationError,
                         accumulate_prototypes, classify, compute_scores, read_tensor,
                         score_contrastive, score_cosine, score_entropy, score_fused,
                         score_semantic, write_tensor)
-from lidarforge.scoring import _BLOCK_ROWS, _row_blocks, read_scores, softmax, write_scores
+from lidarforge.losses import loss_contrastive
+from lidarforge.scoring import (_BLOCK_ROWS, _row_blocks, log_softmax, read_scores, softmax,
+                                write_scores)
 
 
 def make_bank(prototypes):
@@ -104,6 +106,23 @@ class TestClassify:
         with pytest.raises(ValidationError, match=r"\[1\]"):
             classify(np.eye(2), bank)
 
+    def test_uninitialized_message_shared_with_contrastive_loss(self):
+        bank = PrototypeBank(prototypes=np.eye(3), weights=np.array([1.0, 0.0, 0.0]))
+        message = r"^prototype bank has uninitialized classes: \[1, 2\]$"
+        with pytest.raises(ValidationError, match=message):
+            classify(np.eye(3), bank)
+        with pytest.raises(ValidationError, match=message):
+            loss_contrastive(np.eye(3), bank, temperature=0.1)
+
+    def test_unit_bank_is_division_by_row_norm(self):
+        rng = np.random.default_rng(4)
+        protos = rng.standard_normal((4, 6)) * np.array([[1e-3], [1.0], [1e3], [0.0]])
+        bank = make_bank(protos)
+        norms = np.linalg.norm(protos, axis=1, keepdims=True)
+        expected = protos / np.where(norms > 0, norms, 1.0)
+        assert bank.unit.tobytes() == expected.tobytes()
+        assert bank.unit is bank.unit
+
     def test_dot_metric_available(self):
         bank = make_bank(np.array([[2.0, 0.0], [0.0, 1.0]]))
         result = classify(np.array([[1.0, 0.9]]), bank, metric="dot")
@@ -125,6 +144,13 @@ class TestClassify:
 
 
 class TestScores:
+    def test_log_softmax_is_log_of_softmax(self):
+        rng = np.random.default_rng(3)
+        logits = rng.standard_normal((20, 5)) * 10.0
+        np.testing.assert_allclose(log_softmax(logits), np.log(softmax(logits)), atol=1e-12)
+        # finite where softmax underflows to 0
+        assert log_softmax(np.array([[0.0, -1000.0]]))[0, 1] == pytest.approx(-1000.0)
+
     def test_cosine_score_bounds_and_value(self):
         sim = np.array([[0.2, 0.9], [-0.5, -0.9], [1.0, 0.0]])
         out = score_cosine(sim)
@@ -307,5 +333,7 @@ class TestTensorIO:
     def test_truncated_score_file(self, tmp_path):
         path = tmp_path / "scan0.scores"
         path.write_bytes(np.arange(3, dtype="<f4").tobytes()[:-1])
-        with pytest.raises(FormatError, match=r"scan0\.scores.*11 bytes"):
+        with pytest.raises(FormatError) as info:
             read_scores(path)
+        assert str(info.value) == (f"{path}: truncated score file, 11 bytes is not a multiple "
+                                   "of 4; incomplete record starts at byte offset 8")
