@@ -15,8 +15,9 @@ from .mesh_bank import (AnomalyObject, MeshBank, ReflectivityCatalog, TriangleMe
                         augment, build_anomaly_object, load_off, load_target_heights,
                         place, sample_surface)
 from .metrics import (EvalPair, auroc, auroc_trapezoid, average_precision,
-                      fpr_at_tpr, range_binned_ap, roc_curve)
-from .range_projection import RangeImage, beam_rows_of, project, reproject, write_pgm
+                      fpr_at_tpr, range_binned_ap, roc_curve, split_metrics)
+from .range_projection import (RangeImage, beam_rows_of, point_ranges, project, reproject,
+                               write_pgm)
 from .scan_io import (LabelArray, PointCloud, SensorConfig, check_pair,
                       read_labels, read_scan, write_labels, write_scan)
 from .scoring import (ClassificationResult, FeatureSet, PrototypeBank, ScoreVector,

@@ -29,7 +29,7 @@ from .errors import LidarForgeError, ValidationError
 from .insertion import STYLE_PRESETS, ForgeParams, SplitPolicy
 from .intensity import NORMALIZATIONS
 from .mesh_bank import MeshBank, ReflectivityCatalog, load_target_heights
-from .range_projection import project, write_pgm
+from .range_projection import point_ranges, project, write_pgm
 from .scan_io import SensorConfig, read_labels, read_scan
 
 BUNDLED_SENSORS = {
@@ -215,47 +215,50 @@ def _print_losses(stem: str, feats: scoring.FeatureSet, bank: scoring.PrototypeB
 
 
 def _collect_eval(args):
+    """Read every scan's scores, truth and, with ``--scans``, ranges.
+
+    Returns ``(stems, offsets, scores, truth, ranges)``: the per-scan
+    arrays concatenated in stem order, scan ``i`` at
+    ``offsets[i]:offsets[i + 1]``, and ``ranges`` None without ``--scans``.
+    The per-scan arrays are dropped on return, so only the concatenated
+    copies stay alive while the metrics run.
+    """
     scores_dir = Path(args.scores)
     labels_dir = Path(args.labels)
     scans_dir = Path(args.scans) if args.scans else None
-    per_scan = []
+    stems, scores, truth, ranges = [], [], [], []
     for score_path in sorted(scores_dir.glob("*.scores")):
         stem = score_path.stem
         label_path = labels_dir / f"{stem}.label"
         if not label_path.exists():
             raise ValidationError(f"missing labels for {stem!r}: {label_path}")
-        scores = scoring.read_scores(score_path)
-        truth = read_labels(label_path).class_ids == args.anomaly_label
-        if truth.shape[0] != scores.shape[0]:
+        s = scoring.read_scores(score_path)
+        t = read_labels(label_path).class_ids == args.anomaly_label
+        if t.shape[0] != s.shape[0]:
             raise ValidationError(
-                f"{stem}: {scores.shape[0]} scores vs {truth.shape[0]} labels")
-        ranges = None
+                f"{stem}: {s.shape[0]} scores vs {t.shape[0]} labels")
         if scans_dir is not None:
             cloud = read_scan(scans_dir / f"{stem}.bin")
-            if cloud.count != scores.shape[0]:
+            if cloud.count != s.shape[0]:
                 raise ValidationError(f"{stem}: scan size does not match scores")
-            ranges = np.linalg.norm(cloud.xyz.astype(np.float64), axis=1)
-        per_scan.append((stem, scores, truth, ranges))
-    if not per_scan:
+            ranges.append(point_ranges(cloud.xyz))
+        stems.append(stem)
+        scores.append(s)
+        truth.append(t)
+    if not stems:
         raise ValidationError(f"no *.scores files under {scores_dir}")
-    return per_scan
+    offsets = np.cumsum([0] + [s.shape[0] for s in scores])
+    return (stems, offsets, np.concatenate(scores), np.concatenate(truth),
+            np.concatenate(ranges) if scans_dir is not None else None)
 
 
 def cmd_eval(args) -> int:
-    per_scan = _collect_eval(args)
-    scores = np.concatenate([s for _, s, _, _ in per_scan])
-    truth = np.concatenate([t for _, _, t, _ in per_scan])
-    ranges = None
-    if all(r is not None for _, _, _, r in per_scan):
-        ranges = np.concatenate([r for _, _, _, r in per_scan])
+    stems, offsets, scores, truth, ranges = _collect_eval(args)
     pair = metrics.EvalPair(scores, truth, ranges)
 
     lines = ["metric               value", "-" * 27]
-    kv = {
-        "auroc": metrics.auroc(pair),
-        "fpr_at_95tpr": metrics.fpr_at_tpr(pair, 0.95),
-        "ap": metrics.average_precision(pair),
-    }
+    auroc, fpr, ap = metrics.split_metrics(pair)
+    kv = {"auroc": auroc, "fpr_at_95tpr": fpr, "ap": ap}
     if ranges is not None:
         for key, value in metrics.range_binned_ap(pair).items():
             kv[f"ap_bin_{key}"] = value
@@ -268,9 +271,9 @@ def cmd_eval(args) -> int:
 
     if args.per_scan:
         lines.append("")
-        for stem, s, t, _ in per_scan:
+        for stem, lo, hi in zip(stems, offsets[:-1], offsets[1:]):
             try:
-                value = metrics.auroc(metrics.EvalPair(s, t))
+                value = metrics.auroc(metrics.EvalPair(scores[lo:hi], truth[lo:hi]))
                 lines.append(f"scan {stem} auroc = {value:.6f}")
             except LidarForgeError as exc:
                 lines.append(f"scan {stem} auroc = undefined ({exc})")

@@ -3,12 +3,13 @@
 All metrics use step-function (non-interpolated) conventions with tied
 scores grouped into a single threshold block, and are invariant under
 strictly increasing transforms of the scores.  Each metric call sorts
-the score values once (``np.sort``, no argsort): the distinct sorted
-values are the thresholds, and binary searches into the sorted values
-and into the sorted positive scores count the points at or above each
-one, so every count is an exact integer.  Metrics that are not
-defined for an input (no positives, no negatives, empty range bin)
-raise UndefinedMetricError or report a typed absence rather than 0.
+the score values once (``np.sort``, no argsort), and ``split_metrics``
+sorts once for three metrics: the distinct sorted values are the
+thresholds, and binary searches into the sorted values and into the
+sorted positive scores count the points at or above each one, so every
+count is an exact integer.  Metrics that are not defined for an input
+(no positives, no negatives, empty range bin) raise
+UndefinedMetricError or report a typed absence rather than 0.
 """
 
 from __future__ import annotations
@@ -66,7 +67,11 @@ def auroc(pair: EvalPair) -> float:
     """Area under the ROC curve via the rank statistic, with tied
     positive/negative pairs contributing one half."""
     _require_both_classes(pair, "auroc")
-    ordered = np.sort(pair.scores)
+    return _auroc(pair, np.sort(pair.scores))
+
+
+def _auroc(pair: EvalPair, ordered: np.ndarray) -> float:
+    """AUROC of a pair with both classes, given its sorted scores."""
     pos = pair.scores[pair.truth]
     # a positive's tie group fills the sorted positions below .. above-1
     below = np.searchsorted(ordered, pos, "left")
@@ -77,13 +82,13 @@ def auroc(pair: EvalPair) -> float:
     return (rank_sum - 0.5 * p * (p + 1)) / (p * pair.negatives)
 
 
-def _threshold_blocks(pair: EvalPair):
+def _threshold_blocks(pair: EvalPair, ordered: np.ndarray):
     """Counts (tp, fp) of points scoring at or above each distinct score
-    threshold, thresholds descending, ties grouped into one block.
+    threshold, thresholds descending, ties grouped into one block;
+    ``ordered`` is ``np.sort(pair.scores)``.
 
     ``-0.0`` and ``0.0`` are one block; its threshold may be either.
     """
-    ordered = np.sort(pair.scores)
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     # a positive's left insertion point in `ordered` is the start of its tie block
     hit = np.searchsorted(ordered, pair.scores[pair.truth], "left")
@@ -98,7 +103,7 @@ def _threshold_blocks(pair: EvalPair):
 def roc_curve(pair: EvalPair):
     """Step ROC curve: (fpr, tpr, thresholds), starting at (0, 0)."""
     _require_both_classes(pair, "roc curve")
-    tp, fp, thresholds = _threshold_blocks(pair)
+    tp, fp, thresholds = _threshold_blocks(pair, np.sort(pair.scores))
     tpr = np.r_[0.0, tp / pair.positives]
     fpr = np.r_[0.0, fp / pair.negatives]
     return fpr, tpr, thresholds
@@ -115,7 +120,13 @@ def fpr_at_tpr(pair: EvalPair, tpr_target: float = 0.95) -> float:
     """False-positive rate at the largest threshold whose true-positive
     rate reaches the target (step convention, no interpolation)."""
     _require_both_classes(pair, "fpr_at_tpr")
-    tp, fp, _ = _threshold_blocks(pair)
+    return _fpr_at_tpr(pair, _threshold_blocks(pair, np.sort(pair.scores)), tpr_target)
+
+
+def _fpr_at_tpr(pair: EvalPair, blocks, tpr_target: float) -> float:
+    """FPR at the TPR target of a pair with both classes, given its
+    threshold blocks."""
+    tp, fp, _ = blocks
     tpr = tp / pair.positives
     k = int(np.argmax(tpr >= tpr_target))
     if tpr[k] < tpr_target:
@@ -128,11 +139,29 @@ def average_precision(pair: EvalPair) -> float:
     prefixes, ties grouped as one threshold block."""
     if pair.positives == 0:
         raise UndefinedMetricError("average precision undefined: no positive points")
-    tp, fp, _ = _threshold_blocks(pair)
+    return _average_precision(pair, _threshold_blocks(pair, np.sort(pair.scores)))
+
+
+def _average_precision(pair: EvalPair, blocks) -> float:
+    """AP of a pair with positives, given its threshold blocks."""
+    tp, fp, _ = blocks
     recall = tp / pair.positives
     precision = tp / (tp + fp)
     prev_recall = np.r_[0.0, recall[:-1]]
     return float(np.sum((recall - prev_recall) * precision))
+
+
+def split_metrics(pair: EvalPair) -> tuple[float, float, float]:
+    """``(auroc(pair), fpr_at_tpr(pair, 0.95), average_precision(pair))``
+    from one sort and one threshold pass, bit for bit.
+
+    Raises what ``auroc`` raises first: a pair without both classes.
+    """
+    _require_both_classes(pair, "auroc")
+    ordered = np.sort(pair.scores)
+    blocks = _threshold_blocks(pair, ordered)
+    return (_auroc(pair, ordered), _fpr_at_tpr(pair, blocks, 0.95),
+            _average_precision(pair, blocks))
 
 
 def range_binned_ap(pair: EvalPair) -> dict:

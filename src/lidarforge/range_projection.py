@@ -72,10 +72,22 @@ class RangeImage:
         return np.flatnonzero(won)
 
 
+def point_ranges(xyz: np.ndarray) -> np.ndarray:
+    """Distance of each (x, y, z) point from the sensor, in float64.
+
+    The squares are summed left to right, which equals
+    ``np.linalg.norm(xyz, axis=1)`` bit for bit; ``x*x + (y*y + z*z)``
+    would round differently.
+    """
+    pts = np.asarray(xyz, dtype=np.float64)
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def _cell_coords(xyz: np.ndarray, cfg: SensorConfig):
     """Return (rows, cols, ranges, in_fov mask) for every point."""
     pts = np.asarray(xyz, dtype=np.float64)
-    ranges = np.linalg.norm(pts, axis=1)
+    ranges = point_ranges(pts)
     # a point at the sensor origin has no direction: it lies outside the FOV
     seen = ranges > 0.0
 

@@ -32,7 +32,9 @@ class PointCloud:
 
     Coordinates are meters, intensity is the sensor remission value
     (non-negative; raw sensors may exceed 1).  Every cloud is validated
-    when it is built.
+    when it is built.  A contiguous float32 array is kept as a read-only
+    view, not copied: the caller's own array stays writable, and a write
+    to it afterwards shows in the cloud (``write_scan`` validates again).
     """
 
     __slots__ = ("_data",)
@@ -41,6 +43,7 @@ class PointCloud:
         data = np.ascontiguousarray(data, dtype=np.float32)
         if data.ndim != 2 or data.shape[1] != 4:
             raise ValidationError(f"point cloud must be (N, 4), got shape {data.shape}")
+        data = data.view()
         data.setflags(write=False)
         self._data = data
         self.validate()
@@ -97,7 +100,11 @@ class PointCloud:
 
 
 class LabelArray:
-    """Per-point label words; low 16 bits are the semantic class id."""
+    """Per-point label words; low 16 bits are the semantic class id.
+
+    Like ``PointCloud``, keeps a read-only view of a contiguous uint32
+    array and leaves the caller's array writable.
+    """
 
     __slots__ = ("_words",)
 
@@ -105,6 +112,7 @@ class LabelArray:
         words = np.ascontiguousarray(words, dtype=np.uint32)
         if words.ndim != 1:
             raise ValidationError(f"labels must be 1-D, got shape {words.shape}")
+        words = words.view()
         words.setflags(write=False)
         self._words = words
 

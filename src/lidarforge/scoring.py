@@ -187,21 +187,43 @@ def score_cosine(similarity: np.ndarray) -> np.ndarray:
     maximally anomalous, and raw inner products (ablation metric) can
     leave [0, 1] in both directions.
     """
-    return np.clip(1.0 - np.max(np.asarray(similarity, dtype=np.float64), axis=1), 0.0, 1.0)
+    return np.clip(1.0 - _row_max(np.asarray(similarity, dtype=np.float64)), 0.0, 1.0)
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=1)`` of a 2-D array, taken one column at a time.
+
+    A maximum is exact in any order and NaN propagates either way, so
+    the result equals the reduction bit for bit, except perhaps for the
+    sign of a zero maximum, which changes no output of the callers
+    (tests cover rows of mixed signed zeros).  The reduction walks each
+    short row on its own; on (4096, 19) float64 blocks this loop takes
+    about a third of its time (numpy 2.4, x86-64).
+    """
+    m = a[:, :1].max(axis=1)
+    for j in range(1, a.shape[1]):
+        np.maximum(m, a[:, j], out=m)
+    return m
+
+
+def _shifted(logits: np.ndarray) -> np.ndarray:
+    """The logits as a new float64 array minus each row's maximum."""
+    z = np.asarray(logits, dtype=np.float64)
+    return z - _row_max(z)[:, None]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax of (N, C) logits, written into the shifted copy."""
+    e = _shifted(logits)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """log(softmax(logits)), computed stably from the shifted logits."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = _shifted(logits)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def score_entropy(features: np.ndarray) -> np.ndarray:
@@ -211,9 +233,11 @@ def score_entropy(features: np.ndarray) -> np.ndarray:
     if n_classes < 2:
         raise ValidationError(f"entropy undefined for C<2 (got C={n_classes})")
     p = softmax(f)
-    # an entry that underflowed to 0 gives 0 * log(0) = nan, which the where discards
+    # an entry that underflowed to 0 gives 0 * log(0) = nan, which is then zeroed
     with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(p > 0, p * np.log(p), 0.0)
+        plogp = np.log(p)
+        plogp *= p
+    np.copyto(plogp, 0.0, where=~(p > 0))
     return -plogp.sum(axis=1) / np.log(n_classes)
 
 
@@ -292,7 +316,8 @@ def compute_scores(features: FeatureSet, bank: PrototypeBank,
     predictions = np.empty(n, dtype=np.intp)
     s_cos, s_ent, s_cont = np.empty(n), np.empty(n), np.empty(n)
     for lo, hi in _row_blocks(n):
-        sem = features.semantic[lo:hi]
+        # one float64 conversion per block, shared by both semantic scores
+        sem = np.asarray(features.semantic[lo:hi], dtype=np.float64)
         result = classify(sem, bank, metric=metric)
         predictions[lo:hi] = result.predictions
         s_cos[lo:hi] = score_cosine(result.similarity)
@@ -327,7 +352,8 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
     if len(raw) != expected:
         raise FormatError(
             f"{path}: expected {expected} bytes for a {rows}x{cols} tensor, got {len(raw)}")
-    return np.frombuffer(raw[_HEADER_BYTES:], dtype="<f4").reshape(int(rows), int(cols))
+    # a read-only view of the file's bytes, not a copy
+    return np.frombuffer(raw, dtype="<f4", offset=_HEADER_BYTES).reshape(int(rows), int(cols))
 
 
 def write_scores(path_base: str | os.PathLike, scores: ScoreVector,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import make_cube_mesh, make_flat_scene, write_off
 
-from lidarforge import LabelArray, write_labels, write_scan, write_tensor
+from lidarforge import EvalPair, LabelArray, auroc, write_labels, write_scan, write_tensor
 from lidarforge.cli import main
 
 SENSOR_CFG = """beams = 32
@@ -244,6 +244,25 @@ class TestScoreAndEval:
         assert "auroc = 1.000000000" in text
         assert "ap = 1.000000000" in text
         assert "fpr_at_95tpr = 0.000000000" in text
+
+    def test_per_scan_auroc_reads_each_scans_own_points(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        scores_dir, label_dir = tmp_path / "scores", tmp_path / "labels"
+        scores_dir.mkdir()
+        label_dir.mkdir()
+        expected = []
+        for i, n in enumerate((9, 14, 11)):
+            scores = rng.random(n).astype(np.float32)
+            truth = np.arange(n) % 3 == i
+            (scores_dir / f"s{i}.scores").write_bytes(scores.astype("<f4").tobytes())
+            write_labels(LabelArray(np.where(truth, 2, 40).astype(np.uint32)),
+                         label_dir / f"s{i}.label")
+            value = auroc(EvalPair(scores.astype(np.float64), truth))
+            expected.append(f"scan s{i} auroc = {value:.6f}")
+        assert main(["eval", "--scores", str(scores_dir), "--labels", str(label_dir),
+                     "--anomaly-label", "2", "--per-scan"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("scan ")] == expected
 
     def test_eval_truncated_score_file_reports_error(self, tmp_path, capsys):
         feat_dir, label_dir, proto = self._setup(tmp_path)

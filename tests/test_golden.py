@@ -7,7 +7,9 @@ must equal the digests committed below, so a refactor that changes a
 single output byte fails here instead of going unnoticed.  A third
 digest covers ``forge_scan``'s retry paths (re-placement after full
 occlusion, a spent retry budget, an object that never survives) on a
-half-walled scene, which the split above never reaches.
+half-walled scene, which the split above never reaches.  A fourth
+digest covers the score files: the split's own, and every score channel
+of one C=19 feature set that spans several of the scorer's row blocks.
 
 The digests depend on the numpy/scipy/LAPACK build: normal estimation
 goes through ``numpy.linalg.eigh`` and ``scipy.spatial.cKDTree``, whose
@@ -31,21 +33,31 @@ from lidarforge.cli import main
 TREE_SHA256 = "39b55318928f7d031046a7867d3f834173edc3e22c61c67a67e824d1a3c6321b"
 REPORT_SHA256 = "181aab366e34937294d317b35b957d58ae90fcbb3fd14a76eee745c4ff4ddf74"
 RETRY_SHA256 = "77243f6e1c69a764223272a67c10faba5774ba9065689f3c5a4ba19691ae8ccd"
+SCORES_SHA256 = "ea27a1ca1f2527b0c2c48bba2ca724902ad09f38894fd766dd2996d8ad1ce235"
 
 SENSOR_CFG = "beams = 32\nwidth = 512\nfov_up_deg = 8.0\nfov_down_deg = 24.0\n"
 N_CLASSES = 4
+# 3 full row blocks of the scorer plus 2 rows; 19 columns as in SemanticKITTI
+WIDE_ROWS = 3 * 4096 + 2
+WIDE_CLASSES = 19
+SCORE_CHANNELS = ("fused", "sem", "cont", "cos", "ent")
 
 
-def tree_digest(root) -> str:
-    """SHA-256 over the relative path and bytes of every output file."""
+def files_digest(root, files) -> str:
+    """SHA-256 over the path relative to ``root`` and the bytes of each file."""
     h = hashlib.sha256()
-    files = sorted(p for p in root.rglob("*") if p.is_file())
-    assert {p.relative_to(root).parts[0] for p in files} == {"velodyne", "labels",
-                                                            "manifest.tsv"}
     for p in files:
         h.update(p.relative_to(root).as_posix().encode() + b"\0")
         h.update(p.read_bytes())
     return h.hexdigest()
+
+
+def tree_digest(root) -> str:
+    """SHA-256 over the relative path and bytes of every output file."""
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    assert {p.relative_to(root).parts[0] for p in files} == {"velodyne", "labels",
+                                                            "manifest.tsv"}
+    return files_digest(root, files)
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +93,30 @@ def forge(root, workers: int):
     return out
 
 
-def score_and_eval(root, forged) -> str:
-    """Synthesize head features from the forged labels, score, evaluate."""
+def wide_features(rng):
+    """One C=19 feature set: random logits, rows near a prototype (where
+    1 - similarity is exact), zero rows, and one row whose logits spread
+    by more than 745 so that a softmax entry underflows."""
+    protos = rng.standard_normal((WIDE_CLASSES, WIDE_CLASSES)).astype(np.float32)
+    sem = 3.0 * rng.standard_normal((WIDE_ROWS, WIDE_CLASSES))
+    cont = 0.6 * rng.standard_normal((WIDE_ROWS, WIDE_CLASSES))
+    near = np.arange(6, WIDE_ROWS, 7)
+    sem[near] = 2.0 * protos[rng.integers(0, WIDE_CLASSES, near.size)] \
+        + 0.1 * rng.standard_normal((near.size, WIDE_CLASSES))
+    sem[::97] = 0.0
+    cont[::97] = 0.0
+    sem[WIDE_ROWS // 2] = 0.0
+    sem[WIDE_ROWS // 2, 3] = 800.0
+    return sem.astype(np.float32), cont.astype(np.float32), protos
+
+
+def score_and_eval(root, forged) -> tuple[str, str]:
+    """Synthesize head features from the forged labels, score, evaluate;
+    then score one C=19 feature set with every score channel.
+
+    Returns the eval report and the digest of every score and meta file
+    written.
+    """
     rng = np.random.default_rng(11)
     feats = root / "features"
     feats.mkdir()
@@ -107,7 +141,30 @@ def score_and_eval(root, forged) -> str:
     assert main(["eval", "--scores", str(scores), "--labels", str(forged / "labels"),
                  "--scans", str(forged / "velodyne"), "--per-scan",
                  "--out", str(report)]) == 0
-    return report.read_text(encoding="utf-8")
+
+    wide = root / "wide_features"
+    wide.mkdir()
+    sem, cont, protos = wide_features(rng)
+    write_tensor(wide / "wide.sem.ftr", sem)
+    write_tensor(wide / "wide.cont.ftr", cont)
+    write_tensor(root / "wide_proto.ftr", protos)
+    for channel in SCORE_CHANNELS:
+        assert main(["score", "--features", str(wide), "--prototypes",
+                     str(root / "wide_proto.ftr"), "--score", channel,
+                     "--out", str(root / "wide_scores" / channel)]) == 0
+    written = sorted(p for d in (scores, root / "wide_scores") for p in d.rglob("*")
+                     if p.is_file())
+    assert len(written) == 2 * (len(list(forged.glob("labels/*.label"))) + len(SCORE_CHANNELS))
+    return report.read_text(encoding="utf-8"), files_digest(root, written)
+
+
+@pytest.fixture(scope="module")
+def scored(inputs):
+    """Report and score-file digest of score_and_eval on the 1-worker forge."""
+    forged = inputs / "forged_w1"
+    if not forged.exists():
+        forged = forge(inputs, workers=1)
+    return score_and_eval(inputs, forged)
 
 
 def test_forge_tree_matches_golden_digest_for_1_and_2_workers(inputs):
@@ -117,14 +174,15 @@ def test_forge_tree_matches_golden_digest_for_1_and_2_workers(inputs):
     assert one == TREE_SHA256
 
 
-def test_eval_report_matches_golden_digest(inputs, capsys):
-    forged = inputs / "forged_w1"
-    if not forged.exists():
-        forged = forge(inputs, workers=1)
-    report = score_and_eval(inputs, forged)
-    capsys.readouterr()
+def test_eval_report_matches_golden_digest(scored):
+    report, _ = scored
     assert "ap_bin_40_50 = " in report
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == REPORT_SHA256
+
+
+def test_score_files_match_golden_digest(scored):
+    _, digest = scored
+    assert digest == SCORES_SHA256
 
 
 def test_retry_paths_match_golden_digest(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lidarforge import (EvalPair, UndefinedMetricError, ValidationError, auroc,
                         auroc_trapezoid, average_precision, fpr_at_tpr,
-                        range_binned_ap, roc_curve)
+                        range_binned_ap, roc_curve, split_metrics)
 
 
 def pairwise_auroc_oracle(scores, truth):
@@ -305,3 +305,95 @@ def test_value_sort_metrics_equal_argsort_reference(make):
     for got, expected in zip(roc_curve(pair), ref["roc_curve"]):
         # array_equal compares by value, so a zero threshold may differ in sign
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+# -- the one-sort-per-call forms that the sorted-input helpers replaced,
+# kept as oracles: each public metric and split_metrics must equal them
+# bit for bit ----------------------------------------------------------------
+
+def oracle_auroc(pair):
+    ordered = np.sort(pair.scores)
+    pos = pair.scores[pair.truth]
+    below = np.searchsorted(ordered, pos, "left")
+    above = np.searchsorted(ordered, pos, "right")
+    ranks = 0.5 * (below + above - 1) + 1.0
+    p = pos.shape[0]
+    rank_sum = float(ranks.sum())
+    return (rank_sum - 0.5 * p * (p + 1)) / (p * pair.negatives)
+
+
+def oracle_threshold_blocks(pair):
+    ordered = np.sort(pair.scores)
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    hit = np.searchsorted(ordered, pair.scores[pair.truth], "left")
+    per_block = np.bincount(np.searchsorted(starts, hit), minlength=starts.shape[0])
+    starts = starts[::-1]
+    tp = np.cumsum(per_block[::-1])
+    fp = (ordered.shape[0] - starts) - tp
+    return tp.astype(np.float64), fp.astype(np.float64), ordered[starts]
+
+
+def oracle_fpr_at_tpr(pair, tpr_target):
+    tp, fp, _ = oracle_threshold_blocks(pair)
+    tpr = tp / pair.positives
+    k = int(np.argmax(tpr >= tpr_target))
+    return float(fp[k] / pair.negatives)
+
+
+def oracle_average_precision(pair):
+    tp, fp, _ = oracle_threshold_blocks(pair)
+    recall = tp / pair.positives
+    precision = tp / (tp + fp)
+    prev_recall = np.r_[0.0, recall[:-1]]
+    return float(np.sum((recall - prev_recall) * precision))
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@st.composite
+def split_pairs(draw):
+    """Pairs with both classes: heavy ties, float32-rounded scores,
+    signed zeros, one positive or one negative."""
+    n = draw(st.sampled_from([2, 3, 50, 4097]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    truth = rng.random(n) < draw(st.sampled_from([0.01, 0.3, 0.9]))
+    truth[0], truth[-1] = True, False
+    kind = draw(st.sampled_from(["ties", "float32", "signed_zeros", "distinct"]))
+    if kind == "ties":
+        scores = np.round(rng.random(n), 2)
+    elif kind == "float32":
+        scores = rng.random(n).astype(np.float32).astype(np.float64)
+    elif kind == "signed_zeros":
+        scores = rng.choice(np.array([-0.0, 0.0, 0.5, -0.5, 1e-300]), n)
+    else:
+        scores = rng.standard_normal(n)
+    return EvalPair(scores, truth)
+
+
+class TestSplitMetricsOracles:
+    @given(pair=split_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_metrics_equal_one_sort_per_call_oracles(self, pair):
+        want = (oracle_auroc(pair), oracle_fpr_at_tpr(pair, 0.95),
+                oracle_average_precision(pair))
+        assert [bits(v) for v in split_metrics(pair)] == [bits(v) for v in want]
+        assert bits(auroc(pair)) == bits(want[0])
+        assert bits(average_precision(pair)) == bits(want[2])
+        for target in (0.95, 0.5, 1.0):
+            assert bits(fpr_at_tpr(pair, target)) == bits(oracle_fpr_at_tpr(pair, target))
+        tp, fp, thresholds = oracle_threshold_blocks(pair)
+        fpr, tpr, got_thresholds = roc_curve(pair)
+        assert fpr.tobytes() == np.r_[0.0, fp / pair.negatives].tobytes()
+        assert tpr.tobytes() == np.r_[0.0, tp / pair.positives].tobytes()
+        assert got_thresholds.tobytes() == thresholds.tobytes()
+
+    @pytest.mark.parametrize("truth", [[True, True], [False, False]])
+    def test_split_metrics_raises_what_auroc_raises(self, truth):
+        pair = EvalPair(np.array([0.5, 0.6]), np.array(truth))
+        with pytest.raises(UndefinedMetricError) as expected:
+            auroc(pair)
+        with pytest.raises(UndefinedMetricError) as got:
+            split_metrics(pair)
+        assert str(got.value) == str(expected.value)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from helpers import TEST_SENSOR, full_coverage_wall, make_random_cloud
 
 from lidarforge import (PointCloud, SensorConfig, ValidationError, beam_rows_of,
-                        project, reproject, write_pgm)
+                        point_ranges, project, reproject, write_pgm)
 from lidarforge._kernels import scatter_min
 from lidarforge.range_projection import RangeImage, _cell_coords
 
@@ -53,6 +53,18 @@ class TestProject:
         idx = img.point_index[img.filled]
         recomputed = np.linalg.norm(cloud.xyz[idx].astype(np.float64), axis=1)
         np.testing.assert_allclose(img.ranges[img.filled], recomputed, atol=1e-6)
+
+    def test_point_ranges_equal_norm_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        n = 100_000
+        # float32 points spread over 6 orders of magnitude of range
+        xyz = (rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3, 3, (n, 1))).astype(np.float32)
+        xyz = np.vstack([xyz, make_random_cloud(rng, 4000).xyz])
+        got = point_ranges(xyz)
+        assert got.tobytes() == np.linalg.norm(xyz.astype(np.float64), axis=1).tobytes()
+        # the data tells the summation orders apart: right-to-left rounds differently
+        x, y, z = (xyz[:, i].astype(np.float64) for i in range(3))
+        assert (np.sqrt(x * x + (y * y + z * z)) != got).any()
 
     def test_matches_brute_force_winner(self):
         rng = np.random.default_rng(1)

@@ -128,6 +128,17 @@ class TestInvariants:
         with pytest.raises(ValueError):
             cloud.data[0, 0] = 1.0
 
+    def test_callers_arrays_stay_writable(self):
+        points = np.zeros((3, 4), dtype=np.float32)
+        words = np.zeros(3, dtype=np.uint32)
+        cloud, labels = PointCloud(points), LabelArray(words)
+        points[0, 0] = 1.0
+        words[0] = 7
+        for frozen in (cloud.data, labels.words):
+            assert not frozen.flags.writeable
+            with pytest.raises(ValueError):
+                frozen[0] = 2
+
 
 class TestSensorConfig:
     def test_from_file(self, tmp_path):

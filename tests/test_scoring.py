@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarforge import (FeatureSet, FormatError, PrototypeBank, ValidationError,
                         accumulate_prototypes, classify, compute_scores, read_tensor,
@@ -296,6 +298,78 @@ class TestBlockedComputeScores:
             compute_scores(feats, make_bank(np.ones((1, 1))))
 
 
+# -- the whole-array expressions that softmax, log_softmax, score_entropy
+# and score_cosine replaced, kept as oracles: the column-wise row maxima
+# and the in-place forms must equal them bit for bit -------------------------
+
+def oracle_softmax(logits):
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def oracle_log_softmax(logits):
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def oracle_entropy(features):
+    f = np.asarray(features, dtype=np.float64)
+    p = oracle_softmax(f)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(p > 0, p * np.log(p), 0.0)
+    return -plogp.sum(axis=1) / np.log(f.shape[1])
+
+
+def oracle_cosine(similarity):
+    return np.clip(1.0 - np.max(np.asarray(similarity, dtype=np.float64), axis=1), 0.0, 1.0)
+
+
+@st.composite
+def logit_blocks(draw):
+    """(n, C) logits, float32 or float64, with optional all-zero rows,
+    rows of mixed signed zeros and rows whose logits spread by more than
+    745 (a softmax entry underflows to 0)."""
+    n = draw(st.sampled_from([1, 2, 4097]))
+    c = draw(st.sampled_from([2, 4, 8, 19, 33]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    logits = scale * rng.standard_normal((n, c))
+    if draw(st.booleans()):
+        logits[rng.integers(0, n, max(1, n // 50))] = 0.0
+    if draw(st.booleans()):
+        rows = rng.integers(0, n, max(1, n // 50))
+        logits[rows] = rng.choice(np.array([0.0, -0.0]), (rows.size, c))
+    if draw(st.booleans()):
+        rows = rng.integers(0, n, max(1, n // 50))
+        logits[rows, rng.integers(0, c, rows.size)] += rng.choice(np.array([800.0, -800.0]),
+                                                                  rows.size)
+    return logits.astype(draw(st.sampled_from([np.float32, np.float64])))
+
+
+class TestOracles:
+    @given(logits=logit_blocks())
+    @settings(max_examples=60, deadline=None)
+    def test_softmax_and_entropy_equal_oracles(self, logits):
+        for got, want in ((softmax(logits), oracle_softmax(logits)),
+                          (log_softmax(logits), oracle_log_softmax(logits))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        with np.errstate(divide="raise", invalid="raise"):
+            got = score_entropy(logits)
+        assert got.tobytes() == oracle_entropy(logits).tobytes()
+
+    @given(logits=logit_blocks())
+    @settings(max_examples=60, deadline=None)
+    def test_cosine_score_equals_oracle(self, logits):
+        # as similarities: values around [-1, 1], including exact zeros and 1
+        sim = np.tanh(logits)
+        sim[::3, 0] = 1.0
+        assert score_cosine(sim).tobytes() == oracle_cosine(sim).tobytes()
+        assert score_cosine(logits).tobytes() == oracle_cosine(logits).tobytes()
+
+
 class TestTensorIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -303,6 +377,18 @@ class TestTensorIO:
         path = tmp_path / "t.ftr"
         write_tensor(path, arr)
         np.testing.assert_array_equal(read_tensor(path), arr)
+
+    def test_read_is_a_read_only_view_of_the_file_bytes(self, tmp_path):
+        path = tmp_path / "t.ftr"
+        write_tensor(path, np.arange(12, dtype=np.float32).reshape(3, 4))
+        back = read_tensor(path)
+        assert back.dtype == np.dtype("<f4") and back.shape == (3, 4)
+        assert not back.flags.writeable
+        # the buffer under the array is the whole file, header included: no slice copy
+        base = back
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert len(base) == path.stat().st_size
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ftr"
