@@ -257,7 +257,11 @@ def cmd_eval(args) -> int:
     pair = metrics.EvalPair(scores, truth, ranges)
 
     lines = ["metric               value", "-" * 27]
-    auroc, fpr, ap = metrics.split_metrics(pair)
+    if pair.positives and pair.negatives:
+        auroc, fpr, ap = metrics.split_metrics(pair)
+    else:  # a split without one class: only AP, and only with positives, is defined
+        auroc = fpr = None
+        ap = metrics.average_precision(pair) if pair.positives else None
     kv = {"auroc": auroc, "fpr_at_95tpr": fpr, "ap": ap}
     if ranges is not None:
         for key, value in metrics.range_binned_ap(pair).items():

@@ -3,8 +3,13 @@
 An object is rested on a permitted planar surface, the combined cloud
 is projected to the range image and re-projected back, which removes
 occluded points and resamples the object in the sensor's beam pattern.
-Surviving object points receive synthesized intensities and the
-anomaly label; surviving scene points are carried through bit-exact.
+Surviving object points receive synthesized intensities on the host
+scan's scale and the anomaly label; surviving scene points are carried
+through bit-exact.
+
+``forge_scan`` draws and places the objects of one scan and merges
+them through ``compose_scan``, the one composition path, which owns
+the retries of fully occluded objects.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import LidarForgeError, PlacementInfeasibleError, ValidationError
 from .intensity import (DEFAULT_NEIGHBORS, NORMALIZATIONS, estimate_normals,
                         lambert_intensity, normalize_and_noise)
 from .mesh_bank import AnomalyObject, MeshBank
-from .range_projection import project
+from .range_projection import point_ranges, project
 from .scan_io import (CLASS_ID_MASK, LabelArray, PointCloud, SensorConfig, check_pair,
                       read_labels, read_scan, write_labels, write_scan)
 
@@ -180,7 +185,7 @@ class PlacementSurface:
             allowed |= class_ids == cid
         self.xy = scene.xyz[allowed, :2].astype(np.float64)
         self.z = scene.xyz[allowed, 2].astype(np.float64)
-        self.r_xy = np.linalg.norm(self.xy, axis=1)
+        self.r_xy = point_ranges(self.xy)
         self.max_radius = policy.max_radius
         self.in_radius_count = int((self.r_xy <= policy.max_radius).sum())
 
@@ -258,18 +263,19 @@ def _occlude(scene: PointCloud, objects: list, cfg: SensorConfig):
 
 def _finalize(scene: PointCloud, labels: LabelArray, objects: list,
               scene_idx: np.ndarray, own: list, policy: SplitPolicy,
-              params: ForgeParams, rng: np.random.Generator,
-              scan_id: str, record_seed: int):
+              params: ForgeParams, rng: np.random.Generator):
     """Build (cloud, labels, records) from one occlusion pass.
 
     Surviving scene rows pass through bit-exact.  Each object's
     survivors get normals, Lambert intensities blended into the scene
     with noise, and the anomaly label; an object with no survivor gets a
-    0-point record and draws nothing from ``rng``.
+    0-point record and draws nothing from ``rng``.  Records carry scan
+    id "" and seed 0.
     """
     # a float32 mean may overflow; normalize_and_noise rejects the infinite mean
     with np.errstate(over="ignore"):
         scene_mean = float(scene.intensity.mean()) if scene.count else 0.0
+    scene_max = float(scene.intensity.max()) if scene.count else 0.0
     out_data = [scene.data[scene_idx]]
     out_words = [labels.words[scene_idx]]
     records = []
@@ -283,17 +289,17 @@ def _finalize(scene: PointCloud, labels: LabelArray, objects: list,
             raw = lambert_intensity(pts_surv, normals, obj.reflectivity)
             block = np.empty((m_surv, 4), dtype=np.float32)
             block[:, :3] = pts_surv
-            block[:, 3] = normalize_and_noise(raw, scene_mean, params.noise_scale, rng,
-                                              policy=params.normalization)
+            block[:, 3] = normalize_and_noise(raw, scene_mean, scene_max, params.noise_scale,
+                                              rng, policy=params.normalization)
             out_data.append(block)
             out_words.append(np.full(m_surv, policy.anomaly_label, dtype=np.uint32))
         records.append(InsertionRecord(
-            scan_id=scan_id, category=obj.category, yaw=obj.yaw,
+            scan_id="", category=obj.category, yaw=obj.yaw,
             x=obj.translation[0], y=obj.translation[1], z=obj.translation[2],
             scale=obj.scale, surviving_count=m_surv,
             index_start=cursor if m_surv else 0,
             index_end=cursor + m_surv if m_surv else 0,
-            seed=record_seed,
+            seed=0,
         ))
         cursor += m_surv
 
@@ -301,29 +307,62 @@ def _finalize(scene: PointCloud, labels: LabelArray, objects: list,
     return cloud, LabelArray(np.concatenate(out_words)), records
 
 
+def _settle(surface: PlacementSurface, rng: np.random.Generator,
+            obj: AnomalyObject, others: list) -> AnomalyObject | None:
+    """``obj`` rested on a flat site of ``surface`` clear of ``others``, or None."""
+    try:
+        x, y, gz = pick_placement(
+            surface, rng, obj.xy_radius,
+            [(p.translation[0], p.translation[1], p.xy_radius) for p in others])
+    except PlacementInfeasibleError:
+        return None
+    return mesh_bank.place(obj, x, y, gz)
+
+
 def compose_scan(scene: PointCloud, labels: LabelArray, objects: list,
                  cfg: SensorConfig, policy: SplitPolicy,
                  seed: int | np.random.Generator,
                  params: ForgeParams = ForgeParams()):
-    """Merge placed objects into a scan through one occlusion pass.
+    """Merge placed objects into a scan, then build the output once.
+
+    An object whose every point loses the occlusion contest is re-placed
+    clear of the others, up to ``policy.retry_budget`` times; a retry
+    re-runs only the occlusion pass, so ``retry_budget=0`` gives exactly
+    one.  An object that finds no new site keeps its place.
 
     Returns (cloud, labels, records), one record per object in the
-    given order, each with scan id "" and seed 0.  Output ordering:
-    surviving scene points first in their original relative order, then
-    surviving object points grouped per object.  Scene points and labels
-    pass through bit-exact; object points take the policy's anomaly
-    label.  With no objects the result is the scene's own re-projection.
+    given order, at its final placement, each with scan id "" and
+    seed 0; an object still fully occluded gets 0 points.  Output
+    ordering: surviving scene points first in their original relative
+    order, then surviving object points grouped per object.  Scene
+    points and labels pass through bit-exact; object points take the
+    policy's anomaly label.  With no objects the result is the scene's
+    own re-projection.
     """
     check_pair(scene, labels)
     _reject_preexisting_anomaly_labels(labels, policy)
     for obj in objects:
-        reach = float(np.linalg.norm(obj.points[:, :2], axis=1).max())
+        reach = float(point_ranges(obj.points[:, :2]).max())
         if reach > policy.max_radius + 1e-9:
             raise ValidationError(f"object {obj.category!r} extends to {reach:.2f} m, "
                                   f"beyond the {policy.max_radius} m insertion radius")
+    rng = np.random.default_rng(seed)
+    objects = list(objects)
     scene_idx, own = _occlude(scene, objects, cfg)
-    return _finalize(scene, labels, objects, scene_idx, own, policy, params,
-                     np.random.default_rng(seed), scan_id="", record_seed=0)
+    surface = None
+    for _ in range(policy.retry_budget):
+        dead = [j for j, mine in enumerate(own) if not len(mine)]
+        if not dead:
+            break
+        if surface is None:
+            surface = PlacementSurface(scene, labels, policy)
+        for j in dead:
+            obj = objects[j]
+            base = replace(obj, points=obj.points - np.asarray(obj.translation),
+                           translation=(0.0, 0.0, 0.0))
+            objects[j] = _settle(surface, rng, base, objects[:j] + objects[j + 1:]) or obj
+        scene_idx, own = _occlude(scene, objects, cfg)
+    return _finalize(scene, labels, objects, scene_idx, own, policy, params, rng)
 
 
 @dataclass
@@ -341,12 +380,13 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
     """Run the per-scan insertion protocol.
 
     A Bernoulli draw with the policy ratio decides anomaly presence;
-    the object count follows the policy distribution.  Objects whose
-    every point loses the occlusion contest are re-placed up to the
-    retry budget; a retry re-runs only the occlusion pass.  Then the
-    output is built once.  Objects still fully occluded are dropped and
-    keep a 0-point record after the surviving ones.  Scans that end up
-    with no surviving object are emitted unchanged.
+    the object count follows the policy distribution.  Each object is
+    placed on a flat site clear of the others, or dropped when it finds
+    none.  ``compose_scan`` merges the placed objects, retries included,
+    drawing from the same generator.  Records carry ``scan_id`` and
+    ``seed``; objects still fully occluded keep a 0-point record after
+    the surviving ones.  Scans that end up with no surviving object are
+    emitted unchanged.
     """
     check_pair(scene, labels)
     _reject_preexisting_anomaly_labels(labels, policy)
@@ -359,21 +399,10 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
                                    p=np.asarray(policy.count_distribution)))
 
     surface = PlacementSurface(scene, labels, policy)
-
-    def settle(obj, others):
-        """``obj`` rested on a flat site clear of ``others``, or None."""
-        try:
-            x, y, gz = pick_placement(
-                surface, rng, obj.xy_radius,
-                [(p.translation[0], p.translation[1], p.xy_radius) for p in others])
-        except PlacementInfeasibleError:
-            return None
-        return mesh_bank.place(obj, x, y, gz)
-
     placed: list[AnomalyObject] = []
     for _ in range(n_objects):
         category, mesh = bank.choose(rng)
-        obj = settle(mesh_bank.build_anomaly_object(
+        obj = _settle(surface, rng, mesh_bank.build_anomaly_object(
             mesh, category, bank.catalog, target_heights, rng,
             n_points=params.object_points), placed)
         if obj is not None:
@@ -381,20 +410,8 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
     if not placed:
         return ForgeScanResult(scene, labels, [], modified=False)
 
-    scene_idx, own = _occlude(scene, placed, cfg)
-    for _ in range(policy.retry_budget):
-        dead = [j for j, mine in enumerate(own) if not len(mine)]
-        if not dead:
-            break
-        for j in dead:
-            obj = placed[j]
-            base = replace(obj, points=obj.points - np.asarray(obj.translation),
-                           translation=(0.0, 0.0, 0.0))
-            placed[j] = settle(base, placed[:j] + placed[j + 1:]) or obj
-        scene_idx, own = _occlude(scene, placed, cfg)
-
-    cloud, words, records = _finalize(scene, labels, placed, scene_idx, own, policy,
-                                      params, rng, scan_id, seed)
+    cloud, words, records = compose_scan(scene, labels, placed, cfg, policy, rng, params)
+    records = [replace(rec, scan_id=scan_id, seed=seed) for rec in records]
     records.sort(key=lambda rec: rec.surviving_count == 0)  # stable: survivors first
     if not any(rec.surviving_count for rec in records):
         return ForgeScanResult(scene, labels, records, modified=False)

@@ -119,8 +119,8 @@ def lambert_intensity(points: np.ndarray, normals: np.ndarray, reflectivity: flo
     return out
 
 
-def normalize_and_noise(raw: np.ndarray, scene_mean: float, sigma: float,
-                        seed: int | np.random.Generator,
+def normalize_and_noise(raw: np.ndarray, scene_mean: float, scene_max: float,
+                        sigma: float, seed: int | np.random.Generator,
                         policy: str = "mean") -> np.ndarray:
     """Blend raw object intensities into the host scan.
 
@@ -128,7 +128,9 @@ def normalize_and_noise(raw: np.ndarray, scene_mean: float, sigma: float,
     the scan mean (identity when the raw mean is zero).  policy "max":
     rescale so the raw maximum maps to the scan mean.  Gaussian noise
     with standard deviation sigma * scene_mean is added per point, and
-    the result is clamped to [0, 1].
+    the result is clamped to the host's scale: [0, 1] when the scan's
+    largest intensity ``scene_max`` is at most 1 (kitti-style
+    remissions), [0, 255] otherwise (8-bit sensors such as nuScenes).
     """
     raw = np.asarray(raw, dtype=np.float64)
     if scene_mean <= 0:
@@ -147,4 +149,4 @@ def normalize_and_noise(raw: np.ndarray, scene_mean: float, sigma: float,
     rng = np.random.default_rng(seed)
     if sigma > 0:
         scaled = scaled + rng.normal(0.0, sigma * scene_mean, size=raw.shape)
-    return np.clip(scaled, 0.0, 1.0)
+    return np.clip(scaled, 0.0, 1.0 if scene_max <= 1.0 else 255.0)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .configfile import read_keyvalue
 from .errors import FormatError, UnknownCategoryError, ValidationError
+from .range_projection import point_ranges
 
 DEFAULT_SAMPLE_COUNT = 50_000
 DEFAULT_SCALE_RANGE = (0.5, 1.0)
@@ -33,8 +34,12 @@ class TriangleMesh:
     faces: np.ndarray     # (F, 3) int64
 
     def __post_init__(self):
-        self.vertices.setflags(write=False)
-        self.faces.setflags(write=False)
+        # copied, not viewed: a later write to the caller's arrays must not
+        # leave face_areas stale
+        for name in ("vertices", "faces"):
+            own = np.array(getattr(self, name))
+            own.setflags(write=False)
+            object.__setattr__(self, name, own)
 
     @cached_property
     def face_areas(self) -> np.ndarray:
@@ -256,7 +261,10 @@ class AnomalyObject:
     translation: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        self.points.setflags(write=False)
+        # a read-only view: the caller's own array stays writable
+        points = self.points.view()
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
 
     @property
     def count(self) -> int:
@@ -266,7 +274,7 @@ class AnomalyObject:
     def xy_radius(self) -> float:
         """Largest horizontal distance of any point from the translation center."""
         off = self.points[:, :2] - np.asarray(self.translation[:2])
-        return float(np.linalg.norm(off, axis=1).max())
+        return float(point_ranges(off).max())
 
 
 def _yaw_matrix(angle: float) -> np.ndarray:

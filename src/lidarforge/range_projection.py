@@ -73,15 +73,20 @@ class RangeImage:
 
 
 def point_ranges(xyz: np.ndarray) -> np.ndarray:
-    """Distance of each (x, y, z) point from the sensor, in float64.
+    """Length of each (x, y, z) or (x, y) row, in float64: the distance
+    from the sensor, or from its vertical axis.
 
     The squares are summed left to right, which equals
     ``np.linalg.norm(xyz, axis=1)`` bit for bit; ``x*x + (y*y + z*z)``
     would round differently.
     """
     pts = np.asarray(xyz, dtype=np.float64)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    return np.sqrt(x * x + y * y + z * z)
+    if pts.ndim != 2 or pts.shape[1] not in (2, 3):
+        raise ValidationError(f"points must be (N, 2) or (N, 3), got shape {pts.shape}")
+    total = pts[:, 0] * pts[:, 0]
+    for j in range(1, pts.shape[1]):
+        total += pts[:, j] * pts[:, j]
+    return np.sqrt(total, out=total)
 
 
 def _cell_coords(xyz: np.ndarray, cfg: SensorConfig):

@@ -127,7 +127,9 @@ def test_criterion_3_occlusion_fixture():
     pts = sample_surface(cube, 20_000, seed=3)
     obj = AnomalyObject(points=pts, category="chair", reflectivity=0.35)
     placed = place(obj, 10.0, 0.0, ROAD_Z)
-    policy = SplitPolicy.single(surface_classes=(ROAD_CLASS,), anomaly_label=2)
+    # one occlusion pass: no retry may move the object out from behind the wall
+    policy = SplitPolicy.single(surface_classes=(ROAD_CLASS,), anomaly_label=2,
+                                retry_budget=0)
 
     wall = full_coverage_wall(TEST_SENSOR, distance=5.0)
     wall_scene = PointCloud.from_xyz(wall, intensity=0.3)

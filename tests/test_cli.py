@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from helpers import make_cube_mesh, make_flat_scene, write_off
 
-from lidarforge import EvalPair, LabelArray, auroc, write_labels, write_scan, write_tensor
+from lidarforge import (EvalPair, LabelArray, PointCloud, auroc, write_labels, write_scan,
+                        write_tensor)
 from lidarforge.cli import main
 
 SENSOR_CFG = """beams = 32
@@ -263,6 +264,33 @@ class TestScoreAndEval:
                      "--anomaly-label", "2", "--per-scan"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("scan ")] == expected
+
+    @pytest.mark.parametrize("anomaly_share, ap", [(0.0, "undefined"),
+                                                   (1.0, "1.000000000")])
+    def test_eval_split_without_one_class_reports_undefined(self, tmp_path, capsys,
+                                                            anomaly_share, ap):
+        rng = np.random.default_rng(9)
+        dirs = {name: tmp_path / name for name in ("scores", "labels", "scans")}
+        for d in dirs.values():
+            d.mkdir()
+        for i in range(2):
+            n = 50
+            (dirs["scores"] / f"s{i}.scores").write_bytes(
+                rng.random(n).astype("<f4").tobytes())
+            words = np.where(rng.random(n) < anomaly_share, 2, 40).astype(np.uint32)
+            write_labels(LabelArray(words), dirs["labels"] / f"s{i}.label")
+            write_scan(PointCloud.from_xyz(rng.uniform(1.0, 30.0, (n, 3))),
+                       dirs["scans"] / f"s{i}.bin")
+        report = tmp_path / "report.txt"
+        assert main(["eval", "--scores", str(dirs["scores"]), "--labels", str(dirs["labels"]),
+                     "--scans", str(dirs["scans"]), "--anomaly-label", "2", "--per-scan",
+                     "--out", str(report)]) == 0
+        lines = report.read_text().splitlines()
+        assert "auroc = undefined" in lines and "fpr_at_95tpr = undefined" in lines
+        assert f"ap = {ap}" in lines
+        assert sum(line.startswith("ap_bin_") and "=" in line for line in lines) == 5
+        assert sum(line.startswith("scan s") and "undefined" in line for line in lines) == 2
+        assert capsys.readouterr().err == ""
 
     def test_eval_truncated_score_file_reports_error(self, tmp_path, capsys):
         feat_dir, label_dir, proto = self._setup(tmp_path)

@@ -215,9 +215,25 @@ class TestComposeScan:
         rng = np.random.default_rng(14)
         obj = cube_object(rng, at=(10.0, 0.0))
         _, words, records = compose_scan(wall, labels, [obj], TEST_SENSOR,
-                                         single_policy(), seed=4, params=FAST)
+                                         single_policy(retry_budget=0), seed=4, params=FAST)
         assert records[0].surviving_count == 0
         assert not (words.class_ids == 2).any()
+
+    def test_fully_occluded_object_replaced_within_the_retry_budget(self):
+        scene, labels = half_wall_scene()
+        obj = cube_object(np.random.default_rng(14), at=(0.0, 10.0))  # behind the wall
+        _, _, records = compose_scan(scene, labels, [obj], TEST_SENSOR,
+                                     single_policy(retry_budget=0), seed=4, params=FAST)
+        assert records[0].surviving_count == 0
+        assert (records[0].x, records[0].y) == (0.0, 10.0)
+        cloud, words, records = compose_scan(scene, labels, [obj], TEST_SENSOR,
+                                             single_policy(retry_budget=10), seed=4,
+                                             params=FAST)
+        rec = records[0]
+        assert rec.surviving_count > 0 and rec.y < 0  # re-placed on the open half
+        assert (rec.scan_id, rec.seed) == ("", 0)
+        assert int((words.class_ids == 2).sum()) == rec.surviving_count
+        assert rec.index_end == cloud.count
 
     def test_object_outside_radius_rejected(self):
         rng = np.random.default_rng(15)
@@ -235,6 +251,16 @@ class TestComposeScan:
                                              single_policy(), seed=6, params=FAST)
         block = cloud.data[records[0].index_start:records[0].index_end]
         assert (block[:, 3] >= 0).all() and (block[:, 3] <= 1).all()
+
+    def test_object_intensities_on_the_hosts_8_bit_scale(self):
+        rng = np.random.default_rng(16)
+        scene, labels = make_flat_scene(rng, 6000, intensity=20.0)
+        obj = cube_object(rng)
+        cloud, _, records = compose_scan(scene, labels, [obj], TEST_SENSOR,
+                                         single_policy(), seed=6, params=FAST)
+        block = cloud.data[records[0].index_start:records[0].index_end, 3]
+        assert block.max() <= 255 and (block > 1).mean() > 0.9
+        assert float(block.mean()) == pytest.approx(20.0, rel=0.1)
 
     def test_two_objects_grouped_contiguously(self):
         rng = np.random.default_rng(17)

@@ -150,46 +150,63 @@ class TestLambertIntensity:
 
 class TestNormalizeAndNoise:
     def test_constant_raw_maps_to_scene_mean(self):
-        out = normalize_and_noise(np.full(100, 0.42), scene_mean=0.25, sigma=0.0, seed=0)
+        out = normalize_and_noise(np.full(100, 0.42), scene_mean=0.25, scene_max=1.0,
+                                  sigma=0.0, seed=0)
         np.testing.assert_allclose(out, 0.25, atol=1e-12)
 
     def test_mean_matching_without_noise(self):
         rng = np.random.default_rng(4)
         raw = rng.uniform(0.0, 0.2, 1000)
-        out = normalize_and_noise(raw, scene_mean=0.3, sigma=0.0, seed=0)
+        out = normalize_and_noise(raw, scene_mean=0.3, scene_max=1.0, sigma=0.0, seed=0)
         assert out.mean() == pytest.approx(0.3, abs=1e-9)
 
     def test_noise_standard_deviation(self):
         raw = np.full(10_000, 0.5)
-        out = normalize_and_noise(raw, scene_mean=0.5, sigma=0.05, seed=5)
+        out = normalize_and_noise(raw, scene_mean=0.5, scene_max=1.0, sigma=0.05, seed=5)
         assert out.std() == pytest.approx(0.05 * 0.5, rel=0.10)
 
     def test_clamped_to_unit_interval(self):
         rng = np.random.default_rng(6)
         raw = rng.uniform(0, 3.0, 5000)
-        out = normalize_and_noise(raw, scene_mean=0.9, sigma=0.5, seed=7)
+        out = normalize_and_noise(raw, scene_mean=0.9, scene_max=1.0, sigma=0.5, seed=7)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
+    def test_clamped_to_the_hosts_8_bit_scale(self):
+        # a 0-255 scene (nuScenes-style remissions, mean about 20)
+        rng = np.random.default_rng(6)
+        raw = rng.uniform(0, 3.0, 5000)
+        out = normalize_and_noise(raw, scene_mean=20.0, scene_max=255.0, sigma=0.05, seed=7)
+        assert out.min() >= 0.0 and out.max() <= 255.0
+        assert (out > 1.0).mean() > 0.9
+        assert out.mean() == pytest.approx(20.0, rel=0.1)
+
+    def test_unit_scale_up_to_a_largest_intensity_of_one(self):
+        raw = np.full(100, 0.5)
+        assert normalize_and_noise(raw, 0.9, 1.0, 5.0, seed=1).max() == 1.0
+        assert normalize_and_noise(raw, 0.9, 1.5, 5.0, seed=1).max() > 1.0
+
     def test_zero_raw_mean_is_identity_scale(self):
-        out = normalize_and_noise(np.zeros(10), scene_mean=0.3, sigma=0.0, seed=0)
+        out = normalize_and_noise(np.zeros(10), scene_mean=0.3, scene_max=1.0, sigma=0.0, seed=0)
         np.testing.assert_array_equal(out, np.zeros(10))
 
     def test_max_policy(self):
         raw = np.array([0.1, 0.2, 0.4])
-        out = normalize_and_noise(raw, scene_mean=0.2, sigma=0.0, seed=0, policy="max")
+        out = normalize_and_noise(raw, scene_mean=0.2, scene_max=1.0, sigma=0.0, seed=0,
+                                  policy="max")
         assert out.max() == pytest.approx(0.2, abs=1e-12)
 
     def test_nonpositive_scene_mean_rejected(self):
         with pytest.raises(ValidationError):
-            normalize_and_noise(np.ones(5), scene_mean=0.0, sigma=0.0, seed=0)
+            normalize_and_noise(np.ones(5), scene_mean=0.0, scene_max=1.0, sigma=0.0, seed=0)
 
     def test_infinite_scene_mean_rejected(self):
         # the float32 mean of a scan with huge remissions overflows to inf
         with pytest.raises(ValidationError, match="must be finite, got inf"):
-            normalize_and_noise(np.ones(5), scene_mean=float("inf"), sigma=0.05, seed=0)
+            normalize_and_noise(np.ones(5), scene_mean=float("inf"), scene_max=1.0,
+                                sigma=0.05, seed=0)
 
     def test_deterministic_given_seed(self):
         raw = np.linspace(0, 0.5, 100)
-        a = normalize_and_noise(raw, 0.3, 0.05, seed=9)
-        b = normalize_and_noise(raw, 0.3, 0.05, seed=9)
+        a = normalize_and_noise(raw, 0.3, 1.0, 0.05, seed=9)
+        b = normalize_and_noise(raw, 0.3, 1.0, 0.05, seed=9)
         np.testing.assert_array_equal(a, b)

@@ -275,6 +275,30 @@ class TestAugment:
             assert after == pytest.approx(factor * before, rel=1e-9)
 
 
+class TestCallerArrays:
+    def test_triangle_mesh_copies_the_callers_arrays(self):
+        cube = make_cube_mesh()
+        v, f = np.array(cube.vertices), np.array(cube.faces)
+        mesh = TriangleMesh(v, f)
+        areas = np.array(mesh.face_areas)
+        v[0, 0] = 7.0       # the caller's arrays stay writable
+        f[0, 0] = 5
+        assert mesh.vertices[0, 0] == -0.5 and mesh.faces[0, 0] == 0
+        assert not mesh.vertices.flags.writeable and not mesh.faces.flags.writeable
+        # the cached areas still describe the mesh
+        np.testing.assert_array_equal(mesh.face_areas, areas)
+        np.testing.assert_array_equal(TriangleMesh(mesh.vertices, mesh.faces).face_areas,
+                                      areas)
+
+    def test_anomaly_object_keeps_a_read_only_view(self):
+        p = np.zeros((4, 3))
+        obj = AnomalyObject(points=p, category="chair", reflectivity=0.35)
+        p[0, 0] = 1.0       # the caller's array stays writable, and the view shows it
+        assert obj.points[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            obj.points[0, 0] = 2.0
+
+
 class TestBuildAndPlace:
     def test_build_sizes_to_target_height(self):
         rng = np.random.default_rng(6)

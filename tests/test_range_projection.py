@@ -65,6 +65,15 @@ class TestProject:
         # the data tells the summation orders apart: right-to-left rounds differently
         x, y, z = (xyz[:, i].astype(np.float64) for i in range(3))
         assert (np.sqrt(x * x + (y * y + z * z)) != got).any()
+        # two columns: the distance from the vertical axis, in float32 and float64
+        for xy in (xyz[:, :2], xyz[:, :2].astype(np.float64) * np.pi):
+            assert point_ranges(xy).tobytes() == \
+                np.linalg.norm(np.asarray(xy, dtype=np.float64), axis=1).tobytes()
+
+    def test_point_ranges_needs_two_or_three_columns(self):
+        for shape in ((5,), (5, 1), (5, 4)):
+            with pytest.raises(ValidationError, match="must be"):
+                point_ranges(np.ones(shape))
 
     def test_matches_brute_force_winner(self):
         rng = np.random.default_rng(1)
