@@ -8,9 +8,8 @@ from .insertion import (ForgeParams, InsertionRecord, SplitPolicy, compose_scan,
                         forge_scan, forge_split, pick_placement, scan_seed)
 from .intensity import (SurfaceNormalField, estimate_normals, lambert_intensity,
                         normalize_and_noise)
-from .losses import (LossWeights, loss_ce, loss_contrastive, loss_heads,
-                     loss_lovasz, loss_objectosphere, loss_prototype,
-                     mean_class_features)
+from .losses import (loss_ce, loss_contrastive, loss_heads, loss_lovasz,
+                     loss_objectosphere, loss_prototype, mean_class_features)
 from .mesh_bank import (AnomalyObject, MeshBank, ReflectivityCatalog, TriangleMesh,
                         augment, build_anomaly_object, load_off, load_target_heights,
                         place, sample_surface)

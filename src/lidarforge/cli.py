@@ -26,8 +26,8 @@ import numpy as np
 
 from . import insertion, losses, metrics, scoring
 from .errors import LidarForgeError, ValidationError
-from .insertion import STYLE_PRESETS, ForgeParams, SplitPolicy
-from .intensity import NORMALIZATIONS
+from .insertion import NOISE_SCALE, STYLE_PRESETS, ForgeParams, SplitPolicy, check_anomaly_label
+from .intensity import DEFAULT_NEIGHBORS
 from .mesh_bank import MeshBank, ReflectivityCatalog, load_target_heights
 from .range_projection import point_ranges, project, write_pgm
 from .scan_io import SensorConfig, read_labels, read_scan
@@ -82,12 +82,7 @@ def cmd_forge(args) -> int:
         else ReflectivityCatalog.default()
     heights = load_target_heights(args.heights)
     bank = MeshBank(args.meshes, catalog)
-    params = ForgeParams(
-        object_points=args.object_points,
-        noise_scale=args.noise_scale,
-        normal_neighbors=args.neighbors,
-        normalization=args.normalization,
-    )
+    params = ForgeParams(object_points=args.object_points)
 
     pairs = insertion.discover_pairs(args.scans, args.labels)
     if not pairs:
@@ -107,9 +102,10 @@ def cmd_forge(args) -> int:
         "sensor_fov_down_deg": sensor.fov_down_deg,
         "style": args.style,
         "object_points": params.object_points,
-        "noise_scale": params.noise_scale,
-        "normal_neighbors": params.normal_neighbors,
-        "normalization": params.normalization,
+        # fixed values, kept in the header the golden digests cover
+        "noise_scale": NOISE_SCALE,
+        "normal_neighbors": DEFAULT_NEIGHBORS,
+        "normalization": "mean",
     }
 
     out_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -167,26 +163,26 @@ def cmd_score(args) -> int:
     proto = scoring.read_tensor(args.prototypes)
     bank = scoring.PrototypeBank(prototypes=proto, weights=np.ones(proto.shape[0]))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    weights = losses.LossWeights(temperature=args.temperature, radius=args.radius)
-
-    for stem, sem_path, cont_path in _feature_pairs(features_dir):
+    pairs = _feature_pairs(features_dir)
+    for stem, sem_path, cont_path in pairs:
         feats = scoring.FeatureSet(
             semantic=scoring.read_tensor(sem_path),
             contrastive=scoring.read_tensor(cont_path),
         )
-        scores = scoring.compute_scores(feats, bank, radius=args.radius, metric=args.metric)
+        scores = scoring.compute_scores(feats, bank, radius=args.radius)
+        # after the first scan's scores: a bad --radius fails before the directory exists
+        out_dir.mkdir(parents=True, exist_ok=True)
         scoring.write_scores(out_dir / stem, scores, which=args.score)
 
         if args.losses:
-            _print_losses(stem, feats, bank, args, weights)
-    print(f"scored {len(list(out_dir.glob('*.scores')))} scans -> {out_dir}")
+            _print_losses(stem, feats, bank, args)
+    print(f"scored {len(pairs)} scans -> {out_dir}")
     return 0
 
 
 def _print_losses(stem: str, feats: scoring.FeatureSet, bank: scoring.PrototypeBank,
-                  args, weights: losses.LossWeights) -> None:
+                  args) -> None:
     """Debug output: forward loss values for one scan.
 
     Labels must hold class indices below C; points at or above C are
@@ -206,9 +202,9 @@ def _print_losses(stem: str, feats: scoring.FeatureSet, bank: scoring.PrototypeB
     lovasz, _ = losses.loss_lovasz(sem, y)
     prot, _, _ = losses.loss_prototype(sem, y, bank)
     means, _ = losses.mean_class_features(cont, y, c)
-    cont_loss, _ = losses.loss_contrastive(means, bank, weights.temperature)
-    obj, _ = losses.loss_objectosphere(cont, np.ones(y.shape[0], dtype=bool), weights.radius)
-    shead, chead = losses.loss_heads(ce, lovasz, prot, cont_loss, obj, weights)
+    cont_loss, _ = losses.loss_contrastive(means, bank, losses.TEMPERATURE)
+    obj, _ = losses.loss_objectosphere(cont, np.ones(y.shape[0], dtype=bool), args.radius)
+    shead, chead = losses.loss_heads(ce, lovasz, prot, cont_loss, obj)
     print(f"{stem}\tce={ce:.6f}\tlovasz={lovasz:.6f}\tprototype={prot:.6f}"
           f"\tcontrastive={cont_loss:.6f}\tobjectosphere={obj:.6f}"
           f"\tsemantic_head={shead:.6f}\tcontrastive_head={chead:.6f}")
@@ -253,6 +249,7 @@ def _collect_eval(args):
 
 
 def cmd_eval(args) -> int:
+    check_anomaly_label(args.anomaly_label)
     stems, offsets, scores, truth, ranges = _collect_eval(args)
     pair = metrics.EvalPair(scores, truth, ranges)
 
@@ -310,12 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     forge.add_argument("--max-radius", type=float, default=None)
     forge.add_argument("--catalog", default=None, help="reflectivity config (default: bundled)")
     forge.add_argument("--heights", default=None, help="target-height config (default: bundled)")
-    defaults = ForgeParams()
-    forge.add_argument("--object-points", type=int, default=defaults.object_points)
-    forge.add_argument("--noise-scale", type=float, default=defaults.noise_scale)
-    forge.add_argument("--neighbors", type=int, default=defaults.normal_neighbors)
-    forge.add_argument("--normalization", choices=NORMALIZATIONS,
-                       default=defaults.normalization)
+    forge.add_argument("--object-points", type=int, default=ForgeParams().object_points)
     forge.add_argument("--workers", type=int, default=1)
     forge.set_defaults(func=cmd_forge)
 
@@ -331,14 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--prototypes", required=True, help="prototype tensor file (C x C)")
     score.add_argument("--out", required=True)
     score.add_argument("--radius", type=float, default=scoring.DEFAULT_NORM_THRESHOLD)
-    score.add_argument("--metric", choices=("cosine", "dot"), default="cosine")
     score.add_argument("--score", choices=("fused", "sem", "cont", "cos", "ent"),
                        default="fused", help="which score channel to write")
     score.add_argument("--losses", action="store_true",
                        help="also print forward loss values (needs --labels)")
     score.add_argument("--labels", default=None,
                        help="directory of <stem>.label files with class indices, for --losses")
-    score.add_argument("--temperature", type=float, default=losses.LossWeights().temperature)
     score.set_defaults(func=cmd_score)
 
     ev = sub.add_parser("eval", help="evaluate score files against labels")

@@ -31,6 +31,14 @@ def read_keyvalue(path: str | os.PathLike) -> dict[str, str]:
     return out
 
 
+def parse_number(path: str | os.PathLike, key: str, text: str, kind: type):
+    """``kind(text)``, or a FormatError naming the file and the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise FormatError(f"{path}: {key} = {text!r} is not a valid {kind.__name__}") from None
+
+
 def write_keyvalue(path: str | os.PathLike, pairs: dict[str, object]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in pairs.items():

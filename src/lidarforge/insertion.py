@@ -25,8 +25,7 @@ import numpy as np
 
 from . import mesh_bank
 from .errors import LidarForgeError, PlacementInfeasibleError, ValidationError
-from .intensity import (DEFAULT_NEIGHBORS, NORMALIZATIONS, estimate_normals,
-                        lambert_intensity, normalize_and_noise)
+from .intensity import DEFAULT_NEIGHBORS, estimate_normals, lambert_intensity, normalize_and_noise
 from .mesh_bank import AnomalyObject, MeshBank
 from .range_projection import point_ranges, project
 from .scan_io import (CLASS_ID_MASK, LabelArray, PointCloud, SensorConfig, check_pair,
@@ -39,6 +38,7 @@ MIN_SURFACE_POINTS = 30      # allowed points within the insertion radius
 FLATNESS_THRESHOLD = 0.2     # max height spread (m) of a site's neighbors
 GROUND_NEIGHBORHOOD = 1.0    # radius (m) of a site's neighborhood
 PLACEMENT_ATTEMPTS = 64
+NOISE_SCALE = 0.05           # intensity noise std as a share of the scan's mean remission
 
 # per dataset style: anomaly label id, single-split surfaces, multi-split surfaces
 STYLE_PRESETS = {
@@ -46,6 +46,12 @@ STYLE_PRESETS = {
     "poss": (2, (22,), (22,)),
     "nuscenes": (100, (24,), (24, 25, 26)),
 }
+
+
+def check_anomaly_label(label: int) -> None:
+    """Raise ValidationError unless ``label`` fits the 16-bit class field of a label."""
+    if not 0 <= label <= CLASS_ID_MASK:
+        raise ValidationError(f"anomaly label must be in [0, {CLASS_ID_MASK}], got {label}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,7 @@ class SplitPolicy:
                 f"retry budget must be an integer >= 0, got {self.retry_budget!r}")
         if not self.surface_classes:
             raise ValidationError("at least one allowed surface class is required")
-        if not 0 <= self.anomaly_label <= CLASS_ID_MASK:
-            raise ValidationError(
-                f"anomaly label must be in [0, {CLASS_ID_MASK}], got {self.anomaly_label}")
+        check_anomaly_label(self.anomaly_label)
         if not all(0 <= cid <= CLASS_ID_MASK for cid in self.surface_classes):
             raise ValidationError(f"surface classes must be in [0, {CLASS_ID_MASK}], "
                                   f"got {sorted(self.surface_classes)}")
@@ -111,23 +115,15 @@ class SplitPolicy:
 
 @dataclass(frozen=True)
 class ForgeParams:
-    """Knobs of the insertion pipeline that are not split policy."""
+    """The forge knob that is not split policy: surface points sampled per object."""
 
     object_points: int = mesh_bank.DEFAULT_SAMPLE_COUNT
-    noise_scale: float = 0.05
-    normal_neighbors: int = DEFAULT_NEIGHBORS
-    normalization: str = "mean"
 
     def __post_init__(self):
-        # normals need k >= 2 neighbours, and k + 1 points on every object
-        if not self.object_points > self.normal_neighbors >= 2:
-            raise ValidationError(f"need object points > normal neighbors >= 2, got "
-                                  f"{self.object_points} and {self.normal_neighbors}")
-        if not 0 <= self.noise_scale < math.inf:
-            raise ValidationError(f"noise scale must be finite and >= 0, got {self.noise_scale}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValidationError(f"normalization must be one of {NORMALIZATIONS}, "
-                                  f"got {self.normalization!r}")
+        # normals need DEFAULT_NEIGHBORS + 1 points on every object
+        if not self.object_points > DEFAULT_NEIGHBORS:
+            raise ValidationError(f"object points must exceed the {DEFAULT_NEIGHBORS} normal "
+                                  f"neighbors, got {self.object_points}")
 
 
 @dataclass(frozen=True)
@@ -263,7 +259,7 @@ def _occlude(scene: PointCloud, objects: list, cfg: SensorConfig):
 
 def _finalize(scene: PointCloud, labels: LabelArray, objects: list,
               scene_idx: np.ndarray, own: list, policy: SplitPolicy,
-              params: ForgeParams, rng: np.random.Generator):
+              rng: np.random.Generator):
     """Build (cloud, labels, records) from one occlusion pass.
 
     Surviving scene rows pass through bit-exact.  Each object's
@@ -285,12 +281,11 @@ def _finalize(scene: PointCloud, labels: LabelArray, objects: list,
         if m_surv:
             dense = np.asarray(obj.points, dtype=np.float32).astype(np.float64)
             pts_surv = dense[mine]
-            normals = estimate_normals(dense, k=params.normal_neighbors, at=mine).normals
+            normals = estimate_normals(dense, at=mine).normals
             raw = lambert_intensity(pts_surv, normals, obj.reflectivity)
             block = np.empty((m_surv, 4), dtype=np.float32)
             block[:, :3] = pts_surv
-            block[:, 3] = normalize_and_noise(raw, scene_mean, scene_max, params.noise_scale,
-                                              rng, policy=params.normalization)
+            block[:, 3] = normalize_and_noise(raw, scene_mean, scene_max, NOISE_SCALE, rng)
             out_data.append(block)
             out_words.append(np.full(m_surv, policy.anomaly_label, dtype=np.uint32))
         records.append(InsertionRecord(
@@ -321,8 +316,7 @@ def _settle(surface: PlacementSurface, rng: np.random.Generator,
 
 def compose_scan(scene: PointCloud, labels: LabelArray, objects: list,
                  cfg: SensorConfig, policy: SplitPolicy,
-                 seed: int | np.random.Generator,
-                 params: ForgeParams = ForgeParams()):
+                 seed: int | np.random.Generator):
     """Merge placed objects into a scan, then build the output once.
 
     An object whose every point loses the occlusion contest is re-placed
@@ -362,7 +356,7 @@ def compose_scan(scene: PointCloud, labels: LabelArray, objects: list,
                            translation=(0.0, 0.0, 0.0))
             objects[j] = _settle(surface, rng, base, objects[:j] + objects[j + 1:]) or obj
         scene_idx, own = _occlude(scene, objects, cfg)
-    return _finalize(scene, labels, objects, scene_idx, own, policy, params, rng)
+    return _finalize(scene, labels, objects, scene_idx, own, policy, rng)
 
 
 @dataclass
@@ -410,7 +404,7 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
     if not placed:
         return ForgeScanResult(scene, labels, [], modified=False)
 
-    cloud, words, records = compose_scan(scene, labels, placed, cfg, policy, rng, params)
+    cloud, words, records = compose_scan(scene, labels, placed, cfg, policy, rng)
     records = [replace(rec, scan_id=scan_id, seed=seed) for rec in records]
     records.sort(key=lambda rec: rec.surviving_count == 0)  # stable: survivors first
     if not any(rec.surviving_count for rec in records):

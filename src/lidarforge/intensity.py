@@ -14,9 +14,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ValidationError
+from .range_projection import point_ranges
 
 DEFAULT_NEIGHBORS = 10
-NORMALIZATIONS = ("mean", "max")   # the anchors normalize_and_noise can scale to
 _DEGENERATE_EIGRATIO = 1e-8
 
 
@@ -72,7 +72,7 @@ def estimate_normals(points: np.ndarray, k: int = DEFAULT_NEIGHBORS,
     normals[lead < 0] *= -1.0
 
     # orient toward the sensor
-    d = np.linalg.norm(query, axis=1)
+    d = point_ranges(query)
     safe_d = np.where(d > 0, d, 1.0)
     toward_sensor = -query / safe_d[:, None]
     flip = np.einsum("ij,ij->i", normals, toward_sensor) < 0
@@ -81,7 +81,7 @@ def estimate_normals(points: np.ndarray, k: int = DEFAULT_NEIGHBORS,
     normals[degenerate] = toward_sensor[degenerate]
     normals[degenerate & (d == 0)] = (0.0, 0.0, 1.0)
 
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    norms = point_ranges(normals)[:, None]
     normals = normals / np.where(norms > 0, norms, 1.0)
     return SurfaceNormalField(normals=normals, neighbor_count=k, degenerate=degenerate)
 
@@ -102,11 +102,11 @@ def lambert_intensity(points: np.ndarray, normals: np.ndarray, reflectivity: flo
     if pts.shape != nrm.shape:
         raise ValidationError(f"points {pts.shape} and normals {nrm.shape} must match")
 
-    d = np.linalg.norm(pts, axis=1)
+    d = point_ranges(pts)
     if (d == 0).any():
         idx = int(np.flatnonzero(d == 0)[0])
         raise ValidationError(f"zero distance to sensor at index {idx}")
-    n_norm = np.linalg.norm(nrm, axis=1)
+    n_norm = point_ranges(nrm)
     if (np.abs(n_norm - 1.0) > 1e-6).any():
         idx = int(np.flatnonzero(np.abs(n_norm - 1.0) > 1e-6)[0])
         raise ValidationError(f"normal at index {idx} is not unit length (|n|={n_norm[idx]:.6g})")
@@ -120,13 +120,11 @@ def lambert_intensity(points: np.ndarray, normals: np.ndarray, reflectivity: flo
 
 
 def normalize_and_noise(raw: np.ndarray, scene_mean: float, scene_max: float,
-                        sigma: float, seed: int | np.random.Generator,
-                        policy: str = "mean") -> np.ndarray:
+                        sigma: float, seed: int | np.random.Generator) -> np.ndarray:
     """Blend raw object intensities into the host scan.
 
-    policy "mean": rescale so the object's mean raw intensity maps to
-    the scan mean (identity when the raw mean is zero).  policy "max":
-    rescale so the raw maximum maps to the scan mean.  Gaussian noise
+    The object's raw intensities are rescaled so their mean maps to the
+    scan mean (identity when the raw mean is zero).  Gaussian noise
     with standard deviation sigma * scene_mean is added per point, and
     the result is clamped to the host's scale: [0, 1] when the scan's
     largest intensity ``scene_max`` is at most 1 (kitti-style
@@ -140,11 +138,9 @@ def normalize_and_noise(raw: np.ndarray, scene_mean: float, scene_max: float,
         raise ValidationError(f"scene mean intensity must be finite, got {scene_mean}")
     if (raw < 0).any():
         raise ValidationError("raw intensities must be non-negative")
-    if policy not in NORMALIZATIONS:
-        raise ValidationError(f"unknown normalization policy {policy!r}")
 
-    anchor = raw.mean() if policy == "mean" else (raw.max() if raw.size else 0.0)
-    scaled = raw * (scene_mean / anchor) if anchor > 0 else raw.copy()
+    mean = raw.mean()
+    scaled = raw * (scene_mean / mean) if mean > 0 else raw.copy()
 
     rng = np.random.default_rng(seed)
     if sigma > 0:

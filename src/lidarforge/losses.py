@@ -7,34 +7,20 @@ central finite differences.  No autodiff framework is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .errors import ValidationError
-from .scoring import DEFAULT_NORM_THRESHOLD, PrototypeBank, log_softmax, softmax
+from .scoring import PrototypeBank, log_softmax, softmax
 
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Head combination weights and the fixed loss hyperparameters."""
-
-    ce: float = 1.0
-    lovasz: float = 1.5
-    prototype: float = 0.1
-    contrastive: float = 0.5
-    objectosphere: float = 0.5
-    temperature: float = 0.1
-    radius: float = DEFAULT_NORM_THRESHOLD
-
-    def __post_init__(self):
-        for name in ("ce", "lovasz", "prototype", "contrastive", "objectosphere"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"loss weight {name!r} must be non-negative")
-        if self.temperature <= 0:
-            raise ValidationError("temperature must be positive")
-        if self.radius <= 0:
-            raise ValidationError("radius must be positive")
+# head combination weights, see loss_heads
+WEIGHT_CE = 1.0
+WEIGHT_LOVASZ = 1.5
+WEIGHT_PROTOTYPE = 0.1
+WEIGHT_CONTRASTIVE = 0.5
+WEIGHT_OBJECTOSPHERE = 0.5
+TEMPERATURE = 0.1            # of loss_contrastive
 
 
 def _check_features_labels(features, labels):
@@ -172,8 +158,8 @@ def loss_contrastive(mean_features, bank: PrototypeBank, temperature: float):
     not used.
     """
     fbar = np.asarray(mean_features, dtype=np.float64)
-    if temperature <= 0:
-        raise ValidationError("temperature must be positive")
+    if not 0 < temperature < math.inf:
+        raise ValidationError(f"temperature must be positive and finite, got {temperature}")
     if fbar.ndim != 2 or fbar.shape[0] != bank.num_classes:
         raise ValidationError(
             f"mean features must be ({bank.num_classes}, D), got {fbar.shape}")
@@ -196,8 +182,8 @@ def loss_objectosphere(features, inlier_mask, radius: float):
     mask = np.asarray(inlier_mask, dtype=bool)
     if f.ndim != 2 or mask.shape != (f.shape[0],):
         raise ValidationError("features must be (N, D) with an (N,) inlier mask")
-    if radius <= 0:
-        raise ValidationError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValidationError(f"radius must be positive and finite, got {radius}")
     n = f.shape[0]
     sq = np.einsum("ij,ij->i", f, f)
 
@@ -212,8 +198,8 @@ def loss_objectosphere(features, inlier_mask, radius: float):
 
 
 def loss_heads(ce: float, lovasz: float, prototype: float, contrastive: float,
-               objectosphere: float, weights: LossWeights = LossWeights()):
+               objectosphere: float):
     """Weighted sums per head: (semantic-head loss, contrastive-head loss)."""
-    semantic = weights.ce * ce + weights.lovasz * lovasz + weights.prototype * prototype
-    head = weights.contrastive * contrastive + weights.objectosphere * objectosphere
+    semantic = WEIGHT_CE * ce + WEIGHT_LOVASZ * lovasz + WEIGHT_PROTOTYPE * prototype
+    head = WEIGHT_CONTRASTIVE * contrastive + WEIGHT_OBJECTOSPHERE * objectosphere
     return float(semantic), float(head)

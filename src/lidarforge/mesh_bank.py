@@ -9,6 +9,7 @@ ASCII OFF files anywhere below it.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import re
 import warnings
@@ -20,7 +21,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .configfile import read_keyvalue
+from .configfile import parse_number, read_keyvalue
 from .errors import FormatError, UnknownCategoryError, ValidationError
 from .range_projection import point_ranges
 
@@ -207,7 +208,7 @@ class ReflectivityCatalog:
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "ReflectivityCatalog":
         raw = read_keyvalue(path)
-        return cls({cat: float(v) for cat, v in raw.items()})
+        return cls({cat: parse_number(path, cat, v, float) for cat, v in raw.items()})
 
     @classmethod
     def default(cls) -> "ReflectivityCatalog":
@@ -232,13 +233,12 @@ def load_target_heights(path: str | os.PathLike | None = None) -> dict[str, floa
     """Category -> target physical height in meters (editable config)."""
     if path is None:
         with resources.as_file(resources.files("lidarforge.data") / "target_heights.cfg") as p:
-            raw = read_keyvalue(p)
-    else:
-        raw = read_keyvalue(path)
-    heights = {cat: float(v) for cat, v in raw.items()}
+            return load_target_heights(p)
+    heights = {cat: parse_number(path, cat, v, float) for cat, v in read_keyvalue(path).items()}
     for cat, h in heights.items():
-        if h <= 0:
-            raise ValidationError(f"target height for {cat!r} must be positive, got {h}")
+        if not 0 < h < math.inf:
+            raise ValidationError(
+                f"target height for {cat!r} must be positive and finite, got {h}")
     return heights
 
 

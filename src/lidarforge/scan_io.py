@@ -15,13 +15,14 @@ across threads.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .configfile import read_keyvalue
+from .configfile import parse_number, read_keyvalue
 from .errors import FormatError, ValidationError
 
 CLASS_ID_MASK = 0xFFFF
@@ -159,8 +160,8 @@ class SensorConfig:
     """Geometry of a spinning LiDAR sensor for range-image projection.
 
     ``fov_up_deg`` and ``fov_down_deg`` are the upward and downward
-    inclination extents as positive magnitudes in degrees; the total
-    vertical field of view is their sum.
+    inclination extents as finite magnitudes >= 0 in degrees; the total
+    vertical field of view is their sum, which must be positive.
     """
 
     beams: int
@@ -171,6 +172,10 @@ class SensorConfig:
     def __post_init__(self):
         if self.beams <= 0 or self.width <= 0:
             raise ValidationError("beams and width must be positive")
+        for name in ("fov_up_deg", "fov_down_deg"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(
+                    f"{name} must be a finite magnitude >= 0, got {getattr(self, name)}")
         if self.fov_rad <= 0:
             raise ValidationError("total vertical field of view must be positive")
 
@@ -184,7 +189,7 @@ class SensorConfig:
 
     @property
     def fov_rad(self) -> float:
-        return abs(self.fov_up_rad + self.fov_down_rad)
+        return self.fov_up_rad + self.fov_down_rad
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "SensorConfig":
@@ -197,13 +202,10 @@ class SensorConfig:
                 hint = " (the insertion radius is set by --max-radius)" \
                     if key == "max_insert_radius_m" else ""
                 raise FormatError(f"{path}: unknown sensor config key {key!r}{hint}")
+        kinds = {"beams": int, "width": int, "fov_up_deg": float, "fov_down_deg": float}
         try:
-            return cls(
-                beams=int(raw["beams"]),
-                width=int(raw["width"]),
-                fov_up_deg=float(raw["fov_up_deg"]),
-                fov_down_deg=float(raw["fov_down_deg"]),
-            )
+            return cls(**{key: parse_number(path, key, raw[key], kind)
+                          for key, kind in kinds.items()})
         except KeyError as exc:
             raise FormatError(f"{path}: missing sensor config key {exc.args[0]!r}") from None
 

@@ -9,6 +9,7 @@ anomalous.  The fused score is the mean of the two head scores.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -155,27 +156,18 @@ class ClassificationResult:
     degenerate: np.ndarray    # (N,) zero-norm feature vectors
 
 
-def classify(features: np.ndarray, bank: PrototypeBank,
-             metric: str = "cosine") -> ClassificationResult:
-    """Predict the inlier class by similarity to each prototype.
+def classify(features: np.ndarray, bank: PrototypeBank) -> ClassificationResult:
+    """Predict the inlier class by cosine similarity to each prototype.
 
-    metric "cosine" (default) compares unit-normalized vectors, which
-    bounds similarities by 1; "dot" uses the raw inner product and is
-    kept for ablation.  Zero-norm feature vectors get all-zero
-    similarity and are flagged.
+    Features and prototypes are compared as unit-normalized vectors,
+    which bounds similarities by 1.  Zero-norm feature vectors get
+    all-zero similarity and are flagged.
     """
     f = np.asarray(features, dtype=np.float64)
     bank.require_complete()
-    if metric == "cosine":
-        fu, zero = _unit_rows(f)
-        sim = fu @ bank.unit.T
-        sim[zero] = 0.0
-    elif metric == "dot":
-        zero = np.linalg.norm(f, axis=1) == 0
-        sim = f @ bank.prototypes.T
-        sim[zero] = 0.0
-    else:
-        raise ValidationError(f"unknown similarity metric {metric!r}")
+    fu, zero = _unit_rows(f)
+    sim = fu @ bank.unit.T
+    sim[zero] = 0.0
     return ClassificationResult(predictions=np.argmax(sim, axis=1),
                                 similarity=sim, degenerate=zero)
 
@@ -184,8 +176,7 @@ def score_cosine(similarity: np.ndarray) -> np.ndarray:
     """Distance to the best-matching prototype: 1 - max similarity.
 
     Clamped to [0, 1]: a point whose best cosine is negative is already
-    maximally anomalous, and raw inner products (ablation metric) can
-    leave [0, 1] in both directions.
+    maximally anomalous, and rounding can put a cosine just above 1.
     """
     return np.clip(1.0 - _row_max(np.asarray(similarity, dtype=np.float64)), 0.0, 1.0)
 
@@ -258,8 +249,8 @@ def score_contrastive(features: np.ndarray,
                       radius: float = DEFAULT_NORM_THRESHOLD) -> np.ndarray:
     """Hypersphere score: 1 at zero feature norm, 0 once the squared
     norm reaches the radius."""
-    if radius <= 0:
-        raise ValidationError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ValidationError(f"radius must be positive and finite, got {radius}")
     f = np.asarray(features, dtype=np.float64)
     sq = np.einsum("ij,ij->i", f, f)
     return np.maximum(0.0, 1.0 - sq / radius)
@@ -304,8 +295,7 @@ def _row_blocks(n: int):
 
 
 def compute_scores(features: FeatureSet, bank: PrototypeBank,
-                   radius: float = DEFAULT_NORM_THRESHOLD,
-                   metric: str = "cosine") -> ScoreVector:
+                   radius: float = DEFAULT_NORM_THRESHOLD) -> ScoreVector:
     """Run the full scoring path on one scan's features.
 
     The per-point stages run on row blocks; only the semantic score,
@@ -318,7 +308,7 @@ def compute_scores(features: FeatureSet, bank: PrototypeBank,
     for lo, hi in _row_blocks(n):
         # one float64 conversion per block, shared by both semantic scores
         sem = np.asarray(features.semantic[lo:hi], dtype=np.float64)
-        result = classify(sem, bank, metric=metric)
+        result = classify(sem, bank)
         predictions[lo:hi] = result.predictions
         s_cos[lo:hi] = score_cosine(result.similarity)
         s_ent[lo:hi] = score_entropy(sem)

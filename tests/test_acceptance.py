@@ -11,13 +11,14 @@ from helpers import (ROAD_CLASS, ROAD_Z, TEST_SENSOR, full_coverage_wall,
                      make_cube_mesh, make_flat_scene, make_random_cloud, write_off)
 
 from lidarforge import (AnomalyObject, FeatureSet, ForgeParams,
-                        LabelArray, LossWeights, PointCloud, PrototypeBank,
+                        LabelArray, PointCloud, PrototypeBank,
                         ReflectivityCatalog, SensorConfig, SplitPolicy, auroc,
                         compose_scan, compute_scores, forge_split, lambert_intensity,
                         loss_ce, loss_contrastive, loss_lovasz, loss_objectosphere,
                         loss_prototype, place, project, read_labels, read_scan,
                         sample_surface, score_contrastive, write_labels, write_scan,
                         write_tensor)
+from lidarforge import losses
 from lidarforge.cli import main as cli_main
 from lidarforge.insertion import discover_pairs
 from lidarforge.mesh_bank import MeshBank
@@ -135,13 +136,13 @@ def test_criterion_3_occlusion_fixture():
     wall_scene = PointCloud.from_xyz(wall, intensity=0.3)
     wall_labels = LabelArray.from_class_ids(np.zeros(wall_scene.count, dtype=np.int64))
     _, _, records = compose_scan(wall_scene, wall_labels, [placed], TEST_SENSOR,
-                                 policy, seed=3, params=FAST)
+                                 policy, seed=3)
     assert records[0].surviving_count == 0
 
     rng = np.random.default_rng(3)
     open_scene, open_labels = make_flat_scene(rng, 2000, r_min=25, r_max=45)
     cloud, words, records = compose_scan(open_scene, open_labels, [placed],
-                                         TEST_SENSOR, policy, seed=3, params=FAST)
+                                         TEST_SENSOR, policy, seed=3)
     m_surv = records[0].surviving_count
     assert m_surv > 0
 
@@ -234,11 +235,9 @@ def test_criterion_5_split_statistics(bulk_inputs, forge_env, tmp_path):
 
 
 def test_criterion_6_scoring_constants_and_forms():
-    weights = LossWeights()
-    assert (weights.ce, weights.lovasz, weights.prototype,
-            weights.contrastive, weights.objectosphere) == (1.0, 1.5, 0.1, 0.5, 0.5)
-    assert weights.temperature == 0.1
-    assert weights.radius == 5.0
+    assert (losses.WEIGHT_CE, losses.WEIGHT_LOVASZ, losses.WEIGHT_PROTOTYPE,
+            losses.WEIGHT_CONTRASTIVE, losses.WEIGHT_OBJECTOSPHERE) == (1.0, 1.5, 0.1, 0.5, 0.5)
+    assert losses.TEMPERATURE == 0.1
     assert DEFAULT_NORM_THRESHOLD == 5.0
 
     # squared norm exactly 5 (2^2 + 1^2) and exactly 0

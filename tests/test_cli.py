@@ -52,6 +52,20 @@ def shared_forge_inputs(tmp_path_factory):
     return write_forge_inputs(tmp_path_factory.mktemp("forge"))
 
 
+# forge config files holding a number the forge must refuse
+BAD_CONFIGS = {
+    "fov-up-nan": ("--sensor", SENSOR_CFG.replace("fov_up_deg = 8.0", "fov_up_deg = nan")),
+    "fov-up-inf": ("--sensor", SENSOR_CFG.replace("fov_up_deg = 8.0", "fov_up_deg = inf")),
+    "fov-down-negative": ("--sensor",
+                          SENSOR_CFG.replace("fov_down_deg = 24.0", "fov_down_deg = -4")),
+    "fov-up-text": ("--sensor", SENSOR_CFG.replace("fov_up_deg = 8.0", "fov_up_deg = up")),
+    "beams-fraction": ("--sensor", SENSOR_CFG.replace("beams = 32", "beams = 32.5")),
+    "height-nan": ("--heights", "chair = nan\n"),
+    "height-inf": ("--heights", "chair = inf\n"),
+    "height-text": ("--heights", "chair = tall\n"),
+}
+
+
 def forge_args(root, out, seed=7, workers=1):
     return ["forge",
             "--scans", str(root / "in" / "velodyne"),
@@ -91,8 +105,6 @@ class TestForgeCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--object-points", "0"), ("--object-points", "1"), ("--object-points", "10"),
-        ("--neighbors", "0"), ("--neighbors", "1"),
-        ("--noise-scale", "nan"), ("--noise-scale", "-1"),
         ("--max-radius", "nan"), ("--max-radius", "inf"),
         ("--workers", "0"),
         ("--anomaly-label", "-1"), ("--anomaly-label", "70000"), ("--anomaly-label", "40"),
@@ -106,29 +118,50 @@ class TestForgeCommand:
         assert not out.exists()
         assert not list(root.glob("out_knob.tmp.*"))
 
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_invalid_config_number_rejected_before_output(self, forge_inputs, capsys, case):
+        root = forge_inputs
+        flag, text = BAD_CONFIGS[case]
+        config = root / "bad.cfg"
+        config.write_text(text)
+        out = root / "out_cfg"
+        assert main(forge_args(root, out) + [flag, str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+        assert not list(root.glob("out_cfg.tmp.*"))
+
     def test_manifest_echoes_config(self, forge_inputs):
         root = forge_inputs
         assert main(forge_args(root, root / "out_d", seed=11)) == 0
         manifest = (root / "out_d" / "manifest.tsv").read_text()
-        assert "# seed = 11" in manifest
-        assert "# policy = single" in manifest
-        assert "# anomaly_ratio = 0.4" in manifest
+        header = dict(line[2:].split(" = ", 1) for line in manifest.splitlines()
+                      if line.startswith("# ") and " = " in line)
+        assert list(header) == [
+            "seed", "policy", "anomaly_ratio", "surface_classes", "anomaly_label", "max_radius",
+            "count_distribution", "sensor_beams", "sensor_width", "sensor_fov_up_deg",
+            "sensor_fov_down_deg", "style", "object_points", "noise_scale", "normal_neighbors",
+            "normalization", "scans_total", "scans_skipped", "scans_with_anomaly",
+            "objects_inserted", "anomaly_points"]
+        assert header["seed"] == "11"
+        assert header["policy"] == "single"
+        assert header["anomaly_ratio"] == "0.4"
+        # fixed since their knobs went; the golden digests cover these lines
+        assert (header["noise_scale"], header["normal_neighbors"], header["normalization"]) \
+            == ("0.05", "10", "mean")
 
 
 # per knob: (valid values, edge values); edges mix invalid and boundary values
 FLOAT_EDGES = [math.nan, math.inf, -math.inf, 0.0, 1.0, -1.0]
 KNOBS = {
     "object-points": (st.integers(50, 3000), [0, 1, -1, 10]),
-    "neighbors": (st.integers(2, 40), [0, 1, -1, 3000]),
-    "noise-scale": (st.floats(0.0, 2.0), FLOAT_EDGES),
     "max-radius": (st.floats(0.5, 60.0), FLOAT_EDGES),
     "anomaly-label": (st.integers(0, 100), [-1, 65535, 65536, 70000]),
     "surface-classes": (st.sampled_from(["40", "40,44"]), ["abc", "40,,44", "-1", "70000"]),
     # small worker counts only: each is a real thread pool
     "workers": (st.sampled_from([1, 2]), [-1, 0]),
 }
-VALID_KNOBS = {"object-points": 1200, "neighbors": 10, "noise-scale": 0.05, "max-radius": 50.0,
-               "anomaly-label": 2, "surface-classes": "40", "workers": 1}
+VALID_KNOBS = {"object-points": 1200, "max-radius": 50.0, "anomaly-label": 2,
+               "surface-classes": "40", "workers": 1}
 
 
 @st.composite
@@ -245,6 +278,38 @@ class TestScoreAndEval:
         assert "auroc = 1.000000000" in text
         assert "ap = 1.000000000" in text
         assert "fpr_at_95tpr = 0.000000000" in text
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+    def test_invalid_radius_rejected_before_output(self, tmp_path, capsys, radius):
+        feat_dir, _, proto = self._setup(tmp_path)
+        out_dir = tmp_path / "scores"
+        # --flag=value: argparse would read a lone "-1" as an option
+        assert main(["score", "--features", str(feat_dir), "--prototypes", str(proto),
+                     "--out", str(out_dir), f"--radius={radius}"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out_dir.exists()
+
+    def test_score_count_is_the_scans_scored(self, tmp_path, capsys):
+        feat_dir, _, proto = self._setup(tmp_path)
+        out_dir = tmp_path / "scores"
+        out_dir.mkdir()
+        (out_dir / "older.scores").write_bytes(b"")
+        assert main(["score", "--features", str(feat_dir), "--prototypes", str(proto),
+                     "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out == f"scored 1 scans -> {out_dir}\n"
+
+    @pytest.mark.parametrize("label", ["-1", "65536", "65538", "70000"])
+    def test_invalid_eval_anomaly_label_rejected(self, tmp_path, capsys, label):
+        scores_dir, label_dir = tmp_path / "scores", tmp_path / "labels"
+        scores_dir.mkdir()
+        label_dir.mkdir()
+        (scores_dir / "s.scores").write_bytes(np.linspace(0, 1, 4, dtype="<f4").tobytes())
+        write_labels(LabelArray(np.array([2, 2, 40, 40], dtype=np.uint32)), label_dir / "s.label")
+        report = tmp_path / "report.txt"
+        assert main(["eval", "--scores", str(scores_dir), "--labels", str(label_dir),
+                     f"--anomaly-label={label}", "--out", str(report)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not report.exists()
 
     def test_per_scan_auroc_reads_each_scans_own_points(self, tmp_path, capsys):
         rng = np.random.default_rng(8)

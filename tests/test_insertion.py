@@ -25,7 +25,7 @@ from lidarforge.scan_io import read_labels, read_scan, write_labels, write_scan
 
 CATALOG = ReflectivityCatalog({"chair": 0.35})
 HEIGHTS = {"chair": 0.9}
-FAST = ForgeParams(object_points=1500, noise_scale=0.05, normal_neighbors=10)
+FAST = ForgeParams(object_points=1500)
 
 
 def single_policy(**kw):
@@ -175,7 +175,7 @@ class TestComposeScan:
         scene, labels = make_flat_scene(rng, 6000)
         obj = cube_object(rng)
         cloud, words, records = compose_scan(scene, labels, [obj], TEST_SENSOR,
-                                             single_policy(), seed=1, params=FAST)
+                                             single_policy(), seed=1)
         rec = records[0]
         assert rec.surviving_count > 0
         anomaly_mask = words.class_ids == 2
@@ -189,7 +189,7 @@ class TestComposeScan:
         scene, labels = make_flat_scene(rng, 6000)
         obj = cube_object(rng)
         cloud, words, records = compose_scan(scene, labels, [obj], TEST_SENSOR,
-                                             single_policy(), seed=2, params=FAST)
+                                             single_policy(), seed=2)
         n_scene_out = records[0].index_start
         scene_rows = {row.tobytes() for row in scene.data}
         for row in cloud.data[:n_scene_out]:
@@ -204,7 +204,7 @@ class TestComposeScan:
         scene = PointCloud(data)
         obj = cube_object(rng)
         cloud, _, records = compose_scan(scene, labels, [obj], TEST_SENSOR,
-                                         single_policy(), seed=3, params=FAST)
+                                         single_policy(), seed=3)
         scene_part = cloud.data[:records[0].index_start]
         assert (np.diff(scene_part[:, 3]) > 0).all()
 
@@ -215,7 +215,7 @@ class TestComposeScan:
         rng = np.random.default_rng(14)
         obj = cube_object(rng, at=(10.0, 0.0))
         _, words, records = compose_scan(wall, labels, [obj], TEST_SENSOR,
-                                         single_policy(retry_budget=0), seed=4, params=FAST)
+                                         single_policy(retry_budget=0), seed=4)
         assert records[0].surviving_count == 0
         assert not (words.class_ids == 2).any()
 
@@ -223,12 +223,11 @@ class TestComposeScan:
         scene, labels = half_wall_scene()
         obj = cube_object(np.random.default_rng(14), at=(0.0, 10.0))  # behind the wall
         _, _, records = compose_scan(scene, labels, [obj], TEST_SENSOR,
-                                     single_policy(retry_budget=0), seed=4, params=FAST)
+                                     single_policy(retry_budget=0), seed=4)
         assert records[0].surviving_count == 0
         assert (records[0].x, records[0].y) == (0.0, 10.0)
         cloud, words, records = compose_scan(scene, labels, [obj], TEST_SENSOR,
-                                             single_policy(retry_budget=10), seed=4,
-                                             params=FAST)
+                                             single_policy(retry_budget=10), seed=4)
         rec = records[0]
         assert rec.surviving_count > 0 and rec.y < 0  # re-placed on the open half
         assert (rec.scan_id, rec.seed) == ("", 0)
@@ -241,14 +240,14 @@ class TestComposeScan:
         obj = cube_object(rng, at=(49.9, 0.0))
         with pytest.raises(ValidationError, match="radius"):
             compose_scan(scene, labels, [obj], TEST_SENSOR, single_policy(),
-                         seed=5, params=FAST)
+                         seed=5)
 
     def test_object_intensities_in_unit_interval(self):
         rng = np.random.default_rng(16)
         scene, labels = make_flat_scene(rng, 6000)
         obj = cube_object(rng)
         cloud, words, records = compose_scan(scene, labels, [obj], TEST_SENSOR,
-                                             single_policy(), seed=6, params=FAST)
+                                             single_policy(), seed=6)
         block = cloud.data[records[0].index_start:records[0].index_end]
         assert (block[:, 3] >= 0).all() and (block[:, 3] <= 1).all()
 
@@ -257,7 +256,7 @@ class TestComposeScan:
         scene, labels = make_flat_scene(rng, 6000, intensity=20.0)
         obj = cube_object(rng)
         cloud, _, records = compose_scan(scene, labels, [obj], TEST_SENSOR,
-                                         single_policy(), seed=6, params=FAST)
+                                         single_policy(), seed=6)
         block = cloud.data[records[0].index_start:records[0].index_end, 3]
         assert block.max() <= 255 and (block > 1).mean() > 0.9
         assert float(block.mean()) == pytest.approx(20.0, rel=0.1)
@@ -268,7 +267,7 @@ class TestComposeScan:
         a = cube_object(rng, at=(10.0, 0.0))
         b = cube_object(rng, at=(-12.0, 5.0))
         cloud, words, records = compose_scan(scene, labels, [a, b], TEST_SENSOR,
-                                             multi_policy(), seed=7, params=FAST)
+                                             multi_policy(), seed=7)
         assert len(records) == 2
         assert records[0].index_end == records[1].index_start
         assert records[1].index_end == cloud.count
@@ -517,16 +516,6 @@ class TestForgeSplit:
         with pytest.raises(ValidationError, match="retry budget"):
             forge_split(discover_pairs(scans, labels), out, single_policy(retry_budget=budget),
                         TEST_SENSOR, bank, HEIGHTS, master_seed=0, params=FAST)
-        assert not out.exists()
-
-    def test_unknown_normalization_rejected_before_output(self, tmp_path):
-        scans, labels = self._dataset(tmp_path, n_scans=2)
-        bank = _bank_with_cube(tmp_path / "meshes")
-        out = tmp_path / "out"
-        with pytest.raises(ValidationError, match="normalization"):
-            forge_split(discover_pairs(scans, labels), out, single_policy(), TEST_SENSOR,
-                        bank, HEIGHTS, master_seed=0,
-                        params=replace(FAST, normalization="bogus"))
         assert not out.exists()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):

@@ -189,12 +189,6 @@ class TestNormalizeAndNoise:
         out = normalize_and_noise(np.zeros(10), scene_mean=0.3, scene_max=1.0, sigma=0.0, seed=0)
         np.testing.assert_array_equal(out, np.zeros(10))
 
-    def test_max_policy(self):
-        raw = np.array([0.1, 0.2, 0.4])
-        out = normalize_and_noise(raw, scene_mean=0.2, scene_max=1.0, sigma=0.0, seed=0,
-                                  policy="max")
-        assert out.max() == pytest.approx(0.2, abs=1e-12)
-
     def test_nonpositive_scene_mean_rejected(self):
         with pytest.raises(ValidationError):
             normalize_and_noise(np.ones(5), scene_mean=0.0, scene_max=1.0, sigma=0.0, seed=0)

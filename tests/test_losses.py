@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lidarforge import (LossWeights, PrototypeBank, ValidationError, loss_ce,
-                        loss_contrastive, loss_heads, loss_lovasz,
-                        loss_objectosphere, loss_prototype, mean_class_features)
+from lidarforge import (PrototypeBank, ValidationError, loss_ce, loss_contrastive,
+                        loss_heads, loss_lovasz, loss_objectosphere, loss_prototype,
+                        losses, mean_class_features)
 
 
 def fd_grad(func, x, h=1e-6):
@@ -221,6 +221,11 @@ class TestContrastive:
         value, _ = loss_contrastive(fbar, bank, temperature=0.1)
         assert value == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("tau", [0.0, -0.1, float("inf"), float("nan")])
+    def test_temperature_must_be_positive_and_finite(self, tau):
+        with pytest.raises(ValidationError, match="temperature must be positive and finite"):
+            loss_contrastive(np.zeros((2, 2)), make_bank(np.eye(2)), temperature=tau)
+
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
         c = 3
@@ -281,6 +286,11 @@ class TestObjectosphere:
         value, _ = loss_objectosphere(f, np.array([True]), radius=5.0)
         assert value == pytest.approx(5.0, abs=1e-15)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("inf"), float("nan")])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValidationError, match="radius must be positive and finite"):
+            loss_objectosphere(np.ones((1, 2)), np.array([True]), radius=radius)
+
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(12)
         f = rng.standard_normal((9, 3)) * 2
@@ -319,20 +329,14 @@ class TestHeadCombination:
     def test_linearity(self):
         rng = np.random.default_rng(14)
         ce, lv, pr, co, ob = rng.uniform(0, 2, 5)
-        w = LossWeights()
-        semantic, contrastive = loss_heads(ce, lv, pr, co, ob, w)
-        assert semantic == pytest.approx(w.ce * ce + w.lovasz * lv + w.prototype * pr, abs=1e-12)
-        assert contrastive == pytest.approx(w.contrastive * co + w.objectosphere * ob, abs=1e-12)
+        semantic, contrastive = loss_heads(ce, lv, pr, co, ob)
+        assert semantic == pytest.approx(
+            losses.WEIGHT_CE * ce + losses.WEIGHT_LOVASZ * lv + losses.WEIGHT_PROTOTYPE * pr,
+            abs=1e-12)
+        assert contrastive == pytest.approx(
+            losses.WEIGHT_CONTRASTIVE * co + losses.WEIGHT_OBJECTOSPHERE * ob, abs=1e-12)
 
     def test_default_constants(self):
-        w = LossWeights()
-        assert (w.ce, w.lovasz, w.prototype, w.contrastive, w.objectosphere) == \
-            (1.0, 1.5, 0.1, 0.5, 0.5)
-        assert w.temperature == 0.1
-        assert w.radius == 5.0
-
-    def test_invalid_weights_rejected(self):
-        with pytest.raises(ValidationError):
-            LossWeights(temperature=0.0)
-        with pytest.raises(ValidationError):
-            LossWeights(ce=-0.1)
+        assert (losses.WEIGHT_CE, losses.WEIGHT_LOVASZ, losses.WEIGHT_PROTOTYPE,
+                losses.WEIGHT_CONTRASTIVE, losses.WEIGHT_OBJECTOSPHERE) == (1.0, 1.5, 0.1, 0.5, 0.5)
+        assert losses.TEMPERATURE == 0.1

@@ -333,6 +333,15 @@ class TestBuildAndPlace:
         catalog = ReflectivityCatalog.default()
         assert set(catalog.categories) <= set(heights)
 
+    @pytest.mark.parametrize("value, error", [
+        ("nan", ValidationError), ("inf", ValidationError), ("0", ValidationError),
+        ("tall", FormatError)])
+    def test_invalid_height_rejected(self, tmp_path, value, error):
+        path = tmp_path / "heights.cfg"
+        path.write_text(f"table = 0.75\nchair = {value}\n")
+        with pytest.raises(error, match="chair"):
+            load_target_heights(path)
+
 
 class TestMeshBank:
     def test_choose_is_deterministic(self, tmp_path):

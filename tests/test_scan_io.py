@@ -172,3 +172,19 @@ class TestSensorConfig:
     def test_zero_fov_rejected(self):
         with pytest.raises(ValidationError):
             SensorConfig(beams=64, width=2048, fov_up_deg=10.0, fov_down_deg=-10.0)
+
+    @pytest.mark.parametrize("up, down", [
+        (float("nan"), 25.0), (float("inf"), 25.0), (3.0, -4.0), (-1.0, 25.0), (0.0, 0.0)])
+    def test_fov_needs_finite_magnitudes_with_a_positive_sum(self, up, down):
+        with pytest.raises(ValidationError):
+            SensorConfig(beams=64, width=2048, fov_up_deg=up, fov_down_deg=down)
+
+    def test_zero_upward_extent_allowed(self):
+        cfg = SensorConfig(beams=16, width=1024, fov_up_deg=0.0, fov_down_deg=15.0)
+        assert cfg.fov_rad == cfg.fov_down_rad
+
+    def test_non_numeric_value_is_format_error(self, tmp_path):
+        path = tmp_path / "sensor.cfg"
+        path.write_text("beams = 64\nwidth = wide\nfov_up_deg = 3.0\nfov_down_deg = 25.0\n")
+        with pytest.raises(FormatError, match="width = 'wide'"):
+            SensorConfig.from_file(path)

@@ -125,11 +125,6 @@ class TestClassify:
         assert bank.unit.tobytes() == expected.tobytes()
         assert bank.unit is bank.unit
 
-    def test_dot_metric_available(self):
-        bank = make_bank(np.array([[2.0, 0.0], [0.0, 1.0]]))
-        result = classify(np.array([[1.0, 0.9]]), bank, metric="dot")
-        assert result.similarity[0, 0] == pytest.approx(2.0)
-
     def test_accumulate_classify_fixpoint(self):
         rng = np.random.default_rng(2)
         c = 5
@@ -210,6 +205,11 @@ class TestScores:
         assert out[2] == pytest.approx(0.5, abs=1e-12)
         assert out[3] == 0.0
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("inf"), float("nan")])
+    def test_contrastive_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValidationError, match="radius must be positive and finite"):
+            score_contrastive(np.ones((2, 3)), radius=radius)
+
     def test_contrastive_nonincreasing_in_norm(self):
         norms = np.linspace(0, 3, 100)
         f = np.stack([norms, np.zeros(100)], axis=1)
@@ -232,10 +232,10 @@ class TestScores:
         np.testing.assert_allclose(sv.fused, 0.5 * (sv.semantic + sv.contrastive), atol=1e-15)
 
 
-def one_shot_scores(features, bank, radius, metric):
+def one_shot_scores(features, bank, radius):
     """compute_scores composed from the per-stage functions, each run
     on the whole scan at once."""
-    result = classify(features.semantic, bank, metric=metric)
+    result = classify(features.semantic, bank)
     s_cos = score_cosine(result.similarity)
     s_ent = score_entropy(features.semantic)
     s_sem, peak = score_semantic(s_cos, s_ent)
@@ -246,14 +246,12 @@ def one_shot_scores(features, bank, radius, metric):
 
 
 class TestBlockedComputeScores:
-    @pytest.mark.parametrize("metric", ["cosine", "dot"])
     @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                                    3 * _BLOCK_ROWS + 7])
-    def test_bitwise_equal_to_one_shot(self, n, metric):
+    def test_bitwise_equal_to_one_shot(self, n):
         rng = np.random.default_rng(n)
         c = 19
-        # small dot products keep 1 - max similarity inside the clamp
-        bank = make_bank(rng.standard_normal((c, c)) * (1.0 if metric == "cosine" else 0.02))
+        bank = make_bank(rng.standard_normal((c, c)))
         sem = rng.standard_normal((n, c)) * 3.0
         con = rng.standard_normal((n, c)) * 0.6
         if n:
@@ -261,10 +259,7 @@ class TestBlockedComputeScores:
             # 1 - similarity is exact there, so a rounding change shows
             near = (np.arange(n) % 7 == 6) | (np.arange(n) == n - 1)
             p = bank.prototypes[rng.integers(0, c, int(near.sum()))]
-            if metric == "cosine":
-                sem[near] = 2.0 * p + 0.1 * rng.standard_normal(p.shape)
-            else:
-                sem[near] = 0.99 * p / (p * p).sum(axis=1, keepdims=True)
+            sem[near] = 2.0 * p + 0.1 * rng.standard_normal(p.shape)
             zero = rng.choice(n, size=max(1, n // 500), replace=False)
             sem[zero] = 0.0
             con[zero] = 0.0
@@ -272,8 +267,8 @@ class TestBlockedComputeScores:
             sem[n // 2] = 0.0
             sem[n // 2, 3] = 800.0
         feats = FeatureSet(semantic=sem, contrastive=con)
-        got = compute_scores(feats, bank, radius=5.0, metric=metric)
-        expected = one_shot_scores(feats, bank, 5.0, metric)
+        got = compute_scores(feats, bank, radius=5.0)
+        expected = one_shot_scores(feats, bank, 5.0)
         if n:
             assert score_entropy(sem[n // 2][None, :])[0] == 0.0
         for name, want in expected.items():
