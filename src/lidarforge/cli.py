@@ -166,19 +166,26 @@ def cmd_score(args) -> int:
 
     pairs = _feature_pairs(features_dir)
     for stem, sem_path, cont_path in pairs:
-        feats = scoring.FeatureSet(
-            semantic=scoring.read_tensor(sem_path),
-            contrastive=scoring.read_tensor(cont_path),
-        )
-        scores = scoring.compute_scores(feats, bank, radius=args.radius)
-        # after the first scan's scores: a bad --radius fails before the directory exists
-        out_dir.mkdir(parents=True, exist_ok=True)
-        scoring.write_scores(out_dir / stem, scores, which=args.score)
-
-        if args.losses:
-            _print_losses(stem, feats, bank, args)
+        _score_scan(stem, sem_path, cont_path, bank, out_dir, args)
     print(f"scored {len(pairs)} scans -> {out_dir}")
     return 0
+
+
+def _score_scan(stem: str, sem_path: Path, cont_path: Path, bank: scoring.PrototypeBank,
+                out_dir: Path, args) -> None:
+    """Score one scan and write its score file.  Its features and scores
+    die on return, so one scan is alive at a time."""
+    feats = scoring.FeatureSet(
+        semantic=scoring.read_tensor(sem_path),
+        contrastive=scoring.read_tensor(cont_path),
+    )
+    scores = scoring.compute_scores(feats, bank, radius=args.radius)
+    # after the first scan's scores: a bad --radius or prototype shape fails
+    # before the directory exists
+    out_dir.mkdir(parents=True, exist_ok=True)
+    scoring.write_scores(out_dir / stem, scores, which=args.score)
+    if args.losses:
+        _print_losses(stem, feats, bank, args)
 
 
 def _print_losses(stem: str, feats: scoring.FeatureSet, bank: scoring.PrototypeBank,
@@ -213,39 +220,54 @@ def _print_losses(stem: str, feats: scoring.FeatureSet, bank: scoring.PrototypeB
 def _collect_eval(args):
     """Read every scan's scores, truth and, with ``--scans``, ranges.
 
-    Returns ``(stems, offsets, scores, truth, ranges)``: the per-scan
-    arrays concatenated in stem order, scan ``i`` at
-    ``offsets[i]:offsets[i + 1]``, and ``ranges`` None without ``--scans``.
-    The per-scan arrays are dropped on return, so only the concatenated
-    copies stay alive while the metrics run.
+    Returns ``(stems, offsets, scores, truth, ranges)``: float32 scores,
+    bool truth and float32 ranges, each filled into one array sized from
+    the score files' lengths, scan ``i`` at ``offsets[i]:offsets[i + 1]``;
+    ``ranges`` is None without ``--scans``.  Only one scan's file
+    contents are alive besides them.
     """
     scores_dir = Path(args.scores)
     labels_dir = Path(args.labels)
     scans_dir = Path(args.scans) if args.scans else None
-    stems, scores, truth, ranges = [], [], [], []
-    for score_path in sorted(scores_dir.glob("*.scores")):
-        stem = score_path.stem
+    paths = sorted(scores_dir.glob("*.scores"))
+    if not paths:
+        raise ValidationError(f"no *.scores files under {scores_dir}")
+    # one float32 per score; read_scores rejects a file of partial records
+    offsets = np.cumsum([0] + [path.stat().st_size // 4 for path in paths])
+    scores = np.empty(offsets[-1], dtype=np.float32)
+    truth = np.empty(offsets[-1], dtype=bool)
+    ranges = None if scans_dir is None else np.empty(offsets[-1], dtype=np.float32)
+    for path, lo, hi in zip(paths, offsets[:-1], offsets[1:]):
+        stem = path.stem
         label_path = labels_dir / f"{stem}.label"
         if not label_path.exists():
             raise ValidationError(f"missing labels for {stem!r}: {label_path}")
-        s = scoring.read_scores(score_path)
-        t = read_labels(label_path).class_ids == args.anomaly_label
-        if t.shape[0] != s.shape[0]:
-            raise ValidationError(
-                f"{stem}: {s.shape[0]} scores vs {t.shape[0]} labels")
-        if scans_dir is not None:
+        s = scoring.read_scores(path)
+        if s.shape[0] != hi - lo:
+            raise ValidationError(f"{path} changed while it was read")
+        scores[lo:hi] = s
+        labels = read_labels(label_path)
+        if labels.count != hi - lo:
+            raise ValidationError(f"{stem}: {hi - lo} scores vs {labels.count} labels")
+        np.equal(labels.class_ids, args.anomaly_label, out=truth[lo:hi])
+        if ranges is not None:
             cloud = read_scan(scans_dir / f"{stem}.bin")
-            if cloud.count != s.shape[0]:
+            if cloud.count != hi - lo:
                 raise ValidationError(f"{stem}: scan size does not match scores")
-            ranges.append(point_ranges(cloud.xyz))
-        stems.append(stem)
-        scores.append(s)
-        truth.append(t)
-    if not stems:
-        raise ValidationError(f"no *.scores files under {scores_dir}")
-    offsets = np.cumsum([0] + [s.shape[0] for s in scores])
-    return (stems, offsets, np.concatenate(scores), np.concatenate(truth),
-            np.concatenate(ranges) if scans_dir is not None else None)
+            ranges[lo:hi] = _float32_at_most(point_ranges(cloud.xyz))
+    return [path.stem for path in paths], offsets, scores, truth, ranges
+
+
+def _float32_at_most(values: np.ndarray) -> np.ndarray:
+    """float64 ``values`` rounded down to float32.
+
+    A range-bin edge is a float32 value, so it splits the rounded-down
+    ranges exactly as it splits the float64 ones; rounding to nearest
+    would move a range just below an edge onto it.
+    """
+    out = values.astype(np.float32)
+    np.nextafter(out, np.float32(-np.inf), out=out, where=out > values)
+    return out
 
 
 def cmd_eval(args) -> int:

@@ -4,12 +4,20 @@ All metrics use step-function (non-interpolated) conventions with tied
 scores grouped into a single threshold block, and are invariant under
 strictly increasing transforms of the scores.  Each metric call sorts
 the score values once (``np.sort``, no argsort), and ``split_metrics``
-sorts once for three metrics: the distinct sorted values are the
-thresholds, and binary searches into the sorted values and into the
-sorted positive scores count the points at or above each one, so every
-count is an exact integer.  Metrics that are not defined for an input
-(no positives, no negatives, empty range bin) raise
-UndefinedMetricError or report a typed absence rather than 0.
+sorts once for three metrics.  The distinct sorted values are the
+thresholds.  A block's counts are a function of its start position in
+the sorted scores alone: the points at or above its threshold are the
+positions from the start up, and the true positives among them are all
+positives but those whose block starts lower, found by binary search
+into the positives' block starts.  Every count is an exact integer.
+
+Memory stays bounded: scores are used in the dtype given (float32, as
+the ``.scores`` files store them, or float64), and the threshold pass
+walks the sorted scores in chunks of ``_CHUNK`` positions, so beyond
+the sorted copy only AP's one term per block grows with the input.
+Metrics that are not defined for an input (no positives, no negatives,
+empty range bin) raise UndefinedMetricError or report a typed absence
+rather than 0.
 """
 
 from __future__ import annotations
@@ -21,19 +29,32 @@ import numpy as np
 from .errors import UndefinedMetricError, ValidationError
 
 DEFAULT_RANGE_EDGES = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
+# sorted positions per chunk of a pass: each chunk's temporaries stay small
+_CHUNK = 8192
+
+
+def _compact(values) -> np.ndarray:
+    """``values`` as an array: float32 as given, anything else as float64.
+
+    Widening float32 to float64 is exact and keeps order and ties, so
+    no metric depends on which of the two it reads.
+    """
+    a = np.asarray(values)
+    return a if a.dtype == np.float32 else np.asarray(a, dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class EvalPair:
     """Per-point anomaly scores with binary ground truth and optional
-    per-point sensor range in meters."""
+    per-point sensor range in meters.  Scores and ranges keep a float32
+    dtype as given; other dtypes become float64."""
 
     scores: np.ndarray
     truth: np.ndarray
     ranges: np.ndarray | None = None
 
     def __post_init__(self):
-        s = np.asarray(self.scores, dtype=np.float64)
+        s = _compact(self.scores)
         t = np.asarray(self.truth, dtype=bool)
         if s.ndim != 1 or t.shape != s.shape:
             raise ValidationError("scores and truth must be equal-length 1-D arrays")
@@ -42,18 +63,18 @@ class EvalPair:
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "truth", t)
         if self.ranges is not None:
-            r = np.asarray(self.ranges, dtype=np.float64)
+            r = _compact(self.ranges)
             if r.shape != s.shape:
                 raise ValidationError("ranges must match scores in length")
             object.__setattr__(self, "ranges", r)
 
     @property
     def positives(self) -> int:
-        return int(self.truth.sum())
+        return int(np.count_nonzero(self.truth))
 
     @property
     def negatives(self) -> int:
-        return int((~self.truth).sum())
+        return self.truth.shape[0] - self.positives
 
 
 def _require_both_classes(pair: EvalPair, metric: str) -> None:
@@ -72,41 +93,59 @@ def auroc(pair: EvalPair) -> float:
 
 def _auroc(pair: EvalPair, ordered: np.ndarray) -> float:
     """AUROC of a pair with both classes, given its sorted scores."""
-    pos = pair.scores[pair.truth]
-    # a positive's tie group fills the sorted positions below .. above-1
+    pos = np.sort(pair.scores[pair.truth])
+    # a positive's tie group fills the sorted positions below .. above-1, so
+    # its mid rank is (below + above + 1) / 2; sorted queries keep the
+    # binary searches local, and the ranks sum as exact integers
     below = np.searchsorted(ordered, pos, "left")
     above = np.searchsorted(ordered, pos, "right")
-    ranks = 0.5 * (below + above - 1) + 1.0
     p = pos.shape[0]
-    rank_sum = float(ranks.sum())
+    rank_sum = 0.5 * float(int(below.sum()) + int(above.sum()) + p)
     return (rank_sum - 0.5 * p * (p + 1)) / (p * pair.negatives)
 
 
-def _threshold_blocks(pair: EvalPair, ordered: np.ndarray):
-    """Counts (tp, fp) of points scoring at or above each distinct score
-    threshold, thresholds descending, ties grouped into one block;
-    ``ordered`` is ``np.sort(pair.scores)``.
+def _positive_starts(pair: EvalPair, ordered: np.ndarray) -> np.ndarray:
+    """The start in ``ordered`` of each positive's tie block (its left
+    insertion point), ascending; one entry per positive."""
+    return np.searchsorted(ordered, np.sort(pair.scores[pair.truth]), "left")
+
+
+def _block_starts(ordered: np.ndarray):
+    """Yield the start positions of the tie blocks of ``ordered``,
+    descending (thresholds descending), one chunk of at most ``_CHUNK``
+    sorted positions at a time; a chunk inside one block yields nothing.
 
     ``-0.0`` and ``0.0`` are one block; its threshold may be either.
     """
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    # a positive's left insertion point in `ordered` is the start of its tie block
-    hit = np.searchsorted(ordered, pair.scores[pair.truth], "left")
-    per_block = np.bincount(np.searchsorted(starts, hit), minlength=starts.shape[0])
-    # with blocks descending, the counts at or above each threshold are prefix sums
-    starts = starts[::-1]
-    tp = np.cumsum(per_block[::-1])
-    fp = (ordered.shape[0] - starts) - tp
-    return tp.astype(np.float64), fp.astype(np.float64), ordered[starts]
+    for hi in range(ordered.shape[0], 0, -_CHUNK):
+        lo = max(hi - _CHUNK, 1)
+        starts = lo + np.flatnonzero(ordered[lo:hi] != ordered[lo - 1:hi - 1])
+        if hi <= _CHUNK:  # the last chunk: position 0 starts the lowest block
+            starts = np.r_[0, starts]
+        if starts.size:
+            yield starts[::-1]
+
+
+def _true_positives(hit: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Positives at or above the threshold of each block at ``starts``:
+    all of them but those whose block starts lower (``hit`` is
+    ``_positive_starts``)."""
+    return hit.shape[0] - np.searchsorted(hit, starts, "left")
 
 
 def roc_curve(pair: EvalPair):
-    """Step ROC curve: (fpr, tpr, thresholds), starting at (0, 0)."""
+    """Step ROC curve: (fpr, tpr, thresholds), starting at (0, 0).
+
+    Thresholds descend and have the scores' dtype.
+    """
     _require_both_classes(pair, "roc curve")
-    tp, fp, thresholds = _threshold_blocks(pair, np.sort(pair.scores))
+    ordered = np.sort(pair.scores)
+    starts = np.concatenate(list(_block_starts(ordered)))
+    tp = _true_positives(_positive_starts(pair, ordered), starts)
+    fp = (ordered.shape[0] - starts) - tp
     tpr = np.r_[0.0, tp / pair.positives]
     fpr = np.r_[0.0, fp / pair.negatives]
-    return fpr, tpr, thresholds
+    return fpr, tpr, ordered[starts]
 
 
 def auroc_trapezoid(pair: EvalPair) -> float:
@@ -120,18 +159,29 @@ def fpr_at_tpr(pair: EvalPair, tpr_target: float = 0.95) -> float:
     """False-positive rate at the largest threshold whose true-positive
     rate reaches the target (step convention, no interpolation)."""
     _require_both_classes(pair, "fpr_at_tpr")
-    return _fpr_at_tpr(pair, _threshold_blocks(pair, np.sort(pair.scores)), tpr_target)
+    ordered = np.sort(pair.scores)
+    return _fpr_at_tpr(ordered, _positive_starts(pair, ordered), tpr_target)
 
 
-def _fpr_at_tpr(pair: EvalPair, blocks, tpr_target: float) -> float:
+def _fpr_at_tpr(ordered: np.ndarray, hit: np.ndarray, tpr_target: float) -> float:
     """FPR at the TPR target of a pair with both classes, given its
-    threshold blocks."""
-    tp, fp, _ = blocks
-    tpr = tp / pair.positives
-    k = int(np.argmax(tpr >= tpr_target))
-    if tpr[k] < tpr_target:
+    sorted scores and ``_positive_starts``.
+
+    A block's TPR is ``(p - m) / p``, ``m`` the positives whose block
+    starts lower, and ``m`` grows as the threshold falls.  With ``M``
+    the largest ``m`` whose TPR reaches the target, the answer is the
+    highest block with at most ``M`` positives below it: the block of
+    ``hit[M]``, or the top block when ``M == p``.  So only the
+    positives are visited, not the blocks.
+    """
+    n, p = ordered.shape[0], hit.shape[0]
+    reaching = np.flatnonzero(np.arange(p, -1, -1) / p >= tpr_target)
+    if not reaching.size:
         raise UndefinedMetricError(f"no threshold reaches TPR {tpr_target}")
-    return float(fp[k] / pair.negatives)
+    m = reaching[-1]
+    start = hit[m] if m < p else np.searchsorted(ordered, ordered[-1], "left")
+    tp = _true_positives(hit, start)
+    return float((n - start - tp) / (n - p))
 
 
 def average_precision(pair: EvalPair) -> float:
@@ -139,16 +189,30 @@ def average_precision(pair: EvalPair) -> float:
     prefixes, ties grouped as one threshold block."""
     if pair.positives == 0:
         raise UndefinedMetricError("average precision undefined: no positive points")
-    return _average_precision(pair, _threshold_blocks(pair, np.sort(pair.scores)))
+    ordered = np.sort(pair.scores)
+    return _average_precision(ordered, _positive_starts(pair, ordered))
 
 
-def _average_precision(pair: EvalPair, blocks) -> float:
-    """AP of a pair with positives, given its threshold blocks."""
-    tp, fp, _ = blocks
-    recall = tp / pair.positives
-    precision = tp / (tp + fp)
-    prev_recall = np.r_[0.0, recall[:-1]]
-    return float(np.sum((recall - prev_recall) * precision))
+def _average_precision(ordered: np.ndarray, hit: np.ndarray) -> float:
+    """AP of a pair with positives, given its sorted scores and
+    ``_positive_starts``.
+
+    One term per block, thresholds descending: the recall gained at the
+    block times its precision.  The terms fill one array, chunk by
+    chunk, so the sum is numpy's pairwise sum over all of them.
+    """
+    n, p = ordered.shape[0], hit.shape[0]
+    terms = np.empty(np.count_nonzero(ordered[1:] != ordered[:-1]) + 1)
+    k = 0
+    for starts in _block_starts(ordered):
+        tp = _true_positives(hit, starts)
+        # the recall before a block is that of the block above it: the
+        # previous entry, or for the chunk's top block the positives whose
+        # block starts higher
+        tp_above = np.r_[p - np.searchsorted(hit, starts[0], "right"), tp[:-1]]
+        terms[k:k + starts.shape[0]] = (tp / p - tp_above / p) * (tp / (n - starts))
+        k += starts.shape[0]
+    return float(np.sum(terms))
 
 
 def split_metrics(pair: EvalPair) -> tuple[float, float, float]:
@@ -159,27 +223,31 @@ def split_metrics(pair: EvalPair) -> tuple[float, float, float]:
     """
     _require_both_classes(pair, "auroc")
     ordered = np.sort(pair.scores)
-    blocks = _threshold_blocks(pair, ordered)
-    return (_auroc(pair, ordered), _fpr_at_tpr(pair, blocks, 0.95),
-            _average_precision(pair, blocks))
+    hit = _positive_starts(pair, ordered)
+    return (_auroc(pair, ordered), _fpr_at_tpr(ordered, hit, 0.95),
+            _average_precision(ordered, hit))
 
 
 def range_binned_ap(pair: EvalPair) -> dict:
     """Average precision per range bin [e_i, e_i+1) of DEFAULT_RANGE_EDGES.
 
     Returns {"0_10": ap, ...}; bins without positive points map to
-    None (undefined), never to 0 or NaN.
+    None (undefined), never to 0 or NaN.  Each point's bin index is
+    computed once, in chunks, as one byte.
     """
     if pair.ranges is None:
         raise ValidationError("range_binned_ap needs per-point ranges")
 
+    edges = np.asarray(DEFAULT_RANGE_EDGES)
+    # bin b holds [edges[b], edges[b + 1]); -1 and len(edges) - 1 lie outside every bin
+    bins = np.empty(pair.ranges.shape[0], dtype=np.int8)
+    for lo in range(0, bins.shape[0], _CHUNK):
+        hi = lo + _CHUNK
+        bins[lo:hi] = np.searchsorted(edges, pair.ranges[lo:hi], "right") - 1
+
     out: dict[str, float | None] = {}
-    for lo, hi in zip(DEFAULT_RANGE_EDGES[:-1], DEFAULT_RANGE_EDGES[1:]):
-        key = f"{lo:g}_{hi:g}"
-        inside = (pair.ranges >= lo) & (pair.ranges < hi)
-        if not inside.any() or not pair.truth[inside].any():
-            out[key] = None
-            continue
+    for b, (lo, hi) in enumerate(zip(DEFAULT_RANGE_EDGES[:-1], DEFAULT_RANGE_EDGES[1:])):
+        inside = bins == b
         sub = EvalPair(pair.scores[inside], pair.truth[inside])
-        out[key] = average_precision(sub)
+        out[f"{lo:g}_{hi:g}"] = average_precision(sub) if sub.positives else None
     return out

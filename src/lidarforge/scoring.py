@@ -300,9 +300,14 @@ def compute_scores(features: FeatureSet, bank: PrototypeBank,
 
     The per-point stages run on row blocks; only the semantic score,
     which needs the per-scan peak, runs on the whole scan.  The result
-    is bitwise equal to running each stage on the whole scan.
+    is bitwise equal to running each stage on the whole scan.  Raises
+    ValidationError unless the prototypes are (C, C) for C-class
+    features.
     """
-    n = features.count
+    n, c = features.count, features.num_classes
+    if bank.prototypes.shape != (c, c):
+        raise ValidationError(f"prototypes must be ({c}, {c}) for {c}-class features, "
+                              f"got {bank.prototypes.shape}")
     predictions = np.empty(n, dtype=np.intp)
     s_cos, s_ent, s_cont = np.empty(n), np.empty(n), np.empty(n)
     for lo, hi in _row_blocks(n):
@@ -361,5 +366,7 @@ def write_scores(path_base: str | os.PathLike, scores: ScoreVector,
 
 
 def read_scores(path: str | os.PathLike) -> np.ndarray:
-    """Read a raw float32 ``.scores`` file as float64."""
-    return read_records(path, "<f4", 1, "score file").ravel().astype(np.float64)
+    """Read a raw float32 ``.scores`` file as float32: a read-only view
+    of the file's bytes.  The metrics take float32 as it is, since
+    widening to float64 is exact and changes no metric."""
+    return read_records(path, "<f4", 1, "score file").ravel()

@@ -3,6 +3,7 @@ import io
 import math
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from helpers import make_cube_mesh, make_flat_scene, write_off
 
-from lidarforge import (EvalPair, LabelArray, PointCloud, auroc, write_labels, write_scan,
-                        write_tensor)
+from lidarforge import (EvalPair, FeatureSet, LabelArray, PointCloud, PrototypeBank, auroc,
+                        compute_scores, point_ranges, range_binned_ap, read_tensor,
+                        write_labels, write_scan, write_tensor)
 from lidarforge.cli import main
 
 SENSOR_CFG = """beams = 32
@@ -371,6 +373,69 @@ class TestScoreAndEval:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert str(score_path) in err and "1599 bytes" in err
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 6)])
+    def test_prototype_shape_mismatch_rejected_before_output(self, tmp_path, capsys, shape):
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        rng = np.random.default_rng(12)
+        write_tensor(feat_dir / "s.sem.ftr", rng.standard_normal((5, 4)))
+        write_tensor(feat_dir / "s.cont.ftr", rng.standard_normal((5, 4)))
+        write_tensor(tmp_path / "proto.ftr", np.ones(shape, dtype=np.float32))
+        out_dir = tmp_path / "out"
+        assert main(["score", "--features", str(feat_dir),
+                     "--prototypes", str(tmp_path / "proto.ftr"), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("error: prototypes must be (4, 4)")
+        assert not out_dir.exists()
+
+    def test_score_keeps_one_scan_alive(self, tmp_path):
+        n, c = 60_000, 19
+        rng = np.random.default_rng(13)
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        for i in range(3):
+            for head in ("sem", "cont"):
+                write_tensor(feat_dir / f"s{i}.{head}.ftr",
+                             rng.standard_normal((n, c)).astype(np.float32))
+        write_tensor(tmp_path / "proto.ftr", np.eye(c, dtype=np.float32))
+        one = compute_scores(FeatureSet(semantic=read_tensor(feat_dir / "s0.sem.ftr"),
+                                        contrastive=read_tensor(feat_dir / "s0.cont.ftr")),
+                             PrototypeBank(np.eye(c), np.ones(c)))
+        footprint = 2 * n * c * 4 + sum(a.nbytes for a in vars(one).values()
+                                        if isinstance(a, np.ndarray))
+        del one
+        tracemalloc.start()
+        try:
+            assert main(["score", "--features", str(feat_dir), "--prototypes",
+                         str(tmp_path / "proto.ftr"), "--out", str(tmp_path / "scores")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * footprint
+
+    def test_eval_range_bins_split_exact_ranges(self, tmp_path, capsys):
+        # the positive lies just below 10 m; its range rounds to 10.0 in float32
+        xyz = np.array([[np.nextafter(np.float32(10), np.float32(0)), 0.0037, 0.0],
+                        [5.0, 0.0, 0.0], [15.0, 0.0, 0.0]], dtype=np.float32)
+        exact = point_ranges(xyz)
+        assert exact[0] < 10.0 and np.float32(exact[0]) == 10.0
+        scores = np.array([0.9, 0.1, 0.2], dtype="<f4")
+        truth = np.array([True, False, False])
+        dirs = {name: tmp_path / name for name in ("scores", "labels", "scans")}
+        for d in dirs.values():
+            d.mkdir()
+        (dirs["scores"] / "s.scores").write_bytes(scores.tobytes())
+        write_labels(LabelArray(np.where(truth, 2, 40).astype(np.uint32)),
+                     dirs["labels"] / "s.label")
+        write_scan(PointCloud.from_xyz(xyz), dirs["scans"] / "s.bin")
+        assert main(["eval", "--scores", str(dirs["scores"]), "--labels", str(dirs["labels"]),
+                     "--scans", str(dirs["scans"]), "--anomaly-label", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        want = range_binned_ap(EvalPair(scores, truth, exact))
+        assert want["0_10"] == 1.0 and want["10_20"] is None
+        for key, value in want.items():
+            shown = "undefined" if value is None else f"{value:.9f}"
+            assert f"ap_bin_{key} = {shown}" in lines
 
     def test_single_class_features_rejected(self, tmp_path, capsys):
         feat_dir = tmp_path / "features"

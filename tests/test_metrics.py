@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 from lidarforge import (EvalPair, UndefinedMetricError, ValidationError, auroc,
                         auroc_trapezoid, average_precision, fpr_at_tpr,
-                        range_binned_ap, roc_curve, split_metrics)
+                        metrics, range_binned_ap, roc_curve, split_metrics)
 
 
 def pairwise_auroc_oracle(scores, truth):
@@ -397,3 +400,83 @@ class TestSplitMetricsOracles:
         with pytest.raises(UndefinedMetricError) as got:
             split_metrics(pair)
         assert str(got.value) == str(expected.value)
+
+
+# -- the chunked threshold pass: tie blocks that straddle chunk edges, in
+# float32 and float64, must give the oracles' bits --------------------------
+
+@st.composite
+def chunked_pairs(draw):
+    """Pairs with both classes and ranges: heavy ties or signed zeros, in
+    float32 or float64."""
+    n = draw(st.sampled_from([2, 3, 5, 9, 40, 150]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    truth = rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    truth[0], truth[-1] = True, False
+    if draw(st.booleans()):
+        scores = np.round(rng.random(n), 1)
+    else:
+        scores = rng.choice(np.array([-0.0, 0.0, 0.5, -0.5]), n)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    ranges = rng.choice(np.array([0.0, 5.0, 9.5, 10.0, 25.0, 49.0, 50.0, 60.0]), n)
+    return EvalPair(scores.astype(dtype), truth, ranges.astype(dtype))
+
+
+@given(pair=chunked_pairs(), chunk=st.sampled_from([1, 2, 3]))
+@settings(max_examples=150, deadline=None)
+def test_chunked_pass_equals_oracles_across_chunk_edges(pair, chunk):
+    with mock.patch.object(metrics, "_CHUNK", chunk):
+        got = split_metrics(pair)
+        want = (oracle_auroc(pair), oracle_fpr_at_tpr(pair, 0.95),
+                oracle_average_precision(pair))
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+        for target in (0.95, 0.5, 1.0):
+            assert bits(fpr_at_tpr(pair, target)) == bits(oracle_fpr_at_tpr(pair, target))
+        assert bits(average_precision(pair)) == bits(want[2])
+        tp, fp, thresholds = oracle_threshold_blocks(pair)
+        fpr, tpr, got_thresholds = roc_curve(pair)
+        assert fpr.tobytes() == np.r_[0.0, fp / pair.negatives].tobytes()
+        assert tpr.tobytes() == np.r_[0.0, tp / pair.positives].tobytes()
+        assert got_thresholds.dtype == pair.scores.dtype
+        assert got_thresholds.tobytes() == thresholds.tobytes()
+        binned = range_binned_ap(pair)
+        for key, lo, hi in zip(binned, (0, 10, 20, 30, 40), (10, 20, 30, 40, 50)):
+            inside = (pair.ranges >= lo) & (pair.ranges < hi)
+            if pair.truth[inside].any():
+                sub = EvalPair(pair.scores[inside], pair.truth[inside])
+                assert bits(binned[key]) == bits(oracle_average_precision(sub))
+            else:
+                assert binned[key] is None
+        # float32 widens to float64 exactly: the widened pair gives the same bits
+        wide = EvalPair(pair.scores.astype(np.float64), pair.truth,
+                        pair.ranges.astype(np.float64))
+        assert [bits(v) for v in split_metrics(wide)] == [bits(v) for v in got]
+        assert range_binned_ap(wide) == binned
+
+
+def test_float32_inputs_are_kept():
+    scores = np.array([0.5, 0.25], dtype=np.float32)
+    ranges = np.array([1.0, 2.0], dtype=np.float32)
+    pair = EvalPair(scores, np.array([True, False]), ranges)
+    assert pair.scores is scores and pair.ranges is ranges
+    assert EvalPair(np.array([1, 2]), np.array([True, False])).scores.dtype == np.float64
+
+
+def test_split_metrics_and_range_bins_stay_within_25_bytes_per_point():
+    """Peak memory of the eval metrics, with the inputs counted, over
+    nearly distinct float32 scores and a near bin holding most points."""
+    n = 600_000
+    rng = np.random.default_rng(21)
+    scores = rng.random(n, dtype=np.float32)
+    truth = rng.random(n) < 0.1
+    ranges = rng.exponential(12.0, n).astype(np.float32)
+    pair = EvalPair(scores, truth, ranges)
+    inputs = scores.nbytes + truth.nbytes + ranges.nbytes
+    tracemalloc.start()
+    try:
+        split_metrics(pair)
+        range_binned_ap(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (inputs + peak) / n <= 25.0
