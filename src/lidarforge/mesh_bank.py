@@ -44,11 +44,16 @@ class TriangleMesh:
 
     @cached_property
     def face_areas(self) -> np.ndarray:
-        """Per-face areas, computed once per mesh and read-only."""
+        """Per-face areas, computed once per mesh and read-only.
+
+        Huge coordinates can overflow to an infinite area; sample_surface
+        rejects a total that is not finite.
+        """
         a = self.vertices[self.faces[:, 0]]
         b = self.vertices[self.faces[:, 1]]
         c = self.vertices[self.faces[:, 2]]
-        areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
         areas.setflags(write=False)
         return areas
 
@@ -110,6 +115,13 @@ def load_off(path: str | os.PathLike) -> TriangleMesh:
         vertices = np.array(parts[:3 * n_vertices], dtype=np.float64).reshape(n_vertices, 3)
     except ValueError:
         fail(None, "non-numeric vertex coordinate")
+    finite = np.isfinite(vertices.ravel())
+    if not finite.all():
+        # nan, inf or a value that overflows (1e400) would reach the area sums
+        k = int(np.argmin(finite))
+        match = next(itertools.islice(re.finditer(r"\S+", counts[3]), k, None))
+        fail(len(body) - len(counts[3]) + match.start(),
+             f"non-finite vertex coordinate {match.group()!r}")
 
     need = 4 * n_faces
     try:
@@ -172,16 +184,34 @@ def sample_surface(mesh: TriangleMesh, n: int, seed: int | np.random.Generator) 
     Faces are chosen with probability proportional to their area, then a
     point is drawn with uniform barycentric coordinates.  Deterministic
     for a given seed.
+
+    The face draw is ``Generator.choice(len(areas), size=n,
+    p=areas / total)``: the same cumulative distribution, the same n
+    uniform draws and the same right-side search, so the same indices
+    and generator stream.  It searches the draws in sorted order, which
+    is faster, and scatters the indices back.  The face-draw oracle in
+    tests/test_mesh_bank.py and the golden digests pin this equality.
+
+    A total area that is not finite, from a non-finite vertex or an
+    overflow, raises ValidationError.
     """
     if n <= 0:
         raise ValidationError(f"sample count must be positive, got {n}")
     areas = mesh.face_areas
-    total = areas.sum()
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected just below
+        total = areas.sum()
+    if not np.isfinite(total):
+        raise ValidationError(f"mesh total surface area is not finite ({total})")
     if total <= 0:
         raise ValidationError("mesh has zero total surface area")
     rng = np.random.default_rng(seed)
 
-    face_idx = rng.choice(len(areas), size=n, p=areas / total)
+    cdf = np.cumsum(areas / total)
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    order = np.argsort(u)
+    face_idx = np.empty(n, dtype=np.int64)
+    face_idx[order] = cdf.searchsorted(u[order], side="right")
     r1 = rng.random(n)
     r2 = rng.random(n)
     # uniform on the triangle via the sqrt trick
@@ -190,10 +220,12 @@ def sample_surface(mesh: TriangleMesh, n: int, seed: int | np.random.Generator) 
     w1 = s * (1.0 - r2)
     w2 = s * r2
 
-    a = mesh.vertices[mesh.faces[face_idx, 0]]
-    b = mesh.vertices[mesh.faces[face_idx, 1]]
-    c = mesh.vertices[mesh.faces[face_idx, 2]]
-    return w0[:, None] * a + w1[:, None] * b + w2[:, None] * c
+    # one contiguous corner array at a time, summed in the order w0*a + w1*b + w2*c
+    vertices, faces = mesh.vertices, mesh.faces
+    out = w0[:, None] * vertices.take(faces[:, 0].take(face_idx), axis=0)
+    out += w1[:, None] * vertices.take(faces[:, 1].take(face_idx), axis=0)
+    out += w2[:, None] * vertices.take(faces[:, 2].take(face_idx), axis=0)
+    return out
 
 
 class ReflectivityCatalog:

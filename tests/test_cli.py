@@ -105,6 +105,29 @@ class TestForgeCommand:
         assert main(args) == 1
         assert not (root / "out_c").exists()
 
+    @pytest.mark.parametrize("vertex, reason", [
+        ("nan", "FormatError: {path}:5: non-finite vertex coordinate 'nan'"),
+        ("1e200", "ValidationError: mesh total surface area is not finite (inf)"),
+    ])
+    def test_malformed_mesh_skips_the_scans_that_draw_it(self, forge_inputs, capsys,
+                                                         vertex, reason):
+        root = forge_inputs
+        bad = root / "meshes" / "chair" / "chair_0001.off"
+        lines = bad.read_text().splitlines()
+        lines[4] = f"{vertex} 0.5 -0.5"  # vertex 2, on line 5
+        bad.write_text("\n".join(lines) + "\n")
+        out = root / "out_bad_mesh"
+        assert main(forge_args(root, out)) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        manifest = (out / "manifest.tsv").read_text()
+        skipped = dict(line[len("# skipped: "):].split("\t")
+                       for line in manifest.splitlines() if line.startswith("# skipped: "))
+        assert skipped  # the anomaly scans, each of which draws the one mesh
+        assert set(skipped.values()) == {reason.format(path=bad)}
+        written = {p.stem for p in (out / "velodyne").iterdir()}
+        assert {p.stem for p in (out / "labels").iterdir()} == written
+        assert written.isdisjoint(skipped) and len(written) + len(skipped) == 5
+
     @pytest.mark.parametrize("flag, value", [
         ("--object-points", "0"), ("--object-points", "1"), ("--object-points", "10"),
         ("--max-radius", "nan"), ("--max-radius", "inf"),

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import make_cube_mesh
+
 from lidarforge import (ValidationError, estimate_normals, lambert_intensity,
-                        normalize_and_noise)
+                        normalize_and_noise, point_ranges, sample_surface)
 
 
 def fibonacci_sphere(n, center, radius=1.0):
@@ -105,6 +107,45 @@ class TestEstimateNormalsAt:
         field = estimate_normals(pts, k=10, at=np.arange(3200, len(pts)))
         assert field.degenerate.all()  # collinear neighborhoods
         np.testing.assert_array_equal(field.normals[[7, -1]], [[0.0, 0.0, 1.0]] * 2)  # origin
+
+
+def brute_force_normals(pts, at, k):
+    """The k+1 nearest points by a full distance sort, then the steps of
+    estimate_normals after its neighbor query."""
+    d2 = ((pts[None, :, :] - pts[at, None, :]) ** 2).sum(axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")
+    # tie-free: the k+2 nearest distances of every query are distinct
+    nearest = np.take_along_axis(d2, order[:, :k + 2], axis=1)
+    assert (np.diff(nearest, axis=1) > 0).all()
+    neighbors = pts[order[:, 1:k + 1]]
+    query = pts[at]
+    centered = neighbors - neighbors.mean(axis=1, keepdims=True)
+    eigvals, eigvecs = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered))
+    normals = eigvecs[:, :, 0].copy()
+    degenerate = eigvals[:, 1] <= 1e-8 * np.maximum(eigvals[:, 2], 1e-300)
+    first = np.argmax(np.abs(normals) > 1e-12, axis=1)
+    normals[normals[np.arange(len(at)), first] < 0] *= -1.0
+    d = point_ranges(query)
+    toward_sensor = -query / np.where(d > 0, d, 1.0)[:, None]
+    normals[np.einsum("ij,ij->i", normals, toward_sensor) < 0] *= -1.0
+    normals[degenerate] = toward_sensor[degenerate]
+    normals[degenerate & (d == 0)] = (0.0, 0.0, 1.0)
+    norms = point_ranges(normals)[:, None]
+    return normals / np.where(norms > 0, norms, 1.0), degenerate
+
+
+class TestNeighborOracle:
+    """The KD-tree finds the same neighbors, in the same order, as a full
+    distance sort, so the normals equal the brute-force estimate bit for bit."""
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_bitwise_equal_to_brute_force(self, k):
+        pts = sample_surface(make_cube_mesh(1.5), 4000, 31) + [7.0, -3.0, 0.5]
+        at = np.random.default_rng(32).choice(len(pts), 300, replace=False)
+        field = estimate_normals(pts, k=k, at=at)
+        normals, degenerate = brute_force_normals(pts, at, k)
+        assert np.array_equal(field.normals, normals)
+        assert np.array_equal(field.degenerate, degenerate)
 
 
 class TestLambertIntensity:

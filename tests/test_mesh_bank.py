@@ -53,6 +53,12 @@ OFF_ERROR_CASES = [
      7, "face index -1 out of range for 4 vertices"),
     ("non-numeric-vertex", TETRA_OFF.replace("0 1 0", "0 one 0"),
      None, "non-numeric vertex coordinate"),
+    ("nan-vertex", TETRA_OFF.replace("0 1 0", "0 nan 0"),
+     5, "non-finite vertex coordinate 'nan'"),
+    ("inf-vertex-glued-header", "OFF4 4 6 0 0 -inf\n" + TETRA_OFF.split("\n", 3)[3],
+     1, "non-finite vertex coordinate '-inf'"),
+    ("overflowing-vertex", TETRA_OFF.replace("0 0 1\n", "# big\n0 0\n1e400\n"),
+     8, "non-finite vertex coordinate '1e400'"),
     ("missing-header", "# comment\n4 4 6\n0 0 0\n", 2, "missing OFF header"),
     ("empty", "# only a comment\n\n", None, "empty file, missing OFF header"),
     ("header-only", "OFF\n", 1, "malformed counts line"),
@@ -214,6 +220,16 @@ class TestSampleSurface:
         expected = areas / areas.sum() * 50_000
         assert chisquare(counts, expected).pvalue > 0.01
 
+    # areas (1e200) or their norms (1e153) that overflow, and a nan vertex
+    @pytest.mark.parametrize("scale, nan", [(1e200, False), (1e153, False), (1.0, True)])
+    def test_non_finite_total_area_rejected(self, scale, nan):
+        vertices = make_cube_mesh().vertices * scale
+        if nan:
+            vertices[3, 1] = np.nan
+        mesh = TriangleMesh(vertices=vertices, faces=make_cube_mesh().faces)
+        with pytest.raises(ValidationError, match="not finite"):
+            sample_surface(mesh, 10, seed=0)
+
     def test_zero_area_rejected(self):
         mesh = TriangleMesh(
             vertices=np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]),
@@ -221,6 +237,59 @@ class TestSampleSurface:
         )
         with pytest.raises(ValidationError):
             sample_surface(mesh, 10, seed=0)
+
+
+def reference_sample_surface(mesh: TriangleMesh, n: int, seed) -> np.ndarray:
+    """The face draw by Generator.choice, the reference for sample_surface."""
+    areas = mesh.face_areas
+    rng = np.random.default_rng(seed)
+    face_idx = rng.choice(len(areas), size=n, p=areas / areas.sum())
+    r1 = rng.random(n)
+    r2 = rng.random(n)
+    s = np.sqrt(r1)
+    w0 = 1.0 - s
+    w1 = s * (1.0 - r2)
+    w2 = s * r2
+    a = mesh.vertices[mesh.faces[face_idx, 0]]
+    b = mesh.vertices[mesh.faces[face_idx, 1]]
+    c = mesh.vertices[mesh.faces[face_idx, 2]]
+    return w0[:, None] * a + w1[:, None] * b + w2[:, None] * c
+
+
+# faces of draw_mesh that repeat a corner, so that their area is exactly 0
+ZERO_AREA_FACES = {"zero-first": [0], "zero-middle": [29, 30], "zero-last": [58, 59],
+                   "zero-first-middle-last": [0, 31, 59], "one-face": []}
+
+
+def draw_mesh(layout: str) -> TriangleMesh:
+    rng = np.random.default_rng(21)
+    vertices = rng.standard_normal((40, 3))
+    if layout == "one-face":
+        return TriangleMesh(vertices=vertices, faces=np.array([[4, 17, 30]]))
+    faces = np.stack([rng.permutation(40)[:3] for _ in range(60)])
+    zero = ZERO_AREA_FACES[layout]
+    faces[zero, 1] = faces[zero, 0]
+    return TriangleMesh(vertices=vertices, faces=faces)
+
+
+class TestFaceDrawOracle:
+    """sample_surface equals the Generator.choice draw bit for bit, and
+    leaves a passed generator where that draw leaves it."""
+
+    @pytest.mark.parametrize("layout", list(ZERO_AREA_FACES))
+    @pytest.mark.parametrize("n", [1, 7, 100_000])
+    @pytest.mark.parametrize("seed_kind", ["int", "generator"])
+    def test_bitwise_equal_to_choice(self, layout, n, seed_kind):
+        mesh = draw_mesh(layout)
+        assert np.flatnonzero(mesh.face_areas == 0).tolist() == ZERO_AREA_FACES[layout]
+        if seed_kind == "int":
+            got, want = sample_surface(mesh, n, 9), reference_sample_surface(mesh, n, 9)
+        else:
+            rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+            got, want = sample_surface(mesh, n, rng), reference_sample_surface(mesh, n, ref_rng)
+            assert rng.random() == ref_rng.random()
+        assert got.shape == (n, 3) and got.dtype == np.float64
+        assert np.array_equal(got, want)
 
 
 class TestReflectivity:
