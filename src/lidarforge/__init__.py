@@ -4,10 +4,9 @@ anomaly segmentation."""
 
 from .errors import (FormatError, LidarForgeError, PlacementInfeasibleError,
                      UndefinedMetricError, UnknownCategoryError, ValidationError)
-from .insertion import (ForgeParams, InsertionRecord, SplitPolicy, compose_scan,
-                        forge_scan, forge_split, pick_placement, scan_seed)
-from .intensity import (SurfaceNormalField, estimate_normals, lambert_intensity,
-                        normalize_and_noise)
+from .insertion import (InsertionRecord, SplitPolicy, compose_scan, forge_scan,
+                        forge_split, pick_placement, scan_seed)
+from .intensity import estimate_normals, lambert_intensity, normalize_and_noise
 from .losses import (loss_ce, loss_contrastive, loss_heads, loss_lovasz,
                      loss_objectosphere, loss_prototype, mean_class_features)
 from .mesh_bank import (AnomalyObject, MeshBank, ReflectivityCatalog, TriangleMesh,

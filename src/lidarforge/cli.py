@@ -26,9 +26,9 @@ import numpy as np
 
 from . import insertion, losses, metrics, scoring
 from .errors import LidarForgeError, ValidationError
-from .insertion import NOISE_SCALE, STYLE_PRESETS, ForgeParams, SplitPolicy, check_anomaly_label
+from .insertion import NOISE_SCALE, STYLE_PRESETS, SplitPolicy, check_anomaly_label
 from .intensity import DEFAULT_NEIGHBORS
-from .mesh_bank import MeshBank, ReflectivityCatalog, load_target_heights
+from .mesh_bank import OBJECT_POINTS, MeshBank, ReflectivityCatalog, load_target_heights
 from .range_projection import point_ranges, project, write_pgm
 from .scan_io import SensorConfig, read_labels, read_scan
 
@@ -82,7 +82,6 @@ def cmd_forge(args) -> int:
         else ReflectivityCatalog.default()
     heights = load_target_heights(args.heights)
     bank = MeshBank(args.meshes, catalog)
-    params = ForgeParams(object_points=args.object_points)
 
     pairs = insertion.discover_pairs(args.scans, args.labels)
     if not pairs:
@@ -101,8 +100,8 @@ def cmd_forge(args) -> int:
         "sensor_fov_up_deg": sensor.fov_up_deg,
         "sensor_fov_down_deg": sensor.fov_down_deg,
         "style": args.style,
-        "object_points": params.object_points,
         # fixed values, kept in the header the golden digests cover
+        "object_points": OBJECT_POINTS,
         "noise_scale": NOISE_SCALE,
         "normal_neighbors": DEFAULT_NEIGHBORS,
         "normalization": "mean",
@@ -112,7 +111,7 @@ def cmd_forge(args) -> int:
     tmp = Path(tempfile.mkdtemp(prefix=out_dir.name + ".tmp.", dir=out_dir.parent))
     try:
         summary = insertion.forge_split(
-            pairs, tmp, policy, sensor, bank, heights, args.seed, params,
+            pairs, tmp, policy, sensor, bank, heights, args.seed,
             workers=args.workers, config_echo=echo)
         os.replace(tmp, out_dir)
     except BaseException:
@@ -329,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     forge.add_argument("--max-radius", type=float, default=None)
     forge.add_argument("--catalog", default=None, help="reflectivity config (default: bundled)")
     forge.add_argument("--heights", default=None, help="target-height config (default: bundled)")
-    forge.add_argument("--object-points", type=int, default=ForgeParams().object_points)
     forge.add_argument("--workers", type=int, default=1)
     forge.set_defaults(func=cmd_forge)
 

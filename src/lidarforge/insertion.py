@@ -25,7 +25,7 @@ import numpy as np
 
 from . import mesh_bank
 from .errors import LidarForgeError, PlacementInfeasibleError, ValidationError
-from .intensity import DEFAULT_NEIGHBORS, estimate_normals, lambert_intensity, normalize_and_noise
+from .intensity import estimate_normals, lambert_intensity, normalize_and_noise
 from .mesh_bank import AnomalyObject, MeshBank
 from .range_projection import point_ranges, project
 from .scan_io import (CLASS_ID_MASK, LabelArray, PointCloud, SensorConfig, check_pair,
@@ -111,19 +111,6 @@ class SplitPolicy:
                    surface_classes=frozenset(surface_classes),
                    count_distribution=MULTI_COUNT_DISTRIBUTION,
                    anomaly_label=anomaly_label, **kwargs)
-
-
-@dataclass(frozen=True)
-class ForgeParams:
-    """The forge knob that is not split policy: surface points sampled per object."""
-
-    object_points: int = mesh_bank.DEFAULT_SAMPLE_COUNT
-
-    def __post_init__(self):
-        # normals need DEFAULT_NEIGHBORS + 1 points on every object
-        if not self.object_points > DEFAULT_NEIGHBORS:
-            raise ValidationError(f"object points must exceed the {DEFAULT_NEIGHBORS} normal "
-                                  f"neighbors, got {self.object_points}")
 
 
 @dataclass(frozen=True)
@@ -281,7 +268,7 @@ def _finalize(scene: PointCloud, labels: LabelArray, objects: list,
         if m_surv:
             dense = np.asarray(obj.points, dtype=np.float32).astype(np.float64)
             pts_surv = dense[mine]
-            normals = estimate_normals(dense, at=mine).normals
+            normals = estimate_normals(dense, at=mine)
             raw = lambert_intensity(pts_surv, normals, obj.reflectivity)
             block = np.empty((m_surv, 4), dtype=np.float32)
             block[:, :3] = pts_surv
@@ -369,8 +356,7 @@ class ForgeScanResult:
 
 def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
                cfg: SensorConfig, policy: SplitPolicy, bank: MeshBank,
-               target_heights: dict, seed: int,
-               params: ForgeParams = ForgeParams()) -> ForgeScanResult:
+               target_heights: dict, seed: int) -> ForgeScanResult:
     """Run the per-scan insertion protocol.
 
     A Bernoulli draw with the policy ratio decides anomaly presence;
@@ -397,8 +383,7 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
     for _ in range(n_objects):
         category, mesh = bank.choose(rng)
         obj = _settle(surface, rng, mesh_bank.build_anomaly_object(
-            mesh, category, bank.catalog, target_heights, rng,
-            n_points=params.object_points), placed)
+            mesh, category, bank.catalog, target_heights, rng), placed)
         if obj is not None:
             placed.append(obj)
     if not placed:
@@ -434,8 +419,8 @@ def discover_pairs(scans_dir: str | Path, labels_dir: str | Path):
 
 def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
                 cfg: SensorConfig, bank: MeshBank, target_heights: dict,
-                master_seed: int, params: ForgeParams = ForgeParams(),
-                workers: int = 1, config_echo: dict | None = None) -> ForgeSummary:
+                master_seed: int, workers: int = 1,
+                config_echo: dict | None = None) -> ForgeSummary:
     """Forge a whole split into ``out_dir`` (velodyne/, labels/, manifest.tsv).
 
     Deterministic for a given master seed: each scan is keyed by
@@ -466,7 +451,7 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
         label_file = out_dir / "labels" / f"{sid}.label"
         try:
             result = forge_scan(scene, labels, sid, cfg, policy, bank,
-                                target_heights, seeds[sid], params)
+                                target_heights, seeds[sid])
             write_scan(result.cloud, scan_file)
             write_labels(result.labels, label_file)
         except LidarForgeError as exc:  # skip-and-report contract

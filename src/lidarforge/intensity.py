@@ -20,32 +20,19 @@ DEFAULT_NEIGHBORS = 10
 _DEGENERATE_EIGRATIO = 1e-8
 
 
-class SurfaceNormalField:
-    """Per-point unit normals oriented toward the sensor at the origin."""
-
-    __slots__ = ("normals", "neighbor_count", "degenerate")
-
-    def __init__(self, normals: np.ndarray, neighbor_count: int, degenerate: np.ndarray):
-        self.normals = normals
-        self.neighbor_count = neighbor_count
-        self.degenerate = degenerate
-
-
-def estimate_normals(points: np.ndarray, k: int = DEFAULT_NEIGHBORS,
-                     at: np.ndarray | None = None) -> SurfaceNormalField:
-    """Estimate normals from the k nearest neighbors of each point.
+def estimate_normals(points: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Unit normals at ``points[at]``, one row per entry of the integer
+    index array ``at``, from the DEFAULT_NEIGHBORS nearest neighbors of
+    each query point among all of ``points``.
 
     The normal is the eigenvector of the neighborhood covariance with
     the smallest eigenvalue.  Sign is fixed deterministically (first
     component with magnitude above 1e-12 made positive), then flipped
-    toward the sensor at the origin.  Neighborhoods of rank < 2 get the
-    sensor-facing direction and are flagged degenerate.
-
-    ``at`` is an optional integer index array: the estimate is then made
-    only at ``points[at]``, one row per entry, with neighbors still
-    searched among all of ``points``.  Every step is per point, so the
-    result is bitwise equal to the full estimate indexed by ``at``, at
-    the cost of ``len(at)`` points instead of ``len(points)``.
+    toward the sensor at the origin.  A neighborhood of rank < 2 gets
+    the sensor-facing direction, or (0, 0, 1) at the origin.  Every step
+    is per point, so the cost is that of ``len(at)`` points, not
+    ``len(points)``, and an entry's normal does not depend on the other
+    entries of ``at``.
 
     Neighbors come from a sliding-midpoint KD-tree (``cKDTree`` with
     ``balanced_tree=False, compact_nodes=False``), which builds in about
@@ -53,13 +40,14 @@ def estimate_normals(points: np.ndarray, k: int = DEFAULT_NEIGHBORS,
     neighbors in distance order; only neighbors at exactly equal
     distances could come back in a different order.
     """
+    k = DEFAULT_NEIGHBORS
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     if n < k + 1:
         raise ValidationError(f"need at least k+1={k + 1} points, got {n}")
 
     tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
-    query = pts if at is None else pts[at]
+    query = pts[at]
     m = query.shape[0]
     _, idx = tree.query(query, k=k + 1)
     neighbors = pts[idx[:, 1:]]  # drop the query point itself
@@ -88,8 +76,7 @@ def estimate_normals(points: np.ndarray, k: int = DEFAULT_NEIGHBORS,
     normals[degenerate & (d == 0)] = (0.0, 0.0, 1.0)
 
     norms = point_ranges(normals)[:, None]
-    normals = normals / np.where(norms > 0, norms, 1.0)
-    return SurfaceNormalField(normals=normals, neighbor_count=k, degenerate=degenerate)
+    return normals / np.where(norms > 0, norms, 1.0)
 
 
 def lambert_intensity(points: np.ndarray, normals: np.ndarray, reflectivity: float) -> np.ndarray:

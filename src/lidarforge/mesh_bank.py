@@ -25,8 +25,8 @@ from .configfile import parse_number, read_keyvalue
 from .errors import FormatError, UnknownCategoryError, ValidationError
 from .range_projection import point_ranges
 
-DEFAULT_SAMPLE_COUNT = 50_000
-DEFAULT_SCALE_RANGE = (0.5, 1.0)
+OBJECT_POINTS = 50_000       # surface points sampled per forged object
+SCALE_RANGE = (0.5, 1.0)     # uniform scale augmentation after sizing to the target height
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,22 @@ def load_off(path: str | os.PathLike) -> TriangleMesh:
     if len(parts) < 3 * n_vertices:
         end_of_file("vertices")
     faces_text = parts[3 * n_vertices] if len(parts) > 3 * n_vertices else ""
+
+    def vertex_fail(k: int, what: str) -> NoReturn:
+        """Fail at vertex token k, quoting it."""
+        match = next(itertools.islice(re.finditer(r"\S+", counts[3]), k, None))
+        fail(len(body) - len(counts[3]) + match.start(),
+             f"{what} vertex coordinate {match.group()!r}")
+
     try:
         vertices = np.array(parts[:3 * n_vertices], dtype=np.float64).reshape(n_vertices, 3)
     except ValueError:
-        fail(None, "non-numeric vertex coordinate")
+        vertex_fail(next(k for k, token in enumerate(parts) if not _is_number(token)),
+                    "non-numeric")
     finite = np.isfinite(vertices.ravel())
     if not finite.all():
         # nan, inf or a value that overflows (1e400) would reach the area sums
-        k = int(np.argmin(finite))
-        match = next(itertools.islice(re.finditer(r"\S+", counts[3]), k, None))
-        fail(len(body) - len(counts[3]) + match.start(),
-             f"non-finite vertex coordinate {match.group()!r}")
+        vertex_fail(int(np.argmin(finite)), "non-finite")
 
     need = 4 * n_faces
     try:
@@ -165,6 +170,15 @@ def load_off(path: str | os.PathLike) -> TriangleMesh:
     if n_faces == 0 or not (mesh.face_areas > 0).any():
         fail(None, "mesh has no face with nonzero area")
     return mesh
+
+
+def _is_number(token: str) -> bool:
+    """Whether numpy reads ``token`` as a float64, as load_off reads vertices."""
+    try:
+        np.array(token, dtype=np.float64)
+    except ValueError:
+        return False
+    return True
 
 
 def _leading_integers(text: str) -> tuple[np.ndarray, int | None]:
@@ -314,23 +328,17 @@ def _yaw_matrix(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def augment(obj: AnomalyObject, seed: int | np.random.Generator,
-            scale_range: tuple[float, float] = DEFAULT_SCALE_RANGE,
-            yaw: float | None = None, scale: float | None = None) -> AnomalyObject:
+def augment(obj: AnomalyObject, seed: int | np.random.Generator) -> AnomalyObject:
     """Rotate about the vertical axis and rescale.
 
-    yaw is drawn uniformly in [0, 2*pi) and the scale factor uniformly
-    from ``scale_range`` unless forced explicitly.  The transform is a
-    similarity: pairwise distances scale by exactly the drawn factor.
+    yaw is drawn uniformly in [0, 2*pi), then the scale factor uniformly
+    from SCALE_RANGE; both are added to the object's pose.  The
+    transform is a similarity: pairwise distances scale by exactly the
+    drawn factor.
     """
     rng = np.random.default_rng(seed)
-    if yaw is None:
-        yaw = float(rng.uniform(0.0, 2.0 * np.pi))
-    if scale is None:
-        lo, hi = scale_range
-        if not 0 < lo <= hi:
-            raise ValidationError(f"invalid scale range {scale_range}")
-        scale = float(rng.uniform(lo, hi))
+    yaw = float(rng.uniform(0.0, 2.0 * np.pi))
+    scale = float(rng.uniform(*SCALE_RANGE))
     pts = (obj.points @ _yaw_matrix(yaw).T) * scale
     return replace(obj, points=pts, yaw=obj.yaw + yaw, scale=obj.scale * scale)
 
@@ -338,11 +346,9 @@ def augment(obj: AnomalyObject, seed: int | np.random.Generator,
 def build_anomaly_object(mesh: TriangleMesh, category: str,
                          catalog: ReflectivityCatalog,
                          target_heights: dict[str, float],
-                         rng: np.random.Generator,
-                         n_points: int = DEFAULT_SAMPLE_COUNT,
-                         scale_range: tuple[float, float] = DEFAULT_SCALE_RANGE) -> AnomalyObject:
-    """Sample a mesh densely, size it to a plausible physical height,
-    and apply random yaw/scale augmentation.
+                         rng: np.random.Generator) -> AnomalyObject:
+    """Sample OBJECT_POINTS points of a mesh, size them to a plausible
+    physical height, and apply random yaw/scale augmentation.
 
     The result is centered: xy centroid at the origin, lowest point at
     z = 0, ready to be rested on an insertion surface.
@@ -350,7 +356,7 @@ def build_anomaly_object(mesh: TriangleMesh, category: str,
     rho = catalog.get(category)
     if category not in target_heights:
         raise UnknownCategoryError(category, target_heights)
-    pts = sample_surface(mesh, n_points, rng)
+    pts = sample_surface(mesh, OBJECT_POINTS, rng)
 
     extent_z = float(pts[:, 2].max() - pts[:, 2].min())
     if extent_z < 1e-9:
@@ -360,7 +366,7 @@ def build_anomaly_object(mesh: TriangleMesh, category: str,
                          scale=1.0, yaw=0.0)
     sized = replace(base, points=pts * (target_heights[category] / extent_z),
                     scale=target_heights[category] / extent_z)
-    out = augment(sized, rng, scale_range=scale_range)
+    out = augment(sized, rng)
 
     centered = out.points.copy()
     centered[:, :2] -= centered[:, :2].mean(axis=0)
@@ -379,13 +385,18 @@ def place(obj: AnomalyObject, x: float, y: float, ground_z: float) -> AnomalyObj
 
 
 class MeshBank:
-    """Lazy-loading collection of category-organized OFF meshes."""
+    """Lazy-loading collection of category-organized OFF meshes.
+
+    A file is parsed on its first draw; its mesh, or the FormatError it
+    raised, is kept and served to every later draw.  Worker threads that
+    draw a file before its first parse ends each parse it.
+    """
 
     def __init__(self, root: str | os.PathLike, catalog: ReflectivityCatalog):
         self.root = Path(root)
         self.catalog = catalog
         self._files: dict[str, list[Path]] = {}
-        self._cache: dict[Path, TriangleMesh] = {}
+        self._cache: dict[Path, TriangleMesh | FormatError] = {}
         for sub in sorted(p for p in self.root.iterdir() if p.is_dir()):
             category = sub.name.replace("_", " ")
             files = sorted(sub.rglob("*.off"))
@@ -407,5 +418,12 @@ class MeshBank:
         files = self._files[category]
         path = files[int(rng.integers(len(files)))]
         if path not in self._cache:
-            self._cache[path] = load_off(path)
-        return category, self._cache[path]
+            try:
+                self._cache[path] = load_off(path)
+            except FormatError as exc:
+                self._cache[path] = exc
+        mesh = self._cache[path]
+        if isinstance(mesh, FormatError):
+            # a new instance each time: threads may raise it at once
+            raise FormatError(*mesh.args)
+        return category, mesh

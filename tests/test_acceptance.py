@@ -10,8 +10,7 @@ from scipy.stats import chisquare
 from helpers import (ROAD_CLASS, ROAD_Z, TEST_SENSOR, full_coverage_wall,
                      make_cube_mesh, make_flat_scene, make_random_cloud, write_off)
 
-from lidarforge import (AnomalyObject, FeatureSet, ForgeParams,
-                        LabelArray, PointCloud, PrototypeBank,
+from lidarforge import (AnomalyObject, FeatureSet, LabelArray, PointCloud, PrototypeBank,
                         ReflectivityCatalog, SensorConfig, SplitPolicy, auroc,
                         compose_scan, compute_scores, forge_split, lambert_intensity,
                         loss_ce, loss_contrastive, loss_lovasz, loss_objectosphere,
@@ -32,7 +31,6 @@ from test_metrics import (exhaustive_ap_oracle, exhaustive_fpr_oracle,
 KITTI_LIKE = SensorConfig(beams=64, width=2048, fov_up_deg=3.0, fov_down_deg=25.0)
 CATALOG = ReflectivityCatalog({"chair": 0.35, "xbox": 0.30})
 HEIGHTS = {"chair": 0.9, "xbox": 0.3}
-FAST = ForgeParams(object_points=1200)
 
 
 def _box_mesh(sx, sy, sz):
@@ -193,7 +191,7 @@ def _forge(inputs, out, policy, seed, workers=1):
     scans, labels = inputs
     bank = MeshBank(_forge.mesh_root, CATALOG)
     return forge_split(discover_pairs(scans, labels), out, policy, TEST_SENSOR,
-                       bank, HEIGHTS, master_seed=seed, params=FAST, workers=workers)
+                       bank, HEIGHTS, master_seed=seed, workers=workers)
 
 
 @pytest.fixture(scope="module")
@@ -321,7 +319,7 @@ def test_criterion_8_end_to_end_smoke(mini_inputs, forge_env, tmp_path, capsys):
     code = cli_main(["forge", "--scans", str(scans_dir), "--labels", str(labels_dir),
                      "--meshes", str(forge_env), "--out", str(out),
                      "--sensor", str(sensor_cfg), "--policy", "single",
-                     "--seed", "88", "--object-points", "1200"])
+                     "--seed", "88"])
     assert code == 0
 
     # synthesize head features from the forged labels: anomalies get flat

@@ -16,6 +16,7 @@ from helpers import make_cube_mesh, make_flat_scene, write_off
 from lidarforge import (EvalPair, FeatureSet, LabelArray, PointCloud, PrototypeBank, auroc,
                         compute_scores, point_ranges, range_binned_ap, read_tensor,
                         write_labels, write_scan, write_tensor)
+from lidarforge import mesh_bank
 from lidarforge.cli import main
 
 SENSOR_CFG = """beams = 32
@@ -77,7 +78,6 @@ def forge_args(root, out, seed=7, workers=1):
             "--sensor", str(root / "sensor.cfg"),
             "--policy", "single",
             "--seed", str(seed),
-            "--object-points", "1200",
             "--workers", str(workers)]
 
 
@@ -128,8 +128,38 @@ class TestForgeCommand:
         assert {p.stem for p in (out / "labels").iterdir()} == written
         assert written.isdisjoint(skipped) and len(written) + len(skipped) == 5
 
+    def test_malformed_mesh_is_parsed_once(self, forge_inputs, monkeypatch):
+        root = forge_inputs
+        bad = root / "meshes" / "chair" / "chair_0001.off"
+        lines = bad.read_text().splitlines()
+        lines[4] = "nan 0.5 -0.5"
+        bad.write_text("\n".join(lines) + "\n")
+        loads = []
+        real_load_off = mesh_bank.load_off
+
+        def counting_load_off(path):
+            loads.append(path)
+            return real_load_off(path)
+
+        monkeypatch.setattr(mesh_bank, "load_off", counting_load_off)
+        args = forge_args(root, root / "out_multi")
+        args[args.index("--policy") + 1] = "multi"
+        assert main(args) == 0
+        manifest = (root / "out_multi" / "manifest.tsv").read_text()
+        # several scans draw the mesh; each is skipped for the one parse's error
+        assert manifest.count("# skipped: ") > 1
+        assert loads == [bad]
+
+    def test_object_points_is_an_unknown_option(self, forge_inputs, capsys):
+        root = forge_inputs
+        out = root / "out_points"
+        with pytest.raises(SystemExit) as exit_info:
+            main(forge_args(root, out) + ["--object-points", "10"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --object-points" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
-        ("--object-points", "0"), ("--object-points", "1"), ("--object-points", "10"),
         ("--max-radius", "nan"), ("--max-radius", "inf"),
         ("--workers", "0"),
         ("--anomaly-label", "-1"), ("--anomaly-label", "70000"), ("--anomaly-label", "40"),
@@ -171,6 +201,7 @@ class TestForgeCommand:
         assert header["policy"] == "single"
         assert header["anomaly_ratio"] == "0.4"
         # fixed since their knobs went; the golden digests cover these lines
+        assert header["object_points"] == "50000"
         assert (header["noise_scale"], header["normal_neighbors"], header["normalization"]) \
             == ("0.05", "10", "mean")
 
@@ -178,14 +209,13 @@ class TestForgeCommand:
 # per knob: (valid values, edge values); edges mix invalid and boundary values
 FLOAT_EDGES = [math.nan, math.inf, -math.inf, 0.0, 1.0, -1.0]
 KNOBS = {
-    "object-points": (st.integers(50, 3000), [0, 1, -1, 10]),
     "max-radius": (st.floats(0.5, 60.0), FLOAT_EDGES),
     "anomaly-label": (st.integers(0, 100), [-1, 65535, 65536, 70000]),
     "surface-classes": (st.sampled_from(["40", "40,44"]), ["abc", "40,,44", "-1", "70000"]),
     # small worker counts only: each is a real thread pool
     "workers": (st.sampled_from([1, 2]), [-1, 0]),
 }
-VALID_KNOBS = {"object-points": 1200, "max-radius": 50.0, "anomaly-label": 2,
+VALID_KNOBS = {"max-radius": 50.0, "anomaly-label": 2,
                "surface-classes": "40", "workers": 1}
 
 

@@ -10,6 +10,9 @@ occlusion, a spent retry budget, an object that never survives) on a
 half-walled scene, which the split above never reaches.  A fourth
 digest covers the score files: the split's own, and every score channel
 of one C=19 feature set that spans several of the scorer's row blocks.
+Every object is forged at the production setting, 50 000 surface
+points (``mesh_bank.OBJECT_POINTS``), so the digests pin the dense
+sample, the normals and the occlusion contest that real splits run.
 
 The digests depend on the numpy/scipy/LAPACK build: normal estimation
 goes through ``numpy.linalg.eigh`` and ``scipy.spatial.cKDTree``, whose
@@ -26,14 +29,14 @@ import pytest
 from helpers import (ROAD_CLASS, TEST_SENSOR, half_wall_scene, make_cube_mesh,
                      make_flat_scene, write_off)
 
-from lidarforge import (ForgeParams, MeshBank, ReflectivityCatalog, SplitPolicy, forge_scan,
-                        read_labels, write_labels, write_scan, write_tensor)
+from lidarforge import (MeshBank, ReflectivityCatalog, SplitPolicy, forge_scan, read_labels,
+                        write_labels, write_scan, write_tensor)
 from lidarforge.cli import main
 
-TREE_SHA256 = "39b55318928f7d031046a7867d3f834173edc3e22c61c67a67e824d1a3c6321b"
-REPORT_SHA256 = "181aab366e34937294d317b35b957d58ae90fcbb3fd14a76eee745c4ff4ddf74"
-RETRY_SHA256 = "77243f6e1c69a764223272a67c10faba5774ba9065689f3c5a4ba19691ae8ccd"
-SCORES_SHA256 = "ea27a1ca1f2527b0c2c48bba2ca724902ad09f38894fd766dd2996d8ad1ce235"
+TREE_SHA256 = "3daeb16af4266c114c19623946040ace4e77f2b14563b529f83a3d436e88f037"
+REPORT_SHA256 = "1e40bb1f26c6cbbfa7c283544d8cb61389e6140feaa5052d232f499cea745f20"
+RETRY_SHA256 = "b3da8085439c27c8a9abb1a3f043e073f2200ecf4d526644e86b126085954481"
+SCORES_SHA256 = "52926acc3d949cfd108704da25a40ba792d6be73831e8659c5e7cca558f9eb3e"
 
 SENSOR_CFG = "beams = 32\nwidth = 512\nfov_up_deg = 8.0\nfov_down_deg = 24.0\n"
 N_CLASSES = 4
@@ -87,7 +90,6 @@ def forge(root, workers: int):
                  "--sensor", str(root / "sensor.cfg"),
                  "--policy", "multi",
                  "--seed", "5",
-                 "--object-points", "1500",
                  "--workers", str(workers)])
     assert code == 0
     return out
@@ -190,7 +192,6 @@ def test_retry_paths_match_golden_digest(tmp_path):
     write_off(make_cube_mesh(), tmp_path / "chair" / "chair_0001.off")
     bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}))
     scene, labels = half_wall_scene()
-    params = ForgeParams(object_points=1500)
 
     h = hashlib.sha256()
     outcomes = {}
@@ -199,7 +200,7 @@ def test_retry_paths_match_golden_digest(tmp_path):
                                    retry_budget=budget)
         for seed in range(16):
             r = forge_scan(scene, labels, "w", TEST_SENSOR, policy, bank, {"chair": 0.9},
-                           seed=seed, params=params)
+                           seed=seed)
             h.update(r.cloud.data.tobytes())
             h.update(r.labels.words.tobytes())
             h.update(repr(r.records).encode() + repr(r.modified).encode())

@@ -13,19 +13,18 @@ from scipy.stats import kstest
 from helpers import (ROAD_CLASS, ROAD_Z, TEST_SENSOR, full_coverage_wall,
                      half_wall_scene, make_cube_mesh, make_flat_scene, write_off)
 
-from lidarforge import (ForgeParams, LabelArray, PlacementInfeasibleError,
+from lidarforge import (LabelArray, PlacementInfeasibleError,
                         PointCloud, ReflectivityCatalog, SplitPolicy,
                         ValidationError, build_anomaly_object, compose_scan,
                         forge_scan, forge_split, pick_placement, place, project,
                         reproject, scan_seed)
 from lidarforge import insertion
 from lidarforge.insertion import GROUND_NEIGHBORHOOD, PlacementSurface, discover_pairs
-from lidarforge.mesh_bank import MeshBank
+from lidarforge.mesh_bank import OBJECT_POINTS, MeshBank
 from lidarforge.scan_io import read_labels, read_scan, write_labels, write_scan
 
 CATALOG = ReflectivityCatalog({"chair": 0.35})
 HEIGHTS = {"chair": 0.9}
-FAST = ForgeParams(object_points=1500)
 
 
 def single_policy(**kw):
@@ -36,9 +35,8 @@ def multi_policy(**kw):
     return SplitPolicy.multi(surface_classes=(ROAD_CLASS,), anomaly_label=2, **kw)
 
 
-def cube_object(rng, at=(10.0, 0.0), n_points=1500, scale=(1.0, 1.0)):
-    obj = build_anomaly_object(make_cube_mesh(), "chair", CATALOG, HEIGHTS, rng,
-                               n_points=n_points, scale_range=scale)
+def cube_object(rng, at=(10.0, 0.0)):
+    obj = build_anomaly_object(make_cube_mesh(), "chair", CATALOG, HEIGHTS, rng)
     return place(obj, at[0], at[1], ROAD_Z)
 
 
@@ -279,9 +277,9 @@ class TestForgeScan:
         scene, labels = make_flat_scene(rng, 6000)
         bank = _bank_with_cube()
         a = forge_scan(scene, labels, "000000", TEST_SENSOR, single_policy(),
-                       bank, HEIGHTS, seed=99, params=FAST)
+                       bank, HEIGHTS, seed=99)
         b = forge_scan(scene, labels, "000000", TEST_SENSOR, single_policy(),
-                       bank, HEIGHTS, seed=99, params=FAST)
+                       bank, HEIGHTS, seed=99)
         assert a.cloud == b.cloud and a.labels == b.labels
         assert a.records == b.records
 
@@ -292,7 +290,7 @@ class TestForgeScan:
         # seed chosen so the bernoulli draw misses the 40% ratio
         for seed in range(30):
             result = forge_scan(scene, labels, "s", TEST_SENSOR, single_policy(),
-                                bank, HEIGHTS, seed=seed, params=FAST)
+                                bank, HEIGHTS, seed=seed)
             if not result.modified:
                 assert result.cloud == scene and result.labels == labels
                 assert result.records == []
@@ -316,7 +314,7 @@ class TestForgeScan:
         policy = single_policy(retry_budget=3)
         for seed in range(40):
             result = forge_scan(scene, labels, "w", TEST_SENSOR, policy,
-                                bank, HEIGHTS, seed=seed, params=FAST)
+                                bank, HEIGHTS, seed=seed)
             if result.records:
                 assert not result.modified
                 assert all(rec.surviving_count == 0 for rec in result.records)
@@ -333,8 +331,8 @@ class TestForgeScan:
             img = real_project(cloud, cfg, scene_count=scene_count)
             won = img.surviving_indices()
             alive = np.unique((won[won >= img.scene_count] - img.scene_count)
-                              // FAST.object_points)
-            passes.append(alive.size < (cloud.count - img.scene_count) // FAST.object_points)
+                              // OBJECT_POINTS)
+            passes.append(alive.size < (cloud.count - img.scene_count) // OBJECT_POINTS)
             return img
 
         def counting_noise(*args, **kwargs):
@@ -352,7 +350,7 @@ class TestForgeScan:
                 passes.clear()
                 noised.clear()
                 result = forge_scan(scene, labels, "w", TEST_SENSOR, policy, bank,
-                                    HEIGHTS, seed=seed, params=FAST)
+                                    HEIGHTS, seed=seed)
                 if not result.records:
                     assert passes == [] and noised == []
                     continue
@@ -378,7 +376,7 @@ class TestForgeScan:
         bank = _bank_with_cube(tmp_path)
         for seed in range(30):
             result = forge_scan(scene, labels, "o", TEST_SENSOR, single_policy(),
-                                bank, HEIGHTS, seed=seed, params=FAST)
+                                bank, HEIGHTS, seed=seed)
             if result.modified:
                 # re-projected like any point outside the field of view
                 assert (np.linalg.norm(result.cloud.xyz, axis=1) > 0).all()
@@ -414,7 +412,7 @@ class TestForgeSplit:
         bank = _bank_with_cube(tmp_path / "meshes")
         out = tmp_path / "out"
         summary = forge_split(discover_pairs(scans, labels), out, single_policy(),
-                              TEST_SENSOR, bank, HEIGHTS, master_seed=5, params=FAST)
+                              TEST_SENSOR, bank, HEIGHTS, master_seed=5)
         assert summary.scan_count == 8
         assert sorted(p.name for p in (out / "velodyne").iterdir()) == \
             [f"{i:06d}.bin" for i in range(8)]
@@ -430,7 +428,7 @@ class TestForgeSplit:
         bank = _bank_with_cube(tmp_path / "meshes")
         out = tmp_path / "out"
         summary = forge_split(discover_pairs(scans, labels), out, single_policy(),
-                              TEST_SENSOR, bank, HEIGHTS, master_seed=6, params=FAST)
+                              TEST_SENSOR, bank, HEIGHTS, master_seed=6)
         total = 0
         for sid in summary.per_scan_objects:
             words = read_labels(out / "labels" / f"{sid}.label")
@@ -443,7 +441,7 @@ class TestForgeSplit:
         bank = _bank_with_cube(tmp_path / "meshes")
         out = tmp_path / "out"
         summary = forge_split(discover_pairs(scans, labels), out, single_policy(),
-                              TEST_SENSOR, bank, HEIGHTS, master_seed=7, params=FAST)
+                              TEST_SENSOR, bank, HEIGHTS, master_seed=7)
         for sid in summary.per_scan_objects:
             cloud = read_scan(out / "velodyne" / f"{sid}.bin")
             words = read_labels(out / "labels" / f"{sid}.label")
@@ -456,7 +454,7 @@ class TestForgeSplit:
         bank = _bank_with_cube(tmp_path / "meshes")
         out = tmp_path / "out"
         summary = forge_split(discover_pairs(scans, labels), out, single_policy(),
-                              TEST_SENSOR, bank, HEIGHTS, master_seed=8, params=FAST)
+                              TEST_SENSOR, bank, HEIGHTS, master_seed=8)
         assert [sid for sid, _ in summary.skipped] == ["000001"]
         assert "# skipped: 000001" in (out / "manifest.tsv").read_text()
         assert not (out / "velodyne" / "000001.bin").exists()
@@ -470,7 +468,7 @@ class TestForgeSplit:
         out = tmp_path / "out"
         every_scan = replace(single_policy(), anomaly_ratio=1.0)
         summary = forge_split(discover_pairs(scans, labels), out, every_scan,
-                              TEST_SENSOR, bank, HEIGHTS, master_seed=10, params=FAST)
+                              TEST_SENSOR, bank, HEIGHTS, master_seed=10)
         assert summary.skipped == [
             ("000001", "ValidationError: scene mean intensity must be positive, got 0.0")]
         assert summary.scan_count == 2
@@ -491,7 +489,7 @@ class TestForgeSplit:
         bank = _bank_with_cube(tmp_path / "meshes")
         out = tmp_path / "out"
         summary = forge_split(discover_pairs(scans, labels), out, single_policy(),
-                              TEST_SENSOR, bank, HEIGHTS, master_seed=11, params=FAST)
+                              TEST_SENSOR, bank, HEIGHTS, master_seed=11)
         assert summary.skipped == [("000001", "ValidationError: label write refused")]
         assert summary.scan_count == 2
         # the scan file was written before the label write failed, and is removed
@@ -505,7 +503,7 @@ class TestForgeSplit:
         out = tmp_path / "out"
         with pytest.raises(ValidationError):
             forge_split(discover_pairs(scans, labels), out, single_policy(), TEST_SENSOR,
-                        bank, HEIGHTS, master_seed=master_seed, params=FAST, workers=workers)
+                        bank, HEIGHTS, master_seed=master_seed, workers=workers)
         assert not out.exists()
 
     @pytest.mark.parametrize("budget", [1.5, -3])
@@ -515,7 +513,7 @@ class TestForgeSplit:
         out = tmp_path / "out"
         with pytest.raises(ValidationError, match="retry budget"):
             forge_split(discover_pairs(scans, labels), out, single_policy(retry_budget=budget),
-                        TEST_SENSOR, bank, HEIGHTS, master_seed=0, params=FAST)
+                        TEST_SENSOR, bank, HEIGHTS, master_seed=0)
         assert not out.exists()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
@@ -525,7 +523,7 @@ class TestForgeSplit:
         for workers, name in ((1, "w1"), (4, "w4")):
             out = tmp_path / name
             forge_split(discover_pairs(scans, labels), out, single_policy(),
-                        TEST_SENSOR, bank, HEIGHTS, master_seed=9, params=FAST,
+                        TEST_SENSOR, bank, HEIGHTS, master_seed=9,
                         workers=workers)
             tree = {p.relative_to(out).as_posix(): p.read_bytes()
                     for p in sorted(out.rglob("*")) if p.is_file()}
@@ -590,7 +588,7 @@ class TestForgeSplitDegenerateScans:
             summary = forge_split(
                 discover_pairs(root / "in" / "velodyne", root / "in" / "labels"), out,
                 EVERY_SCAN, TEST_SENSOR, _bank_with_cube(root / "meshes"), HEIGHTS,
-                master_seed=master_seed, params=FAST)
+                master_seed=master_seed)
 
             skipped = {sid for sid, _ in summary.skipped}
             assert {f"{i:06d}" for i, scan in enumerate(scans) if scan[2]} <= skipped
@@ -615,7 +613,7 @@ class TestForgeSplitDegenerateScans:
             summary = forge_split(
                 discover_pairs(tmp_path / "velodyne", tmp_path / "labels"), tmp_path / "out",
                 EVERY_SCAN, TEST_SENSOR, _bank_with_cube(tmp_path / "meshes"), HEIGHTS,
-                master_seed=0, params=FAST)
+                master_seed=0)
         assert summary.skipped == [
             ("000000", "ValidationError: scene mean intensity must be finite, got inf")]
 

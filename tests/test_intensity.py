@@ -7,6 +7,10 @@ from lidarforge import (ValidationError, estimate_normals, lambert_intensity,
                         normalize_and_noise, point_ranges, sample_surface)
 
 
+def every_point(pts):
+    return np.arange(len(pts))
+
+
 def fibonacci_sphere(n, center, radius=1.0):
     """Near-uniform points on a sphere (deterministic)."""
     i = np.arange(n)
@@ -24,46 +28,45 @@ class TestEstimateNormals:
         pts = np.zeros((500, 3))
         pts[:, :2] = rng.uniform(-5, 5, (500, 2))
         pts[:, 0] += 10.0  # keep away from the origin
-        field = estimate_normals(pts, k=10)
-        np.testing.assert_allclose(np.abs(field.normals[:, 2]), 1.0, atol=1e-9)
-        np.testing.assert_allclose(field.normals[:, :2], 0.0, atol=1e-9)
-        assert not field.degenerate.any()
+        normals = estimate_normals(pts, at=every_point(pts))
+        np.testing.assert_allclose(np.abs(normals[:, 2]), 1.0, atol=1e-9)
+        np.testing.assert_allclose(normals[:, :2], 0.0, atol=1e-9)
 
     def test_sphere_normals_near_radial(self):
         center = np.array([5.0, 0.0, 0.0])
         pts = fibonacci_sphere(5000, center)
-        field = estimate_normals(pts, k=10)
+        normals = estimate_normals(pts, at=every_point(pts))
         radial = pts - center
         radial /= np.linalg.norm(radial, axis=1, keepdims=True)
         # estimation orients toward the sensor, so compare up to sign
-        cos = np.abs(np.einsum("ij,ij->i", field.normals, radial))
+        cos = np.abs(np.einsum("ij,ij->i", normals, radial))
         within_5_deg = cos >= np.cos(np.deg2rad(5.0))
         assert within_5_deg.mean() >= 0.99
 
     def test_collinear_points_flagged_degenerate(self):
+        # every neighborhood of a line is degenerate: its normal faces the sensor
         t = np.linspace(0, 1, 12)
-        pts = np.stack([10 + t, np.zeros_like(t), np.zeros_like(t)], axis=1)
-        field = estimate_normals(pts, k=3)
-        assert field.degenerate.all()
-        # degenerate normals face the sensor
-        np.testing.assert_allclose(field.normals[0], [-1.0, 0.0, 0.0], atol=1e-9)
+        pts = np.stack([10 + t, 0.5 * t, np.zeros_like(t)], axis=1)
+        normals = estimate_normals(pts, at=every_point(pts))
+        toward_sensor = -pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        np.testing.assert_allclose(normals, toward_sensor, atol=1e-12)
 
     def test_unit_norm_invariant(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(2, 20, (300, 3))
-        field = estimate_normals(pts, k=8)
-        np.testing.assert_allclose(np.linalg.norm(field.normals, axis=1), 1.0, atol=1e-6)
+        normals = estimate_normals(pts, at=every_point(pts))
+        np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-6)
 
     def test_orientation_toward_sensor(self):
         pts = fibonacci_sphere(2000, center=[8.0, 0.0, 0.0])
-        field = estimate_normals(pts, k=10)
+        normals = estimate_normals(pts, at=every_point(pts))
         d = np.linalg.norm(pts, axis=1, keepdims=True)
         toward = -pts / d
-        assert (np.einsum("ij,ij->i", field.normals, toward) >= -1e-9).all()
+        assert (np.einsum("ij,ij->i", normals, toward) >= -1e-9).all()
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValidationError):
-            estimate_normals(np.zeros((5, 3)), k=10)
+            estimate_normals(np.zeros((10, 3)), at=np.arange(10))
 
 
 def _object_cloud():
@@ -79,7 +82,7 @@ def _object_cloud():
 
 
 class TestEstimateNormalsAt:
-    """``at=idx`` must equal the full estimate indexed by ``idx``, bit for bit."""
+    """``at=idx`` must equal the estimate at every point indexed by ``idx``, bit for bit."""
 
     @pytest.mark.parametrize("name", ["random", "repeated", "empty", "duplicates",
                                       "rank-deficient", "origin", "all"])
@@ -95,23 +98,28 @@ class TestEstimateNormalsAt:
             "origin": np.array([len(pts) - 1, 3207, 0]),
             "all": np.arange(len(pts)),
         }[name]
-        full = estimate_normals(pts, k=10)
-        part = estimate_normals(pts, k=10, at=idx)
-        assert part.normals.shape == (len(idx), 3)
-        assert np.array_equal(part.normals, full.normals[idx])
-        assert np.array_equal(part.degenerate, full.degenerate[idx])
-        assert part.neighbor_count == 10
+        full = estimate_normals(pts, at=every_point(pts))
+        part = estimate_normals(pts, at=idx)
+        assert part.shape == (len(idx), 3)
+        assert np.array_equal(part, full[idx])
 
     def test_cases_reach_the_special_paths(self):
         pts = _object_cloud()
-        field = estimate_normals(pts, k=10, at=np.arange(3200, len(pts)))
-        assert field.degenerate.all()  # collinear neighborhoods
-        np.testing.assert_array_equal(field.normals[[7, -1]], [[0.0, 0.0, 1.0]] * 2)  # origin
+        at = np.arange(3200, len(pts))
+        normals = estimate_normals(pts, at=at)
+        origin = [7, len(at) - 1]
+        np.testing.assert_array_equal(normals[origin], [[0.0, 0.0, 1.0]] * 2)
+        # collinear neighborhoods are degenerate: their normal faces the sensor
+        off = np.delete(pts[at], origin, axis=0)
+        np.testing.assert_allclose(np.delete(normals, origin, axis=0),
+                                   -off / np.linalg.norm(off, axis=1, keepdims=True),
+                                   atol=1e-12)
 
 
-def brute_force_normals(pts, at, k):
-    """The k+1 nearest points by a full distance sort, then the steps of
-    estimate_normals after its neighbor query."""
+def brute_force_normals(pts, at):
+    """The k+1 nearest points (k = 10) by a full distance sort, then the
+    steps of estimate_normals after its neighbor query."""
+    k = 10
     d2 = ((pts[None, :, :] - pts[at, None, :]) ** 2).sum(axis=2)
     order = np.argsort(d2, axis=1, kind="stable")
     # tie-free: the k+2 nearest distances of every query are distinct
@@ -131,21 +139,17 @@ def brute_force_normals(pts, at, k):
     normals[degenerate] = toward_sensor[degenerate]
     normals[degenerate & (d == 0)] = (0.0, 0.0, 1.0)
     norms = point_ranges(normals)[:, None]
-    return normals / np.where(norms > 0, norms, 1.0), degenerate
+    return normals / np.where(norms > 0, norms, 1.0)
 
 
 class TestNeighborOracle:
     """The KD-tree finds the same neighbors, in the same order, as a full
     distance sort, so the normals equal the brute-force estimate bit for bit."""
 
-    @pytest.mark.parametrize("k", [3, 10])
-    def test_bitwise_equal_to_brute_force(self, k):
+    def test_bitwise_equal_to_brute_force(self):
         pts = sample_surface(make_cube_mesh(1.5), 4000, 31) + [7.0, -3.0, 0.5]
         at = np.random.default_rng(32).choice(len(pts), 300, replace=False)
-        field = estimate_normals(pts, k=k, at=at)
-        normals, degenerate = brute_force_normals(pts, at, k)
-        assert np.array_equal(field.normals, normals)
-        assert np.array_equal(field.degenerate, degenerate)
+        assert np.array_equal(estimate_normals(pts, at=at), brute_force_normals(pts, at))
 
 
 class TestLambertIntensity:

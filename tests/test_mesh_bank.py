@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -8,6 +10,7 @@ from lidarforge import (AnomalyObject, FormatError, MeshBank, ReflectivityCatalo
                         TriangleMesh, UnknownCategoryError, ValidationError, augment,
                         build_anomaly_object, load_off, load_target_heights, place,
                         sample_surface)
+from lidarforge.mesh_bank import OBJECT_POINTS, SCALE_RANGE
 
 TETRA_OFF = """OFF
 4 4 6
@@ -52,7 +55,7 @@ OFF_ERROR_CASES = [
     ("negative-index", TETRA_OFF.replace("3 0 1 2", "3 0 -1 2"),
      7, "face index -1 out of range for 4 vertices"),
     ("non-numeric-vertex", TETRA_OFF.replace("0 1 0", "0 one 0"),
-     None, "non-numeric vertex coordinate"),
+     5, "non-numeric vertex coordinate 'one'"),
     ("nan-vertex", TETRA_OFF.replace("0 1 0", "0 nan 0"),
      5, "non-finite vertex coordinate 'nan'"),
     ("inf-vertex-glued-header", "OFF4 4 6 0 0 -inf\n" + TETRA_OFF.split("\n", 3)[3],
@@ -320,17 +323,18 @@ class TestAugment:
         pts = rng.standard_normal((200, 3))
         return AnomalyObject(points=pts, category="chair", reflectivity=0.35)
 
-    def test_identity_when_forced(self):
+    def test_applies_the_pose_it_records(self):
         rng = np.random.default_rng(4)
-        obj = self._object(rng)
-        out = augment(obj, rng, yaw=0.0, scale=1.0)
-        np.testing.assert_allclose(out.points, obj.points, atol=1e-15)
-
-    def test_half_turn_flips_x(self):
-        obj = AnomalyObject(points=np.array([[1.0, 0.0, 0.0]]),
-                            category="chair", reflectivity=0.35)
-        out = augment(obj, seed=0, yaw=np.pi, scale=1.0)
-        np.testing.assert_allclose(out.points[0], [-1.0, 0.0, 0.0], atol=1e-12)
+        obj = replace(self._object(rng), yaw=0.25, scale=2.0)
+        for seed in range(20):
+            out = augment(obj, seed)
+            yaw, scale = out.yaw - obj.yaw, out.scale / obj.scale
+            assert 0.0 <= yaw < 2.0 * np.pi and SCALE_RANGE[0] <= scale <= SCALE_RANGE[1]
+            c, s = np.cos(yaw), np.sin(yaw)
+            expected = np.column_stack([c * obj.points[:, 0] - s * obj.points[:, 1],
+                                        s * obj.points[:, 0] + c * obj.points[:, 1],
+                                        obj.points[:, 2]]) * scale
+            np.testing.assert_allclose(out.points, expected, atol=1e-12)
 
     def test_similarity_scales_pairwise_distances(self):
         rng = np.random.default_rng(5)
@@ -373,10 +377,13 @@ class TestBuildAndPlace:
         rng = np.random.default_rng(6)
         catalog = ReflectivityCatalog({"chair": 0.35})
         obj = build_anomaly_object(make_cube_mesh(), "chair", catalog,
-                                   {"chair": 0.9}, rng, n_points=5000,
-                                   scale_range=(1.0, 1.0))
+                                   {"chair": 0.9}, rng)
+        assert obj.count == OBJECT_POINTS
+        # sized to 0.9 m, then scaled by a draw from SCALE_RANGE; the unit
+        # cube's sampled height is 1, so the height is the cumulative scale
         height = obj.points[:, 2].max() - obj.points[:, 2].min()
-        assert height == pytest.approx(0.9, rel=0.01)
+        assert height == pytest.approx(obj.scale, rel=1e-6)
+        assert SCALE_RANGE[0] * 0.9 <= height <= SCALE_RANGE[1] * 0.9 + 1e-6
         assert obj.points[:, 2].min() == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(obj.points[:, :2].mean(axis=0), 0.0, atol=1e-9)
 
@@ -384,7 +391,7 @@ class TestBuildAndPlace:
         rng = np.random.default_rng(7)
         catalog = ReflectivityCatalog({"chair": 0.35})
         obj = build_anomaly_object(make_cube_mesh(), "chair", catalog,
-                                   {"chair": 0.9}, rng, n_points=500)
+                                   {"chair": 0.9}, rng)
         placed = place(obj, 12.0, -3.0, -1.7)
         assert placed.points[:, 2].min() == pytest.approx(-1.7, abs=1e-9)
         assert placed.translation[0] == pytest.approx(12.0)
@@ -395,7 +402,7 @@ class TestBuildAndPlace:
         rng = np.random.default_rng(8)
         catalog = ReflectivityCatalog({"chair": 0.35})
         with pytest.raises(UnknownCategoryError):
-            build_anomaly_object(make_cube_mesh(), "chair", catalog, {}, rng, n_points=10)
+            build_anomaly_object(make_cube_mesh(), "chair", catalog, {}, rng)
 
     def test_default_heights_cover_catalog(self):
         heights = load_target_heights()

@@ -12,8 +12,8 @@ import numpy as np
 
 from helpers import TEST_SENSOR, make_cube_mesh, make_flat_scene, write_off
 
-from lidarforge import (ForgeParams, LabelArray, PointCloud, ReflectivityCatalog, SplitPolicy,
-                        cli, insertion, write_labels, write_scan, write_tensor)
+from lidarforge import (LabelArray, PointCloud, ReflectivityCatalog, SplitPolicy, cli,
+                        insertion, write_labels, write_scan, write_tensor)
 from lidarforge.mesh_bank import MeshBank
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -34,7 +34,6 @@ def test_tracer_installs_and_forge_scan_composes_once(tmp_path):
     bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}))
     scene, labels = make_flat_scene(np.random.default_rng(30), 4000)
     policy = SplitPolicy.single(surface_classes=(40,), anomaly_label=2)
-    params = ForgeParams(object_points=1500)
 
     tracer = tracing.Tracer()
     try:
@@ -43,7 +42,7 @@ def test_tracer_installs_and_forge_scan_composes_once(tmp_path):
         for seed in range(6):
             before = len(tracer.spans)
             result = insertion.forge_scan(scene, labels, "s", TEST_SENSOR, policy, bank,
-                                          {"chair": 0.9}, seed, params)
+                                          {"chair": 0.9}, seed)
             spans = tracer.spans[before:]
             composes = [s for s in spans if s.name == "insertion.compose_scan"]
             assert len(composes) == (1 if result.records else 0)
