@@ -26,8 +26,8 @@ import numpy as np
 
 from . import insertion, losses, metrics, scoring
 from .errors import LidarForgeError, ValidationError
-from .insertion import NOISE_SCALE, STYLE_PRESETS, SplitPolicy, check_anomaly_label
-from .intensity import DEFAULT_NEIGHBORS
+from .insertion import STYLE_PRESETS, SplitPolicy, check_anomaly_label
+from .intensity import DEFAULT_NEIGHBORS, NOISE_SCALE
 from .mesh_bank import OBJECT_POINTS, MeshBank, ReflectivityCatalog, load_target_heights
 from .range_projection import point_ranges, project, write_pgm
 from .scan_io import SensorConfig, read_labels, read_scan

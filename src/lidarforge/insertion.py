@@ -38,7 +38,6 @@ MIN_SURFACE_POINTS = 30      # allowed points within the insertion radius
 FLATNESS_THRESHOLD = 0.2     # max height spread (m) of a site's neighbors
 GROUND_NEIGHBORHOOD = 1.0    # radius (m) of a site's neighborhood
 PLACEMENT_ATTEMPTS = 64
-NOISE_SCALE = 0.05           # intensity noise std as a share of the scan's mean remission
 
 # per dataset style: anomaly label id, single-split surfaces, multi-split surfaces
 STYLE_PRESETS = {
@@ -272,7 +271,7 @@ def _finalize(scene: PointCloud, labels: LabelArray, objects: list,
             raw = lambert_intensity(pts_surv, normals, obj.reflectivity)
             block = np.empty((m_surv, 4), dtype=np.float32)
             block[:, :3] = pts_surv
-            block[:, 3] = normalize_and_noise(raw, scene_mean, scene_max, NOISE_SCALE, rng)
+            block[:, 3] = normalize_and_noise(raw, scene_mean, scene_max, rng)
             out_data.append(block)
             out_words.append(np.full(m_surv, policy.anomaly_label, dtype=np.uint32))
         records.append(InsertionRecord(
@@ -428,13 +427,17 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
     regardless of worker count.  Scans that cannot be read, or whose
     forging or writing raises a LidarForgeError, are skipped and
     reported in the manifest, with none of their files left behind.
-    A master seed outside [0, 2**64) or fewer than one worker is
-    rejected before ``out_dir`` is created.
+    A master seed outside [0, 2**64), fewer than one worker, or a mesh
+    category without a target height is rejected before ``out_dir`` is
+    created.
     """
     if not pairs:
         raise ValidationError("scan list is empty")
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
+    unsized = [c for c in bank.categories if c not in target_heights]
+    if unsized:
+        raise ValidationError(f"no target height for mesh categories {', '.join(unsized)}")
     seeds = {sid: scan_seed(master_seed, sid) for sid, _, _ in pairs}
     out_dir = Path(out_dir)
     (out_dir / "velodyne").mkdir(parents=True, exist_ok=True)

@@ -17,6 +17,7 @@ from .errors import ValidationError
 from .range_projection import point_ranges
 
 DEFAULT_NEIGHBORS = 10
+NOISE_SCALE = 0.05           # intensity noise std as a share of the scan's mean remission
 _DEGENERATE_EIGRATIO = 1e-8
 
 
@@ -80,18 +81,18 @@ def estimate_normals(points: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def lambert_intensity(points: np.ndarray, normals: np.ndarray, reflectivity: float) -> np.ndarray:
-    """Raw Lambertian intensity for points seen from a sensor at the origin.
+    """Raw Lambertian intensity, shape (N,), of (N, 3) points seen from
+    a sensor at the origin.
 
     For a point p at distance d with unit surface normal n and beam
     direction r = p/d, the raw intensity is
 
         reflectivity * max(0, -<n, r>) / d**2
-
-    Accepts a single (3,) point or an (N, 3) array; returns a float or
-    an (N,) array accordingly.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    nrm = np.atleast_2d(np.asarray(normals, dtype=np.float64))
+    pts = np.asarray(points, dtype=np.float64)
+    nrm = np.asarray(normals, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValidationError(f"points must be (N, 3), got shape {pts.shape}")
     if pts.shape != nrm.shape:
         raise ValidationError(f"points {pts.shape} and normals {nrm.shape} must match")
 
@@ -106,19 +107,16 @@ def lambert_intensity(points: np.ndarray, normals: np.ndarray, reflectivity: flo
 
     beam = pts / d[:, None]
     cos_incidence = np.maximum(0.0, -np.einsum("ij,ij->i", nrm, beam))
-    out = reflectivity * cos_incidence / d**2
-    if np.asarray(points).ndim == 1:
-        return float(out[0])
-    return out
+    return reflectivity * cos_incidence / d**2
 
 
 def normalize_and_noise(raw: np.ndarray, scene_mean: float, scene_max: float,
-                        sigma: float, seed: int | np.random.Generator) -> np.ndarray:
+                        seed: int | np.random.Generator) -> np.ndarray:
     """Blend raw object intensities into the host scan.
 
     The object's raw intensities are rescaled so their mean maps to the
-    scan mean (identity when the raw mean is zero).  Gaussian noise
-    with standard deviation sigma * scene_mean is added per point, and
+    scan mean (identity when the raw mean is zero).  Gaussian noise with
+    standard deviation NOISE_SCALE * scene_mean is added per point, and
     the result is clamped to the host's scale: [0, 1] when the scan's
     largest intensity ``scene_max`` is at most 1 (kitti-style
     remissions), [0, 255] otherwise (8-bit sensors such as nuScenes).
@@ -133,9 +131,6 @@ def normalize_and_noise(raw: np.ndarray, scene_mean: float, scene_max: float,
         raise ValidationError("raw intensities must be non-negative")
 
     mean = raw.mean()
-    scaled = raw * (scene_mean / mean) if mean > 0 else raw.copy()
-
-    rng = np.random.default_rng(seed)
-    if sigma > 0:
-        scaled = scaled + rng.normal(0.0, sigma * scene_mean, size=raw.shape)
-    return np.clip(scaled, 0.0, 1.0 if scene_max <= 1.0 else 255.0)
+    scaled = raw * (scene_mean / mean) if mean > 0 else raw
+    noise = np.random.default_rng(seed).normal(0.0, NOISE_SCALE * scene_mean, size=raw.shape)
+    return np.clip(scaled + noise, 0.0, 1.0 if scene_max <= 1.0 else 255.0)

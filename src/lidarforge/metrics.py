@@ -133,28 +133,6 @@ def _true_positives(hit: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return hit.shape[0] - np.searchsorted(hit, starts, "left")
 
 
-def roc_curve(pair: EvalPair):
-    """Step ROC curve: (fpr, tpr, thresholds), starting at (0, 0).
-
-    Thresholds descend and have the scores' dtype.
-    """
-    _require_both_classes(pair, "roc curve")
-    ordered = np.sort(pair.scores)
-    starts = np.concatenate(list(_block_starts(ordered)))
-    tp = _true_positives(_positive_starts(pair, ordered), starts)
-    fp = (ordered.shape[0] - starts) - tp
-    tpr = np.r_[0.0, tp / pair.positives]
-    fpr = np.r_[0.0, fp / pair.negatives]
-    return fpr, tpr, ordered[starts]
-
-
-def auroc_trapezoid(pair: EvalPair) -> float:
-    """AUROC by trapezoidal integration of the ROC curve; must agree
-    with the rank-statistic form."""
-    fpr, tpr, _ = roc_curve(pair)
-    return float(0.5 * np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1])))
-
-
 def fpr_at_tpr(pair: EvalPair, tpr_target: float = 0.95) -> float:
     """False-positive rate at the largest threshold whose true-positive
     rate reaches the target (step convention, no interpolation)."""

@@ -12,8 +12,9 @@ field of view, and points at the sensor origin (zero range, so no
 direction), are discarded.  When several points fall into one cell
 the one with the minimum range wins, emulating line of sight.
 
-Cells store the index of the winning point, so re-projection recovers
-the original coordinates and intensities without quantization loss.
+Cells store the index of the winning point, so re-projection,
+``cloud.take(img.surviving_indices())``, recovers the original
+coordinates and intensities without quantization loss.
 """
 
 from __future__ import annotations
@@ -139,35 +140,6 @@ def project(cloud: PointCloud, cfg: SensorConfig, scene_count: int | None = None
         source_count=cloud.count,
         scene_count=scene_count,
     )
-
-
-def reproject(img: RangeImage, cloud: PointCloud) -> PointCloud:
-    """Recover the winning points of all nonempty cells.
-
-    Index-based recovery: coordinates and intensities are the original
-    float bits, untouched.
-    """
-    if cloud.count != img.source_count:
-        raise ValidationError(
-            f"range image was built from {img.source_count} points, got cloud with {cloud.count}"
-        )
-    return cloud.take(img.surviving_indices())
-
-
-def beam_rows_of(img: RangeImage) -> dict[int, np.ndarray]:
-    """Group surviving object point indices by beam row.
-
-    Rows correspond to sensor beams; the result maps row -> sorted
-    original point indices, with empty rows omitted.
-    """
-    rows_grid, _ = np.nonzero(img.filled)
-    idx = img.point_index[img.filled]
-    pick = idx >= img.scene_count
-    out: dict[int, np.ndarray] = {}
-    for row in np.unique(rows_grid[pick]):
-        members = idx[pick][rows_grid[pick] == row]
-        out[int(row)] = np.sort(members)
-    return out
 
 
 def write_pgm(img: RangeImage, path: str | Path) -> None:

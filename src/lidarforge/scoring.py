@@ -110,10 +110,11 @@ def accumulate_prototypes(features: np.ndarray, labels: np.ndarray,
     """Confidence-weighted mean of true-positive features per class.
 
     The confidence of a point defaults to the maximum component of its
-    feature vector.  If any true positive of a class has non-positive
-    confidence, the class's confidences are shifted by their minimum
-    plus a small epsilon so the weighting stays well defined (a warning
-    is emitted).  Classes without true positives are left uninitialized.
+    feature vector; given confidences must be finite, one per point.
+    If any true positive of a class has non-positive confidence, the
+    class's confidences are shifted by their minimum plus a small
+    epsilon so the weighting stays well defined (a warning is emitted).
+    Classes without true positives are left uninitialized.
     """
     f = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -123,7 +124,14 @@ def accumulate_prototypes(features: np.ndarray, labels: np.ndarray,
     if labels.shape != (f.shape[0],) or predictions.shape != (f.shape[0],):
         raise ValidationError("labels and predictions must be (N,)")
     n_classes = f.shape[1]
-    kappa = f.max(axis=1) if confidences is None else np.asarray(confidences, dtype=np.float64)
+    if confidences is None:
+        kappa = f.max(axis=1)
+    else:
+        kappa = np.asarray(confidences, dtype=np.float64)
+        if kappa.shape != (f.shape[0],):
+            raise ValidationError(f"confidences must be ({f.shape[0]},), got shape {kappa.shape}")
+        if not np.isfinite(kappa).all():
+            raise ValidationError("confidences must be finite")
 
     prototypes = np.zeros((n_classes, n_classes))
     weights = np.zeros(n_classes)

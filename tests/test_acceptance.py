@@ -160,12 +160,11 @@ def test_criterion_3_occlusion_fixture():
 
 
 def test_criterion_4_intensity_law():
-    assert lambert_intensity([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], 0.6) \
-        == pytest.approx(0.6, abs=1e-12)
-    assert lambert_intensity([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.6) \
-        == pytest.approx(0.0, abs=1e-12)
-    assert lambert_intensity([2.0, 0.0, 0.0], [-1.0, 0.0, 0.0], 0.6) \
-        == pytest.approx(0.15, abs=1e-12)
+    # head on at 1 m, grazing at 1 m, head on at 2 m
+    pts = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    normals = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+    np.testing.assert_allclose(lambert_intensity(pts, normals, 0.6), [0.6, 0.0, 0.15],
+                               rtol=0, atol=1e-12)
 
     # sphere with exact radial normals: bin-averaged intensity must fall
     # as the incidence angle grows

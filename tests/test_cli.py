@@ -55,7 +55,7 @@ def shared_forge_inputs(tmp_path_factory):
     return write_forge_inputs(tmp_path_factory.mktemp("forge"))
 
 
-# forge config files holding a number the forge must refuse
+# forge config files holding a value the forge must refuse
 BAD_CONFIGS = {
     "fov-up-nan": ("--sensor", SENSOR_CFG.replace("fov_up_deg = 8.0", "fov_up_deg = nan")),
     "fov-up-inf": ("--sensor", SENSOR_CFG.replace("fov_up_deg = 8.0", "fov_up_deg = inf")),
@@ -66,6 +66,8 @@ BAD_CONFIGS = {
     "height-nan": ("--heights", "chair = nan\n"),
     "height-inf": ("--heights", "chair = inf\n"),
     "height-text": ("--heights", "chair = tall\n"),
+    # the bank's one category has no height, so every anomaly scan would be skipped
+    "height-missing": ("--heights", "toilet = 0.5\n"),
 }
 
 

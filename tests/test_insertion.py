@@ -17,7 +17,7 @@ from lidarforge import (LabelArray, PlacementInfeasibleError,
                         PointCloud, ReflectivityCatalog, SplitPolicy,
                         ValidationError, build_anomaly_object, compose_scan,
                         forge_scan, forge_split, pick_placement, place, project,
-                        reproject, scan_seed)
+                        scan_seed)
 from lidarforge import insertion
 from lidarforge.insertion import GROUND_NEIGHBORHOOD, PlacementSurface, discover_pairs
 from lidarforge.mesh_bank import OBJECT_POINTS, MeshBank
@@ -162,10 +162,9 @@ class TestComposeScan:
         scene, labels = make_flat_scene(rng, 3000)
         cloud, words, records = compose_scan(scene, labels, [], TEST_SENSOR,
                                              single_policy(), seed=0)
-        img = project(scene, TEST_SENSOR)
-        expected = reproject(img, scene)
-        assert cloud == expected
-        assert words == labels.take(img.surviving_indices())
+        kept = project(scene, TEST_SENSOR).surviving_indices()
+        assert cloud == scene.take(kept)
+        assert words == labels.take(kept)
         assert records == []
 
     def test_object_survives_and_gets_anomaly_label(self):
@@ -514,6 +513,15 @@ class TestForgeSplit:
         with pytest.raises(ValidationError, match="retry budget"):
             forge_split(discover_pairs(scans, labels), out, single_policy(retry_budget=budget),
                         TEST_SENSOR, bank, HEIGHTS, master_seed=0)
+        assert not out.exists()
+
+    def test_mesh_category_without_height_rejected_before_output(self, tmp_path):
+        scans, labels = self._dataset(tmp_path, n_scans=2)
+        bank = _bank_with_cube(tmp_path / "meshes")
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match="no target height for mesh categories chair"):
+            forge_split(discover_pairs(scans, labels), out, single_policy(), TEST_SENSOR,
+                        bank, {"toilet": 0.5}, master_seed=0)
         assert not out.exists()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):

@@ -5,6 +5,7 @@ from helpers import make_cube_mesh
 
 from lidarforge import (ValidationError, estimate_normals, lambert_intensity,
                         normalize_and_noise, point_ranges, sample_surface)
+from lidarforge.intensity import NOISE_SCALE
 
 
 def every_point(pts):
@@ -152,15 +153,22 @@ class TestNeighborOracle:
         assert np.array_equal(estimate_normals(pts, at=at), brute_force_normals(pts, at))
 
 
+def head_on(distance, normal):
+    """One point on the x axis at ``distance`` with the given normal, as (1, 3) arrays."""
+    return np.array([[distance, 0.0, 0.0]]), np.array([normal])
+
+
 class TestLambertIntensity:
     def test_head_on_one_meter(self):
-        assert lambert_intensity([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], 0.6) == pytest.approx(0.6, abs=1e-15)
+        out = lambert_intensity(*head_on(1.0, [-1.0, 0.0, 0.0]), 0.6)
+        assert out.shape == (1,) and out[0] == pytest.approx(0.6, abs=1e-15)
 
     def test_perpendicular_is_zero(self):
-        assert lambert_intensity([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.6) == 0.0
+        assert lambert_intensity(*head_on(1.0, [0.0, 1.0, 0.0]), 0.6)[0] == 0.0
 
     def test_inverse_square_falloff(self):
-        assert lambert_intensity([2.0, 0.0, 0.0], [-1.0, 0.0, 0.0], 0.6) == pytest.approx(0.15, abs=1e-15)
+        assert lambert_intensity(*head_on(2.0, [-1.0, 0.0, 0.0]), 0.6)[0] \
+            == pytest.approx(0.15, abs=1e-15)
 
     def test_back_facing_is_exactly_zero(self):
         rng = np.random.default_rng(2)
@@ -186,66 +194,92 @@ class TestLambertIntensity:
 
     def test_zero_distance_rejected(self):
         with pytest.raises(ValidationError, match="index 0"):
-            lambert_intensity([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.5)
+            lambert_intensity(*head_on(0.0, [1.0, 0.0, 0.0]), 0.5)
 
     def test_non_unit_normal_rejected(self):
         with pytest.raises(ValidationError, match="unit length"):
-            lambert_intensity([1.0, 0.0, 0.0], [2.0, 0.0, 0.0], 0.5)
+            lambert_intensity(*head_on(1.0, [2.0, 0.0, 0.0]), 0.5)
+
+    @pytest.mark.parametrize("points", [[1.0, 0.0, 0.0], [[1.0, 0.0]], np.ones((2, 2, 3))])
+    def test_points_not_n_by_3_rejected(self, points):
+        with pytest.raises(ValidationError, match=r"points must be \(N, 3\)"):
+            lambert_intensity(points, points, 0.5)
+
+
+def noise_oracle(raw, scene_mean, scene_max, seed):
+    """Mean matching, then NOISE_SCALE * scene_mean Gaussian noise from
+    ``default_rng(seed)``, clamped to [0, 1] or [0, 255]."""
+    mean = raw.mean()
+    scaled = raw * (scene_mean / mean) if mean > 0 else raw
+    noise = np.random.default_rng(seed).normal(0.0, NOISE_SCALE * scene_mean, raw.shape[0])
+    return np.clip(scaled + noise, 0.0, 1.0 if scene_max <= 1.0 else 255.0)
 
 
 class TestNormalizeAndNoise:
+    @pytest.mark.parametrize("raw, scene_mean, scene_max, seed", [
+        (np.full(100, 0.42), 0.25, 1.0, 0),
+        (np.random.default_rng(4).uniform(0.0, 0.2, 1000), 0.3, 1.0, 3),
+        (np.random.default_rng(6).uniform(0.0, 3.0, 5000), 0.9, 1.0, 7),
+        (np.random.default_rng(6).uniform(0.0, 3.0, 5000), 20.0, 255.0, 7),
+        (np.zeros(10), 0.3, 1.0, 0),
+    ], ids=["constant", "uniform", "unit-clamp", "8-bit-clamp", "zero-mean"])
+    def test_equals_oracle(self, raw, scene_mean, scene_max, seed):
+        out = normalize_and_noise(raw, scene_mean, scene_max, seed)
+        assert out.tobytes() == noise_oracle(raw, scene_mean, scene_max, seed).tobytes()
+
     def test_constant_raw_maps_to_scene_mean(self):
-        out = normalize_and_noise(np.full(100, 0.42), scene_mean=0.25, scene_max=1.0,
-                                  sigma=0.0, seed=0)
-        np.testing.assert_allclose(out, 0.25, atol=1e-12)
+        out = normalize_and_noise(np.full(10_000, 0.42), scene_mean=0.25, scene_max=1.0, seed=0)
+        assert out.mean() == pytest.approx(0.25, abs=1e-3)
 
     def test_mean_matching_without_noise(self):
-        rng = np.random.default_rng(4)
-        raw = rng.uniform(0.0, 0.2, 1000)
-        out = normalize_and_noise(raw, scene_mean=0.3, scene_max=1.0, sigma=0.0, seed=0)
-        assert out.mean() == pytest.approx(0.3, abs=1e-9)
+        # raw values well above zero: the noise never reaches the clamp, so
+        # taking the seed's noise draws back off leaves the mean-matched values
+        raw = np.random.default_rng(4).uniform(0.05, 0.2, 1000)
+        out = normalize_and_noise(raw, scene_mean=0.3, scene_max=1.0, seed=0)
+        noise = np.random.default_rng(0).normal(0.0, NOISE_SCALE * 0.3, raw.shape[0])
+        assert (out - noise).mean() == pytest.approx(0.3, abs=1e-9)
 
     def test_noise_standard_deviation(self):
         raw = np.full(10_000, 0.5)
-        out = normalize_and_noise(raw, scene_mean=0.5, scene_max=1.0, sigma=0.05, seed=5)
-        assert out.std() == pytest.approx(0.05 * 0.5, rel=0.10)
+        out = normalize_and_noise(raw, scene_mean=0.5, scene_max=1.0, seed=5)
+        assert out.std() == pytest.approx(NOISE_SCALE * 0.5, rel=0.10)
 
     def test_clamped_to_unit_interval(self):
         rng = np.random.default_rng(6)
         raw = rng.uniform(0, 3.0, 5000)
-        out = normalize_and_noise(raw, scene_mean=0.9, scene_max=1.0, sigma=0.5, seed=7)
-        assert out.min() >= 0.0 and out.max() <= 1.0
+        out = normalize_and_noise(raw, scene_mean=0.9, scene_max=1.0, seed=7)
+        assert out.min() == 0.0 and out.max() == 1.0
 
     def test_clamped_to_the_hosts_8_bit_scale(self):
         # a 0-255 scene (nuScenes-style remissions, mean about 20)
         rng = np.random.default_rng(6)
         raw = rng.uniform(0, 3.0, 5000)
-        out = normalize_and_noise(raw, scene_mean=20.0, scene_max=255.0, sigma=0.05, seed=7)
+        out = normalize_and_noise(raw, scene_mean=20.0, scene_max=255.0, seed=7)
         assert out.min() >= 0.0 and out.max() <= 255.0
         assert (out > 1.0).mean() > 0.9
         assert out.mean() == pytest.approx(20.0, rel=0.1)
 
     def test_unit_scale_up_to_a_largest_intensity_of_one(self):
         raw = np.full(100, 0.5)
-        assert normalize_and_noise(raw, 0.9, 1.0, 5.0, seed=1).max() == 1.0
-        assert normalize_and_noise(raw, 0.9, 1.5, 5.0, seed=1).max() > 1.0
+        assert normalize_and_noise(raw, 0.98, 1.0, seed=1).max() == 1.0
+        assert normalize_and_noise(raw, 0.98, 1.5, seed=1).max() > 1.0
 
     def test_zero_raw_mean_is_identity_scale(self):
-        out = normalize_and_noise(np.zeros(10), scene_mean=0.3, scene_max=1.0, sigma=0.0, seed=0)
-        np.testing.assert_array_equal(out, np.zeros(10))
+        out = normalize_and_noise(np.zeros(10_000), scene_mean=0.3, scene_max=1.0, seed=0)
+        # only the noise is left: its positive half survives the clamp
+        assert (out > 0).mean() == pytest.approx(0.5, abs=0.02)
 
     def test_nonpositive_scene_mean_rejected(self):
         with pytest.raises(ValidationError):
-            normalize_and_noise(np.ones(5), scene_mean=0.0, scene_max=1.0, sigma=0.0, seed=0)
+            normalize_and_noise(np.ones(5), scene_mean=0.0, scene_max=1.0, seed=0)
 
     def test_infinite_scene_mean_rejected(self):
         # the float32 mean of a scan with huge remissions overflows to inf
         with pytest.raises(ValidationError, match="must be finite, got inf"):
-            normalize_and_noise(np.ones(5), scene_mean=float("inf"), scene_max=1.0,
-                                sigma=0.05, seed=0)
+            normalize_and_noise(np.ones(5), scene_mean=float("inf"), scene_max=1.0, seed=0)
 
     def test_deterministic_given_seed(self):
         raw = np.linspace(0, 0.5, 100)
-        a = normalize_and_noise(raw, 0.3, 1.0, 0.05, seed=9)
-        b = normalize_and_noise(raw, 0.3, 1.0, 0.05, seed=9)
+        a = normalize_and_noise(raw, 0.3, 1.0, seed=9)
+        b = normalize_and_noise(raw, 0.3, 1.0, seed=9)
         np.testing.assert_array_equal(a, b)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidarforge import (EvalPair, UndefinedMetricError, ValidationError, auroc,
-                        auroc_trapezoid, average_precision, fpr_at_tpr,
-                        metrics, range_binned_ap, roc_curve, split_metrics)
+                        average_precision, fpr_at_tpr, metrics, range_binned_ap,
+                        split_metrics)
 
 
 def pairwise_auroc_oracle(scores, truth):
@@ -77,7 +77,7 @@ class TestAuroc:
         rng = np.random.default_rng(1)
         for _ in range(100):
             pair = random_pair(rng, n_max=500)
-            assert abs(auroc(pair) - auroc_trapezoid(pair)) < 1e-12
+            assert abs(auroc(pair) - oracle_auroc_trapezoid(pair)) < 1e-12
 
     def test_reversal_symmetry_without_ties(self):
         rng = np.random.default_rng(2)
@@ -203,12 +203,6 @@ class TestEvalPair:
         with pytest.raises(ValidationError):
             EvalPair(np.array([0.1, np.nan]), np.array([True, False]))
 
-    def test_roc_curve_starts_at_origin(self):
-        pair = EvalPair(np.array([0.9, 0.1]), np.array([True, False]))
-        fpr, tpr, _ = roc_curve(pair)
-        assert fpr[0] == 0.0 and tpr[0] == 0.0
-        assert fpr[-1] == 1.0 and tpr[-1] == 1.0
-
 
 # -- argsort reference: the stable-argsort implementation that the value
 # sorts in lidarforge.metrics replaced, kept to pin exact equality ----------
@@ -241,7 +235,7 @@ def reference_threshold_blocks(scores, truth):
 def reference_metrics(scores, truth, ranges):
     p, n = int(truth.sum()), int((~truth).sum())
     rank_sum = float(reference_average_ranks(scores)[truth].sum())
-    tp, fp, thresholds = reference_threshold_blocks(scores, truth)
+    tp, fp, _ = reference_threshold_blocks(scores, truth)
     tpr = tp / p
     k = int(np.argmax(tpr >= 0.95))
 
@@ -259,7 +253,6 @@ def reference_metrics(scores, truth, ranges):
         "fpr_at_tpr": float(fp[k] / n),
         "average_precision": ap(scores, truth),
         "range_binned_ap": binned,
-        "roc_curve": (np.r_[0.0, fp / n], np.r_[0.0, tp / p], thresholds),
     }
 
 
@@ -305,9 +298,6 @@ def test_value_sort_metrics_equal_argsort_reference(make):
     assert fpr_at_tpr(pair, 0.95) == ref["fpr_at_tpr"]
     assert average_precision(pair) == ref["average_precision"]
     assert range_binned_ap(pair) == ref["range_binned_ap"]
-    for got, expected in zip(roc_curve(pair), ref["roc_curve"]):
-        # array_equal compares by value, so a zero threshold may differ in sign
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 # -- the one-sort-per-call forms that the sorted-input helpers replaced,
@@ -334,6 +324,14 @@ def oracle_threshold_blocks(pair):
     tp = np.cumsum(per_block[::-1])
     fp = (ordered.shape[0] - starts) - tp
     return tp.astype(np.float64), fp.astype(np.float64), ordered[starts]
+
+
+def oracle_auroc_trapezoid(pair):
+    """AUROC by trapezoidal integration of the step ROC curve from (0, 0)."""
+    tp, fp, _ = oracle_threshold_blocks(pair)
+    tpr = np.r_[0.0, tp / pair.positives]
+    fpr = np.r_[0.0, fp / pair.negatives]
+    return float(0.5 * np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1])))
 
 
 def oracle_fpr_at_tpr(pair, tpr_target):
@@ -386,11 +384,6 @@ class TestSplitMetricsOracles:
         assert bits(average_precision(pair)) == bits(want[2])
         for target in (0.95, 0.5, 1.0):
             assert bits(fpr_at_tpr(pair, target)) == bits(oracle_fpr_at_tpr(pair, target))
-        tp, fp, thresholds = oracle_threshold_blocks(pair)
-        fpr, tpr, got_thresholds = roc_curve(pair)
-        assert fpr.tobytes() == np.r_[0.0, fp / pair.negatives].tobytes()
-        assert tpr.tobytes() == np.r_[0.0, tp / pair.positives].tobytes()
-        assert got_thresholds.tobytes() == thresholds.tobytes()
 
     @pytest.mark.parametrize("truth", [[True, True], [False, False]])
     def test_split_metrics_raises_what_auroc_raises(self, truth):
@@ -433,12 +426,6 @@ def test_chunked_pass_equals_oracles_across_chunk_edges(pair, chunk):
         for target in (0.95, 0.5, 1.0):
             assert bits(fpr_at_tpr(pair, target)) == bits(oracle_fpr_at_tpr(pair, target))
         assert bits(average_precision(pair)) == bits(want[2])
-        tp, fp, thresholds = oracle_threshold_blocks(pair)
-        fpr, tpr, got_thresholds = roc_curve(pair)
-        assert fpr.tobytes() == np.r_[0.0, fp / pair.negatives].tobytes()
-        assert tpr.tobytes() == np.r_[0.0, tp / pair.positives].tobytes()
-        assert got_thresholds.dtype == pair.scores.dtype
-        assert got_thresholds.tobytes() == thresholds.tobytes()
         binned = range_binned_ap(pair)
         for key, lo, hi in zip(binned, (0, 10, 20, 30, 40), (10, 20, 30, 40, 50)):
             inside = (pair.ranges >= lo) & (pair.ranges < hi)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from helpers import TEST_SENSOR, full_coverage_wall, make_random_cloud
 
-from lidarforge import (PointCloud, SensorConfig, ValidationError, beam_rows_of,
-                        point_ranges, project, reproject, write_pgm)
+from lidarforge import (PointCloud, SensorConfig, ValidationError, point_ranges, project,
+                        write_pgm)
 from lidarforge._kernels import scatter_min
 from lidarforge.range_projection import RangeImage, _cell_coords
 
@@ -119,7 +119,7 @@ class TestReproject:
         pts = np.array([[10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [-10.0, 0.0, 0.0]])
         cloud = PointCloud.from_xyz(pts, intensity=0.5)
         img = project(cloud, KITTI_LIKE)
-        out = reproject(img, cloud)
+        out = cloud.take(img.surviving_indices())
         assert out.count == 3
         assert sorted(map(tuple, out.data.tolist())) == sorted(map(tuple, cloud.data.tolist()))
 
@@ -127,7 +127,7 @@ class TestReproject:
         rng = np.random.default_rng(2)
         for _ in range(5):
             cloud = make_random_cloud(rng, int(rng.integers(100, 3000)))
-            out = reproject(project(cloud, TEST_SENSOR), cloud)
+            out = cloud.take(project(cloud, TEST_SENSOR).surviving_indices())
             assert out.count <= cloud.count
 
     def test_occluded_points_never_survive(self):
@@ -145,61 +145,16 @@ class TestReproject:
         rng = np.random.default_rng(4)
         cloud = make_random_cloud(rng, 3000)
         img1 = project(cloud, TEST_SENSOR)
-        once = reproject(img1, cloud)
-        img2 = project(once, TEST_SENSOR)
-        twice = reproject(img2, once)
+        once = cloud.take(img1.surviving_indices())
+        twice = once.take(project(once, TEST_SENSOR).surviving_indices())
         assert twice == once
-
-    def test_wrong_cloud_rejected(self):
-        rng = np.random.default_rng(5)
-        cloud = make_random_cloud(rng, 100)
-        img = project(cloud, TEST_SENSOR)
-        with pytest.raises(ValidationError):
-            reproject(img, make_random_cloud(rng, 99))
 
     def test_bit_exact_recovery(self):
         rng = np.random.default_rng(6)
         cloud = make_random_cloud(rng, 2000)
         img = project(cloud, TEST_SENSOR)
-        out = reproject(img, cloud)
-        idx = img.surviving_indices()
-        assert out.tobytes() == cloud.data[idx].tobytes()
-
-
-class TestBeamRows:
-    def test_object_below_fov_gives_empty_map(self):
-        scene = np.array([[10.0, 0.0, 0.0]])
-        # elevation of -60 degrees, far below the 24-degree lower edge
-        obj = np.array([[5.0, 0.0, -8.66]])
-        cloud = PointCloud.from_xyz(np.vstack([scene, obj]))
-        img = project(cloud, TEST_SENSOR, scene_count=1)
-        assert beam_rows_of(img) == {}
-
-    def test_three_beam_object(self):
-        cfg = TEST_SENSOR
-        row_height = cfg.fov_rad / cfg.beams
-        elevations = [-cfg.fov_down_rad + (i + 0.5) * row_height for i in (10, 11, 12)]
-        pts = []
-        for elev in elevations:
-            for yaw in np.linspace(-0.05, 0.05, 40):
-                pts.append([10 * np.cos(elev) * np.cos(yaw),
-                            10 * np.cos(elev) * np.sin(yaw),
-                            10 * np.sin(elev)])
-        scene = np.array([[40.0, 0.0, 0.0]])
-        cloud = PointCloud.from_xyz(np.vstack([scene, np.array(pts)]))
-        img = project(cloud, cfg, scene_count=1)
-        rows = beam_rows_of(img)
-        assert len(rows) == 3
-
-    def test_counts_partition_object_survivors(self):
-        rng = np.random.default_rng(7)
-        scene = make_random_cloud(rng, 1000)
-        objects = make_random_cloud(rng, 500)
-        cloud = PointCloud(np.vstack([scene.data, objects.data]))
-        img = project(cloud, TEST_SENSOR, scene_count=1000)
-        rows = beam_rows_of(img)
-        n_obj = int((img.surviving_indices() >= 1000).sum())
-        assert sum(len(v) for v in rows.values()) == n_obj
+        out = cloud.take(img.surviving_indices())
+        assert out.tobytes() == cloud.data[np.sort(img.point_index[img.filled])].tobytes()
 
 
 def sequential_scatter_min(rows, cols, ranges, height, width):

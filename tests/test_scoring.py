@@ -50,6 +50,17 @@ class TestAccumulate:
         bank = accumulate_prototypes(f, labels, preds)
         np.testing.assert_allclose(bank.prototypes[0], (4 * f[0] + 2 * f[2]) / 6)
 
+    def test_confidences_of_wrong_length_rejected(self):
+        f = np.eye(3)
+        with pytest.raises(ValidationError, match=r"confidences must be \(3,\)"):
+            accumulate_prototypes(f, np.arange(3), np.arange(3), confidences=np.ones(2))
+
+    def test_nonfinite_confidence_rejected(self):
+        f = np.eye(3)
+        with pytest.raises(ValidationError, match="confidences must be finite"):
+            accumulate_prototypes(f, np.arange(3), np.arange(3),
+                                  confidences=np.array([1.0, np.nan, 1.0]))
+
     def test_nonpositive_confidence_shifts_and_warns(self):
         f = np.array([[-1.0, -2.0], [-3.0, -4.0]])
         labels = np.array([0, 0])
