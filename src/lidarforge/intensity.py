@@ -11,7 +11,6 @@ small Gaussian noise.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 from .range_projection import point_ranges
@@ -40,7 +39,13 @@ def estimate_normals(points: np.ndarray, at: np.ndarray) -> np.ndarray:
     half the time of a balanced one.  Both return the exact k+1 nearest
     neighbors in distance order; only neighbors at exactly equal
     distances could come back in a different order.
+
+    scipy is imported here, on the first call, and nowhere else in the
+    package: ``score``, ``eval`` and ``project`` run on numpy alone, and
+    only a forge that inserts an object loads ``scipy.spatial``.
     """
+    from scipy.spatial import cKDTree
+
     k = DEFAULT_NEIGHBORS
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]

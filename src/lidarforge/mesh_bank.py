@@ -48,12 +48,25 @@ class TriangleMesh:
 
         Huge coordinates can overflow to an infinite area; sample_surface
         rejects a total that is not finite.
+
+        Half the norm of (b - a) x (c - a), one coordinate column at a
+        time: the same products, differences and sums, in the same order,
+        as ``0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)``, so
+        the areas are bit-identical to it, at under half its cost.
         """
-        a = self.vertices[self.faces[:, 0]]
-        b = self.vertices[self.faces[:, 1]]
-        c = self.vertices[self.faces[:, 2]]
+        x, y, z = np.ascontiguousarray(self.vertices.T)
+        i, j, k = np.ascontiguousarray(self.faces.T)
         with np.errstate(over="ignore", invalid="ignore"):
-            areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+            ax, ay, az = x[i], y[i], z[i]
+            u0, u1, u2 = x[j] - ax, y[j] - ay, z[j] - az
+            w0, w1, w2 = x[k] - ax, y[k] - ay, z[k] - az
+            cx = u1 * w2 - u2 * w1
+            cy = u2 * w0 - u0 * w2
+            cz = u0 * w1 - u1 * w0
+            s = cx * cx
+            s += cy * cy
+            s += cz * cz
+            areas = 0.5 * np.sqrt(s)
         areas.setflags(write=False)
         return areas
 
@@ -316,9 +329,13 @@ class AnomalyObject:
     def count(self) -> int:
         return self.points.shape[0]
 
-    @property
+    @cached_property
     def xy_radius(self) -> float:
-        """Largest horizontal distance of any point from the translation center."""
+        """Largest horizontal distance of any point from the translation center.
+
+        Computed once per instance: ``place`` and ``replace`` build new
+        instances, so a cached radius always belongs to its own points.
+        """
         off = self.points[:, :2] - np.asarray(self.translation[:2])
         return float(point_ranges(off).max())
 

@@ -109,8 +109,9 @@ def accumulate_prototypes(features: np.ndarray, labels: np.ndarray,
                           confidences: np.ndarray | None = None) -> PrototypeBank:
     """Confidence-weighted mean of true-positive features per class.
 
-    The confidence of a point defaults to the maximum component of its
-    feature vector; given confidences must be finite, one per point.
+    Features must be finite.  The confidence of a point defaults to the
+    maximum component of its feature vector; given confidences must be
+    finite, one per point.
     If any true positive of a class has non-positive confidence, the
     class's confidences are shifted by their minimum plus a small
     epsilon so the weighting stays well defined (a warning is emitted).
@@ -121,6 +122,8 @@ def accumulate_prototypes(features: np.ndarray, labels: np.ndarray,
     predictions = np.asarray(predictions)
     if f.ndim != 2:
         raise ValidationError("features must be (N, C)")
+    if not np.isfinite(f).all():
+        raise ValidationError("features must be finite")
     if labels.shape != (f.shape[0],) or predictions.shape != (f.shape[0],):
         raise ValidationError("labels and predictions must be (N,)")
     n_classes = f.shape[1]

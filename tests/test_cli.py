@@ -1,7 +1,11 @@
 import contextlib
 import io
+import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -516,3 +520,53 @@ class TestScoreAndEval:
         code = main(["score", "--features", str(tmp_path), "--prototypes", "x",
                      "--out", str(tmp_path / "o"), "--losses"])
         assert code == 2
+
+
+# argv[1]: JSON [numpy-only commands, forge command]
+SCIPY_PROBE = """
+import json, sys
+from lidarforge.cli import main
+
+numpy_only, forge = json.loads(sys.argv[1])
+for args in numpy_only:
+    assert main(args) == 0, args
+assert "scipy" not in sys.modules, "scipy loaded before any forge"
+assert main(forge) == 0
+assert "scipy" in sys.modules, "forge inserted an object without loading scipy"
+"""
+
+
+class TestScipyImport:
+    def test_only_a_forge_that_inserts_loads_scipy(self, forge_inputs):
+        root = forge_inputs
+        n, c = 300, 4
+        rng = np.random.default_rng(3)
+        anomaly = rng.random(n) < 0.25
+        sem, cont = synth_features(n, c, anomaly, rng)
+        for name in ("features", "labels", "scans"):
+            (root / name).mkdir()
+        write_tensor(root / "features" / "s.sem.ftr", sem)
+        write_tensor(root / "features" / "s.cont.ftr", cont)
+        write_tensor(root / "proto.ftr", np.eye(c, dtype=np.float32))
+        write_labels(LabelArray(np.where(anomaly, 2, 40).astype(np.uint32)),
+                     root / "labels" / "s.label")
+        write_scan(make_flat_scene(rng, n)[0], root / "scans" / "s.bin")
+        numpy_only = [
+            ["score", "--features", str(root / "features"), "--prototypes",
+             str(root / "proto.ftr"), "--out", str(root / "scores")],
+            ["eval", "--scores", str(root / "scores"), "--labels", str(root / "labels"),
+             "--scans", str(root / "scans"), "--anomaly-label", "2"],
+            ["project", "--scan", str(root / "in" / "velodyne" / "000000.bin"),
+             "--sensor", str(root / "sensor.cfg"), "--out", str(root / "p.pgm")],
+        ]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE,
+             json.dumps([numpy_only, forge_args(root, root / "out")])],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert probe.returncode == 0, probe.stderr
+        manifest = (root / "out" / "manifest.tsv").read_text()
+        assert "# objects_inserted = 0" not in manifest
+        assert "# objects_inserted = " in manifest

@@ -242,6 +242,32 @@ class TestSampleSurface:
             sample_surface(mesh, 10, seed=0)
 
 
+def reference_face_areas(mesh: TriangleMesh) -> np.ndarray:
+    """Face areas by np.cross and np.linalg.norm, the reference for face_areas."""
+    a, b, c = (mesh.vertices[mesh.faces[:, i]] for i in range(3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+
+
+class TestFaceAreasOracle:
+    """face_areas equals the np.cross/np.linalg.norm formula bit for bit,
+    overflow to inf and NaN (sign bit included) alike."""
+
+    def test_bitwise_equal_to_cross_norm(self):
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            n_vertices = int(rng.integers(3, 40))
+            scale = 10.0 ** rng.uniform(-3, 160)
+            vertices = rng.standard_normal((n_vertices, 3)) * scale
+            huge = rng.random(n_vertices) < 0.1
+            vertices[huge] = rng.choice([-1e308, 1e308], size=(int(huge.sum()), 3))
+            faces = rng.integers(0, n_vertices, (int(rng.integers(1, 80)), 3))
+            mesh = TriangleMesh(vertices=vertices, faces=faces)
+            got, want = mesh.face_areas, reference_face_areas(mesh)
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), trial
+
+
 def reference_sample_surface(mesh: TriangleMesh, n: int, seed) -> np.ndarray:
     """The face draw by Generator.choice, the reference for sample_surface."""
     areas = mesh.face_areas
@@ -397,6 +423,26 @@ class TestBuildAndPlace:
         assert placed.translation[0] == pytest.approx(12.0)
         r = np.linalg.norm(placed.points[:, :2] - np.array([12.0, -3.0]), axis=1)
         assert placed.xy_radius == pytest.approx(r.max())
+
+    def test_place_and_replace_radius_from_own_points(self):
+        rng = np.random.default_rng(8)
+        catalog = ReflectivityCatalog({"chair": 0.35})
+        obj = build_anomaly_object(make_cube_mesh(), "chair", catalog,
+                                   {"chair": 0.9}, rng)
+
+        def radius(o):
+            off = o.points[:, :2] - np.asarray(o.translation[:2])
+            return float(np.sqrt((off * off).sum(axis=1)).max())
+
+        assert obj.xy_radius == radius(obj)  # computed, and kept, before the copies
+        placed = place(obj, 12.0, -3.0, -1.7)
+        assert placed.xy_radius == radius(placed)
+        grown = replace(obj, points=obj.points * 3.0)
+        assert grown.xy_radius == radius(grown)
+        assert grown.xy_radius == pytest.approx(3.0 * obj.xy_radius)
+        shifted = replace(placed, translation=(0.0, 0.0, 0.0))
+        assert shifted.xy_radius == radius(shifted) != placed.xy_radius
+        assert obj.xy_radius == radius(obj)
 
     def test_missing_height_raises(self):
         rng = np.random.default_rng(8)

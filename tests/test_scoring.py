@@ -61,6 +61,17 @@ class TestAccumulate:
             accumulate_prototypes(f, np.arange(3), np.arange(3),
                                   confidences=np.array([1.0, np.nan, 1.0]))
 
+    def test_nan_feature_rejected_with_default_confidences(self):
+        f = np.array([[np.nan, 1.0], [0.5, 1.0]])
+        with pytest.raises(ValidationError, match="features must be finite"):
+            accumulate_prototypes(f, np.array([1, 1]), np.array([1, 1]))
+
+    def test_inf_feature_rejected_with_given_confidences(self):
+        f = np.array([[np.inf, 1.0], [0.5, 1.0]])
+        with pytest.raises(ValidationError, match="features must be finite"):
+            accumulate_prototypes(f, np.array([1, 1]), np.array([1, 1]),
+                                  confidences=np.array([1.0, 1.0]))
+
     def test_nonpositive_confidence_shifts_and_warns(self):
         f = np.array([[-1.0, -2.0], [-3.0, -4.0]])
         labels = np.array([0, 0])
