@@ -10,6 +10,8 @@ small Gaussian noise.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -18,6 +20,48 @@ from .range_projection import point_ranges
 DEFAULT_NEIGHBORS = 10
 NOISE_SCALE = 0.05           # intensity noise std as a share of the scan's mean remission
 _DEGENERATE_EIGRATIO = 1e-8
+_VOXEL_SCALE = 1.5           # crop voxel edge over the cube root of bounding-box volume per point
+_VOXELS_PER_POINT = 8        # a finer grid means a cloud too flat to crop by voxels
+
+
+def _query_neighbourhood(points: np.ndarray, at: np.ndarray):
+    """(crop, radius): the indices of the points that lie in the 3x3x3
+    voxel block around the voxel of each query ``points[at]``, and the
+    distance within which every point of ``points`` near a query is sure
+    to be in ``crop``.  (None, 0.0) when the cloud is degenerate (a flat
+    axis, a non-finite volume, far more voxels than points) or the crop
+    holds at most DEFAULT_NEIGHBORS points.
+
+    The voxel edge h is _VOXEL_SCALE times the cube root of the
+    bounding-box volume per point: at 50 000 points on a box's surface,
+    the 11th neighbor of a query then lies within h.  A point closer
+    than h to a query differs from it by less than h on each axis, so it
+    lies in the query's block; the radius stays 0.1% under h so that
+    rounding in the voxel keys cannot move such a point out.
+    """
+    n = points.shape[0]
+    cols = points.T  # per-axis: numpy is slow at broadcasting over (N, 3) rows
+    lo = [float(c.min()) for c in cols]
+    extent = [float(c.max()) - low for c, low in zip(cols, lo)]
+    h = _VOXEL_SCALE * math.prod(e ** (1 / 3) for e in extent) / n ** (1 / 3)
+    if not (0 < h < math.inf and math.prod(e / h + 3 for e in extent) <= _VOXELS_PER_POINT * n):
+        return None, 0.0
+    dims = [int(e / h) + 3 for e in extent]  # one voxel of padding on each side
+    keys = np.zeros(n, dtype=np.int64)
+    for axis, size in enumerate(dims):
+        cell = cols[axis] - lo[axis]
+        cell /= h
+        keys *= size
+        keys += cell.astype(np.int64)
+    keys += (dims[1] + 1) * dims[2] + 1  # the padding: one more voxel on each axis
+    step = np.arange(-1, 2)
+    block = ((step[:, None, None] * dims[1] + step[:, None]) * dims[2] + step).ravel()
+    near = np.zeros(math.prod(dims), dtype=bool)
+    near[keys[at][:, None] + block] = True
+    crop = np.flatnonzero(near[keys])
+    if len(crop) <= DEFAULT_NEIGHBORS:
+        return None, 0.0
+    return crop, h * (1 - 1e-3)
 
 
 def estimate_normals(points: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -32,11 +76,16 @@ def estimate_normals(points: np.ndarray, at: np.ndarray) -> np.ndarray:
     the sensor-facing direction, or (0, 0, 1) at the origin.  Every step
     is per point, so the cost is that of ``len(at)`` points, not
     ``len(points)``, and an entry's normal does not depend on the other
-    entries of ``at``.
+    entries of ``at`` unless its neighbors tie (see below).
 
     Neighbors come from a sliding-midpoint KD-tree (``cKDTree`` with
     ``balanced_tree=False, compact_nodes=False``), which builds in about
-    half the time of a balanced one.  Both return the exact k+1 nearest
+    half the time of a balanced one.  The tree is built over the
+    queries' neighbourhood only: the points in the 3x3x3 voxel block
+    around each query's voxel (``_query_neighbourhood``).  When a
+    query's farthest neighbor is not provably inside that block, or the
+    cloud is too degenerate to bin, the tree is built over all of
+    ``points`` instead.  Either way the result is the exact k+1 nearest
     neighbors in distance order; only neighbors at exactly equal
     distances could come back in a different order.
 
@@ -52,10 +101,18 @@ def estimate_normals(points: np.ndarray, at: np.ndarray) -> np.ndarray:
     if n < k + 1:
         raise ValidationError(f"need at least k+1={k + 1} points, got {n}")
 
-    tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
     query = pts[at]
     m = query.shape[0]
-    _, idx = tree.query(query, k=k + 1)
+    idx = None
+    crop, radius = _query_neighbourhood(pts, at)
+    if crop is not None:
+        dist, local = cKDTree(np.take(pts, crop, axis=0), balanced_tree=False,
+                              compact_nodes=False).query(query, k=k + 1)
+        if (dist[:, k] < radius).all():
+            idx = crop[local]
+    if idx is None:
+        tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+        _, idx = tree.query(query, k=k + 1)
     neighbors = pts[idx[:, 1:]]  # drop the query point itself
 
     centered = neighbors - neighbors.mean(axis=1, keepdims=True)

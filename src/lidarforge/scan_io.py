@@ -240,7 +240,7 @@ def read_scan(path: str | os.PathLike) -> PointCloud:
 def write_scan(cloud: PointCloud, path: str | os.PathLike) -> None:
     """Write a scan; read_scan(write_scan(c)) reproduces c bit-exactly."""
     cloud.validate()
-    Path(path).write_bytes(cloud.data.astype("<f4", copy=False).tobytes())
+    _write_records(cloud.data, "<f4", path)
 
 
 def read_labels(path: str | os.PathLike) -> LabelArray:
@@ -249,7 +249,13 @@ def read_labels(path: str | os.PathLike) -> LabelArray:
 
 
 def write_labels(labels: LabelArray, path: str | os.PathLike) -> None:
-    Path(path).write_bytes(labels.words.astype("<u4", copy=False).tobytes())
+    _write_records(labels.words, "<u4", path)
+
+
+def _write_records(array: np.ndarray, dtype: str, path: str | os.PathLike) -> None:
+    """Write ``array`` as ``dtype`` from its own buffer, without a bytes copy."""
+    with open(path, "wb") as f:
+        array.astype(dtype, copy=False).tofile(f)
 
 
 def check_pair(cloud: PointCloud, labels: LabelArray) -> None:

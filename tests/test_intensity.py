@@ -3,9 +3,14 @@ import pytest
 
 from helpers import make_cube_mesh
 
-from lidarforge import (ValidationError, estimate_normals, lambert_intensity,
-                        normalize_and_noise, point_ranges, sample_surface)
+from scipy.spatial import cKDTree
+
+from lidarforge import (PointCloud, SensorConfig, ValidationError, estimate_normals,
+                        intensity, lambert_intensity, normalize_and_noise, point_ranges,
+                        project, sample_surface)
 from lidarforge.intensity import NOISE_SCALE
+
+KITTI_SENSOR = SensorConfig(beams=64, width=2048, fov_up_deg=3.0, fov_down_deg=25.0)
 
 
 def every_point(pts):
@@ -150,6 +155,83 @@ class TestNeighborOracle:
     def test_bitwise_equal_to_brute_force(self):
         pts = sample_surface(make_cube_mesh(1.5), 4000, 31) + [7.0, -3.0, 0.5]
         at = np.random.default_rng(32).choice(len(pts), 300, replace=False)
+        assert np.array_equal(estimate_normals(pts, at=at), brute_force_normals(pts, at))
+
+
+def full_tree_normals(monkeypatch, pts, at):
+    """estimate_normals with its KD-tree built over all of ``pts``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(intensity, "_query_neighbourhood", lambda points, at: (None, 0.0))
+        return estimate_normals(pts, at=at)
+
+
+def crop_answers(pts, at):
+    """True when the tree over the queries' neighbourhood gives the neighbors,
+    False when estimate_normals falls back to the tree over all points."""
+    crop, radius = intensity._query_neighbourhood(pts, at)
+    if crop is None:
+        return False
+    dist, _ = cKDTree(pts).query(pts[at], k=intensity.DEFAULT_NEIGHBORS + 1)
+    return bool((dist[:, -1] < radius).all())
+
+
+class TestNeighbourhoodCrop:
+    """The tree over the queries' voxel neighbourhood finds the neighbors of
+    the tree over the whole cloud, and the fallback covers what it cannot."""
+
+    def test_production_object_at_its_survivors(self, monkeypatch):
+        dense = sample_surface(make_cube_mesh(0.4), 50_000, 41) + [9.0, 2.0, -1.3]
+        dense = dense.astype(np.float32).astype(np.float64)
+        cloud = PointCloud(np.hstack([dense, np.zeros((len(dense), 1))]).astype(np.float32))
+        at = project(cloud, KITTI_SENSOR).surviving_indices()
+        assert 0 < len(at) < len(dense) // 10
+        crop, _ = intensity._query_neighbourhood(dense, at)
+        assert len(crop) < len(dense) // 2 and crop_answers(dense, at)
+        assert np.array_equal(estimate_normals(dense, at=at),
+                              full_tree_normals(monkeypatch, dense, at))
+
+    def test_isolated_query_falls_back(self):
+        rng = np.random.default_rng(42)
+        pts = np.vstack([rng.uniform(0.0, 1.0, (2000, 3)) + [6.0, 0.0, 0.0],
+                         [[12.0, 5.0, 3.0]]])
+        alone = np.array([len(pts) - 1])
+        crop, _ = intensity._query_neighbourhood(pts, alone)
+        assert crop is None  # its voxel block holds only itself
+        mixed = np.array([3, len(pts) - 1, 700])
+        assert intensity._query_neighbourhood(pts, mixed)[0] is not None
+        assert not crop_answers(pts, mixed)
+        for at in (alone, mixed):
+            assert np.array_equal(estimate_normals(pts, at=at), brute_force_normals(pts, at))
+
+    @pytest.mark.parametrize("shape", ["planar", "thin", "collinear"])
+    def test_degenerate_clouds(self, shape):
+        rng = np.random.default_rng(43)
+        pts = np.zeros((1500, 3))
+        pts[:, 0] = rng.uniform(5.0, 8.0, len(pts))
+        if shape != "collinear":
+            pts[:, 1] = rng.uniform(-1.0, 1.0, len(pts))
+        if shape == "thin":
+            pts[:, 2] = rng.uniform(0.0, 1e-9, len(pts))
+        at = rng.choice(len(pts), 200, replace=False)
+        assert intensity._query_neighbourhood(pts, at)[0] is None
+        assert np.array_equal(estimate_normals(pts, at=at), brute_force_normals(pts, at))
+
+    @pytest.mark.parametrize("at", [np.array([], dtype=np.int64),
+                                    np.array([7, 7, 1200, 7, 0, 1200])],
+                             ids=["empty", "repeated"])
+    def test_empty_and_repeated_queries(self, monkeypatch, at):
+        pts = sample_surface(make_cube_mesh(1.0), 3000, 44) + [8.0, -2.0, 0.0]
+        assert crop_answers(pts, at) == (len(at) > 0)
+        normals = estimate_normals(pts, at=at)
+        assert normals.shape == (len(at), 3)
+        assert np.array_equal(normals, full_tree_normals(monkeypatch, pts, at))
+        assert np.array_equal(normals, brute_force_normals(pts, at))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_extreme_coordinates(self, scale):
+        pts = (sample_surface(make_cube_mesh(1.0), 3000, 45) + [8.0, -2.0, 0.0]) * scale
+        at = np.random.default_rng(46).choice(len(pts), 150, replace=False)
+        assert crop_answers(pts, at)
         assert np.array_equal(estimate_normals(pts, at=at), brute_force_normals(pts, at))
 
 
