@@ -25,9 +25,8 @@ def scatter_min(rows: np.ndarray, cols: np.ndarray, ranges: np.ndarray,
     Preconditions: ``rows``/``cols`` lie inside the grid, and every
     range is finite and not NaN.  ``np.minimum`` carries a NaN forward
     into its cell, and an infinite range would tie an empty cell's
-    +inf.  ``project`` meets both: its ranges are norms of float32
-    coordinates, and its field-of-view filter keeps only positive
-    ranges (a NaN range fails every comparison of that filter).
+    +inf.  ``project`` meets both: its ranges are norms of the finite
+    float32 coordinates of a validated cloud.
     """
     cells = np.asarray(rows, dtype=np.int64) * width + np.asarray(cols, dtype=np.int64)
     ranges = np.asarray(ranges, dtype=np.float64)

@@ -165,8 +165,9 @@ class PlacementSurface:
         allowed = np.zeros(len(class_ids), dtype=bool)
         for cid in policy.surface_classes:
             allowed |= class_ids == cid
-        self.xy = scene.xyz[allowed, :2].astype(np.float64)
-        self.z = scene.xyz[allowed, 2].astype(np.float64)
+        rows = scene.data.compress(allowed, axis=0)  # whole rows: one fast gather
+        self.xy = rows[:, :2].astype(np.float64)
+        self.z = rows[:, 2].astype(np.float64)
         self.r_xy = point_ranges(self.xy)
         self.max_radius = policy.max_radius
         self.in_radius_count = int((self.r_xy <= policy.max_radius).sum())
@@ -353,16 +354,6 @@ class ForgeScanResult:
     modified: bool
 
 
-def _draw_object_count(rng: np.random.Generator, policy: SplitPolicy) -> int:
-    """The first draws of ``forge_scan``: 0 when the Bernoulli draw with
-    the policy ratio leaves the scan clean, else the number of objects
-    drawn from the policy's count distribution."""
-    if rng.random() >= policy.anomaly_ratio:
-        return 0
-    return 1 + int(rng.choice(len(policy.count_distribution),
-                              p=np.asarray(policy.count_distribution)))
-
-
 def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
                cfg: SensorConfig, policy: SplitPolicy, bank: MeshBank,
                target_heights: dict, seed: int) -> ForgeScanResult:
@@ -380,9 +371,12 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
     check_pair(scene, labels)
     _reject_preexisting_anomaly_labels(labels, policy)
     rng = np.random.default_rng(seed)
-    n_objects = _draw_object_count(rng, policy)
-    if not n_objects:
+
+    if rng.random() >= policy.anomaly_ratio:
         return ForgeScanResult(scene, labels, [], modified=False)
+
+    n_objects = 1 + int(rng.choice(len(policy.count_distribution),
+                                   p=np.asarray(policy.count_distribution)))
 
     surface = PlacementSurface(scene, labels, policy)
     placed: list[AnomalyObject] = []
@@ -431,10 +425,7 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
 
     Deterministic for a given master seed: each scan is keyed by
     (master seed, scan id) only, so the output tree is byte-identical
-    regardless of worker count.  With more than one worker the pool
-    starts the scans that draw the most objects first, ties in the
-    given order; the outcomes are gathered by scan id, so the order
-    changes no output.  Scans that cannot be read, or whose
+    regardless of worker count.  Scans that cannot be read, or whose
     forging or writing raises a LidarForgeError, are skipped and
     reported in the manifest, with none of their files left behind.
     A master seed outside [0, 2**64), fewer than one worker, or a mesh
@@ -477,11 +468,8 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
     if workers <= 1:
         outcomes = [work(item) for item in pairs]
     else:
-        # heaviest first, so that no many-object scan starts last while other workers idle
-        heaviest_first = sorted(pairs, key=lambda item: -_draw_object_count(
-            np.random.default_rng(seeds[item[0]]), policy))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, heaviest_first))
+            outcomes = list(pool.map(work, pairs))
 
     records, skipped, per_scan = [], [], {}
     anomaly_points = 0

@@ -20,30 +20,35 @@ from .range_projection import point_ranges
 DEFAULT_NEIGHBORS = 10
 NOISE_SCALE = 0.05           # intensity noise std as a share of the scan's mean remission
 _DEGENERATE_EIGRATIO = 1e-8
-_VOXEL_SCALE = 1.5           # crop voxel edge over the cube root of bounding-box volume per point
-_VOXELS_PER_POINT = 8        # a finer grid means a cloud too flat to crop by voxels
+_VOXEL_SCALE = 3.0           # crop voxel edge over the sample spacing on the bounding box's surface
+_VOXELS_PER_POINT = 8        # a finer grid means a cloud too thin to crop by voxels
 
 
 def _query_neighbourhood(points: np.ndarray, at: np.ndarray):
     """(crop, radius): the indices of the points that lie in the 3x3x3
     voxel block around the voxel of each query ``points[at]``, and the
     distance within which every point of ``points`` near a query is sure
-    to be in ``crop``.  (None, 0.0) when the cloud is degenerate (a flat
-    axis, a non-finite volume, far more voxels than points) or the crop
-    holds at most DEFAULT_NEIGHBORS points.
+    to be in ``crop``.  (None, 0.0) when the cloud is degenerate (a
+    bounding box without area, a non-finite size, far more voxels than
+    points) or the crop holds at most DEFAULT_NEIGHBORS points.
 
-    The voxel edge h is _VOXEL_SCALE times the cube root of the
-    bounding-box volume per point: at 50 000 points on a box's surface,
-    the 11th neighbor of a query then lies within h.  A point closer
-    than h to a query differs from it by less than h on each axis, so it
-    lies in the query's block; the radius stays 0.1% under h so that
-    rounding in the voxel keys cannot move such a point out.
+    The voxel edge h is _VOXEL_SCALE times sqrt(A / n), the spacing of n
+    samples spread over the surface A = 2(ab + bc + ca) of the bounding
+    box with edges a, b, c.  Surface samples are spaced by area, not by
+    volume, so this holds for plates as for cubes: at 50 000 points, the
+    11th neighbor of every point that survives projection lay within 2.9
+    spacings on cubes, 1:10 and 1:25 plates, bars, chairs, tables,
+    shelves and doors.  A point closer than h to a query differs from it
+    by less than h on each axis, so it lies in the query's block; the
+    radius stays 0.1% under h so that rounding in the voxel keys cannot
+    move such a point out.
     """
     n = points.shape[0]
     cols = points.T  # per-axis: numpy is slow at broadcasting over (N, 3) rows
-    lo = [float(c.min()) for c in cols]
-    extent = [float(c.max()) - low for c, low in zip(cols, lo)]
-    h = _VOXEL_SCALE * math.prod(e ** (1 / 3) for e in extent) / n ** (1 / 3)
+    lo = [float(col.min()) for col in cols]
+    extent = [float(col.max()) - low for col, low in zip(cols, lo)]
+    a, b, c = extent
+    h = _VOXEL_SCALE * math.sqrt(2 * (a * b + b * c + c * a) / n)
     if not (0 < h < math.inf and math.prod(e / h + 3 for e in extent) <= _VOXELS_PER_POINT * n):
         return None, 0.0
     dims = [int(e / h) + 3 for e in extent]  # one voxel of padding on each side
@@ -84,10 +89,11 @@ def estimate_normals(points: np.ndarray, at: np.ndarray) -> np.ndarray:
     queries' neighbourhood only: the points in the 3x3x3 voxel block
     around each query's voxel (``_query_neighbourhood``).  When a
     query's farthest neighbor is not provably inside that block, or the
-    cloud is too degenerate to bin, the tree is built over all of
-    ``points`` instead.  Either way the result is the exact k+1 nearest
-    neighbors in distance order; only neighbors at exactly equal
-    distances could come back in a different order.
+    cloud is too degenerate to bin (collinear, say), the tree is built
+    over all of ``points`` instead.  Either way the result is the exact
+    k+1 nearest neighbors in distance order.  Only points at exactly
+    equal distances could come back in a different order, or, when
+    they tie for the last place, another of them be taken.
 
     scipy is imported here, on the first call, and nowhere else in the
     package: ``score``, ``eval`` and ``project`` run on numpy alone, and

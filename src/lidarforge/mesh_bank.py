@@ -23,7 +23,6 @@ import numpy as np
 
 from .configfile import parse_number, read_keyvalue
 from .errors import FormatError, UnknownCategoryError, ValidationError
-from .range_projection import point_ranges
 
 OBJECT_POINTS = 50_000       # surface points sampled per forged object
 SCALE_RANGE = (0.5, 1.0)     # uniform scale augmentation after sizing to the target height
@@ -336,8 +335,11 @@ class AnomalyObject:
         Computed once per instance: ``place`` and ``replace`` build new
         instances, so a cached radius always belongs to its own points.
         """
-        off = self.points[:, :2] - np.asarray(self.translation[:2])
-        return float(point_ranges(off).max())
+        dx = self.points[:, 0] - self.translation[0]
+        dy = self.points[:, 1] - self.translation[1]
+        # the squares summed as point_ranges sums them; sqrt is monotone,
+        # so the root of the largest sum is the largest root
+        return math.sqrt((dx * dx + dy * dy).max())
 
 
 def _yaw_matrix(angle: float) -> np.ndarray:

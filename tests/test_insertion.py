@@ -1,5 +1,5 @@
+import importlib.util
 import tempfile
-import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -384,9 +384,18 @@ class TestForgeScan:
         pytest.fail("no anomaly scan in 30 seeds")
 
 
-class TestDrawObjectCount:
+WORKER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+
+
+class TestBenchmarkObjectCount:
+    """perfbench/worker.py keeps its own copy of forge_scan's first two
+    draws to pick stratified master seeds; the copy must stay in step."""
+
     @pytest.mark.parametrize("policy", [single_policy(), multi_policy()], ids=["single", "multi"])
     def test_equals_the_objects_forge_scan_draws(self, monkeypatch, policy):
+        spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER_PATH)
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
         scene, labels = make_flat_scene(np.random.default_rng(22), 3000)
         bank = _bank_with_cube()
         chosen = []
@@ -396,10 +405,11 @@ class TestDrawObjectCount:
         monkeypatch.setattr(insertion.mesh_bank, "build_anomaly_object", lambda *args: None)
         monkeypatch.setattr(insertion, "_settle", lambda *args: None)
         counts = set()
-        for seed in range(200):
+        for master in range(200):
             chosen.clear()
-            forge_scan(scene, labels, "s", TEST_SENSOR, policy, bank, HEIGHTS, seed=seed)
-            count = insertion._draw_object_count(np.random.default_rng(seed), policy)
+            forge_scan(scene, labels, "s", TEST_SENSOR, policy, bank, HEIGHTS,
+                       seed=scan_seed(master, "s"))
+            count = worker._drawn_objects(master, "s", policy)
             assert count == len(chosen)
             counts.add(count)
         assert counts == set(range(len(policy.count_distribution) + 1))
@@ -559,48 +569,6 @@ class TestForgeSplit:
                     for p in sorted(out.rglob("*")) if p.is_file()}
             trees.append(tree)
         assert trees[0] == trees[1]
-
-    # drawn object counts of scans 000000-000005 at master seed 3: heaviest last
-    UNSORTED_MASTER_SEED = 3
-    UNSORTED_COUNTS = [1, 2, 1, 0, 3, 4]
-
-    def test_unsorted_counts(self):
-        assert [insertion._draw_object_count(
-            np.random.default_rng(scan_seed(self.UNSORTED_MASTER_SEED, f"{i:06d}")),
-            multi_policy()) for i in range(6)] == self.UNSORTED_COUNTS
-
-    def test_heaviest_first_schedule_does_not_change_bytes(self, tmp_path):
-        scans, labels = self._dataset(tmp_path, n_scans=6, seed=7)
-        bank = _bank_with_cube(tmp_path / "meshes")
-        trees = []
-        for workers in (1, 2, 3):
-            out = tmp_path / f"w{workers}"
-            forge_split(discover_pairs(scans, labels), out, multi_policy(), TEST_SENSOR,
-                        bank, HEIGHTS, master_seed=self.UNSORTED_MASTER_SEED, workers=workers)
-            trees.append({p.relative_to(out).as_posix(): p.read_bytes()
-                          for p in sorted(out.rglob("*")) if p.is_file()})
-        assert trees[0] == trees[1] == trees[2]
-        assert "# objects_inserted = 11" in trees[0]["manifest.tsv"].decode()
-
-    def test_two_workers_start_the_heaviest_scans_first(self, tmp_path, monkeypatch):
-        scans, labels = self._dataset(tmp_path, n_scans=6, seed=7)
-        started = []
-        # both workers meet at every call, so the calls start in submission pairs
-        both = threading.Barrier(2, timeout=30)
-
-        def recording_forge_scan(scene, labels, scan_id, *args):
-            started.append(scan_id)
-            both.wait()
-            return insertion.ForgeScanResult(scene, labels, [], modified=False)
-
-        monkeypatch.setattr(insertion, "forge_scan", recording_forge_scan)
-        forge_split(discover_pairs(scans, labels), tmp_path / "out", multi_policy(),
-                    TEST_SENSOR, _bank_with_cube(tmp_path / "meshes"), HEIGHTS,
-                    master_seed=self.UNSORTED_MASTER_SEED, workers=2)
-        # counts 4, 3, 2, 1, 1, 0; equal counts keep stem order
-        heaviest_first = ["000005", "000004", "000001", "000000", "000002", "000003"]
-        assert [set(started[i:i + 2]) for i in (0, 2, 4)] == \
-            [set(heaviest_first[i:i + 2]) for i in (0, 2, 4)]
 
 
 # every scan is selected for an anomaly, so every scan reaches the projection

@@ -5,9 +5,9 @@ from helpers import make_cube_mesh
 
 from scipy.spatial import cKDTree
 
-from lidarforge import (PointCloud, SensorConfig, ValidationError, estimate_normals,
-                        intensity, lambert_intensity, normalize_and_noise, point_ranges,
-                        project, sample_surface)
+from lidarforge import (PointCloud, SensorConfig, TriangleMesh, ValidationError,
+                        estimate_normals, intensity, lambert_intensity, normalize_and_noise,
+                        point_ranges, project, sample_surface)
 from lidarforge.intensity import NOISE_SCALE
 
 KITTI_SENSOR = SensorConfig(beams=64, width=2048, fov_up_deg=3.0, fov_down_deg=25.0)
@@ -179,14 +179,19 @@ class TestNeighbourhoodCrop:
     """The tree over the queries' voxel neighbourhood finds the neighbors of
     the tree over the whole cloud, and the fallback covers what it cannot."""
 
-    def test_production_object_at_its_survivors(self, monkeypatch):
-        dense = sample_surface(make_cube_mesh(0.4), 50_000, 41) + [9.0, 2.0, -1.3]
+    @pytest.mark.parametrize("size", [(0.8, 0.8, 0.8), (1.0, 1.0, 0.04), (0.9, 0.04, 2.0)],
+                             ids=["cube", "plate", "door"])
+    def test_production_object_at_its_survivors(self, monkeypatch, size):
+        cube = make_cube_mesh(0.5)
+        box = TriangleMesh(cube.vertices * size, cube.faces)
+        dense = sample_surface(box, 50_000, 41) + [9.0, 2.0, -1.3]
         dense = dense.astype(np.float32).astype(np.float64)
         cloud = PointCloud(np.hstack([dense, np.zeros((len(dense), 1))]).astype(np.float32))
         at = project(cloud, KITTI_SENSOR).surviving_indices()
         assert 0 < len(at) < len(dense) // 10
         crop, _ = intensity._query_neighbourhood(dense, at)
-        assert len(crop) < len(dense) // 2 and crop_answers(dense, at)
+        # a door seen face-on shows half its surface, so its crop is more than half
+        assert len(crop) < len(dense) * 0.6 and crop_answers(dense, at)
         assert np.array_equal(estimate_normals(dense, at=at),
                               full_tree_normals(monkeypatch, dense, at))
 
@@ -213,7 +218,8 @@ class TestNeighbourhoodCrop:
         if shape == "thin":
             pts[:, 2] = rng.uniform(0.0, 1e-9, len(pts))
         at = rng.choice(len(pts), 200, replace=False)
-        assert intensity._query_neighbourhood(pts, at)[0] is None
+        # a plane still has area to bin by; a line has none
+        assert crop_answers(pts, at) == (shape != "collinear")
         assert np.array_equal(estimate_normals(pts, at=at), brute_force_normals(pts, at))
 
     @pytest.mark.parametrize("at", [np.array([], dtype=np.int64),
