@@ -25,8 +25,9 @@ def scatter_min(rows: np.ndarray, cols: np.ndarray, ranges: np.ndarray,
     Preconditions: ``rows``/``cols`` lie inside the grid, and every
     range is finite and not NaN.  ``np.minimum`` carries a NaN forward
     into its cell, and an infinite range would tie an empty cell's
-    +inf.  ``project`` meets both: its ranges are norms of the finite
-    float32 coordinates of a validated cloud.
+    +inf.  ``project`` meets both: its ranges are norms of finite
+    float32 coordinates, those of a validated cloud and of object
+    blocks that it checks after rounding them to float32.
     """
     cells = np.asarray(rows, dtype=np.int64) * width + np.asarray(cols, dtype=np.int64)
     ranges = np.asarray(ranges, dtype=np.float64)

@@ -1,8 +1,9 @@
 """Placing anomaly objects in real scans and forging dataset splits.
 
-An object is rested on a permitted planar surface, the combined cloud
-is projected to the range image and re-projected back, which removes
-occluded points and resamples the object in the sensor's beam pattern.
+An object is rested on a permitted planar surface, the scene and the
+object points are projected together to the range image and
+re-projected back, which removes occluded points and resamples the
+object in the sensor's beam pattern.
 Surviving object points receive synthesized intensities on the host
 scan's scale and the anomaly label; surviving scene points are carried
 through bit-exact.
@@ -226,19 +227,14 @@ def pick_placement(surface: PlacementSurface, seed: int | np.random.Generator,
 
 
 def _occlude(scene: PointCloud, objects: list, cfg: SensorConfig):
-    """One occlusion pass: project the scene with the objects appended.
+    """One occlusion pass: project the scene together with the objects'
+    points, which follow it in index order.
 
     Returns (scene_idx, own): the surviving scene indices, and for each
     object the indices of its surviving points within the object, all
     ascending.
     """
-    blocks = [scene.data]
-    for obj in objects:
-        block = np.zeros((obj.count, 4), dtype=np.float32)
-        block[:, :3] = obj.points
-        blocks.append(block)
-    combined = PointCloud(np.concatenate(blocks, axis=0))
-    surviving = project(combined, cfg, scene_count=scene.count).surviving_indices()
+    surviving = project(scene, cfg, [obj.points for obj in objects]).surviving_indices()
     starts = scene.count + np.cumsum([0] + [obj.count for obj in objects])[:-1]
     parts = np.split(surviving, np.searchsorted(surviving, starts))
     return parts[0], [part - start for part, start in zip(parts[1:], starts)]

@@ -12,6 +12,7 @@ import itertools
 import math
 import os
 import re
+import threading
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -406,9 +407,11 @@ def place(obj: AnomalyObject, x: float, y: float, ground_z: float) -> AnomalyObj
 class MeshBank:
     """Lazy-loading collection of category-organized OFF meshes.
 
-    A file is parsed on its first draw; its mesh, or the FormatError it
-    raised, is kept and served to every later draw.  Worker threads that
-    draw a file before its first parse ends each parse it.
+    A file is parsed once, on its first draw; its mesh, or the
+    FormatError it raised, is kept and served to every later draw.
+    Parses run under one lock, so a worker thread that draws a file
+    while another parses it waits for that parse instead of repeating
+    it; a draw of a file already parsed takes no lock.
     """
 
     def __init__(self, root: str | os.PathLike, catalog: ReflectivityCatalog):
@@ -416,6 +419,7 @@ class MeshBank:
         self.catalog = catalog
         self._files: dict[str, list[Path]] = {}
         self._cache: dict[Path, TriangleMesh | FormatError] = {}
+        self._parse_lock = threading.Lock()
         for sub in sorted(p for p in self.root.iterdir() if p.is_dir()):
             category = sub.name.replace("_", " ")
             files = sorted(sub.rglob("*.off"))
@@ -436,12 +440,16 @@ class MeshBank:
         category = self.categories[int(rng.integers(len(self.categories)))]
         files = self._files[category]
         path = files[int(rng.integers(len(files)))]
-        if path not in self._cache:
-            try:
-                self._cache[path] = load_off(path)
-            except FormatError as exc:
-                self._cache[path] = exc
-        mesh = self._cache[path]
+        mesh = self._cache.get(path)
+        if mesh is None:
+            with self._parse_lock:
+                mesh = self._cache.get(path)
+                if mesh is None:
+                    try:
+                        mesh = load_off(path)
+                    except FormatError as exc:
+                        mesh = exc
+                    self._cache[path] = mesh
         if isinstance(mesh, FormatError):
             # a new instance each time: threads may raise it at once
             raise FormatError(*mesh.args)

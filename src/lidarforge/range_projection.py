@@ -26,7 +26,7 @@ import numpy as np
 
 from ._kernels import scatter_min
 from .errors import ValidationError
-from .scan_io import PointCloud, SensorConfig
+from .scan_io import PointCloud, SensorConfig, check_finite
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,10 @@ class RangeImage:
     """H x W projection grid.
 
     ``point_index`` holds the winning point index per cell (-1 empty),
-    ``ranges`` the winning range (+inf empty).  Points with original
-    index >= ``scene_count`` carry object provenance; the rest are
-    scene points.
+    ``ranges`` the winning range (+inf empty).  ``source_count`` points
+    were projected: the ``scene_count`` points of the cloud, then the
+    object points that ``project`` was given, so an index >=
+    ``scene_count`` is an object point.
     """
 
     point_index: np.ndarray
@@ -90,60 +91,97 @@ def point_ranges(xyz: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def _cell_coords(xyz: np.ndarray, cfg: SensorConfig):
-    """Return (rows, cols, ranges, in_fov mask) for every point.
+def _cell_coords(xyz: np.ndarray, cfg: SensorConfig, rows: np.ndarray,
+                 cols: np.ndarray, ranges: np.ndarray) -> None:
+    """Write each point's cell row, column and range into ``rows``,
+    ``cols`` and ``ranges``; a point outside the vertical FOV gets row
+    ``cfg.beams``.
 
-    Each axis is one contiguous float64 column: the same values as
-    strided (N, 3) columns, at a fraction of the memory traffic.
+    Each axis is one contiguous float64 column, and every step writes
+    in place.  The steps are the formulas of the module docstring, term
+    by term in the same order, so every value is bit-identical to the
+    same formulas written as whole-array expressions.
     """
-    x, y, z = (np.asarray(col, dtype=np.float64) for col in np.asarray(xyz).T)
-    ranges = x * x   # summed in point_ranges' order, in place
-    ranges += y * y
-    ranges += z * z
+    x, y, z, t = np.empty((4, xyz.shape[0]))
+    for col, axis in zip((x, y, z), xyz.T):
+        np.copyto(col, axis)
+    np.multiply(x, x, out=ranges)   # summed in point_ranges' order
+    ranges += np.multiply(y, y, out=t)
+    ranges += np.multiply(z, z, out=t)
     np.sqrt(ranges, out=ranges)
     # a point at the sensor origin has no direction: it lies outside the FOV
     seen = ranges > 0.0
 
-    yaw = np.arctan2(y, x)
-    elevation = np.arcsin(np.clip(z / np.where(seen, ranges, 1.0), -1.0, 1.0))
+    # u = 0.5 * (1 - yaw / pi) * W
+    np.arctan2(y, x, out=t)
+    t /= np.pi
+    np.subtract(1.0, t, out=t)
+    t *= 0.5
+    t *= cfg.width
+    cols[...] = np.floor(t, out=t)
+    np.clip(cols, 0, cfg.width - 1, out=cols)
 
-    u = 0.5 * (1.0 - yaw / np.pi) * cfg.width
-    v = (1.0 - (elevation + cfg.fov_down_rad) / cfg.fov_rad) * cfg.beams
+    # v = (1 - (asin(z / r) + fov_down) / fov) * H, with z / 1 at the origin
+    np.copyto(t, z)
+    np.divide(z, ranges, out=t, where=seen)
+    np.clip(t, -1.0, 1.0, out=t)
+    np.arcsin(t, out=t)
+    t += cfg.fov_down_rad
+    t /= cfg.fov_rad
+    np.subtract(1.0, t, out=t)
+    t *= cfg.beams
 
     # keep points on the FOV edge despite float32 quantization of inputs
     tol = 1e-4
-    in_fov = seen & (v >= -tol) & (v <= cfg.beams + tol)
-    cols = np.clip(np.floor(u).astype(np.int64), 0, cfg.width - 1)
-    rows = np.clip(np.floor(v).astype(np.int64), 0, cfg.beams - 1)
-    return rows, cols, ranges, in_fov
+    seen &= t >= -tol
+    seen &= t <= cfg.beams + tol
+    rows[...] = np.floor(t, out=t)
+    np.clip(rows, 0, cfg.beams - 1, out=rows)
+    np.copyto(rows, cfg.beams, where=~seen)
 
 
-def project(cloud: PointCloud, cfg: SensorConfig, scene_count: int | None = None) -> RangeImage:
-    """Project a cloud onto the range image, resolving cell collisions
-    by minimum range.
+def project(cloud: PointCloud, cfg: SensorConfig, objects=()) -> RangeImage:
+    """Project a cloud, followed by the (M, 3) point blocks of
+    ``objects``, onto the range image, resolving cell collisions by
+    minimum range.
 
-    ``scene_count`` marks the boundary between scene points (indices
-    below it) and appended object points; it defaults to the whole
-    cloud being scene.
+    Point indices count the cloud's points first, then each block's in
+    order, as if the blocks were appended to the cloud with zero
+    intensity.  Object coordinates are rounded to float32 first, as such
+    a cloud would store them; a block with a non-finite coordinate
+    raises ValidationError naming that point's index.  Rows, columns
+    and ranges of all points go into one set of buffers, so no combined
+    cloud is built.
     """
-    if cloud.count == 0:
+    blocks = [np.asarray(pts) for pts in objects]
+    for pts in blocks:
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValidationError(f"object points must be (M, 3), got shape {pts.shape}")
+    total = cloud.count + sum(len(pts) for pts in blocks)
+    if total == 0:
         raise ValidationError("cannot project an empty point cloud")
-    if scene_count is None:
-        scene_count = cloud.count
-    if not 0 <= scene_count <= cloud.count:
-        raise ValidationError(f"scene_count {scene_count} out of range for N={cloud.count}")
 
-    rows, cols, ranges, in_fov = _cell_coords(cloud.xyz, cfg)
+    rows = np.empty(total, dtype=np.int64)
+    cols = np.empty(total, dtype=np.int64)
+    ranges = np.empty(total, dtype=np.float64)
+    _cell_coords(cloud.xyz, cfg, rows[:cloud.count], cols[:cloud.count], ranges[:cloud.count])
+    start = cloud.count
+    for pts in blocks:
+        with np.errstate(over="ignore"):   # an overflow to inf is reported below
+            pts = pts.astype(np.float32, copy=False)
+        check_finite(pts, first_index=start)
+        end = start + len(pts)
+        _cell_coords(pts, cfg, rows[start:end], cols[start:end], ranges[start:end])
+        start = end
 
     # points outside the FOV compete in one extra row, dropped below, so
-    # scatter_min's indices are cloud indices and its ties stay in index order
-    np.copyto(rows, cfg.beams, where=~in_fov)
+    # scatter_min's indices are point indices and its ties stay in index order
     index_grid, range_grid = scatter_min(rows, cols, ranges, cfg.beams + 1, cfg.width)
     return RangeImage(
         point_index=index_grid[:cfg.beams],
         ranges=range_grid[:cfg.beams],
-        source_count=cloud.count,
-        scene_count=scene_count,
+        source_count=total,
+        scene_count=cloud.count,
     )
 
 

@@ -28,6 +28,15 @@ from .errors import FormatError, ValidationError
 CLASS_ID_MASK = 0xFFFF
 
 
+def check_finite(rows: np.ndarray, first_index: int = 0) -> None:
+    """Raise ValidationError naming the first row of ``rows`` that holds
+    a non-finite value, counting rows from ``first_index``."""
+    # one pass over the whole array; the per-row pass only finds the index
+    if not np.isfinite(rows).all():
+        idx = first_index + int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+        raise ValidationError(f"non-finite value at point index {idx}")
+
+
 class PointCloud:
     """A LiDAR scan: N points of (x, y, z, intensity) as float32.
 
@@ -58,10 +67,7 @@ class PointCloud:
         return cls(data)
 
     def validate(self) -> None:
-        # one pass over the whole array; the per-row pass only finds the index
-        if not np.isfinite(self._data).all():
-            idx = int(np.flatnonzero(~np.isfinite(self._data).all(axis=1))[0])
-            raise ValidationError(f"non-finite value at point index {idx}")
+        check_finite(self._data)
         neg = self._data[:, 3] < 0
         if neg.any():
             idx = int(np.flatnonzero(neg)[0])

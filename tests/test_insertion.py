@@ -1,5 +1,6 @@
 import importlib.util
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,12 +15,12 @@ from scipy.stats import kstest
 from helpers import (ROAD_CLASS, ROAD_Z, TEST_SENSOR, full_coverage_wall,
                      half_wall_scene, make_cube_mesh, make_flat_scene, write_off)
 
-from lidarforge import (LabelArray, PlacementInfeasibleError,
-                        PointCloud, ReflectivityCatalog, SplitPolicy,
+from lidarforge import (AnomalyObject, LabelArray, PlacementInfeasibleError,
+                        PointCloud, ReflectivityCatalog, SensorConfig, SplitPolicy,
                         ValidationError, build_anomaly_object, compose_scan,
                         forge_scan, forge_split, pick_placement, place, project,
                         scan_seed)
-from lidarforge import insertion
+from lidarforge import insertion, range_projection
 from lidarforge.insertion import GROUND_NEIGHBORHOOD, PlacementSurface, discover_pairs
 from lidarforge.mesh_bank import OBJECT_POINTS, MeshBank
 from lidarforge.scan_io import read_labels, read_scan, write_labels, write_scan
@@ -270,6 +271,60 @@ class TestComposeScan:
         assert records[0].index_end == records[1].index_start
         assert records[1].index_end == cloud.count
 
+    def test_overflowing_object_point_rejected_before_projection(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        scene, labels = make_flat_scene(rng, 3000)
+        a = cube_object(rng, at=(10.0, 0.0))
+        b = cube_object(rng, at=(-12.0, 5.0))
+        points = np.array(b.points)
+        points[123, 2] = 1e39   # finite in float64, infinite in float32
+        b = replace(b, points=points)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("scatter_min ran on a non-finite point")
+
+        monkeypatch.setattr(range_projection, "scatter_min", unreachable)
+        index = scene.count + a.count + 123
+        with pytest.raises(ValidationError, match=f"non-finite value at point index {index}$"):
+            compose_scan(scene, labels, [a, b], TEST_SENSOR, multi_policy(), seed=8)
+
+
+def street_scan(seed: int = 0):
+    """A ray-cast street like a KITTI scan: 64 beams x 1800 azimuth
+    steps over +3/-25 degrees, ground at 1.73 m below the sensor, walls
+    12 m either side and 50 m ahead and behind, 2% of returns dropped
+    (about 113 000 points)."""
+    rng = np.random.default_rng(seed)
+    elev = np.deg2rad(np.linspace(3.0, -25.0, 64))[:, None]
+    az = np.linspace(0.0, 2.0 * np.pi, 1800, endpoint=False)[None, :]
+    d = np.stack(np.broadcast_arrays(np.cos(elev) * np.cos(az), np.cos(elev) * np.sin(az),
+                                     np.sin(elev)), axis=-1).reshape(-1, 3)
+    with np.errstate(divide="ignore"):
+        t = np.minimum.reduce([np.where(d[:, 2] < 0, 1.73 / -d[:, 2], np.inf),
+                               12.0 / np.abs(d[:, 1]), 50.0 / np.abs(d[:, 0])])
+    xyz = (d * t[:, None])[rng.random(t.size) >= 0.02]
+    return PointCloud.from_xyz(xyz, intensity=0.3)
+
+
+class TestOcclusionMemory:
+    def test_peak_per_projected_point(self):
+        cfg = SensorConfig(beams=64, width=2048, fov_up_deg=3.0, fov_down_deg=25.0)
+        scene = street_scan()
+        rng = np.random.default_rng(19)
+        objects = [AnomalyObject(points=rng.uniform(-0.5, 0.5, (OBJECT_POINTS, 3)) + at,
+                                 category="chair", reflectivity=0.35)
+                   for at in ([8.0, 2.0, -1.2], [-9.0, -3.0, -1.2])]
+        projected = scene.count + 2 * OBJECT_POINTS
+        assert 200_000 < projected < 225_000
+        tracemalloc.start()
+        try:
+            scene_idx, own = insertion._occlude(scene, objects, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(len(mine) for mine in own) and len(scene_idx) > 0.9 * scene.count
+        assert peak < 64 * projected
+
 
 class TestForgeScan:
     def test_deterministic(self):
@@ -327,12 +382,12 @@ class TestForgeScan:
         passes, noised = [], []
         real_project, real_noise = insertion.project, insertion.normalize_and_noise
 
-        def counting_project(cloud, cfg, scene_count=None):
-            img = real_project(cloud, cfg, scene_count=scene_count)
+        def counting_project(cloud, cfg, objects=()):
+            img = real_project(cloud, cfg, objects)
             won = img.surviving_indices()
             alive = np.unique((won[won >= img.scene_count] - img.scene_count)
                               // OBJECT_POINTS)
-            passes.append(alive.size < (cloud.count - img.scene_count) // OBJECT_POINTS)
+            passes.append(alive.size < (img.source_count - img.scene_count) // OBJECT_POINTS)
             return img
 
         def counting_noise(*args, **kwargs):

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +13,7 @@ from lidarforge import (AnomalyObject, FormatError, MeshBank, ReflectivityCatalo
                         TriangleMesh, UnknownCategoryError, ValidationError, augment,
                         build_anomaly_object, load_off, load_target_heights, place,
                         sample_surface)
+from lidarforge import mesh_bank
 from lidarforge.mesh_bank import OBJECT_POINTS, SCALE_RANGE
 
 TETRA_OFF = """OFF
@@ -485,3 +489,47 @@ class TestMeshBank:
         with pytest.warns(UserWarning, match="spaceship"):
             bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}))
         assert bank.categories == ["chair"]
+
+    def test_concurrent_draws_parse_a_file_once(self, tmp_path, monkeypatch):
+        (tmp_path / "chair").mkdir()
+        (tmp_path / "chair" / "c.off").write_text(TETRA_OFF)
+        bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}))
+        parses, started = [], threading.Barrier(2, timeout=10)
+        real_load_off = mesh_bank.load_off
+
+        def slow_counting_load_off(path):
+            parses.append(path)
+            time.sleep(0.2)   # both threads are inside choose by now
+            return real_load_off(path)
+
+        monkeypatch.setattr(mesh_bank, "load_off", slow_counting_load_off)
+        drawn = []
+
+        def draw(seed):
+            drawn.append(bank.choose(np.random.default_rng(seed))[1])
+
+        def race(seed):
+            started.wait()
+            draw(seed)
+
+        threads = [threading.Thread(target=race, args=(seed,)) for seed in (0, 1)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(parses) == 1
+        assert len(drawn) == 2 and drawn[0] is drawn[1]
+
+        # a draw of a parsed file does not wait for a parse in progress
+        with bank._parse_lock:
+            hit = threading.Thread(target=draw, args=(2,))
+            hit.start()
+            hit.join(timeout=10)
+            assert not hit.is_alive()
+        assert len(parses) == 1 and drawn[2] is drawn[0]

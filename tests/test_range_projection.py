@@ -13,6 +13,15 @@ from lidarforge.range_projection import RangeImage, _cell_coords
 KITTI_LIKE = SensorConfig(beams=64, width=2048, fov_up_deg=3.0, fov_down_deg=25.0)
 
 
+def cell_coords(xyz: np.ndarray, cfg: SensorConfig):
+    """(rows, cols, ranges) of every point; row cfg.beams marks a point
+    outside the vertical FOV."""
+    n = xyz.shape[0]
+    rows, cols, ranges = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n)
+    _cell_coords(xyz, cfg, rows, cols, ranges)
+    return rows, cols, ranges
+
+
 def brute_force_cells(cloud: PointCloud, cfg: SensorConfig):
     """Independent per-point cell computation with a python min-scan."""
     best = {}
@@ -88,7 +97,7 @@ class TestProject:
         cloud = PointCloud.from_xyz(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
         img = project(cloud, KITTI_LIKE)
         assert img.point_index[img.filled].tolist() == [0]
-        assert _cell_coords(cloud.xyz, KITTI_LIKE)[3].tolist() == [True, False]
+        assert (cell_coords(cloud.xyz, KITTI_LIKE)[0] < KITTI_LIKE.beams).tolist() == [True, False]
         only_origin = project(PointCloud.from_xyz(np.zeros((3, 3))), KITTI_LIKE)
         assert not only_origin.filled.any()
 
@@ -136,9 +145,8 @@ class TestReproject:
         rng = np.random.default_rng(3)
         behind = make_random_cloud(rng, 500)  # ranges start at 2.0 but most beyond 5
         far_mask = np.linalg.norm(behind.xyz, axis=1) > 5.0
-        combined = PointCloud.from_xyz(
-            np.vstack([wall, behind.xyz[far_mask].astype(np.float64)]))
-        img = project(combined, TEST_SENSOR, scene_count=n_wall)
+        img = project(PointCloud.from_xyz(wall), TEST_SENSOR,
+                      [behind.xyz[far_mask].astype(np.float64)])
         assert (img.surviving_indices() < n_wall).all()
 
     def test_idempotent_winner_set(self):
@@ -155,6 +163,104 @@ class TestReproject:
         img = project(cloud, TEST_SENSOR)
         out = cloud.take(img.surviving_indices())
         assert out.tobytes() == cloud.data[np.sort(img.point_index[img.filled])].tobytes()
+
+
+def concatenated_project(scene: PointCloud, cfg: SensorConfig, objects) -> RangeImage:
+    """Reference for ``project(scene, cfg, objects)``: the objects
+    appended to the scene as one float32 cloud with zero intensity."""
+    blocks = [scene.data]
+    for pts in objects:
+        block = np.zeros((len(pts), 4), dtype=np.float32)
+        block[:, :3] = pts
+        blocks.append(block)
+    return project(PointCloud(np.concatenate(blocks, axis=0)), cfg)
+
+
+class TestObjectBlocks:
+    """``project(scene, cfg, objects)`` against the concatenated cloud."""
+
+    def assert_matches_concatenation(self, scene, objects, cfg=TEST_SENSOR):
+        img = project(scene, cfg, objects)
+        ref = concatenated_project(scene, cfg, objects)
+        np.testing.assert_array_equal(img.point_index, ref.point_index)
+        assert img.ranges.tobytes() == ref.ranges.tobytes()
+        assert img.source_count == ref.source_count == scene.count + sum(map(len, objects))
+        assert img.scene_count == scene.count
+        return img
+
+    def test_random_blocks(self):
+        rng = np.random.default_rng(11)
+        scene = make_random_cloud(rng, 3000)
+        # float64 coordinates that float32 rounds, and a float32 block
+        objects = [make_random_cloud(rng, n).xyz * np.float64(1.0 + 1e-9 * np.pi)
+                   for n in (700, 1, 1200)]
+        objects.append(make_random_cloud(rng, 500).xyz)
+        self.assert_matches_concatenation(scene, objects)
+        self.assert_matches_concatenation(scene, [])
+        self.assert_matches_concatenation(PointCloud(np.empty((0, 4), np.float32)), objects)
+
+    def test_object_partly_outside_the_vertical_fov(self):
+        rng = np.random.default_rng(12)
+        scene = make_random_cloud(rng, 2000)
+        z = np.linspace(-10.0, 10.0, 400)
+        column = np.column_stack([np.full_like(z, 6.0), np.linspace(-1.0, 1.0, 400), z])
+        rows = cell_coords(column.astype(np.float32), TEST_SENSOR)[0]
+        assert (rows == TEST_SENSOR.beams).any() and (rows < TEST_SENSOR.beams).any()
+        img = self.assert_matches_concatenation(scene, [column])
+        assert (img.surviving_indices() >= scene.count).any()
+
+    def test_object_points_at_the_sensor_origin(self):
+        rng = np.random.default_rng(13)
+        scene = make_random_cloud(rng, 2000)
+        block = make_random_cloud(rng, 300).xyz.astype(np.float64)
+        block[::7] = 0.0
+        img = self.assert_matches_concatenation(scene, [block])
+        won = img.surviving_indices()
+        assert not np.isin(won, scene.count + np.arange(0, 300, 7)).any()
+        only_origin = project(PointCloud(np.empty((0, 4), np.float32)), TEST_SENSOR,
+                              [np.zeros((5, 3))])
+        assert not only_origin.filled.any()
+
+    def test_equal_ranges_across_the_boundary_go_to_the_scene(self):
+        rng = np.random.default_rng(14)
+        scene = make_random_cloud(rng, 2000)
+        twins = scene.xyz[::3].astype(np.float64)   # exact copies of scene points
+        img = self.assert_matches_concatenation(scene, [twins])
+        assert (img.surviving_indices() < scene.count).all()
+
+    def test_float32_rounding_decides_the_cell(self):
+        # points a hair either side of column edges: float64 and float32
+        # coordinates of the same point fall into different columns
+        cfg = TEST_SENSOR
+        edges = np.arange(1, cfg.width, 3)
+        yaw = np.pi * (1.0 - 2.0 * edges / cfg.width)
+        offsets = np.linspace(-4e-7, 4e-7, 41)
+        angle = (yaw[:, None] + offsets[None, :]).ravel()
+        pts = np.column_stack([7.3 * np.cos(angle), 7.3 * np.sin(angle),
+                               np.full(angle.size, -0.3)])
+        cols64 = cell_coords(pts, cfg)[1]
+        cols32 = cell_coords(pts.astype(np.float32), cfg)[1]
+        assert (cols64 != cols32).any()
+        scene = make_random_cloud(np.random.default_rng(15), 1000)
+        self.assert_matches_concatenation(scene, [pts[::2], pts[1::2]])
+
+    @pytest.mark.parametrize("bad", [1e39, np.inf, np.nan])
+    def test_non_finite_object_point_names_its_index(self, bad):
+        rng = np.random.default_rng(16)
+        scene = make_random_cloud(rng, 100)
+        first, second = make_random_cloud(rng, 40).xyz, make_random_cloud(rng, 30).xyz
+        second = second.astype(np.float64)
+        second[17, 2] = bad
+        with pytest.raises(ValidationError, match=r"non-finite value at point index 157$"):
+            project(scene, TEST_SENSOR, [first, second])
+
+    def test_object_blocks_must_be_n_by_3(self):
+        scene = make_random_cloud(np.random.default_rng(17), 10)
+        for shape in ((5,), (5, 4)):
+            with pytest.raises(ValidationError, match=r"must be \(M, 3\)"):
+                project(scene, TEST_SENSOR, [np.ones(shape)])
+        with pytest.raises(ValidationError, match="empty"):
+            project(PointCloud(np.empty((0, 4), np.float32)), TEST_SENSOR, [np.empty((0, 3))])
 
 
 def sequential_scatter_min(rows, cols, ranges, height, width):
@@ -193,10 +299,12 @@ class TestBackends:
         data[:50, 2] = np.abs(data[:50, 2]) + 30.0
         cloud = PointCloud(data)
         img = project(cloud, TEST_SENSOR)
-        rows, cols, ranges, in_fov = _cell_coords(cloud.xyz, TEST_SENSOR)
+        rows, cols, ranges = cell_coords(cloud.xyz, TEST_SENSOR)
+        in_fov = rows < TEST_SENSOR.beams
         assert not in_fov[:50].all()
         # out-of-FOV points get an infinite range, so they never win a cell
         ranges = np.where(in_fov, ranges, np.inf)
+        rows = np.where(in_fov, rows, 0)
         idx_ref, rgrid_ref = sequential_scatter_min(rows, cols, ranges,
                                                     TEST_SENSOR.beams, TEST_SENSOR.width)
         np.testing.assert_array_equal(img.point_index, idx_ref)
