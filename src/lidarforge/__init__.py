@@ -10,8 +10,8 @@ from .intensity import estimate_normals, lambert_intensity, normalize_and_noise
 from .losses import (loss_ce, loss_contrastive, loss_heads, loss_lovasz,
                      loss_objectosphere, loss_prototype, mean_class_features)
 from .mesh_bank import (AnomalyObject, MeshBank, ReflectivityCatalog, TriangleMesh,
-                        augment, build_anomaly_object, load_off, load_target_heights,
-                        place, sample_surface)
+                        build_anomaly_object, load_off, load_target_heights, place,
+                        sample_surface)
 from .metrics import (EvalPair, auroc, average_precision, fpr_at_tpr, range_binned_ap,
                       split_metrics)
 from .range_projection import RangeImage, point_ranges, project, write_pgm

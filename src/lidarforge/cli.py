@@ -26,7 +26,7 @@ import numpy as np
 
 from . import insertion, losses, metrics, scoring
 from .errors import LidarForgeError, ValidationError
-from .insertion import STYLE_PRESETS, SplitPolicy, check_anomaly_label
+from .insertion import DEFAULT_MAX_RADIUS, STYLE_PRESETS, SplitPolicy, check_anomaly_label
 from .intensity import DEFAULT_NEIGHBORS, NOISE_SCALE
 from .mesh_bank import OBJECT_POINTS, MeshBank, ReflectivityCatalog, load_target_heights
 from .range_projection import point_ranges, project, write_pgm
@@ -61,11 +61,7 @@ def _build_policy(args) -> SplitPolicy:
                                   f"got {args.surface_classes!r}") from None
     if args.anomaly_label is not None:
         anomaly_label = args.anomaly_label
-    kwargs = {}
-    if args.max_radius is not None:
-        kwargs["max_radius"] = args.max_radius
-    ctor = SplitPolicy.single if args.policy == "single" else SplitPolicy.multi
-    return ctor(surface_classes=surfaces, anomaly_label=anomaly_label, **kwargs)
+    return SplitPolicy(args.policy, frozenset(surfaces), anomaly_label, args.max_radius)
 
 
 def cmd_forge(args) -> int:
@@ -80,8 +76,7 @@ def cmd_forge(args) -> int:
     policy = _build_policy(args)
     catalog = ReflectivityCatalog.from_file(args.catalog) if args.catalog \
         else ReflectivityCatalog.default()
-    heights = load_target_heights(args.heights)
-    bank = MeshBank(args.meshes, catalog)
+    bank = MeshBank(args.meshes, catalog, load_target_heights(args.heights))
 
     pairs = insertion.discover_pairs(args.scans, args.labels)
     if not pairs:
@@ -111,7 +106,7 @@ def cmd_forge(args) -> int:
     tmp = Path(tempfile.mkdtemp(prefix=out_dir.name + ".tmp.", dir=out_dir.parent))
     try:
         summary = insertion.forge_split(
-            pairs, tmp, policy, sensor, bank, heights, args.seed,
+            pairs, tmp, policy, sensor, bank, args.seed,
             workers=args.workers, config_echo=echo)
         os.replace(tmp, out_dir)
     except BaseException:
@@ -325,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     forge.add_argument("--surface-classes", default="",
                        help="comma-separated class ids overriding the style preset")
     forge.add_argument("--anomaly-label", type=int, default=None)
-    forge.add_argument("--max-radius", type=float, default=None)
+    forge.add_argument("--max-radius", type=float, default=DEFAULT_MAX_RADIUS)
     forge.add_argument("--catalog", default=None, help="reflectivity config (default: bundled)")
     forge.add_argument("--heights", default=None, help="target-height config (default: bundled)")
     forge.add_argument("--workers", type=int, default=1)
@@ -343,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--prototypes", required=True, help="prototype tensor file (C x C)")
     score.add_argument("--out", required=True)
     score.add_argument("--radius", type=float, default=scoring.DEFAULT_NORM_THRESHOLD)
-    score.add_argument("--score", choices=("fused", "sem", "cont", "cos", "ent"),
+    score.add_argument("--score", choices=scoring.SCORE_NAMES,
                        default="fused", help="which score channel to write")
     score.add_argument("--losses", action="store_true",
                        help="also print forward loss values (needs --labels)")

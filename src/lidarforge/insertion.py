@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -35,10 +34,12 @@ from .scan_io import (CLASS_ID_MASK, LabelArray, PointCloud, SensorConfig, check
 SINGLE_RATIO = 0.40
 MULTI_RATIO = 0.60
 MULTI_COUNT_DISTRIBUTION = (0.40, 0.30, 0.20, 0.10)
+DEFAULT_MAX_RADIUS = 50.0    # insertion radius (m) around the sensor
 MIN_SURFACE_POINTS = 30      # allowed points within the insertion radius
 FLATNESS_THRESHOLD = 0.2     # max height spread (m) of a site's neighbors
 GROUND_NEIGHBORHOOD = 1.0    # radius (m) of a site's neighborhood
 PLACEMENT_ATTEMPTS = 64
+RETRY_BUDGET = 10           # re-placements of a fully occluded object
 
 # per dataset style: anomaly label id, single-split surfaces, multi-split surfaces
 STYLE_PRESETS = {
@@ -58,31 +59,22 @@ def check_anomaly_label(label: int) -> None:
 class SplitPolicy:
     """Rules of one dataset split.
 
-    ``count_distribution[i]`` is the probability of inserting i+1
-    objects into a scan that was selected to contain anomalies.
+    ``kind`` fixes the protocol: the share of scans that receive
+    anomalies (``anomaly_ratio``) and the object count distribution,
+    whose entry i is the probability of inserting i+1 objects into a
+    selected scan.
     """
 
     kind: str
-    anomaly_ratio: float
     surface_classes: frozenset
-    count_distribution: tuple
     anomaly_label: int
-    max_radius: float = 50.0
-    retry_budget: int = 10
+    max_radius: float = DEFAULT_MAX_RADIUS
 
     def __post_init__(self):
         if self.kind not in ("single", "multi"):
             raise ValidationError(f"policy kind must be 'single' or 'multi', got {self.kind!r}")
-        if not 0 < self.anomaly_ratio <= 1:
-            raise ValidationError(f"anomaly ratio must be in (0, 1], got {self.anomaly_ratio}")
-        total = sum(self.count_distribution)
-        if abs(total - 1.0) > 1e-9 or any(p < 0 for p in self.count_distribution):
-            raise ValidationError(f"count distribution must be a probability vector, got {self.count_distribution}")
         if not 0 < self.max_radius < math.inf:
             raise ValidationError(f"max_radius must be positive and finite, got {self.max_radius}")
-        if not isinstance(self.retry_budget, numbers.Integral) or self.retry_budget < 0:
-            raise ValidationError(
-                f"retry budget must be an integer >= 0, got {self.retry_budget!r}")
         if not self.surface_classes:
             raise ValidationError("at least one allowed surface class is required")
         check_anomaly_label(self.anomaly_label)
@@ -94,23 +86,26 @@ class SplitPolicy:
             raise ValidationError(f"anomaly label {self.anomaly_label} is one of the "
                                   f"surface classes {sorted(self.surface_classes)}")
 
+    @property
+    def anomaly_ratio(self) -> float:
+        return SINGLE_RATIO if self.kind == "single" else MULTI_RATIO
+
+    @property
+    def count_distribution(self) -> tuple:
+        return (1.0,) if self.kind == "single" else MULTI_COUNT_DISTRIBUTION
+
     @classmethod
     def single(cls, surface_classes=STYLE_PRESETS["kitti"][1],
-               anomaly_label=STYLE_PRESETS["kitti"][0], **kwargs) -> "SplitPolicy":
+               anomaly_label=STYLE_PRESETS["kitti"][0]) -> "SplitPolicy":
         """One object per anomaly scan, kitti road surfaces only by default."""
-        return cls(kind="single", anomaly_ratio=SINGLE_RATIO,
-                   surface_classes=frozenset(surface_classes),
-                   count_distribution=(1.0,), anomaly_label=anomaly_label, **kwargs)
+        return cls("single", frozenset(surface_classes), anomaly_label)
 
     @classmethod
     def multi(cls, surface_classes=STYLE_PRESETS["kitti"][2],
-              anomaly_label=STYLE_PRESETS["kitti"][0], **kwargs) -> "SplitPolicy":
+              anomaly_label=STYLE_PRESETS["kitti"][0]) -> "SplitPolicy":
         """1-4 objects per anomaly scan on any permitted planar surface,
         the kitti ones by default."""
-        return cls(kind="multi", anomaly_ratio=MULTI_RATIO,
-                   surface_classes=frozenset(surface_classes),
-                   count_distribution=MULTI_COUNT_DISTRIBUTION,
-                   anomaly_label=anomaly_label, **kwargs)
+        return cls("multi", frozenset(surface_classes), anomaly_label)
 
 
 @dataclass(frozen=True)
@@ -303,9 +298,9 @@ def compose_scan(scene: PointCloud, labels: LabelArray, objects: list,
     """Merge placed objects into a scan, then build the output once.
 
     An object whose every point loses the occlusion contest is re-placed
-    clear of the others, up to ``policy.retry_budget`` times; a retry
-    re-runs only the occlusion pass, so ``retry_budget=0`` gives exactly
-    one.  An object that finds no new site keeps its place.
+    clear of the others, up to ``RETRY_BUDGET`` times; a retry re-runs
+    only the occlusion pass, so a budget of 0 gives exactly one.  An
+    object that finds no new site keeps its place.
 
     Returns (cloud, labels, records), one record per object in the
     given order, at its final placement, each with scan id "" and
@@ -327,17 +322,15 @@ def compose_scan(scene: PointCloud, labels: LabelArray, objects: list,
     objects = list(objects)
     scene_idx, own = _occlude(scene, objects, cfg)
     surface = None
-    for _ in range(policy.retry_budget):
+    for _ in range(RETRY_BUDGET):
         dead = [j for j, mine in enumerate(own) if not len(mine)]
         if not dead:
             break
         if surface is None:
             surface = PlacementSurface(scene, labels, policy)
         for j in dead:
-            obj = objects[j]
-            base = replace(obj, points=obj.points - np.asarray(obj.translation),
-                           translation=(0.0, 0.0, 0.0))
-            objects[j] = _settle(surface, rng, base, objects[:j] + objects[j + 1:]) or obj
+            objects[j] = _settle(surface, rng, objects[j],
+                                 objects[:j] + objects[j + 1:]) or objects[j]
         scene_idx, own = _occlude(scene, objects, cfg)
     return _finalize(scene, labels, objects, scene_idx, own, policy, rng)
 
@@ -352,7 +345,7 @@ class ForgeScanResult:
 
 def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
                cfg: SensorConfig, policy: SplitPolicy, bank: MeshBank,
-               target_heights: dict, seed: int) -> ForgeScanResult:
+               seed: int) -> ForgeScanResult:
     """Run the per-scan insertion protocol.
 
     A Bernoulli draw with the policy ratio decides anomaly presence;
@@ -379,7 +372,7 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
     for _ in range(n_objects):
         category, mesh = bank.choose(rng)
         obj = _settle(surface, rng, mesh_bank.build_anomaly_object(
-            mesh, category, bank.catalog, target_heights, rng), placed)
+            mesh, category, bank.catalog.get(category), bank.heights[category], rng), placed)
         if obj is not None:
             placed.append(obj)
     if not placed:
@@ -414,8 +407,7 @@ def discover_pairs(scans_dir: str | Path, labels_dir: str | Path):
 
 
 def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
-                cfg: SensorConfig, bank: MeshBank, target_heights: dict,
-                master_seed: int, workers: int = 1,
+                cfg: SensorConfig, bank: MeshBank, master_seed: int, workers: int = 1,
                 config_echo: dict | None = None) -> ForgeSummary:
     """Forge a whole split into ``out_dir`` (velodyne/, labels/, manifest.tsv).
 
@@ -424,17 +416,13 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
     regardless of worker count.  Scans that cannot be read, or whose
     forging or writing raises a LidarForgeError, are skipped and
     reported in the manifest, with none of their files left behind.
-    A master seed outside [0, 2**64), fewer than one worker, or a mesh
-    category without a target height is rejected before ``out_dir`` is
-    created.
+    A master seed outside [0, 2**64) or fewer than one worker is
+    rejected before ``out_dir`` is created.
     """
     if not pairs:
         raise ValidationError("scan list is empty")
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
-    unsized = [c for c in bank.categories if c not in target_heights]
-    if unsized:
-        raise ValidationError(f"no target height for mesh categories {', '.join(unsized)}")
     seeds = {sid: scan_seed(master_seed, sid) for sid, _, _ in pairs}
     out_dir = Path(out_dir)
     (out_dir / "velodyne").mkdir(parents=True, exist_ok=True)
@@ -450,8 +438,7 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
         scan_file = out_dir / "velodyne" / f"{sid}.bin"
         label_file = out_dir / "labels" / f"{sid}.label"
         try:
-            result = forge_scan(scene, labels, sid, cfg, policy, bank,
-                                target_heights, seeds[sid])
+            result = forge_scan(scene, labels, sid, cfg, policy, bank, seeds[sid])
             write_scan(result.cloud, scan_file)
             write_labels(result.labels, label_file)
         except LidarForgeError as exc:  # skip-and-report contract

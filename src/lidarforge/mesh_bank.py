@@ -1,5 +1,5 @@
 """Anomaly object meshes: OFF loading, surface sampling, reflectivity,
-and pose/scale augmentation.
+target heights, and each object's pose.
 
 Meshes are organized ModelNet-style: one directory per category (with
 underscores standing in for spaces, e.g. ``flower_pot``), containing
@@ -348,64 +348,54 @@ def _yaw_matrix(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def augment(obj: AnomalyObject, seed: int | np.random.Generator) -> AnomalyObject:
-    """Rotate about the vertical axis and rescale.
+def build_anomaly_object(mesh: TriangleMesh, category: str, reflectivity: float,
+                         height: float, rng: np.random.Generator) -> AnomalyObject:
+    """Sample OBJECT_POINTS points of a mesh, size them to ``height``
+    meters, turn them by a yaw drawn uniformly in [0, 2*pi) and scale
+    them by a factor drawn uniformly from SCALE_RANGE.
 
-    yaw is drawn uniformly in [0, 2*pi), then the scale factor uniformly
-    from SCALE_RANGE; both are added to the object's pose.  The
-    transform is a similarity: pairwise distances scale by exactly the
-    drawn factor.
+    The turn and scale are a similarity: pairwise distances scale by
+    exactly the drawn factor.  The result is centered: xy centroid at
+    the origin, lowest point at z = 0, ready to be rested on an
+    insertion surface.  Its ``scale`` is the sizing times the drawn
+    factor.
     """
-    rng = np.random.default_rng(seed)
-    yaw = float(rng.uniform(0.0, 2.0 * np.pi))
-    scale = float(rng.uniform(*SCALE_RANGE))
-    pts = (obj.points @ _yaw_matrix(yaw).T) * scale
-    return replace(obj, points=pts, yaw=obj.yaw + yaw, scale=obj.scale * scale)
-
-
-def build_anomaly_object(mesh: TriangleMesh, category: str,
-                         catalog: ReflectivityCatalog,
-                         target_heights: dict[str, float],
-                         rng: np.random.Generator) -> AnomalyObject:
-    """Sample OBJECT_POINTS points of a mesh, size them to a plausible
-    physical height, and apply random yaw/scale augmentation.
-
-    The result is centered: xy centroid at the origin, lowest point at
-    z = 0, ready to be rested on an insertion surface.
-    """
-    rho = catalog.get(category)
-    if category not in target_heights:
-        raise UnknownCategoryError(category, target_heights)
     pts = sample_surface(mesh, OBJECT_POINTS, rng)
 
     extent_z = float(pts[:, 2].max() - pts[:, 2].min())
     if extent_z < 1e-9:
         # degenerate flat model: fall back to the largest bbox extent
         extent_z = float((pts.max(axis=0) - pts.min(axis=0)).max())
-    base = AnomalyObject(points=pts, category=category, reflectivity=rho,
-                         scale=1.0, yaw=0.0)
-    sized = replace(base, points=pts * (target_heights[category] / extent_z),
-                    scale=target_heights[category] / extent_z)
-    out = augment(sized, rng)
-
-    centered = out.points.copy()
-    centered[:, :2] -= centered[:, :2].mean(axis=0)
-    centered[:, 2] -= centered[:, 2].min()
-    return replace(out, points=centered)
+    size = height / extent_z
+    yaw = float(rng.uniform(0.0, 2.0 * np.pi))
+    scale = float(rng.uniform(*SCALE_RANGE))
+    pts = ((pts * size) @ _yaw_matrix(yaw).T) * scale
+    pts[:, :2] -= pts[:, :2].mean(axis=0)
+    pts[:, 2] -= pts[:, 2].min()
+    return AnomalyObject(points=pts, category=category, reflectivity=reflectivity,
+                         yaw=yaw, scale=size * scale)
 
 
 def place(obj: AnomalyObject, x: float, y: float, ground_z: float) -> AnomalyObject:
-    """Translate a centered object so it rests on the surface at (x, y).
+    """Move an object so it rests on the surface at (x, y).
 
-    The lowest sampled point ends exactly at ground_z.
+    A placed object is first moved back by its translation, so the
+    result is placed as its centered self would be.  The lowest sampled
+    point ends at ground_z.
     """
-    offset = np.array([x, y, ground_z - obj.points[:, 2].min()])
-    return replace(obj, points=obj.points + offset,
+    points = obj.points
+    if obj.translation != (0.0, 0.0, 0.0):
+        points = points - np.asarray(obj.translation)
+    offset = np.array([x, y, ground_z - points[:, 2].min()])
+    return replace(obj, points=points + offset,
                    translation=(float(offset[0]), float(offset[1]), float(offset[2])))
 
 
 class MeshBank:
-    """Lazy-loading collection of category-organized OFF meshes.
+    """Lazy-loading collection of category-organized OFF meshes, with
+    each category's reflectivity and target height.  A category missing
+    from the catalog is skipped with a warning; one without a height is
+    rejected.
 
     A file is parsed once, on its first draw; its mesh, or the
     FormatError it raised, is kept and served to every later draw.
@@ -414,7 +404,8 @@ class MeshBank:
     it; a draw of a file already parsed takes no lock.
     """
 
-    def __init__(self, root: str | os.PathLike, catalog: ReflectivityCatalog):
+    def __init__(self, root: str | os.PathLike, catalog: ReflectivityCatalog,
+                 heights: dict[str, float]):
         self.root = Path(root)
         self.catalog = catalog
         self._files: dict[str, list[Path]] = {}
@@ -431,6 +422,10 @@ class MeshBank:
             self._files[category] = files
         if not self._files:
             raise ValidationError(f"no usable mesh categories under {self.root}")
+        unsized = [c for c in self.categories if c not in heights]
+        if unsized:
+            raise ValidationError(f"no target height for mesh categories {', '.join(unsized)}")
+        self.heights = {c: heights[c] for c in self.categories}
 
     @property
     def categories(self) -> list[str]:

@@ -88,20 +88,20 @@ def auroc(pair: EvalPair) -> float:
     """Area under the ROC curve via the rank statistic, with tied
     positive/negative pairs contributing one half."""
     _require_both_classes(pair, "auroc")
-    return _auroc(pair, np.sort(pair.scores))
+    ordered = np.sort(pair.scores)
+    return _auroc(ordered, _positive_starts(pair, ordered))
 
 
-def _auroc(pair: EvalPair, ordered: np.ndarray) -> float:
-    """AUROC of a pair with both classes, given its sorted scores."""
-    pos = np.sort(pair.scores[pair.truth])
-    # a positive's tie group fills the sorted positions below .. above-1, so
-    # its mid rank is (below + above + 1) / 2; sorted queries keep the
-    # binary searches local, and the ranks sum as exact integers
-    below = np.searchsorted(ordered, pos, "left")
-    above = np.searchsorted(ordered, pos, "right")
-    p = pos.shape[0]
-    rank_sum = 0.5 * float(int(below.sum()) + int(above.sum()) + p)
-    return (rank_sum - 0.5 * p * (p + 1)) / (p * pair.negatives)
+def _auroc(ordered: np.ndarray, hit: np.ndarray) -> float:
+    """AUROC of a pair with both classes, given its sorted scores and
+    ``_positive_starts``."""
+    # a positive's tie group fills the sorted positions hit .. above-1, so
+    # its mid rank is (hit + above + 1) / 2; sorted queries keep the
+    # binary search local, and the ranks sum as exact integers
+    above = np.searchsorted(ordered, ordered[hit], "right")
+    n, p = ordered.shape[0], hit.shape[0]
+    rank_sum = 0.5 * float(int(hit.sum()) + int(above.sum()) + p)
+    return (rank_sum - 0.5 * p * (p + 1)) / (p * (n - p))
 
 
 def _positive_starts(pair: EvalPair, ordered: np.ndarray) -> np.ndarray:
@@ -202,7 +202,7 @@ def split_metrics(pair: EvalPair) -> tuple[float, float, float]:
     _require_both_classes(pair, "auroc")
     ordered = np.sort(pair.scores)
     hit = _positive_starts(pair, ordered)
-    return (_auroc(pair, ordered), _fpr_at_tpr(ordered, hit, 0.95),
+    return (_auroc(ordered, hit), _fpr_at_tpr(ordered, hit, 0.95),
             _average_precision(ordered, hit))
 
 

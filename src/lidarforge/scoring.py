@@ -23,6 +23,8 @@ from .errors import FormatError, ValidationError
 from .scan_io import read_records
 
 DEFAULT_NORM_THRESHOLD = 5.0
+# the score channels, by the names score files and ``score --score`` use
+SCORE_NAMES = ("fused", "sem", "cont", "cos", "ent")
 # rows per block in compute_scores: each (rows, C) temporary stays in cache
 _BLOCK_ROWS = 4096
 TENSOR_MAGIC = int.from_bytes(b"FEATBIN1", "little")
@@ -286,8 +288,8 @@ class ScoreVector:
 
     def by_name(self, name: str) -> np.ndarray:
         try:
-            return {"cos": self.cosine, "ent": self.entropy, "sem": self.semantic,
-                    "cont": self.contrastive, "fused": self.fused}[name]
+            return dict(zip(SCORE_NAMES, (self.fused, self.semantic, self.contrastive,
+                                          self.cosine, self.entropy)))[name]
         except KeyError:
             raise ValidationError(f"unknown score name {name!r}") from None
 

@@ -17,7 +17,7 @@ from lidarforge import (AnomalyObject, FeatureSet, LabelArray, PointCloud, Proto
                         loss_prototype, place, project, read_labels, read_scan,
                         sample_surface, score_contrastive, write_labels, write_scan,
                         write_tensor)
-from lidarforge import losses
+from lidarforge import insertion, losses
 from lidarforge.cli import main as cli_main
 from lidarforge.insertion import discover_pairs
 from lidarforge.mesh_bank import MeshBank
@@ -121,14 +121,14 @@ def test_criterion_2_projection_correctness():
           f"point and reprojection is bit-exact ({elapsed:.1f}s < 30s)")
 
 
-def test_criterion_3_occlusion_fixture():
+def test_criterion_3_occlusion_fixture(monkeypatch):
     cube = make_cube_mesh()
     pts = sample_surface(cube, 20_000, seed=3)
     obj = AnomalyObject(points=pts, category="chair", reflectivity=0.35)
     placed = place(obj, 10.0, 0.0, ROAD_Z)
     # one occlusion pass: no retry may move the object out from behind the wall
-    policy = SplitPolicy.single(surface_classes=(ROAD_CLASS,), anomaly_label=2,
-                                retry_budget=0)
+    monkeypatch.setattr(insertion, "RETRY_BUDGET", 0)
+    policy = SplitPolicy.single(surface_classes=(ROAD_CLASS,), anomaly_label=2)
 
     wall = full_coverage_wall(TEST_SENSOR, distance=5.0)
     wall_scene = PointCloud.from_xyz(wall, intensity=0.3)
@@ -188,9 +188,9 @@ def test_criterion_4_intensity_law():
 
 def _forge(inputs, out, policy, seed, workers=1):
     scans, labels = inputs
-    bank = MeshBank(_forge.mesh_root, CATALOG)
+    bank = MeshBank(_forge.mesh_root, CATALOG, HEIGHTS)
     return forge_split(discover_pairs(scans, labels), out, policy, TEST_SENSOR,
-                       bank, HEIGHTS, master_seed=seed, workers=workers)
+                       bank, master_seed=seed, workers=workers)
 
 
 @pytest.fixture(scope="module")

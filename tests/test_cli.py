@@ -191,6 +191,38 @@ class TestForgeCommand:
         assert not out.exists()
         assert not list(root.glob("out_cfg.tmp.*"))
 
+    @pytest.mark.parametrize("flag, text", [
+        ("--sensor", SENSOR_CFG), ("--catalog", "chair = 0.35\n"), ("--heights", "chair = 0.9\n"),
+    ], ids=["sensor", "catalog", "heights"])
+    def test_config_that_is_not_utf8_rejected(self, forge_inputs, capsys, flag, text):
+        root = forge_inputs
+        config = root / "latin1.cfg"
+        first, rest = text.split("\n", 1)
+        # a Latin-1 e-acute in a comment on line 2
+        config.write_bytes(f"{first}\n# caf\xe9\n{rest}".encode("latin-1"))
+        out = root / "out_cfg"
+        assert main(forge_args(root, out) + [flag, str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}:2: not UTF-8 text (byte 0xe9)\n"
+        assert not out.exists()
+
+    def test_config_with_byte_order_mark_read(self, forge_inputs):
+        root = forge_inputs
+        config = root / "bom.cfg"
+        config.write_text("chair = 0.9\n", encoding="utf-8-sig")
+        out = root / "out_cfg"
+        assert main(forge_args(root, out) + ["--heights", str(config)]) == 0
+        assert out.is_dir()
+
+    def test_config_key_set_twice_rejected(self, forge_inputs, capsys):
+        root = forge_inputs
+        config = root / "twice.cfg"
+        config.write_text(SENSOR_CFG + "# a later edit\nbeams = 64\n")
+        out = root / "out_cfg"
+        assert main(forge_args(root, out) + ["--sensor", str(config)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {config}:6: key 'beams' already set on line 1\n"
+        assert not out.exists()
+
     def test_manifest_echoes_config(self, forge_inputs):
         root = forge_inputs
         assert main(forge_args(root, root / "out_d", seed=11)) == 0

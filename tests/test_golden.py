@@ -31,6 +31,7 @@ from helpers import (ROAD_CLASS, TEST_SENSOR, half_wall_scene, make_cube_mesh,
 
 from lidarforge import (MeshBank, ReflectivityCatalog, SplitPolicy, forge_scan, read_labels,
                         write_labels, write_scan, write_tensor)
+from lidarforge import insertion
 from lidarforge.cli import main
 
 TREE_SHA256 = "3daeb16af4266c114c19623946040ace4e77f2b14563b529f83a3d436e88f037"
@@ -187,20 +188,19 @@ def test_score_files_match_golden_digest(scored):
     assert digest == SCORES_SHA256
 
 
-def test_retry_paths_match_golden_digest(tmp_path):
+def test_retry_paths_match_golden_digest(tmp_path, monkeypatch):
     (tmp_path / "chair").mkdir()
     write_off(make_cube_mesh(), tmp_path / "chair" / "chair_0001.off")
-    bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}))
+    bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}), {"chair": 0.9})
     scene, labels = half_wall_scene()
 
     h = hashlib.sha256()
     outcomes = {}
+    policy = SplitPolicy.multi(surface_classes=(ROAD_CLASS,), anomaly_label=2)
     for budget in (0, 1, 2, 10):
-        policy = SplitPolicy.multi(surface_classes=(ROAD_CLASS,), anomaly_label=2,
-                                   retry_budget=budget)
+        monkeypatch.setattr(insertion, "RETRY_BUDGET", budget)
         for seed in range(16):
-            r = forge_scan(scene, labels, "w", TEST_SENSOR, policy, bank, {"chair": 0.9},
-                           seed=seed)
+            r = forge_scan(scene, labels, "w", TEST_SENSOR, policy, bank, seed=seed)
             h.update(r.cloud.data.tobytes())
             h.update(r.labels.words.tobytes())
             h.update(repr(r.records).encode() + repr(r.modified).encode())

@@ -29,16 +29,27 @@ CATALOG = ReflectivityCatalog({"chair": 0.35})
 HEIGHTS = {"chair": 0.9}
 
 
-def single_policy(**kw):
-    return SplitPolicy.single(surface_classes=(ROAD_CLASS,), anomaly_label=2, **kw)
+def single_policy():
+    return SplitPolicy.single(surface_classes=(ROAD_CLASS,), anomaly_label=2)
 
 
-def multi_policy(**kw):
-    return SplitPolicy.multi(surface_classes=(ROAD_CLASS,), anomaly_label=2, **kw)
+def multi_policy():
+    return SplitPolicy.multi(surface_classes=(ROAD_CLASS,), anomaly_label=2)
+
+
+class EveryScanPolicy(SplitPolicy):
+    """A single-object policy that selects every scan for an anomaly."""
+
+    anomaly_ratio = 1.0
+
+
+# every scan is selected for an anomaly, so every scan reaches the projection
+EVERY_SCAN = EveryScanPolicy.single(surface_classes=(ROAD_CLASS,), anomaly_label=2)
 
 
 def cube_object(rng, at=(10.0, 0.0)):
-    obj = build_anomaly_object(make_cube_mesh(), "chair", CATALOG, HEIGHTS, rng)
+    obj = build_anomaly_object(make_cube_mesh(), "chair", CATALOG.get("chair"),
+                               HEIGHTS["chair"], rng)
     return place(obj, at[0], at[1], ROAD_Z)
 
 
@@ -53,11 +64,6 @@ class TestSplitPolicy:
         p = multi_policy()
         assert p.anomaly_ratio == 0.60
         assert p.count_distribution == (0.40, 0.30, 0.20, 0.10)
-
-    def test_distribution_must_sum_to_one(self):
-        with pytest.raises(ValidationError):
-            SplitPolicy(kind="multi", anomaly_ratio=0.6, surface_classes=frozenset({40}),
-                        count_distribution=(0.5, 0.6), anomaly_label=2)
 
     def test_single_ratio_matches_reference_datasets(self):
         # reference datasets built with this recipe realize 196 anomaly
@@ -207,26 +213,29 @@ class TestComposeScan:
         scene_part = cloud.data[:records[0].index_start]
         assert (np.diff(scene_part[:, 3]) > 0).all()
 
-    def test_wall_blocks_everything(self):
+    def test_wall_blocks_everything(self, monkeypatch):
+        monkeypatch.setattr(insertion, "RETRY_BUDGET", 0)
         wall_pts = full_coverage_wall(TEST_SENSOR, distance=5.0)
         wall = PointCloud.from_xyz(wall_pts, intensity=0.3)
         labels = LabelArray.from_class_ids(np.full(wall.count, ROAD_CLASS))
         rng = np.random.default_rng(14)
         obj = cube_object(rng, at=(10.0, 0.0))
         _, words, records = compose_scan(wall, labels, [obj], TEST_SENSOR,
-                                         single_policy(retry_budget=0), seed=4)
+                                         single_policy(), seed=4)
         assert records[0].surviving_count == 0
         assert not (words.class_ids == 2).any()
 
-    def test_fully_occluded_object_replaced_within_the_retry_budget(self):
+    def test_fully_occluded_object_replaced_within_the_retry_budget(self, monkeypatch):
         scene, labels = half_wall_scene()
         obj = cube_object(np.random.default_rng(14), at=(0.0, 10.0))  # behind the wall
+        monkeypatch.setattr(insertion, "RETRY_BUDGET", 0)
         _, _, records = compose_scan(scene, labels, [obj], TEST_SENSOR,
-                                     single_policy(retry_budget=0), seed=4)
+                                     single_policy(), seed=4)
         assert records[0].surviving_count == 0
         assert (records[0].x, records[0].y) == (0.0, 10.0)
+        monkeypatch.setattr(insertion, "RETRY_BUDGET", 10)
         cloud, words, records = compose_scan(scene, labels, [obj], TEST_SENSOR,
-                                             single_policy(retry_budget=10), seed=4)
+                                             single_policy(), seed=4)
         rec = records[0]
         assert rec.surviving_count > 0 and rec.y < 0  # re-placed on the open half
         assert (rec.scan_id, rec.seed) == ("", 0)
@@ -331,10 +340,8 @@ class TestForgeScan:
         rng = np.random.default_rng(20)
         scene, labels = make_flat_scene(rng, 6000)
         bank = _bank_with_cube()
-        a = forge_scan(scene, labels, "000000", TEST_SENSOR, single_policy(),
-                       bank, HEIGHTS, seed=99)
-        b = forge_scan(scene, labels, "000000", TEST_SENSOR, single_policy(),
-                       bank, HEIGHTS, seed=99)
+        a = forge_scan(scene, labels, "000000", TEST_SENSOR, single_policy(), bank, seed=99)
+        b = forge_scan(scene, labels, "000000", TEST_SENSOR, single_policy(), bank, seed=99)
         assert a.cloud == b.cloud and a.labels == b.labels
         assert a.records == b.records
 
@@ -345,14 +352,14 @@ class TestForgeScan:
         # seed chosen so the bernoulli draw misses the 40% ratio
         for seed in range(30):
             result = forge_scan(scene, labels, "s", TEST_SENSOR, single_policy(),
-                                bank, HEIGHTS, seed=seed)
+                                bank, seed=seed)
             if not result.modified:
                 assert result.cloud == scene and result.labels == labels
                 assert result.records == []
                 return
         pytest.fail("no clean scan in 30 seeds")
 
-    def test_fully_occluded_retries_then_unmodified(self):
+    def test_fully_occluded_retries_then_unmodified(self, monkeypatch):
         # wall shell at 5 m covers every cell; the only placeable road
         # lies behind it at ~10 m, so every insertion loses everywhere
         wall_pts = full_coverage_wall(TEST_SENSOR, distance=5.0)
@@ -366,10 +373,10 @@ class TestForgeScan:
         labels = LabelArray(np.concatenate([
             np.zeros(len(wall_pts), dtype=np.uint32), road_labels.words]))
         bank = _bank_with_cube()
-        policy = single_policy(retry_budget=3)
+        monkeypatch.setattr(insertion, "RETRY_BUDGET", 3)
         for seed in range(40):
-            result = forge_scan(scene, labels, "w", TEST_SENSOR, policy,
-                                bank, HEIGHTS, seed=seed)
+            result = forge_scan(scene, labels, "w", TEST_SENSOR, single_policy(),
+                                bank, seed=seed)
             if result.records:
                 assert not result.modified
                 assert all(rec.surviving_count == 0 for rec in result.records)
@@ -400,12 +407,12 @@ class TestForgeScan:
         bank = _bank_with_cube(tmp_path)
         retried = once_at_zero_budget = False
         for budget in (0, 1, 2, 10):
-            policy = multi_policy(retry_budget=budget)
+            monkeypatch.setattr(insertion, "RETRY_BUDGET", budget)
             for seed in range(16):
                 passes.clear()
                 noised.clear()
-                result = forge_scan(scene, labels, "w", TEST_SENSOR, policy, bank,
-                                    HEIGHTS, seed=seed)
+                result = forge_scan(scene, labels, "w", TEST_SENSOR, multi_policy(), bank,
+                                    seed=seed)
                 if not result.records:
                     assert passes == [] and noised == []
                     continue
@@ -431,7 +438,7 @@ class TestForgeScan:
         bank = _bank_with_cube(tmp_path)
         for seed in range(30):
             result = forge_scan(scene, labels, "o", TEST_SENSOR, single_policy(),
-                                bank, HEIGHTS, seed=seed)
+                                bank, seed=seed)
             if result.modified:
                 # re-projected like any point outside the field of view
                 assert (np.linalg.norm(result.cloud.xyz, axis=1) > 0).all()
@@ -462,7 +469,7 @@ class TestBenchmarkObjectCount:
         counts = set()
         for master in range(200):
             chosen.clear()
-            forge_scan(scene, labels, "s", TEST_SENSOR, policy, bank, HEIGHTS,
+            forge_scan(scene, labels, "s", TEST_SENSOR, policy, bank,
                        seed=scan_seed(master, "s"))
             count = worker._drawn_objects(master, "s", policy)
             assert count == len(chosen)
@@ -477,7 +484,7 @@ def _bank_with_cube(tmp_root=None):
     chair = root / "chair"
     chair.mkdir(parents=True, exist_ok=True)
     write_off(make_cube_mesh(), chair / "chair_0001.off")
-    return MeshBank(root, CATALOG)
+    return MeshBank(root, CATALOG, HEIGHTS)
 
 
 class TestForgeSplit:
@@ -498,7 +505,7 @@ class TestForgeSplit:
         bank = _bank_with_cube(tmp_path / "meshes")
         out = tmp_path / "out"
         summary = forge_split(discover_pairs(scans, labels), out, single_policy(),
-                              TEST_SENSOR, bank, HEIGHTS, master_seed=5)
+                              TEST_SENSOR, bank, master_seed=5)
         assert summary.scan_count == 8
         assert sorted(p.name for p in (out / "velodyne").iterdir()) == \
             [f"{i:06d}.bin" for i in range(8)]
@@ -514,7 +521,7 @@ class TestForgeSplit:
         bank = _bank_with_cube(tmp_path / "meshes")
         out = tmp_path / "out"
         summary = forge_split(discover_pairs(scans, labels), out, single_policy(),
-                              TEST_SENSOR, bank, HEIGHTS, master_seed=6)
+                              TEST_SENSOR, bank, master_seed=6)
         total = 0
         for sid in summary.per_scan_objects:
             words = read_labels(out / "labels" / f"{sid}.label")
@@ -527,7 +534,7 @@ class TestForgeSplit:
         bank = _bank_with_cube(tmp_path / "meshes")
         out = tmp_path / "out"
         summary = forge_split(discover_pairs(scans, labels), out, single_policy(),
-                              TEST_SENSOR, bank, HEIGHTS, master_seed=7)
+                              TEST_SENSOR, bank, master_seed=7)
         for sid in summary.per_scan_objects:
             cloud = read_scan(out / "velodyne" / f"{sid}.bin")
             words = read_labels(out / "labels" / f"{sid}.label")
@@ -540,7 +547,7 @@ class TestForgeSplit:
         bank = _bank_with_cube(tmp_path / "meshes")
         out = tmp_path / "out"
         summary = forge_split(discover_pairs(scans, labels), out, single_policy(),
-                              TEST_SENSOR, bank, HEIGHTS, master_seed=8)
+                              TEST_SENSOR, bank, master_seed=8)
         assert [sid for sid, _ in summary.skipped] == ["000001"]
         assert "# skipped: 000001" in (out / "manifest.tsv").read_text()
         assert not (out / "velodyne" / "000001.bin").exists()
@@ -552,9 +559,8 @@ class TestForgeSplit:
         write_scan(PointCloud(dark), scans / "000001.bin")
         bank = _bank_with_cube(tmp_path / "meshes")
         out = tmp_path / "out"
-        every_scan = replace(single_policy(), anomaly_ratio=1.0)
-        summary = forge_split(discover_pairs(scans, labels), out, every_scan,
-                              TEST_SENSOR, bank, HEIGHTS, master_seed=10)
+        summary = forge_split(discover_pairs(scans, labels), out, EVERY_SCAN,
+                              TEST_SENSOR, bank, master_seed=10)
         assert summary.skipped == [
             ("000001", "ValidationError: scene mean intensity must be positive, got 0.0")]
         assert summary.scan_count == 2
@@ -575,7 +581,7 @@ class TestForgeSplit:
         bank = _bank_with_cube(tmp_path / "meshes")
         out = tmp_path / "out"
         summary = forge_split(discover_pairs(scans, labels), out, single_policy(),
-                              TEST_SENSOR, bank, HEIGHTS, master_seed=11)
+                              TEST_SENSOR, bank, master_seed=11)
         assert summary.skipped == [("000001", "ValidationError: label write refused")]
         assert summary.scan_count == 2
         # the scan file was written before the label write failed, and is removed
@@ -589,26 +595,7 @@ class TestForgeSplit:
         out = tmp_path / "out"
         with pytest.raises(ValidationError):
             forge_split(discover_pairs(scans, labels), out, single_policy(), TEST_SENSOR,
-                        bank, HEIGHTS, master_seed=master_seed, workers=workers)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("budget", [1.5, -3])
-    def test_bad_retry_budget_rejected_before_output(self, tmp_path, budget):
-        scans, labels = self._dataset(tmp_path, n_scans=2)
-        bank = _bank_with_cube(tmp_path / "meshes")
-        out = tmp_path / "out"
-        with pytest.raises(ValidationError, match="retry budget"):
-            forge_split(discover_pairs(scans, labels), out, single_policy(retry_budget=budget),
-                        TEST_SENSOR, bank, HEIGHTS, master_seed=0)
-        assert not out.exists()
-
-    def test_mesh_category_without_height_rejected_before_output(self, tmp_path):
-        scans, labels = self._dataset(tmp_path, n_scans=2)
-        bank = _bank_with_cube(tmp_path / "meshes")
-        out = tmp_path / "out"
-        with pytest.raises(ValidationError, match="no target height for mesh categories chair"):
-            forge_split(discover_pairs(scans, labels), out, single_policy(), TEST_SENSOR,
-                        bank, {"toilet": 0.5}, master_seed=0)
+                        bank, master_seed=master_seed, workers=workers)
         assert not out.exists()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
@@ -618,18 +605,12 @@ class TestForgeSplit:
         for workers, name in ((1, "w1"), (4, "w4")):
             out = tmp_path / name
             forge_split(discover_pairs(scans, labels), out, single_policy(),
-                        TEST_SENSOR, bank, HEIGHTS, master_seed=9,
+                        TEST_SENSOR, bank, master_seed=9,
                         workers=workers)
             tree = {p.relative_to(out).as_posix(): p.read_bytes()
                     for p in sorted(out.rglob("*")) if p.is_file()}
             trees.append(tree)
         assert trees[0] == trees[1]
-
-
-# every scan is selected for an anomaly, so every scan reaches the projection
-EVERY_SCAN = SplitPolicy(kind="single", anomaly_ratio=1.0,
-                         surface_classes=frozenset({ROAD_CLASS}),
-                         count_distribution=(1.0,), anomaly_label=2)
 
 
 def degenerate_scan(n_points, seed=0, origin_at=None, intensity_scale=1.0,
@@ -682,7 +663,7 @@ class TestForgeSplitDegenerateScans:
             out = root / "out"
             summary = forge_split(
                 discover_pairs(root / "in" / "velodyne", root / "in" / "labels"), out,
-                EVERY_SCAN, TEST_SENSOR, _bank_with_cube(root / "meshes"), HEIGHTS,
+                EVERY_SCAN, TEST_SENSOR, _bank_with_cube(root / "meshes"),
                 master_seed=master_seed)
 
             skipped = {sid for sid, _ in summary.skipped}
@@ -707,7 +688,7 @@ class TestForgeSplitDegenerateScans:
             warnings.simplefilter("error")
             summary = forge_split(
                 discover_pairs(tmp_path / "velodyne", tmp_path / "labels"), tmp_path / "out",
-                EVERY_SCAN, TEST_SENSOR, _bank_with_cube(tmp_path / "meshes"), HEIGHTS,
+                EVERY_SCAN, TEST_SENSOR, _bank_with_cube(tmp_path / "meshes"),
                 master_seed=0)
         assert summary.skipped == [
             ("000000", "ValidationError: scene mean intensity must be finite, got inf")]

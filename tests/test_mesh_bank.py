@@ -10,7 +10,7 @@ from scipy.stats import chisquare
 from helpers import make_cube_mesh
 
 from lidarforge import (AnomalyObject, FormatError, MeshBank, ReflectivityCatalog,
-                        TriangleMesh, UnknownCategoryError, ValidationError, augment,
+                        TriangleMesh, UnknownCategoryError, ValidationError,
                         build_anomaly_object, load_off, load_target_heights, place,
                         sample_surface)
 from lidarforge import mesh_bank
@@ -349,33 +349,36 @@ class TestReflectivity:
 
 
 class TestAugment:
-    def _object(self, rng):
-        pts = rng.standard_normal((200, 3))
-        return AnomalyObject(points=pts, category="chair", reflectivity=0.35)
+    """The yaw and scale that build_anomaly_object draws after sizing."""
+
+    def _build(self, seed):
+        """(the mesh samples the object starts from, the object)"""
+        samples = sample_surface(make_cube_mesh(), OBJECT_POINTS, np.random.default_rng(seed))
+        obj = build_anomaly_object(make_cube_mesh(), "chair", 0.35, 0.9,
+                                   np.random.default_rng(seed))
+        return samples, obj
 
     def test_applies_the_pose_it_records(self):
-        rng = np.random.default_rng(4)
-        obj = replace(self._object(rng), yaw=0.25, scale=2.0)
-        for seed in range(20):
-            out = augment(obj, seed)
-            yaw, scale = out.yaw - obj.yaw, out.scale / obj.scale
+        for seed in range(5):
+            samples, obj = self._build(seed)
+            size = 0.9 / (samples[:, 2].max() - samples[:, 2].min())
+            yaw, scale = obj.yaw, obj.scale / size
             assert 0.0 <= yaw < 2.0 * np.pi and SCALE_RANGE[0] <= scale <= SCALE_RANGE[1]
             c, s = np.cos(yaw), np.sin(yaw)
-            expected = np.column_stack([c * obj.points[:, 0] - s * obj.points[:, 1],
-                                        s * obj.points[:, 0] + c * obj.points[:, 1],
-                                        obj.points[:, 2]]) * scale
-            np.testing.assert_allclose(out.points, expected, atol=1e-12)
+            expected = np.column_stack([c * samples[:, 0] - s * samples[:, 1],
+                                        s * samples[:, 0] + c * samples[:, 1],
+                                        samples[:, 2]]) * (size * scale)
+            expected[:, :2] -= expected[:, :2].mean(axis=0)
+            expected[:, 2] -= expected[:, 2].min()
+            np.testing.assert_allclose(obj.points, expected, atol=1e-12)
 
     def test_similarity_scales_pairwise_distances(self):
-        rng = np.random.default_rng(5)
-        obj = self._object(rng)
-        out = augment(obj, rng)
-        factor = out.scale / obj.scale
-        pairs = rng.integers(0, 200, size=(50, 2))
+        samples, obj = self._build(5)
+        pairs = np.random.default_rng(5).integers(0, OBJECT_POINTS, size=(50, 2))
         for i, j in pairs:
-            before = np.linalg.norm(obj.points[i] - obj.points[j])
-            after = np.linalg.norm(out.points[i] - out.points[j])
-            assert after == pytest.approx(factor * before, rel=1e-9)
+            before = np.linalg.norm(samples[i] - samples[j])
+            after = np.linalg.norm(obj.points[i] - obj.points[j])
+            assert after == pytest.approx(obj.scale * before, rel=1e-9)
 
 
 class TestCallerArrays:
@@ -405,9 +408,7 @@ class TestCallerArrays:
 class TestBuildAndPlace:
     def test_build_sizes_to_target_height(self):
         rng = np.random.default_rng(6)
-        catalog = ReflectivityCatalog({"chair": 0.35})
-        obj = build_anomaly_object(make_cube_mesh(), "chair", catalog,
-                                   {"chair": 0.9}, rng)
+        obj = build_anomaly_object(make_cube_mesh(), "chair", 0.35, 0.9, rng)
         assert obj.count == OBJECT_POINTS
         # sized to 0.9 m, then scaled by a draw from SCALE_RANGE; the unit
         # cube's sampled height is 1, so the height is the cumulative scale
@@ -419,9 +420,7 @@ class TestBuildAndPlace:
 
     def test_place_rests_on_ground(self):
         rng = np.random.default_rng(7)
-        catalog = ReflectivityCatalog({"chair": 0.35})
-        obj = build_anomaly_object(make_cube_mesh(), "chair", catalog,
-                                   {"chair": 0.9}, rng)
+        obj = build_anomaly_object(make_cube_mesh(), "chair", 0.35, 0.9, rng)
         placed = place(obj, 12.0, -3.0, -1.7)
         assert placed.points[:, 2].min() == pytest.approx(-1.7, abs=1e-9)
         assert placed.translation[0] == pytest.approx(12.0)
@@ -430,9 +429,7 @@ class TestBuildAndPlace:
 
     def test_place_and_replace_radius_from_own_points(self):
         rng = np.random.default_rng(8)
-        catalog = ReflectivityCatalog({"chair": 0.35})
-        obj = build_anomaly_object(make_cube_mesh(), "chair", catalog,
-                                   {"chair": 0.9}, rng)
+        obj = build_anomaly_object(make_cube_mesh(), "chair", 0.35, 0.9, rng)
 
         def radius(o):
             off = o.points[:, :2] - np.asarray(o.translation[:2])
@@ -448,11 +445,21 @@ class TestBuildAndPlace:
         assert shifted.xy_radius == radius(shifted) != placed.xy_radius
         assert obj.xy_radius == radius(obj)
 
-    def test_missing_height_raises(self):
-        rng = np.random.default_rng(8)
-        catalog = ReflectivityCatalog({"chair": 0.35})
-        with pytest.raises(UnknownCategoryError):
-            build_anomaly_object(make_cube_mesh(), "chair", catalog, {}, rng)
+    def test_place_moves_a_placed_object_as_its_centered_self(self):
+        obj = build_anomaly_object(make_cube_mesh(), "chair", 0.35, 0.9,
+                                   np.random.default_rng(9))
+        placed = place(obj, 12.0, -3.0, -1.7)
+        moved = place(placed, -4.5, 20.25, 0.3)
+        # the un-placing a caller once had to do before re-placing an object
+        base = replace(placed, points=placed.points - np.asarray(placed.translation),
+                       translation=(0.0, 0.0, 0.0))
+        expected = place(base, -4.5, 20.25, 0.3)
+        assert moved.points.tobytes() == expected.points.tobytes()
+        assert moved.translation == expected.translation
+        assert moved.xy_radius == expected.xy_radius
+        # the translation it records is the one its points have
+        np.testing.assert_allclose(moved.points - np.asarray(moved.translation), obj.points,
+                                   atol=1e-12)
 
     def test_default_heights_cover_catalog(self):
         heights = load_target_heights()
@@ -475,8 +482,10 @@ class TestMeshBank:
         (tmp_path / "chair" / "chair_0001.off").write_text(TETRA_OFF)
         (tmp_path / "glass_box").mkdir()
         (tmp_path / "glass_box" / "g1.off").write_text(TETRA_OFF)
-        bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35, "glass box": 0.2}))
+        bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35, "glass box": 0.2}),
+                        {"chair": 0.9, "glass box": 0.4})
         assert bank.categories == ["chair", "glass box"]
+        assert bank.heights == {"chair": 0.9, "glass box": 0.4}
         a = bank.choose(np.random.default_rng(0))
         b = bank.choose(np.random.default_rng(0))
         assert a[0] == b[0]
@@ -487,13 +496,27 @@ class TestMeshBank:
         (tmp_path / "spaceship").mkdir()
         (tmp_path / "spaceship" / "s.off").write_text(TETRA_OFF)
         with pytest.warns(UserWarning, match="spaceship"):
-            bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}))
+            bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}), {"chair": 0.9})
         assert bank.categories == ["chair"]
+
+    def test_kept_category_without_height_rejected(self, tmp_path):
+        for name in ("chair", "glass_box", "toilet"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "m.off").write_text(TETRA_OFF)
+        catalog = ReflectivityCatalog({"chair": 0.35, "glass box": 0.2, "toilet": 0.6})
+        with pytest.raises(ValidationError,
+                           match="no target height for mesh categories glass box, toilet$"):
+            MeshBank(tmp_path, catalog, {"chair": 0.9, "spaceship": 2.0})
+        # a category skipped for want of a reflectivity needs no height
+        catalog = ReflectivityCatalog({"chair": 0.35})
+        with pytest.warns(UserWarning):
+            bank = MeshBank(tmp_path, catalog, {"chair": 0.9})
+        assert bank.heights == {"chair": 0.9}
 
     def test_concurrent_draws_parse_a_file_once(self, tmp_path, monkeypatch):
         (tmp_path / "chair").mkdir()
         (tmp_path / "chair" / "c.off").write_text(TETRA_OFF)
-        bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}))
+        bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}), {"chair": 0.9})
         parses, started = [], threading.Barrier(2, timeout=10)
         real_load_off = mesh_bank.load_off
 

@@ -31,7 +31,7 @@ def test_tracer_installs_and_forge_scan_composes_once(tmp_path):
     tracing = load_tracer_module()
     (tmp_path / "chair").mkdir()
     write_off(make_cube_mesh(), tmp_path / "chair" / "chair_0001.off")
-    bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}))
+    bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}), {"chair": 0.9})
     scene, labels = make_flat_scene(np.random.default_rng(30), 4000)
     policy = SplitPolicy.single(surface_classes=(40,), anomaly_label=2)
 
@@ -41,8 +41,7 @@ def test_tracer_installs_and_forge_scan_composes_once(tmp_path):
         modified = 0
         for seed in range(6):
             before = len(tracer.spans)
-            result = insertion.forge_scan(scene, labels, "s", TEST_SENSOR, policy, bank,
-                                          {"chair": 0.9}, seed)
+            result = insertion.forge_scan(scene, labels, "s", TEST_SENSOR, policy, bank, seed)
             spans = tracer.spans[before:]
             composes = [s for s in spans if s.name == "insertion.compose_scan"]
             assert len(composes) == (1 if result.records else 0)
