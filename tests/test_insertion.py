@@ -477,14 +477,14 @@ class TestBenchmarkObjectCount:
         assert counts == set(range(len(policy.count_distribution) + 1))
 
 
-def _bank_with_cube(tmp_root=None):
+def _bank_with_cube(tmp_root=None, heights=HEIGHTS):
     import tempfile
     from pathlib import Path
     root = Path(tempfile.mkdtemp()) if tmp_root is None else Path(tmp_root)
     chair = root / "chair"
     chair.mkdir(parents=True, exist_ok=True)
     write_off(make_cube_mesh(), chair / "chair_0001.off")
-    return MeshBank(root, CATALOG, HEIGHTS)
+    return MeshBank(root, CATALOG, heights)
 
 
 class TestForgeSplit:
@@ -596,6 +596,16 @@ class TestForgeSplit:
         with pytest.raises(ValidationError):
             forge_split(discover_pairs(scans, labels), out, single_policy(), TEST_SENSOR,
                         bank, master_seed=master_seed, workers=workers)
+        assert not out.exists()
+
+    def test_mesh_category_without_height_rejected_before_output(self, tmp_path):
+        # the bank a split draws from cannot be built without a height for
+        # every kept category, so no split starts with one missing
+        scans, labels = self._dataset(tmp_path, n_scans=2)
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match="no target height for mesh categories chair"):
+            forge_split(discover_pairs(scans, labels), out, single_policy(), TEST_SENSOR,
+                        _bank_with_cube(tmp_path / "meshes", {"toilet": 0.5}), master_seed=0)
         assert not out.exists()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):

@@ -461,6 +461,21 @@ class TestBuildAndPlace:
         np.testing.assert_allclose(moved.points - np.asarray(moved.translation), obj.points,
                                    atol=1e-12)
 
+    def test_missing_height_raises(self, tmp_path):
+        # the height build_anomaly_object sizes to is demanded when the bank is built
+        for name in ("chair", "glass_box", "toilet"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "m.off").write_text(TETRA_OFF)
+        catalog = ReflectivityCatalog({"chair": 0.35, "glass box": 0.2, "toilet": 0.6})
+        with pytest.raises(ValidationError,
+                           match="no target height for mesh categories glass box, toilet$"):
+            MeshBank(tmp_path, catalog, {"chair": 0.9, "spaceship": 2.0})
+        # a category skipped for want of a reflectivity needs no height
+        catalog = ReflectivityCatalog({"chair": 0.35})
+        with pytest.warns(UserWarning):
+            bank = MeshBank(tmp_path, catalog, {"chair": 0.9})
+        assert bank.heights == {"chair": 0.9}
+
     def test_default_heights_cover_catalog(self):
         heights = load_target_heights()
         catalog = ReflectivityCatalog.default()
@@ -498,20 +513,6 @@ class TestMeshBank:
         with pytest.warns(UserWarning, match="spaceship"):
             bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}), {"chair": 0.9})
         assert bank.categories == ["chair"]
-
-    def test_kept_category_without_height_rejected(self, tmp_path):
-        for name in ("chair", "glass_box", "toilet"):
-            (tmp_path / name).mkdir()
-            (tmp_path / name / "m.off").write_text(TETRA_OFF)
-        catalog = ReflectivityCatalog({"chair": 0.35, "glass box": 0.2, "toilet": 0.6})
-        with pytest.raises(ValidationError,
-                           match="no target height for mesh categories glass box, toilet$"):
-            MeshBank(tmp_path, catalog, {"chair": 0.9, "spaceship": 2.0})
-        # a category skipped for want of a reflectivity needs no height
-        catalog = ReflectivityCatalog({"chair": 0.35})
-        with pytest.warns(UserWarning):
-            bank = MeshBank(tmp_path, catalog, {"chair": 0.9})
-        assert bank.heights == {"chair": 0.9}
 
     def test_concurrent_draws_parse_a_file_once(self, tmp_path, monkeypatch):
         (tmp_path / "chair").mkdir()
