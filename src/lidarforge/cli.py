@@ -155,7 +155,9 @@ def cmd_score(args) -> int:
     if not features_dir.is_dir():
         raise ValidationError(f"--features directory {features_dir} does not exist")
     proto = scoring.read_tensor(args.prototypes)
-    bank = scoring.PrototypeBank(prototypes=proto, weights=np.ones(proto.shape[0]))
+    # a tensor file carries no confidence mass: an all-zero row is a class
+    # without a prototype, which the first scan's classify rejects
+    bank = scoring.PrototypeBank(prototypes=proto, weights=(proto != 0).any(axis=1))
     out_dir = Path(args.out)
 
     pairs = _feature_pairs(features_dir)

@@ -5,6 +5,16 @@ drive a cosine-distance score against per-class confidence-weighted
 prototypes plus a normalized-entropy score, and the contrastive head's
 feature norms drive a hypersphere score that reads small norms as
 anomalous.  The fused score is the mean of the two head scores.
+
+``compute_scores`` splits a scan into row blocks and scores them on a
+thread pool that lives for one call, one thread per CPU the process
+may use (at most one per block).  Each block writes its own slices of
+preallocated outputs, so the bytes do not depend on the thread count.
+The threads share one scan: ``score`` still keeps one scan alive at a
+time.  ``classify`` runs its matmul in chunks of at most
+``_MATMUL_ROWS`` rows: a block-sized matmul is above OpenBLAS's
+threading size, and the BLAS thread it would wake competes with the
+pool.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -27,6 +38,9 @@ DEFAULT_NORM_THRESHOLD = 5.0
 SCORE_NAMES = ("fused", "sem", "cont", "cos", "ent")
 # rows per block in compute_scores: each (rows, C) temporary stays in cache
 _BLOCK_ROWS = 4096
+# rows per matmul chunk in classify: 512 * 19 * 19 stays below OpenBLAS's
+# threading size (M * N * K > 4 * 65536), so each gemm runs on its caller's thread
+_MATMUL_ROWS = 512
 TENSOR_MAGIC = int.from_bytes(b"FEATBIN1", "little")
 _HEADER_BYTES = 24
 
@@ -179,7 +193,10 @@ def classify(features: np.ndarray, bank: PrototypeBank) -> ClassificationResult:
     f = np.asarray(features, dtype=np.float64)
     bank.require_complete()
     fu, zero = _unit_rows(f)
-    sim = fu @ bank.unit.T
+    unit_t = bank.unit.T
+    sim = np.empty((f.shape[0], unit_t.shape[1]))
+    for lo, hi in _row_blocks(f.shape[0], _MATMUL_ROWS):
+        np.matmul(fu[lo:hi], unit_t, out=sim[lo:hi])
     sim[zero] = 0.0
     return ClassificationResult(predictions=np.argmax(sim, axis=1),
                                 similarity=sim, degenerate=zero)
@@ -294,28 +311,38 @@ class ScoreVector:
             raise ValidationError(f"unknown score name {name!r}") from None
 
 
-def _row_blocks(n: int):
-    """Spans ``(lo, hi)`` covering ``range(n)`` in blocks of
-    ``_BLOCK_ROWS`` rows (one empty span when ``n == 0``).
+def _row_blocks(n: int, rows: int = _BLOCK_ROWS) -> list[tuple[int, int]]:
+    """Spans ``(lo, hi)`` covering ``range(n)`` in the fewest blocks of
+    at most ``rows`` rows, their sizes differing by at most one (one
+    empty span when ``n == 0``).
 
-    A 1-row tail joins the block before it: numpy computes a 1-row
-    matmul as a matrix-vector product, which rounds differently.
+    So no block is much shorter than the others: numpy computes a 1-row
+    matmul as a matrix-vector product, and OpenBLAS computes a matmul of
+    a few rows with another kernel, both of which round differently.
     """
-    starts = list(range(0, n, _BLOCK_ROWS)) or [0]
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return zip(starts, starts[1:] + [n])
+    count = max(1, -(-n // rows))
+    bounds = [i * n // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def compute_scores(features: FeatureSet, bank: PrototypeBank,
                    radius: float = DEFAULT_NORM_THRESHOLD) -> ScoreVector:
     """Run the full scoring path on one scan's features.
 
-    The per-point stages run on row blocks; only the semantic score,
-    which needs the per-scan peak, runs on the whole scan.  The result
-    is bitwise equal to running each stage on the whole scan.  Raises
+    The per-point stages run on row blocks, on one thread per usable
+    CPU; only the semantic score, which needs the per-scan peak, runs
+    on the whole scan.  The result is bitwise equal to running each
+    stage on the whole scan, whatever the thread count.  Raises
     ValidationError unless the prototypes are (C, C) for C-class
-    features.
+    features; a block's ValidationError reaches the caller as raised.
     """
     n, c = features.count, features.num_classes
     if bank.prototypes.shape != (c, c):
@@ -323,7 +350,10 @@ def compute_scores(features: FeatureSet, bank: PrototypeBank,
                               f"got {bank.prototypes.shape}")
     predictions = np.empty(n, dtype=np.intp)
     s_cos, s_ent, s_cont = np.empty(n), np.empty(n), np.empty(n)
-    for lo, hi in _row_blocks(n):
+    bank.unit   # computed once here, not by the first blocks at the same time
+
+    def score_block(span: tuple[int, int]) -> None:
+        lo, hi = span
         # one float64 conversion per block, shared by both semantic scores
         sem = np.asarray(features.semantic[lo:hi], dtype=np.float64)
         result = classify(sem, bank)
@@ -331,6 +361,11 @@ def compute_scores(features: FeatureSet, bank: PrototypeBank,
         s_cos[lo:hi] = score_cosine(result.similarity)
         s_ent[lo:hi] = score_entropy(sem)
         s_cont[lo:hi] = score_contrastive(features.contrastive[lo:hi], radius=radius)
+
+    spans = _row_blocks(n)
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(spans))) as pool:
+        # list() reads the results in order: the first failing block's error is raised here
+        list(pool.map(score_block, spans))
     s_sem, peak = score_semantic(s_cos, s_ent)
     return ScoreVector(
         cosine=s_cos, entropy=s_ent, semantic=s_sem, contrastive=s_cont,

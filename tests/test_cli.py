@@ -479,6 +479,17 @@ class TestScoreAndEval:
         assert capsys.readouterr().err.startswith("error: prototypes must be (4, 4)")
         assert not out_dir.exists()
 
+    def test_prototype_zero_row_rejected_before_output(self, tmp_path, capsys):
+        feat_dir, _, _ = self._setup(tmp_path)
+        proto = np.eye(4, dtype=np.float32)
+        proto[3] = 0.0
+        write_tensor(tmp_path / "proto.ftr", proto)
+        out_dir = tmp_path / "scores"
+        assert main(["score", "--features", str(feat_dir),
+                     "--prototypes", str(tmp_path / "proto.ftr"), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == "error: prototype bank has uninitialized classes: [3]\n"
+        assert not out_dir.exists()
+
     def test_score_keeps_one_scan_alive(self, tmp_path):
         n, c = 60_000, 19
         rng = np.random.default_rng(13)

@@ -1,4 +1,5 @@
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from lidarforge import (FeatureSet, FormatError, PrototypeBank, ValidationError,
                         accumulate_prototypes, classify, compute_scores, read_tensor,
                         score_contrastive, score_cosine, score_entropy, score_fused,
                         score_semantic, write_tensor)
+from lidarforge import scoring
 from lidarforge.losses import loss_contrastive
-from lidarforge.scoring import (_BLOCK_ROWS, _row_blocks, log_softmax, read_scores, softmax,
-                                write_scores)
+from lidarforge.scoring import (_BLOCK_ROWS, _MATMUL_ROWS, _row_blocks, _unit_rows, log_softmax,
+                                read_scores, softmax, write_scores)
 
 
 def make_bank(prototypes):
@@ -301,18 +303,81 @@ class TestBlockedComputeScores:
                 assert have.dtype == want.dtype and have.shape == want.shape
                 assert have.tobytes() == want.tobytes(), name
 
-    @pytest.mark.parametrize("n", [0, 1, 2, _BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS + 2,
-                                   2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("n", [0, 1, 2, _MATMUL_ROWS - 1, _MATMUL_ROWS + 1,
+                                   2 * _MATMUL_ROWS + 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   _BLOCK_ROWS + 2, 2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7])
     def test_row_blocks_cover_rows_without_1_row_tail(self, n):
-        spans = list(_row_blocks(n))
-        assert [i for lo, hi in spans for i in range(lo, hi)] == list(range(n))
-        assert all(0 < hi - lo <= _BLOCK_ROWS + 1 for lo, hi in spans) or spans == [(0, 0)]
-        assert n == 1 or all(hi - lo != 1 for lo, hi in spans)
+        for rows in (_BLOCK_ROWS, _MATMUL_ROWS):
+            spans = _row_blocks(n, rows)
+            assert [i for lo, hi in spans for i in range(lo, hi)] == list(range(n))
+            assert len(spans) == max(1, -(-n // rows))
+            sizes = [hi - lo for lo, hi in spans]
+            # blocks of at most `rows` rows, none much shorter than another
+            assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
+            assert n == 1 or 1 not in sizes
+
+    @pytest.mark.parametrize("c", [19, 32])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, _MATMUL_ROWS, _MATMUL_ROWS + 1, _MATMUL_ROWS + 2,
+                                   _MATMUL_ROWS + 7, 2 * _MATMUL_ROWS + 7, _BLOCK_ROWS + 5])
+    def test_chunked_classify_equals_one_matmul(self, n, c):
+        rng = np.random.default_rng(n + c)
+        bank = make_bank(rng.standard_normal((c, c)))
+        f = rng.standard_normal((n, c)) * 3.0
+        f[::97] = 0.0
+        fu, zero = _unit_rows(f)
+        want = fu @ bank.unit.T
+        want[zero] = 0.0
+        sim = classify(f, bank).similarity
+        assert sim.shape == want.shape and sim.tobytes() == want.tobytes()
 
     def test_stage_errors_raised_for_empty_scan(self):
         feats = FeatureSet(semantic=np.zeros((0, 1)), contrastive=np.zeros((0, 1)))
         with pytest.raises(ValidationError, match="C<2"):
             compute_scores(feats, make_bank(np.ones((1, 1))))
+
+
+class TestThreadedComputeScores:
+    """The pool's size follows the usable CPUs; tests reach it by patching."""
+
+    @staticmethod
+    def _patch_pool(monkeypatch, cpus):
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(scoring, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(scoring, "ThreadPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 511, 512, 513, _BLOCK_ROWS + 1,
+                                   3 * _BLOCK_ROWS + 7])
+    def test_bytes_do_not_depend_on_thread_count(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        c = 19
+        bank = make_bank(rng.standard_normal((c, c)))
+        feats = FeatureSet(semantic=rng.standard_normal((n, c)) * 3.0,
+                           contrastive=rng.standard_normal((n, c)) * 0.6)
+        outputs = []
+        for cpus in (1, 2, 3):
+            sizes = self._patch_pool(monkeypatch, cpus)
+            got = compute_scores(feats, bank)
+            assert sizes == [min(cpus, len(_row_blocks(n)))]
+            outputs.append({k: np.asarray(v).tobytes() for k, v in vars(got).items()})
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("c, radius, message", [(1, 5.0, "C<2"),
+                                                    (4, float("nan"), "radius must be"),
+                                                    (4, 0.0, "radius must be")])
+    def test_block_error_reaches_caller(self, monkeypatch, cpus, c, radius, message):
+        self._patch_pool(monkeypatch, cpus)
+        n = 3 * _BLOCK_ROWS + 7
+        feats = FeatureSet(semantic=np.ones((n, c)), contrastive=np.ones((n, c)))
+        with pytest.raises(ValidationError, match=message):
+            compute_scores(feats, make_bank(np.eye(c)), radius=radius)
 
 
 # -- the whole-array expressions that softmax, log_softmax, score_entropy
