@@ -7,14 +7,15 @@ feature norms drive a hypersphere score that reads small norms as
 anomalous.  The fused score is the mean of the two head scores.
 
 ``compute_scores`` splits a scan into row blocks and scores them on a
-thread pool that lives for one call, one thread per CPU the process
-may use (at most one per block).  Each block writes its own slices of
-preallocated outputs, so the bytes do not depend on the thread count.
-The threads share one scan: ``score`` still keeps one scan alive at a
-time.  ``classify`` runs its matmul in chunks of at most
-``_MATMUL_ROWS`` rows: a block-sized matmul is above OpenBLAS's
-threading size, and the BLAS thread it would wake competes with the
-pool.
+thread pool that lives for one call: one thread per CPU the process
+may use, at most ``_MAX_THREADS`` and at most one per block.  Each
+block writes its own slices of preallocated outputs, so the bytes do
+not depend on the thread count.  The threads share one scan: ``score``
+still keeps one scan alive at a time, and each thread keeps one
+block's float64 temporaries.  ``classify`` runs its matmul in chunks
+of at most ``_MATMUL_ROWS`` rows: a block-sized matmul is above
+OpenBLAS's threading size, and the BLAS thread it would wake competes
+with the pool.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ DEFAULT_NORM_THRESHOLD = 5.0
 SCORE_NAMES = ("fused", "sem", "cont", "cos", "ent")
 # rows per block in compute_scores: each (rows, C) temporary stays in cache
 _BLOCK_ROWS = 4096
+# threads per compute_scores call.  Each keeps three (_BLOCK_ROWS, C) float64
+# temporaries alive (1.9 MB at C=19), so a cap keeps the working set from
+# growing with the CPU count.  Smaller blocks per thread do not help: their
+# Python steps hold the GIL, and 2 threads on 512-row blocks scored slower
+# than 1 thread on 4096-row blocks (2 vCPUs, x86-64).
+_MAX_THREADS = 2
 # rows per matmul chunk in classify: 512 * 19 * 19 stays below OpenBLAS's
 # threading size (M * N * K > 4 * 65536), so each gemm runs on its caller's thread
 _MATMUL_ROWS = 512
@@ -338,11 +345,12 @@ def compute_scores(features: FeatureSet, bank: PrototypeBank,
     """Run the full scoring path on one scan's features.
 
     The per-point stages run on row blocks, on one thread per usable
-    CPU; only the semantic score, which needs the per-scan peak, runs
-    on the whole scan.  The result is bitwise equal to running each
-    stage on the whole scan, whatever the thread count.  Raises
-    ValidationError unless the prototypes are (C, C) for C-class
-    features; a block's ValidationError reaches the caller as raised.
+    CPU up to ``_MAX_THREADS``; only the semantic score, which needs
+    the per-scan peak, runs on the whole scan.  The result is bitwise
+    equal to running each stage on the whole scan, whatever the thread
+    count.  Raises ValidationError unless the prototypes are (C, C) for
+    C-class features; a block's ValidationError reaches the caller as
+    raised.
     """
     n, c = features.count, features.num_classes
     if bank.prototypes.shape != (c, c):
@@ -356,14 +364,16 @@ def compute_scores(features: FeatureSet, bank: PrototypeBank,
         lo, hi = span
         # one float64 conversion per block, shared by both semantic scores
         sem = np.asarray(features.semantic[lo:hi], dtype=np.float64)
+        # entropy first: its temporaries are freed before classify makes its
+        # own, so three (rows, C) arrays are alive at a time, not four
+        s_ent[lo:hi] = score_entropy(sem)
         result = classify(sem, bank)
         predictions[lo:hi] = result.predictions
         s_cos[lo:hi] = score_cosine(result.similarity)
-        s_ent[lo:hi] = score_entropy(sem)
         s_cont[lo:hi] = score_contrastive(features.contrastive[lo:hi], radius=radius)
 
     spans = _row_blocks(n)
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(spans))) as pool:
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), _MAX_THREADS, len(spans))) as pool:
         # list() reads the results in order: the first failing block's error is raised here
         list(pool.map(score_block, spans))
     s_sem, peak = score_semantic(s_cos, s_ent)

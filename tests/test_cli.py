@@ -20,7 +20,7 @@ from helpers import make_cube_mesh, make_flat_scene, write_off
 from lidarforge import (EvalPair, FeatureSet, LabelArray, PointCloud, PrototypeBank, auroc,
                         compute_scores, point_ranges, range_binned_ap, read_tensor,
                         write_labels, write_scan, write_tensor)
-from lidarforge import mesh_bank
+from lidarforge import mesh_bank, scoring
 from lidarforge.cli import main
 
 SENSOR_CFG = """beams = 32
@@ -490,7 +490,10 @@ class TestScoreAndEval:
         assert capsys.readouterr().err == "error: prototype bank has uninitialized classes: [3]\n"
         assert not out_dir.exists()
 
-    def test_score_keeps_one_scan_alive(self, tmp_path):
+    @staticmethod
+    def _score_peak_and_footprint(tmp_path):
+        """The traced peak of scoring three scans, and one scan's features
+        plus scores in bytes."""
         n, c = 60_000, 19
         rng = np.random.default_rng(13)
         feat_dir = tmp_path / "features"
@@ -513,6 +516,17 @@ class TestScoreAndEval:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return peak, footprint
+
+    def test_score_keeps_one_scan_alive(self, tmp_path):
+        peak, footprint = self._score_peak_and_footprint(tmp_path)
+        assert peak < 1.5 * footprint
+
+    @pytest.mark.parametrize("cpus", [4, 64])
+    def test_score_memory_does_not_grow_with_cpus(self, tmp_path, monkeypatch, cpus):
+        # each scoring thread keeps one block's temporaries alive
+        monkeypatch.setattr(scoring, "_usable_cpus", lambda: cpus)
+        peak, footprint = self._score_peak_and_footprint(tmp_path)
         assert peak < 1.5 * footprint
 
     def test_eval_range_bins_split_exact_ranges(self, tmp_path, capsys):

@@ -16,6 +16,20 @@ from lidarforge.scoring import (_BLOCK_ROWS, _MATMUL_ROWS, _row_blocks, _unit_ro
                                 read_scores, softmax, write_scores)
 
 
+# row counts across classify's chunk edges
+CHUNK_EDGES = [0, 1, 2, 7, _MATMUL_ROWS, _MATMUL_ROWS + 1, _MATMUL_ROWS + 2, _MATMUL_ROWS + 7,
+               2 * _MATMUL_ROWS + 7, _BLOCK_ROWS + 5]
+
+
+def _openblas_0_3_31_avx512() -> bool:
+    """Whether numpy runs on the BLAS that the C=32 chunk cases were
+    confirmed on: OpenBLAS 0.3.31 on a CPU with AVX-512."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return ("openblas" in blas.get("name", "") and blas.get("version", "").split(".")[:3] == ["0", "3", "31"]
+            and any(s.startswith("AVX512") for s in config["SIMD Extensions"]["found"]))
+
+
 def make_bank(prototypes):
     protos = np.asarray(prototypes, dtype=np.float64)
     return PrototypeBank(prototypes=protos, weights=np.ones(protos.shape[0]))
@@ -316,10 +330,8 @@ class TestBlockedComputeScores:
             assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
             assert n == 1 or 1 not in sizes
 
-    @pytest.mark.parametrize("c", [19, 32])
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, _MATMUL_ROWS, _MATMUL_ROWS + 1, _MATMUL_ROWS + 2,
-                                   _MATMUL_ROWS + 7, 2 * _MATMUL_ROWS + 7, _BLOCK_ROWS + 5])
-    def test_chunked_classify_equals_one_matmul(self, n, c):
+    @staticmethod
+    def _check_chunked_classify(n, c):
         rng = np.random.default_rng(n + c)
         bank = make_bank(rng.standard_normal((c, c)))
         f = rng.standard_normal((n, c)) * 3.0
@@ -330,6 +342,23 @@ class TestBlockedComputeScores:
         sim = classify(f, bank).similarity
         assert sim.shape == want.shape and sim.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    def test_chunked_classify_equals_one_matmul(self, n):
+        # C=19, the shape the golden score digests pin
+        self._check_chunked_classify(n, 19)
+
+    @pytest.mark.skipif(not _openblas_0_3_31_avx512(),
+                        reason="confirmed only on OpenBLAS 0.3.31 with AVX-512 kernels")
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    def test_chunked_classify_equals_one_matmul_at_c32(self, n):
+        """A property of the BLAS kernels, not of the code: the BLAS this
+        was confirmed on computes a product of 2-7 rows at C>=32 with a
+        kernel that rounds differently, and near-equal chunks never leave
+        such a short one (with fixed 512-row chunks, n = 514, 519, 1031
+        and 4101 failed on that BLAS).  Another BLAS or CPU may round chunks of any size
+        differently from one whole-scan product."""
+        self._check_chunked_classify(n, 32)
+
     def test_stage_errors_raised_for_empty_scan(self):
         feats = FeatureSet(semantic=np.zeros((0, 1)), contrastive=np.zeros((0, 1)))
         with pytest.raises(ValidationError, match="C<2"):
@@ -337,10 +366,11 @@ class TestBlockedComputeScores:
 
 
 class TestThreadedComputeScores:
-    """The pool's size follows the usable CPUs; tests reach it by patching."""
+    """The pool's size follows the usable CPUs up to ``_MAX_THREADS``;
+    tests reach it by patching."""
 
     @staticmethod
-    def _patch_pool(monkeypatch, cpus):
+    def _patch_pool(monkeypatch, cpus, cap=scoring._MAX_THREADS):
         sizes = []
 
         class RecordingPool(ThreadPoolExecutor):
@@ -349,8 +379,17 @@ class TestThreadedComputeScores:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(scoring, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(scoring, "_MAX_THREADS", cap)
         monkeypatch.setattr(scoring, "ThreadPoolExecutor", RecordingPool)
         return sizes
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    def test_pool_size_is_capped(self, monkeypatch, cpus):
+        sizes = self._patch_pool(monkeypatch, cpus)
+        n = 3 * _BLOCK_ROWS + 7
+        compute_scores(FeatureSet(semantic=np.ones((n, 4)), contrastive=np.ones((n, 4))),
+                       make_bank(np.eye(4)))
+        assert sizes == [min(cpus, scoring._MAX_THREADS, len(_row_blocks(n)))]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 511, 512, 513, _BLOCK_ROWS + 1,
                                    3 * _BLOCK_ROWS + 7])
@@ -361,19 +400,19 @@ class TestThreadedComputeScores:
         feats = FeatureSet(semantic=rng.standard_normal((n, c)) * 3.0,
                            contrastive=rng.standard_normal((n, c)) * 0.6)
         outputs = []
-        for cpus in (1, 2, 3):
-            sizes = self._patch_pool(monkeypatch, cpus)
+        for threads in (1, 2, 3):
+            sizes = self._patch_pool(monkeypatch, threads, cap=threads)
             got = compute_scores(feats, bank)
-            assert sizes == [min(cpus, len(_row_blocks(n)))]
+            assert sizes == [min(threads, len(_row_blocks(n)))]
             outputs.append({k: np.asarray(v).tobytes() for k, v in vars(got).items()})
         assert outputs[0] == outputs[1] == outputs[2]
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("c, radius, message", [(1, 5.0, "C<2"),
                                                     (4, float("nan"), "radius must be"),
                                                     (4, 0.0, "radius must be")])
-    def test_block_error_reaches_caller(self, monkeypatch, cpus, c, radius, message):
-        self._patch_pool(monkeypatch, cpus)
+    def test_block_error_reaches_caller(self, monkeypatch, threads, c, radius, message):
+        self._patch_pool(monkeypatch, threads, cap=threads)
         n = 3 * _BLOCK_ROWS + 7
         feats = FeatureSet(semantic=np.ones((n, c)), contrastive=np.ones((n, c)))
         with pytest.raises(ValidationError, match=message):
