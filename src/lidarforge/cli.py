@@ -161,19 +161,25 @@ def cmd_score(args) -> int:
     out_dir = Path(args.out)
 
     pairs = _feature_pairs(features_dir)
+    buffers = (bytearray(), bytearray())  # one per head, reused by every scan
     for stem, sem_path, cont_path in pairs:
-        _score_scan(stem, sem_path, cont_path, bank, out_dir, args)
+        _score_scan(stem, sem_path, cont_path, bank, out_dir, args, buffers)
     print(f"scored {len(pairs)} scans -> {out_dir}")
     return 0
 
 
 def _score_scan(stem: str, sem_path: Path, cont_path: Path, bank: scoring.PrototypeBank,
-                out_dir: Path, args) -> None:
+                out_dir: Path, args, buffers: tuple[bytearray, bytearray]) -> None:
     """Score one scan and write its score file.  Its features and scores
-    die on return, so one scan is alive at a time."""
+    die on return, so one scan is alive at a time.
+
+    Each head is read into its own buffer of ``buffers``, which the
+    features view: the caller passes the same two for every scan, so no
+    scan allocates its file buffers anew.
+    """
     feats = scoring.FeatureSet(
-        semantic=scoring.read_tensor(sem_path),
-        contrastive=scoring.read_tensor(cont_path),
+        semantic=scoring.read_tensor(sem_path, buffers[0]),
+        contrastive=scoring.read_tensor(cont_path, buffers[1]),
     )
     scores = scoring.compute_scores(feats, bank, radius=args.radius)
     # after the first scan's scores: a bad --radius or prototype shape fails
@@ -255,14 +261,18 @@ def _collect_eval(args):
 
 
 def _float32_at_most(values: np.ndarray) -> np.ndarray:
-    """float64 ``values`` rounded down to float32.
+    """float64 ranges ``values`` (each at least 0) rounded down to float32.
 
     A range-bin edge is a float32 value, so it splits the rounded-down
     ranges exactly as it splits the float64 ones; rounding to nearest
-    would move a range just below an edge onto it.
+    would move a range just below an edge onto it.  A range beyond
+    float32's largest value becomes that value.
     """
-    out = values.astype(np.float32)
-    np.nextafter(out, np.float32(-np.inf), out=out, where=out > values)
+    with np.errstate(over="ignore"):  # beyond float32's range: inf, rounded down below
+        out = values.astype(np.float32)
+    # at least 0, so the float32 one step down is one less on the bits
+    bits = out.view(np.uint32)
+    bits -= out > values
     return out
 
 

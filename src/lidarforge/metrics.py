@@ -8,13 +8,15 @@ sorts once for three metrics.  The distinct sorted values are the
 thresholds.  A block's counts are a function of its start position in
 the sorted scores alone: the points at or above its threshold are the
 positions from the start up, and the true positives among them are all
-positives but those whose block starts lower, found by binary search
-into the positives' block starts.  Every count is an exact integer.
+positives but those whose block starts lower.  Every count is an exact
+integer.  No metric walks every block: AP is built from the positives'
+blocks alone, since a block without positives adds an exact +0.0 term.
 
 Memory stays bounded: scores are used in the dtype given (float32, as
-the ``.scores`` files store them, or float64), and the threshold pass
-walks the sorted scores in chunks of ``_CHUNK`` positions, so beyond
-the sorted copy only AP's one term per block grows with the input.
+the ``.scores`` files store them, or float64), and AP visits the
+positives' blocks ``_CHUNK`` positives at a time, so beyond the sorted
+copy only AP's one term per block and one index per tied position grow
+with the input, 8 bytes per point together.
 Metrics that are not defined for an input (no positives, no negatives,
 empty range bin) raise UndefinedMetricError or report a typed absence
 rather than 0.
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import UndefinedMetricError, ValidationError
 
 DEFAULT_RANGE_EDGES = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
-# sorted positions per chunk of a pass: each chunk's temporaries stay small
+# entries per chunk of a pass: each chunk's temporaries stay small
 _CHUNK = 8192
 
 
@@ -110,22 +112,6 @@ def _positive_starts(pair: EvalPair, ordered: np.ndarray) -> np.ndarray:
     return np.searchsorted(ordered, np.sort(pair.scores[pair.truth]), "left")
 
 
-def _block_starts(ordered: np.ndarray):
-    """Yield the start positions of the tie blocks of ``ordered``,
-    descending (thresholds descending), one chunk of at most ``_CHUNK``
-    sorted positions at a time; a chunk inside one block yields nothing.
-
-    ``-0.0`` and ``0.0`` are one block; its threshold may be either.
-    """
-    for hi in range(ordered.shape[0], 0, -_CHUNK):
-        lo = max(hi - _CHUNK, 1)
-        starts = lo + np.flatnonzero(ordered[lo:hi] != ordered[lo - 1:hi - 1])
-        if hi <= _CHUNK:  # the last chunk: position 0 starts the lowest block
-            starts = np.r_[0, starts]
-        if starts.size:
-            yield starts[::-1]
-
-
 def _true_positives(hit: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Positives at or above the threshold of each block at ``starts``:
     all of them but those whose block starts lower (``hit`` is
@@ -176,20 +162,29 @@ def _average_precision(ordered: np.ndarray, hit: np.ndarray) -> float:
     ``_positive_starts``.
 
     One term per block, thresholds descending: the recall gained at the
-    block times its precision.  The terms fill one array, chunk by
-    chunk, so the sum is numpy's pairwise sum over all of them.
+    block times its precision.  A block without positives gains no
+    recall, so its term is +0.0, and only the positives' blocks are
+    computed, ``_CHUNK`` positives at a time.  The terms fill one array
+    over all blocks, so the sum is numpy's pairwise sum over all of them.
     """
     n, p = ordered.shape[0], hit.shape[0]
-    terms = np.empty(np.count_nonzero(ordered[1:] != ordered[:-1]) + 1)
-    k = 0
-    for starts in _block_starts(ordered):
-        tp = _true_positives(hit, starts)
-        # the recall before a block is that of the block above it: the
-        # previous entry, or for the chunk's top block the positives whose
-        # block starts higher
-        tp_above = np.r_[p - np.searchsorted(hit, starts[0], "right"), tp[:-1]]
-        terms[k:k + starts.shape[0]] = (tp / p - tp_above / p) * (tp / (n - starts))
-        k += starts.shape[0]
+    # each i whose position i + 1 repeats it: the block starting at s is
+    # the (s - repeats below s)-th from the bottom, counting from 0
+    tied = np.flatnonzero(ordered[1:] == ordered[:-1])
+    terms = np.zeros(n - tied.shape[0])
+    for lo in range(0, p, _CHUNK):
+        mine = hit[lo:lo + _CHUNK]
+        # each block once, in the chunk of its lowest positive: first[j] is
+        # that positive's index in hit, and all positives from it up are at
+        # or above the block
+        first = lo + np.flatnonzero(np.r_[lo == 0 or mine[0] != hit[lo - 1],
+                                          mine[1:] != mine[:-1]])
+        starts = hit[first]
+        tp = p - first
+        # the positives above the block: those from the next block's first up
+        tp_above = p - np.r_[first[1:], np.searchsorted(hit, starts[-1:], "right")]
+        rank = starts - np.searchsorted(tied, starts, "left")
+        terms[terms.shape[0] - 1 - rank] = (tp / p - tp_above / p) * (tp / (n - starts))
     return float(np.sum(terms))
 
 

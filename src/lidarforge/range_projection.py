@@ -82,12 +82,13 @@ def point_ranges(xyz: np.ndarray) -> np.ndarray:
     ``np.linalg.norm(xyz, axis=1)`` bit for bit; ``x*x + (y*y + z*z)``
     would round differently.
     """
-    pts = np.asarray(xyz, dtype=np.float64)
+    pts = np.asarray(xyz)
     if pts.ndim != 2 or pts.shape[1] not in (2, 3):
         raise ValidationError(f"points must be (N, 2) or (N, 3), got shape {pts.shape}")
-    total = pts[:, 0] * pts[:, 0]
+    # one float64 column at a time: no (N, 3) float64 copy of the points
+    total = np.square(pts[:, 0], dtype=np.float64)
     for j in range(1, pts.shape[1]):
-        total += pts[:, j] * pts[:, j]
+        total += np.square(pts[:, j], dtype=np.float64)
     return np.sqrt(total, out=total)
 
 

@@ -15,7 +15,9 @@ still keeps one scan alive at a time, and each thread keeps one
 block's float64 temporaries.  ``classify`` runs its matmul in chunks
 of at most ``_MATMUL_ROWS`` rows: a block-sized matmul is above
 OpenBLAS's threading size, and the BLAS thread it would wake competes
-with the pool.
+with the pool.  ``read_tensor`` can read into a caller's buffer, which
+``score`` reuses for each head across scans, so a scan's two file
+buffers are not freed and faulted in again for the next scan.
 """
 
 from __future__ import annotations
@@ -394,19 +396,36 @@ def write_tensor(path: str | os.PathLike, array: np.ndarray) -> None:
     Path(path).write_bytes(header.tobytes() + arr.tobytes())
 
 
-def read_tensor(path: str | os.PathLike) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER_BYTES:
-        raise FormatError(f"{path}: too short for a tensor header ({len(raw)} bytes)")
-    magic, rows, cols = np.frombuffer(raw[:_HEADER_BYTES], dtype="<u8")
+def read_tensor(path: str | os.PathLike, buffer: bytearray | None = None) -> np.ndarray:
+    """Read a tensor written by ``write_tensor`` as a read-only float32
+    (N, C) view of the file's bytes, not a copy.
+
+    The bytes are read into ``buffer``, grown when the file needs more,
+    or into a new buffer of the file's size.  So a caller reading file
+    after file into one buffer reuses one allocation instead of freeing
+    and faulting in a new one each time.  The array views the buffer:
+    it must die before the buffer is read into again.
+    """
+    with open(path, "rb") as f:
+        need = os.fstat(f.fileno()).st_size
+        if buffer is None:
+            buffer = bytearray(need)
+        elif len(buffer) < need:
+            buffer.extend(bytes(need - len(buffer)))
+        size = f.readinto(memoryview(buffer)[:need])
+    if size < _HEADER_BYTES:
+        raise FormatError(f"{path}: too short for a tensor header ({size} bytes)")
+    magic, rows, cols = np.frombuffer(buffer, dtype="<u8", count=3)
     if magic != TENSOR_MAGIC:
         raise FormatError(f"{path}: bad magic 0x{int(magic):016x}")
     expected = _HEADER_BYTES + int(rows) * int(cols) * 4
-    if len(raw) != expected:
+    if size != expected:
         raise FormatError(
-            f"{path}: expected {expected} bytes for a {rows}x{cols} tensor, got {len(raw)}")
-    # a read-only view of the file's bytes, not a copy
-    return np.frombuffer(raw, dtype="<f4", offset=_HEADER_BYTES).reshape(int(rows), int(cols))
+            f"{path}: expected {expected} bytes for a {rows}x{cols} tensor, got {size}")
+    values = np.frombuffer(buffer, dtype="<f4", count=int(rows) * int(cols),
+                           offset=_HEADER_BYTES)
+    values.flags.writeable = False
+    return values.reshape(int(rows), int(cols))
 
 
 def write_scores(path_base: str | os.PathLike, scores: ScoreVector,

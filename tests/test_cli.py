@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from lidarforge import (EvalPair, FeatureSet, LabelArray, PointCloud, PrototypeB
                         compute_scores, point_ranges, range_binned_ap, read_tensor,
                         write_labels, write_scan, write_tensor)
 from lidarforge import mesh_bank, scoring
-from lidarforge.cli import main
+from lidarforge.cli import _float32_at_most, main
 
 SENSOR_CFG = """beams = 32
 width = 512
@@ -552,6 +553,24 @@ class TestScoreAndEval:
         for key, value in want.items():
             shown = "undefined" if value is None else f"{value:.9f}"
             assert f"ap_bin_{key} = {shown}" in lines
+
+    def test_eval_ranges_round_down_like_nextafter(self):
+        # 0, float32 values, float64 values just above them, float32's
+        # largest value (3.4028235e38 lies just above it) and ranges past it
+        f32 = np.array([1e-45, 0.5, 10.0, 49.999996, 3.4028235e38], dtype=np.float32)
+        values = np.r_[0.0, f32, np.nextafter(f32.astype(np.float64), np.inf),
+                       3.4028235e38, 3.4028236e38, 1e39, 1e300]
+        want = []
+        for v in values:
+            with np.errstate(over="ignore"):
+                f = np.float32(v)
+            want.append(np.nextafter(f, np.float32(-np.inf)) if f > v else f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _float32_at_most(values)
+        assert got.dtype == np.float32
+        assert got.tobytes() == np.array(want, dtype=np.float32).tobytes()
+        assert got[-3:].tolist() == [float(np.finfo(np.float32).max)] * 3
 
     def test_single_class_features_rejected(self, tmp_path, capsys):
         feat_dir = tmp_path / "features"

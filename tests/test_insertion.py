@@ -47,6 +47,16 @@ class EveryScanPolicy(SplitPolicy):
 EVERY_SCAN = EveryScanPolicy.single(surface_classes=(ROAD_CLASS,), anomaly_label=2)
 
 
+class NoScanPolicy(SplitPolicy):
+    """A single-object policy that selects no scan for an anomaly."""
+
+    anomaly_ratio = 0.0
+
+
+# every scan passes through as read: the same bytes and memory for each copy
+NO_SCAN = NoScanPolicy.single(surface_classes=(ROAD_CLASS,), anomaly_label=2)
+
+
 def cube_object(rng, at=(10.0, 0.0)):
     obj = build_anomaly_object(make_cube_mesh(), "chair", CATALOG.get("chair"),
                                HEIGHTS["chair"], rng)
@@ -607,6 +617,46 @@ class TestForgeSplit:
             forge_split(discover_pairs(scans, labels), out, single_policy(), TEST_SENSOR,
                         _bank_with_cube(tmp_path / "meshes", {"toilet": 0.5}), master_seed=0)
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_the_split(self, tmp_path, monkeypatch, workers):
+        """Forging 8 copies of a scan holds less than one more scan's
+        cloud plus labels than forging 2, at the peak and when the
+        manifest is written: a worker holds one scan at a time, and only
+        the records wait for the manifest.  With two workers the peak
+        depends on how the threads overlap, so only the serial one's is
+        compared."""
+        scene, lab = make_flat_scene(np.random.default_rng(12), 20_000)
+        bank = _bank_with_cube(tmp_path / "meshes")
+        held = []
+        write_manifest = insertion._write_manifest
+
+        def write_manifest_noting_memory(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            write_manifest(*args)
+
+        monkeypatch.setattr(insertion, "_write_manifest", write_manifest_noting_memory)
+        peaks = []
+        for n_scans in (2, 8):
+            scans = tmp_path / f"in{n_scans}" / "velodyne"
+            labels = tmp_path / f"in{n_scans}" / "labels"
+            scans.mkdir(parents=True)
+            labels.mkdir(parents=True)
+            for i in range(n_scans):
+                write_scan(scene, scans / f"{i:06d}.bin")
+                write_labels(lab, labels / f"{i:06d}.label")
+            pairs = discover_pairs(scans, labels)
+            tracemalloc.start()
+            try:
+                forge_split(pairs, tmp_path / f"out{n_scans}", NO_SCAN, TEST_SENSOR, bank,
+                            master_seed=3, workers=workers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one_scan = scene.data.nbytes + lab.words.nbytes
+        assert held[1] - held[0] < one_scan
+        if workers == 1:
+            assert peaks[1] - peaks[0] < one_scan
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         scans, labels = self._dataset(tmp_path, n_scans=6, seed=4)

@@ -511,6 +511,39 @@ class TestTensorIO:
             base = base.base
         assert len(base) == path.stat().st_size
 
+    def test_read_into_a_reused_buffer(self, tmp_path):
+        rng = np.random.default_rng(6)
+        small, large = (rng.standard_normal(shape).astype(np.float32)
+                        for shape in ((3, 4), (40, 5)))
+        write_tensor(tmp_path / "small.ftr", small)
+        write_tensor(tmp_path / "large.ftr", large)
+        buffer = bytearray()
+        for arr, name in ((small, "small"), (large, "large"), (small, "small")):
+            back = read_tensor(tmp_path / f"{name}.ftr", buffer)
+            assert back.tobytes() == arr.tobytes() and back.shape == arr.shape
+            assert not back.flags.writeable
+            del back
+        # grown once, to the larger file, and not shrunk by the smaller one
+        assert len(buffer) == (tmp_path / "large.ftr").stat().st_size
+
+    def test_reused_buffer_keeps_format_errors(self, tmp_path):
+        # the buffer still holds a valid tensor's bytes: each error must come
+        # from the file read now, not from what an earlier file left behind
+        good = tmp_path / "good.ftr"
+        write_tensor(good, np.zeros((8, 4), dtype=np.float32))
+        (tmp_path / "tiny.ftr").write_bytes(good.read_bytes()[:20])
+        (tmp_path / "magic.ftr").write_bytes(b"\x00" * 32)
+        (tmp_path / "short.ftr").write_bytes(good.read_bytes()[:-8])
+        buffer = bytearray()
+        read_tensor(good, buffer)
+        for name, match in (("tiny", r"too short for a tensor header \(20 bytes\)"),
+                            ("magic", "bad magic"),
+                            ("short", r"expected 152 bytes for a 8x4 tensor, got 144")):
+            with pytest.raises(FormatError, match=match):
+                read_tensor(tmp_path / f"{name}.ftr", buffer)
+            with pytest.raises(FormatError, match=match):
+                read_tensor(tmp_path / f"{name}.ftr")
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ftr"
         path.write_bytes(b"\x00" * 32)
