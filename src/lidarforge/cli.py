@@ -154,10 +154,9 @@ def cmd_score(args) -> int:
     features_dir = Path(args.features)
     if not features_dir.is_dir():
         raise ValidationError(f"--features directory {features_dir} does not exist")
-    proto = scoring.read_tensor(args.prototypes)
-    # a tensor file carries no confidence mass: an all-zero row is a class
-    # without a prototype, which the first scan's classify rejects
-    bank = scoring.PrototypeBank(prototypes=proto, weights=(proto != 0).any(axis=1))
+    # an all-zero row is a class without a prototype, which the first
+    # scan's classify rejects
+    bank = scoring.PrototypeBank(scoring.read_tensor(args.prototypes))
     out_dir = Path(args.out)
 
     pairs = _feature_pairs(features_dir)
@@ -209,7 +208,7 @@ def _print_losses(stem: str, feats: scoring.FeatureSet, bank: scoring.PrototypeB
         return
     ce, _ = losses.loss_ce(sem, y)
     lovasz, _ = losses.loss_lovasz(sem, y)
-    prot, _, _ = losses.loss_prototype(sem, y, bank)
+    prot, _ = losses.loss_prototype(sem, y, bank)
     means, _ = losses.mean_class_features(cont, y, c)
     cont_loss, _ = losses.loss_contrastive(means, bank, losses.TEMPERATURE)
     obj, _ = losses.loss_objectosphere(cont, np.ones(y.shape[0], dtype=bool), args.radius)

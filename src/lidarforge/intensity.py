@@ -188,10 +188,12 @@ def normalize_and_noise(raw: np.ndarray, scene_mean: float, scene_max: float,
     the result is clamped to the host's scale: [0, 1] when the scan's
     largest intensity ``scene_max`` is at most 1 (kitti-style
     remissions), [0, 255] otherwise (8-bit sensors such as nuScenes).
+    A scene mean of 0 is a scan without an intensity channel: the
+    rescaled values and the noise are then 0, so every point gets 0.
     """
     raw = np.asarray(raw, dtype=np.float64)
-    if scene_mean <= 0:
-        raise ValidationError(f"scene mean intensity must be positive, got {scene_mean}")
+    if scene_mean < 0:
+        raise ValidationError(f"scene mean intensity must be non-negative, got {scene_mean}")
     if not np.isfinite(scene_mean):
         # e.g. a float32 mean that overflowed; it would turn every object intensity into nan
         raise ValidationError(f"scene mean intensity must be finite, got {scene_mean}")

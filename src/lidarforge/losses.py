@@ -56,26 +56,21 @@ def loss_ce(features, labels, class_weights=None):
     return float(value), grad
 
 
-def loss_prototype(features, labels, bank: PrototypeBank | None):
+def loss_prototype(features, labels, bank: PrototypeBank):
     """Cosine-embedding pull of each feature toward its class prototype.
 
     value = (1/N) sum_c sum_{p in class c} (1 - cos(prototype_c, f_p))
 
-    Returns (value, gradient, active).  Inactive (zero value, zero
-    gradient) when no prototype has been accumulated yet; classes that
-    are individually uninitialized are skipped.
+    Classes without a prototype (a zero row) are skipped: there is no
+    direction to pull toward, so their points add zero value and zero
+    gradient.
     """
     f, y = _check_features_labels(features, labels)
     n = f.shape[0]
     grad = np.zeros_like(f)
-    if bank is None or not bank.initialized.any():
-        return 0.0, grad, False
-
-    # a zero-norm prototype keeps its zero-norm row in the unit bank: no direction to pull
-    live = bank.initialized & (np.linalg.norm(bank.unit, axis=1) > 0)
     value = 0.0
     for c in np.unique(y):
-        if not live[c]:
+        if not bank.initialized[c]:
             continue
         u = bank.unit[c]
         rows = np.flatnonzero(y == c)
@@ -87,7 +82,7 @@ def loss_prototype(features, labels, bank: PrototypeBank | None):
         value += (1.0 - cos).sum()
         # d(1 - cos)/df = -(u - cos * f/|f|) / |f|
         grad[rows[ok]] = -(u[None, :] - cos[ok, None] * fc[ok] / norms[ok, None]) / norms[ok, None]
-    return float(value / n), grad / n, True
+    return float(value / n), grad / n
 
 
 def _jaccard_extension_grad(fg_sorted: np.ndarray) -> np.ndarray:

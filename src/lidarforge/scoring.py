@@ -12,7 +12,9 @@ may use, at most ``_MAX_THREADS`` and at most one per block.  Each
 block writes its own slices of preallocated outputs, so the bytes do
 not depend on the thread count.  The threads share one scan: ``score``
 still keeps one scan alive at a time, and each thread keeps one
-block's float64 temporaries.  ``classify`` runs its matmul in chunks
+block's float64 temporaries.  They also share one ``PrototypeBank``,
+which computes its unit prototypes when it is built, so the threads
+only read it.  ``classify`` runs its matmul in chunks
 of at most ``_MATMUL_ROWS`` rows: a block-sized matmul is above
 OpenBLAS's threading size, and the BLAS thread it would wake competes
 with the pool.  ``read_tensor`` can read into a caller's buffer, which
@@ -26,8 +28,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -86,61 +87,53 @@ class FeatureSet:
 
 @dataclass(frozen=True)
 class PrototypeBank:
-    """Per-class prototypes (C, C) with their accumulated confidence mass.
+    """Per-class prototypes (C, C): the scoring model.
 
-    A class whose accumulated weight is zero never saw a true positive
-    and counts as uninitialized.
+    A class has a prototype iff its row has a nonzero norm, which for
+    the float32 tensors ``score`` reads is iff the row is nonzero; a
+    zero row is a class that never saw a true positive.  ``unit`` (the
+    rows scaled to unit norm, a zero row kept zero) and ``initialized``
+    (the rows with a prototype) are computed once, at construction, so
+    threads may read them at the same time.  The bank keeps a read-only
+    copy of the tensor it is given, so neither can go stale.
     """
 
     prototypes: np.ndarray
-    weights: np.ndarray
+    unit: np.ndarray = field(init=False, repr=False, compare=False)
+    initialized: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        protos = np.asarray(self.prototypes, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if protos.ndim != 2 or w.shape != (protos.shape[0],):
-            raise ValidationError("prototype bank needs (C, D) prototypes and (C,) weights")
+        protos = np.array(self.prototypes, dtype=np.float64)
+        if protos.ndim != 2:
+            raise ValidationError("prototype bank needs (C, D) prototypes")
         if not np.isfinite(protos).all():
             raise ValidationError("prototypes must be finite")
-        object.__setattr__(self, "prototypes", protos)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def initialized(self) -> np.ndarray:
-        return self.weights > 0
-
-    @property
-    def fully_initialized(self) -> bool:
-        return bool(self.initialized.all())
+        unit, zero = _unit_rows(protos)
+        for name, value in (("prototypes", protos), ("unit", unit), ("initialized", ~zero)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def num_classes(self) -> int:
         return self.prototypes.shape[0]
 
-    @cached_property
-    def unit(self) -> np.ndarray:
-        """The prototypes scaled to unit norm; a zero row stays zero."""
-        return _unit_rows(self.prototypes)[0]
-
     def require_complete(self) -> None:
         """Raise ValidationError unless every class has a prototype."""
-        if not self.fully_initialized:
+        if not self.initialized.all():
             missing = np.flatnonzero(~self.initialized).tolist()
             raise ValidationError(f"prototype bank has uninitialized classes: {missing}")
 
 
 def accumulate_prototypes(features: np.ndarray, labels: np.ndarray,
-                          predictions: np.ndarray,
-                          confidences: np.ndarray | None = None) -> PrototypeBank:
+                          predictions: np.ndarray) -> PrototypeBank:
     """Confidence-weighted mean of true-positive features per class.
 
-    Features must be finite.  The confidence of a point defaults to the
-    maximum component of its feature vector; given confidences must be
-    finite, one per point.
+    Features must be finite.  The confidence of a point is the maximum
+    component of its feature vector.
     If any true positive of a class has non-positive confidence, the
     class's confidences are shifted by their minimum plus a small
     epsilon so the weighting stays well defined (a warning is emitted).
-    Classes without true positives are left uninitialized.
+    Classes without true positives keep a zero row: no prototype.
     """
     f = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -152,17 +145,9 @@ def accumulate_prototypes(features: np.ndarray, labels: np.ndarray,
     if labels.shape != (f.shape[0],) or predictions.shape != (f.shape[0],):
         raise ValidationError("labels and predictions must be (N,)")
     n_classes = f.shape[1]
-    if confidences is None:
-        kappa = f.max(axis=1)
-    else:
-        kappa = np.asarray(confidences, dtype=np.float64)
-        if kappa.shape != (f.shape[0],):
-            raise ValidationError(f"confidences must be ({f.shape[0]},), got shape {kappa.shape}")
-        if not np.isfinite(kappa).all():
-            raise ValidationError("confidences must be finite")
+    kappa = f.max(axis=1)
 
     prototypes = np.zeros((n_classes, n_classes))
-    weights = np.zeros(n_classes)
     for c in range(n_classes):
         tp = (labels == c) & (predictions == c)
         if not tp.any():
@@ -173,9 +158,8 @@ def accumulate_prototypes(features: np.ndarray, labels: np.ndarray,
                 f"class {c}: non-positive confidence encountered; "
                 "shifting weights by the class minimum")
             k = k - k.min() + 1e-6
-        weights[c] = k.sum()
-        prototypes[c] = (k[:, None] * f[tp]).sum(axis=0) / weights[c]
-    return PrototypeBank(prototypes=prototypes, weights=weights)
+        prototypes[c] = (k[:, None] * f[tp]).sum(axis=0) / k.sum()
+    return PrototypeBank(prototypes)
 
 
 def _unit_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +173,6 @@ def _unit_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ClassificationResult:
     predictions: np.ndarray   # (N,) argmax class, ties to the smaller id
     similarity: np.ndarray    # (N, C)
-    degenerate: np.ndarray    # (N,) zero-norm feature vectors
 
 
 def classify(features: np.ndarray, bank: PrototypeBank) -> ClassificationResult:
@@ -197,7 +180,7 @@ def classify(features: np.ndarray, bank: PrototypeBank) -> ClassificationResult:
 
     Features and prototypes are compared as unit-normalized vectors,
     which bounds similarities by 1.  Zero-norm feature vectors get
-    all-zero similarity and are flagged.
+    all-zero similarity.
     """
     f = np.asarray(features, dtype=np.float64)
     bank.require_complete()
@@ -207,8 +190,7 @@ def classify(features: np.ndarray, bank: PrototypeBank) -> ClassificationResult:
     for lo, hi in _row_blocks(f.shape[0], _MATMUL_ROWS):
         np.matmul(fu[lo:hi], unit_t, out=sim[lo:hi])
     sim[zero] = 0.0
-    return ClassificationResult(predictions=np.argmax(sim, axis=1),
-                                similarity=sim, degenerate=zero)
+    return ClassificationResult(predictions=np.argmax(sim, axis=1), similarity=sim)
 
 
 def score_cosine(similarity: np.ndarray) -> np.ndarray:
@@ -350,9 +332,10 @@ def compute_scores(features: FeatureSet, bank: PrototypeBank,
     CPU up to ``_MAX_THREADS``; only the semantic score, which needs
     the per-scan peak, runs on the whole scan.  The result is bitwise
     equal to running each stage on the whole scan, whatever the thread
-    count.  Raises ValidationError unless the prototypes are (C, C) for
-    C-class features; a block's ValidationError reaches the caller as
-    raised.
+    count.  The blocks read the bank's unit prototypes, set when the
+    bank was built, so one bank may serve concurrent calls.  Raises
+    ValidationError unless the prototypes are (C, C) for C-class
+    features; a block's ValidationError reaches the caller as raised.
     """
     n, c = features.count, features.num_classes
     if bank.prototypes.shape != (c, c):
@@ -360,7 +343,6 @@ def compute_scores(features: FeatureSet, bank: PrototypeBank,
                               f"got {bank.prototypes.shape}")
     predictions = np.empty(n, dtype=np.intp)
     s_cos, s_ent, s_cont = np.empty(n), np.empty(n), np.empty(n)
-    bank.unit   # computed once here, not by the first blocks at the same time
 
     def score_block(span: tuple[int, int]) -> None:
         lo, hi = span

@@ -24,7 +24,7 @@ from lidarforge.mesh_bank import MeshBank
 from lidarforge.metrics import average_precision, fpr_at_tpr
 from lidarforge.scoring import DEFAULT_NORM_THRESHOLD
 
-from test_losses import fd_grad, assert_grad_close, make_bank
+from test_losses import fd_grad, assert_grad_close
 from test_metrics import (exhaustive_ap_oracle, exhaustive_fpr_oracle,
                           pairwise_auroc_oracle, random_pair)
 
@@ -247,7 +247,7 @@ def test_criterion_6_scoring_constants_and_forms():
     n, c = 100_000, 8
     feats = FeatureSet(semantic=rng.standard_normal((n, c)) * 4,
                        contrastive=rng.standard_normal((n, c)) * 2)
-    bank = PrototypeBank(prototypes=rng.standard_normal((c, c)), weights=np.ones(c))
+    bank = PrototypeBank(rng.standard_normal((c, c)))
     sv = compute_scores(feats, bank)
     for name in ("cosine", "entropy", "semantic", "contrastive", "fused"):
         arr = getattr(sv, name)
@@ -268,7 +268,7 @@ def test_criterion_7_loss_gradients():
         y = rng.integers(0, c, n)
         if len(np.unique(y)) < 2:
             continue
-        bank = make_bank(rng.standard_normal((c, c)))
+        bank = PrototypeBank(rng.standard_normal((c, c)))
         w = rng.uniform(0.5, 2.0, c)
         mask = rng.random(n) < 0.7
 
@@ -285,7 +285,7 @@ def test_criterion_7_loss_gradients():
 
         _, g = loss_ce(f_sem, y, w)
         assert_grad_close(g, fd_grad(lambda x: loss_ce(x, y, w)[0], f_sem))
-        _, g, _ = loss_prototype(f_sem, y, bank)
+        _, g = loss_prototype(f_sem, y, bank)
         assert_grad_close(g, fd_grad(lambda x: loss_prototype(x, y, bank)[0], f_sem))
         _, g = loss_lovasz(f_sem, y)
         assert_grad_close(g, fd_grad(lambda x: loss_lovasz(x, y)[0], f_sem))

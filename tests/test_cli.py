@@ -491,6 +491,19 @@ class TestScoreAndEval:
         assert capsys.readouterr().err == "error: prototype bank has uninitialized classes: [3]\n"
         assert not out_dir.exists()
 
+    def test_subnormal_prototype_row_is_a_prototype(self, tmp_path):
+        # a class has a prototype iff its row is nonzero: a row holding only
+        # the smallest float32 subnormal points the same way as the unit row
+        feat_dir, _, proto = self._setup(tmp_path)
+        tiny = np.eye(4, dtype=np.float32)
+        tiny[3, 3] = np.finfo(np.float32).smallest_subnormal
+        write_tensor(tmp_path / "tiny.ftr", tiny)
+        for name, path in (("unit", proto), ("tiny", tmp_path / "tiny.ftr")):
+            assert main(["score", "--features", str(feat_dir), "--prototypes", str(path),
+                         "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "tiny" / "scan0.scores").read_bytes() == \
+            (tmp_path / "unit" / "scan0.scores").read_bytes()
+
     @staticmethod
     def _score_peak_and_footprint(tmp_path):
         """The traced peak of scoring three scans, and one scan's features
@@ -506,7 +519,7 @@ class TestScoreAndEval:
         write_tensor(tmp_path / "proto.ftr", np.eye(c, dtype=np.float32))
         one = compute_scores(FeatureSet(semantic=read_tensor(feat_dir / "s0.sem.ftr"),
                                         contrastive=read_tensor(feat_dir / "s0.cont.ftr")),
-                             PrototypeBank(np.eye(c), np.ones(c)))
+                             PrototypeBank(np.eye(c)))
         footprint = 2 * n * c * 4 + sum(a.nbytes for a in vars(one).values()
                                         if isinstance(a, np.ndarray))
         del one

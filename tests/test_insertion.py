@@ -564,19 +564,36 @@ class TestForgeSplit:
 
     def test_scan_failing_to_forge_skipped_and_reported(self, tmp_path):
         scans, labels = self._dataset(tmp_path, n_scans=3, seed=5)
-        dark = read_scan(scans / "000001.bin").data.copy()
-        dark[:, 3] = 0.0  # no scene mean intensity to blend objects into
-        write_scan(PointCloud(dark), scans / "000001.bin")
+        bright = read_scan(scans / "000001.bin").data.copy()
+        bright[:, 3] = 1e38  # the float32 mean overflows: no finite mean to blend objects into
+        write_scan(PointCloud(bright), scans / "000001.bin")
         bank = _bank_with_cube(tmp_path / "meshes")
         out = tmp_path / "out"
         summary = forge_split(discover_pairs(scans, labels), out, EVERY_SCAN,
                               TEST_SENSOR, bank, master_seed=10)
         assert summary.skipped == [
-            ("000001", "ValidationError: scene mean intensity must be positive, got 0.0")]
+            ("000001", "ValidationError: scene mean intensity must be finite, got inf")]
         assert summary.scan_count == 2
         assert "# skipped: 000001\tValidationError" in (out / "manifest.tsv").read_text()
         assert sorted(p.name for p in (out / "velodyne").iterdir()) == ["000000.bin", "000002.bin"]
         assert sorted(p.name for p in (out / "labels").iterdir()) == ["000000.label", "000002.label"]
+
+    def test_zero_intensity_scene_forged(self, tmp_path):
+        # a scan without an intensity channel: its objects get intensity 0
+        scans, labels = self._dataset(tmp_path, n_scans=1, seed=5)
+        dark = read_scan(scans / "000000.bin").data.copy()
+        dark[:, 3] = 0.0
+        write_scan(PointCloud(dark), scans / "000000.bin")
+        out = tmp_path / "out"
+        summary = forge_split(discover_pairs(scans, labels), out, EVERY_SCAN,
+                              TEST_SENSOR, _bank_with_cube(tmp_path / "meshes"), master_seed=10)
+        assert summary.skipped == [] and summary.anomaly_point_count > 0
+        cloud = read_scan(out / "velodyne" / "000000.bin")
+        is_object = read_labels(out / "labels" / "000000.label").class_ids == 2
+        assert is_object.sum() == summary.anomaly_point_count
+        assert cloud.intensity[is_object].tobytes() == bytes(4 * summary.anomaly_point_count)
+        host_rows = {row.tobytes() for row in dark}
+        assert all(row.tobytes() in host_rows for row in cloud.data[~is_object])
 
     def test_scan_failing_to_write_skipped_and_reported(self, tmp_path, monkeypatch):
         scans, labels = self._dataset(tmp_path, n_scans=3, seed=6)

@@ -358,8 +358,14 @@ class TestNormalizeAndNoise:
         assert (out > 0).mean() == pytest.approx(0.5, abs=0.02)
 
     def test_nonpositive_scene_mean_rejected(self):
-        with pytest.raises(ValidationError):
-            normalize_and_noise(np.ones(5), scene_mean=0.0, scene_max=1.0, seed=0)
+        with pytest.raises(ValidationError, match="must be non-negative, got -1.0"):
+            normalize_and_noise(np.ones(5), scene_mean=-1.0, scene_max=1.0, seed=0)
+
+    @pytest.mark.parametrize("raw", [np.zeros(5), np.linspace(0.1, 0.9, 5)])
+    def test_zero_scene_mean_gives_zero_intensity(self, raw):
+        # a scan without an intensity channel: scaled values and noise are 0
+        out = normalize_and_noise(raw, scene_mean=0.0, scene_max=0.0, seed=0)
+        assert out.tobytes() == np.zeros(5).tobytes()
 
     def test_infinite_scene_mean_rejected(self):
         # the float32 mean of a scan with huge remissions overflows to inf

@@ -27,11 +27,6 @@ def assert_grad_close(analytic, numeric, tol=1e-4):
     assert np.abs(analytic - numeric).max() / scale < tol
 
 
-def make_bank(prototypes):
-    protos = np.asarray(prototypes, dtype=np.float64)
-    return PrototypeBank(prototypes=protos, weights=np.ones(protos.shape[0]))
-
-
 class TestCrossEntropy:
     def test_confident_correct_logits_vanish(self):
         f = np.zeros((4, 3))
@@ -83,32 +78,41 @@ class TestCrossEntropy:
 
 class TestPrototypeLoss:
     def test_parallel_features_vanish(self):
-        bank = make_bank(np.array([[2.0, 0.0], [0.0, 3.0]]))
+        bank = PrototypeBank(np.array([[2.0, 0.0], [0.0, 3.0]]))
         f = np.array([[8.0, 0.0], [0.0, 0.5]])
         y = np.array([0, 1])
-        value, _, active = loss_prototype(f, y, bank)
-        assert active
+        value, _ = loss_prototype(f, y, bank)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_antiparallel_contributes_two_over_n(self):
-        bank = make_bank(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        bank = PrototypeBank(np.array([[1.0, 0.0], [0.0, 1.0]]))
         f = np.array([[-3.0, 0.0], [1.0, 1.0], [0.0, 2.0], [5.0, 0.0]])
         y = np.array([0, 0, 1, 0])
-        value, _, _ = loss_prototype(f, y, bank)
+        value, _ = loss_prototype(f, y, bank)
         by_hand = ((1 - -1.0) + (1 - np.cos(np.pi / 4)) + (1 - 1.0) + (1 - 1.0)) / 4
         assert value == pytest.approx(by_hand, abs=1e-12)
 
     def test_uninitialized_bank_inactive(self):
-        bank = PrototypeBank(prototypes=np.zeros((2, 2)), weights=np.zeros(2))
-        value, grad, active = loss_prototype(np.ones((3, 2)), np.zeros(3, dtype=int), bank)
-        assert not active and value == 0.0 and not grad.any()
+        # an all-zero bank pulls nowhere: zero value and zero gradient
+        value, grad = loss_prototype(np.ones((3, 2)), np.zeros(3, dtype=int),
+                                     PrototypeBank(np.zeros((2, 2))))
+        assert value == 0.0 and not grad.any()
+
+    def test_class_without_prototype_skipped(self):
+        # class 1's zero row adds nothing; class 0's points count over all N
+        bank = PrototypeBank(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        f = np.array([[0.0, 4.0], [0.0, 5.0], [3.0, 3.0]])
+        y = np.array([0, 1, 1])
+        value, grad = loss_prototype(f, y, bank)
+        assert value == pytest.approx(1.0 / 3, abs=1e-12)
+        np.testing.assert_allclose(grad, [[-1.0 / 12, 0.0], [0.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
-        bank = make_bank(rng.standard_normal((3, 3)))
+        bank = PrototypeBank(rng.standard_normal((3, 3)))
         f = rng.standard_normal((8, 3))
         y = rng.integers(0, 3, 8)
-        value, _, _ = loss_prototype(f, y, bank)
+        value, _ = loss_prototype(f, y, bank)
         total = 0.0
         for n in range(8):
             p = bank.prototypes[y[n]]
@@ -120,16 +124,16 @@ class TestPrototypeLoss:
         protos = rng.standard_normal((3, 3))
         f = rng.standard_normal((10, 3))
         y = rng.integers(0, 3, 10)
-        v1, _, _ = loss_prototype(f, y, make_bank(protos))
-        v2, _, _ = loss_prototype(f, y, make_bank(protos * 100.0))
+        v1, _ = loss_prototype(f, y, PrototypeBank(protos))
+        v2, _ = loss_prototype(f, y, PrototypeBank(protos * 100.0))
         assert v1 == pytest.approx(v2, abs=1e-12)
 
     def test_gradient(self):
         rng = np.random.default_rng(4)
-        bank = make_bank(rng.standard_normal((4, 4)))
+        bank = PrototypeBank(rng.standard_normal((4, 4)))
         f = rng.standard_normal((6, 4))
         y = rng.integers(0, 4, 6)
-        _, grad, _ = loss_prototype(f, y, bank)
+        _, grad = loss_prototype(f, y, bank)
         assert_grad_close(grad, fd_grad(lambda x: loss_prototype(x, y, bank)[0], f))
 
 
@@ -209,14 +213,14 @@ class TestLovasz:
 class TestContrastive:
     def test_equal_inner_products_give_c_log_c(self):
         c = 4
-        bank = make_bank(np.eye(c))
+        bank = PrototypeBank(np.eye(c))
         fbar = np.zeros((c, c))  # every inner product is 0
         value, _ = loss_contrastive(fbar, bank, temperature=0.1)
         assert value == pytest.approx(c * np.log(c), abs=1e-12)
 
     def test_dominant_alignment_drives_term_to_zero(self):
         c = 3
-        bank = make_bank(np.eye(c))
+        bank = PrototypeBank(np.eye(c))
         fbar = np.eye(c) * 50.0
         value, _ = loss_contrastive(fbar, bank, temperature=0.1)
         assert value == pytest.approx(0.0, abs=1e-9)
@@ -224,13 +228,13 @@ class TestContrastive:
     @pytest.mark.parametrize("tau", [0.0, -0.1, float("inf"), float("nan")])
     def test_temperature_must_be_positive_and_finite(self, tau):
         with pytest.raises(ValidationError, match="temperature must be positive and finite"):
-            loss_contrastive(np.zeros((2, 2)), make_bank(np.eye(2)), temperature=tau)
+            loss_contrastive(np.zeros((2, 2)), PrototypeBank(np.eye(2)), temperature=tau)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
         c = 3
         protos = rng.standard_normal((c, c))
-        bank = make_bank(protos)
+        bank = PrototypeBank(protos)
         fbar = rng.standard_normal((c, c))
         tau = 0.7
         value, _ = loss_contrastive(fbar, bank, temperature=tau)
@@ -246,20 +250,20 @@ class TestContrastive:
         rng = np.random.default_rng(9)
         protos = rng.standard_normal((3, 3))
         fbar = rng.standard_normal((3, 3))
-        v1, _ = loss_contrastive(fbar, make_bank(protos), temperature=0.2)
-        v2, _ = loss_contrastive(fbar, make_bank(protos * 50.0), temperature=0.2)
+        v1, _ = loss_contrastive(fbar, PrototypeBank(protos), temperature=0.2)
+        v2, _ = loss_contrastive(fbar, PrototypeBank(protos * 50.0), temperature=0.2)
         assert v1 == pytest.approx(v2, abs=1e-10)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
-            bank = make_bank(rng.standard_normal((4, 4)))
+            bank = PrototypeBank(rng.standard_normal((4, 4)))
             value, _ = loss_contrastive(rng.standard_normal((4, 4)), bank, 0.1)
             assert value >= 0.0
 
     def test_gradient(self):
         rng = np.random.default_rng(11)
-        bank = make_bank(rng.standard_normal((4, 4)))
+        bank = PrototypeBank(rng.standard_normal((4, 4)))
         fbar = rng.standard_normal((4, 4))
         _, grad = loss_contrastive(fbar, bank, temperature=0.5)
         assert_grad_close(grad, fd_grad(

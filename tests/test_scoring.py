@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -30,11 +32,6 @@ def _openblas_0_3_31_avx512() -> bool:
             and any(s.startswith("AVX512") for s in config["SIMD Extensions"]["found"]))
 
 
-def make_bank(prototypes):
-    protos = np.asarray(prototypes, dtype=np.float64)
-    return PrototypeBank(prototypes=protos, weights=np.ones(protos.shape[0]))
-
-
 class TestAccumulate:
     def test_constant_features_give_that_prototype(self):
         f = np.tile([2.0, 1.0, 0.0], (5, 1))
@@ -45,11 +42,12 @@ class TestAccumulate:
         assert bank.initialized[0]
 
     def test_hand_computed_weighted_mean(self):
-        f = np.array([[1.0, 0.0], [0.0, 1.0]])
+        # confidences are each point's largest component: 3 and 1
+        f = np.array([[3.0, 0.0], [0.0, 1.0]])
         labels = np.array([0, 0])
         preds = np.array([0, 0])
-        bank = accumulate_prototypes(f, labels, preds, confidences=np.array([3.0, 1.0]))
-        np.testing.assert_allclose(bank.prototypes[0], [0.75, 0.25])
+        bank = accumulate_prototypes(f, labels, preds)
+        np.testing.assert_allclose(bank.prototypes[0], [2.25, 0.25])
 
     def test_class_without_true_positive_uninitialized(self):
         f = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -57,7 +55,7 @@ class TestAccumulate:
         preds = np.array([0, 0])  # class 1 never predicted correctly
         bank = accumulate_prototypes(f, labels, preds)
         assert bank.initialized.tolist() == [True, False]
-        assert not bank.fully_initialized
+        assert not bank.prototypes[1].any()
 
     def test_only_true_positives_counted(self):
         f = np.array([[4.0, 0.0], [0.0, 9.0], [2.0, 0.0]])
@@ -66,27 +64,15 @@ class TestAccumulate:
         bank = accumulate_prototypes(f, labels, preds)
         np.testing.assert_allclose(bank.prototypes[0], (4 * f[0] + 2 * f[2]) / 6)
 
-    def test_confidences_of_wrong_length_rejected(self):
-        f = np.eye(3)
-        with pytest.raises(ValidationError, match=r"confidences must be \(3,\)"):
-            accumulate_prototypes(f, np.arange(3), np.arange(3), confidences=np.ones(2))
-
-    def test_nonfinite_confidence_rejected(self):
-        f = np.eye(3)
-        with pytest.raises(ValidationError, match="confidences must be finite"):
-            accumulate_prototypes(f, np.arange(3), np.arange(3),
-                                  confidences=np.array([1.0, np.nan, 1.0]))
-
     def test_nan_feature_rejected_with_default_confidences(self):
         f = np.array([[np.nan, 1.0], [0.5, 1.0]])
         with pytest.raises(ValidationError, match="features must be finite"):
             accumulate_prototypes(f, np.array([1, 1]), np.array([1, 1]))
 
-    def test_inf_feature_rejected_with_given_confidences(self):
+    def test_inf_feature_rejected(self):
         f = np.array([[np.inf, 1.0], [0.5, 1.0]])
         with pytest.raises(ValidationError, match="features must be finite"):
-            accumulate_prototypes(f, np.array([1, 1]), np.array([1, 1]),
-                                  confidences=np.array([1.0, 1.0]))
+            accumulate_prototypes(f, np.array([1, 1]), np.array([1, 1]))
 
     def test_nonpositive_confidence_shifts_and_warns(self):
         f = np.array([[-1.0, -2.0], [-3.0, -4.0]])
@@ -102,26 +88,25 @@ class TestAccumulate:
 
 class TestClassify:
     def test_prototype_feature_maps_to_itself(self):
-        bank = make_bank(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 5.0]]))
+        bank = PrototypeBank(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 5.0]]))
         result = classify(bank.prototypes[2][None, :], bank)
         assert result.predictions[0] == 2
         assert result.similarity[0, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_feature_breaks_tie_to_zero(self):
-        bank = make_bank(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        bank = PrototypeBank(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         result = classify(np.array([[0.0, 0.0, 1.0]]), bank)
         np.testing.assert_allclose(result.similarity[0], 0.0, atol=1e-12)
         assert result.predictions[0] == 0
 
-    def test_zero_norm_feature_flagged(self):
-        bank = make_bank(np.eye(2))
+    def test_zero_norm_feature_gets_zero_similarity(self):
+        bank = PrototypeBank(np.eye(2))
         result = classify(np.zeros((1, 2)), bank)
-        assert result.degenerate[0]
         np.testing.assert_array_equal(result.similarity[0], [0.0, 0.0])
 
     def test_matches_brute_force_cosine(self):
         rng = np.random.default_rng(0)
-        bank = make_bank(rng.standard_normal((6, 6)))
+        bank = PrototypeBank(rng.standard_normal((6, 6)))
         feats = rng.standard_normal((1000, 6))
         result = classify(feats, bank)
         for n in range(0, 1000, 37):
@@ -134,7 +119,7 @@ class TestClassify:
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
-        bank = make_bank(rng.standard_normal((4, 4)))
+        bank = PrototypeBank(rng.standard_normal((4, 4)))
         feats = rng.standard_normal((50, 4))
         a = classify(feats, bank)
         b = classify(feats * 7.3, bank)
@@ -142,12 +127,12 @@ class TestClassify:
         np.testing.assert_allclose(a.similarity, b.similarity, atol=1e-12)
 
     def test_uninitialized_bank_rejected(self):
-        bank = PrototypeBank(prototypes=np.eye(2), weights=np.array([1.0, 0.0]))
+        bank = PrototypeBank(np.diag([1.0, 0.0]))
         with pytest.raises(ValidationError, match=r"\[1\]"):
             classify(np.eye(2), bank)
 
     def test_uninitialized_message_shared_with_contrastive_loss(self):
-        bank = PrototypeBank(prototypes=np.eye(3), weights=np.array([1.0, 0.0, 0.0]))
+        bank = PrototypeBank(np.diag([1.0, 0.0, 0.0]))
         message = r"^prototype bank has uninitialized classes: \[1, 2\]$"
         with pytest.raises(ValidationError, match=message):
             classify(np.eye(3), bank)
@@ -157,11 +142,19 @@ class TestClassify:
     def test_unit_bank_is_division_by_row_norm(self):
         rng = np.random.default_rng(4)
         protos = rng.standard_normal((4, 6)) * np.array([[1e-3], [1.0], [1e3], [0.0]])
-        bank = make_bank(protos)
+        bank = PrototypeBank(protos)
         norms = np.linalg.norm(protos, axis=1, keepdims=True)
         expected = protos / np.where(norms > 0, norms, 1.0)
         assert bank.unit.tobytes() == expected.tobytes()
-        assert bank.unit is bank.unit
+
+    def test_bank_keeps_a_read_only_copy(self):
+        protos = np.diag([2.0, 0.0])
+        bank = PrototypeBank(protos)
+        protos[1, 1] = 5.0   # the caller's array stays writable and apart
+        assert bank.initialized.tolist() == [True, False] and not bank.prototypes[1].any()
+        for array in (bank.prototypes, bank.unit, bank.initialized):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_accumulate_classify_fixpoint(self):
         rng = np.random.default_rng(2)
@@ -263,7 +256,7 @@ class TestScores:
         rng = np.random.default_rng(3)
         feats = FeatureSet(semantic=rng.standard_normal((2000, 6)) * 3,
                            contrastive=rng.standard_normal((2000, 6)) * 3)
-        bank = make_bank(rng.standard_normal((6, 6)))
+        bank = PrototypeBank(rng.standard_normal((6, 6)))
         sv = compute_scores(feats, bank)
         for arr in (sv.cosine, sv.entropy, sv.semantic, sv.contrastive, sv.fused):
             assert arr.min() >= 0.0 and arr.max() <= 1.0
@@ -289,7 +282,7 @@ class TestBlockedComputeScores:
     def test_bitwise_equal_to_one_shot(self, n):
         rng = np.random.default_rng(n)
         c = 19
-        bank = make_bank(rng.standard_normal((c, c)))
+        bank = PrototypeBank(rng.standard_normal((c, c)))
         sem = rng.standard_normal((n, c)) * 3.0
         con = rng.standard_normal((n, c)) * 0.6
         if n:
@@ -333,7 +326,7 @@ class TestBlockedComputeScores:
     @staticmethod
     def _check_chunked_classify(n, c):
         rng = np.random.default_rng(n + c)
-        bank = make_bank(rng.standard_normal((c, c)))
+        bank = PrototypeBank(rng.standard_normal((c, c)))
         f = rng.standard_normal((n, c)) * 3.0
         f[::97] = 0.0
         fu, zero = _unit_rows(f)
@@ -362,7 +355,7 @@ class TestBlockedComputeScores:
     def test_stage_errors_raised_for_empty_scan(self):
         feats = FeatureSet(semantic=np.zeros((0, 1)), contrastive=np.zeros((0, 1)))
         with pytest.raises(ValidationError, match="C<2"):
-            compute_scores(feats, make_bank(np.ones((1, 1))))
+            compute_scores(feats, PrototypeBank(np.ones((1, 1))))
 
 
 class TestThreadedComputeScores:
@@ -388,7 +381,7 @@ class TestThreadedComputeScores:
         sizes = self._patch_pool(monkeypatch, cpus)
         n = 3 * _BLOCK_ROWS + 7
         compute_scores(FeatureSet(semantic=np.ones((n, 4)), contrastive=np.ones((n, 4))),
-                       make_bank(np.eye(4)))
+                       PrototypeBank(np.eye(4)))
         assert sizes == [min(cpus, scoring._MAX_THREADS, len(_row_blocks(n)))]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 511, 512, 513, _BLOCK_ROWS + 1,
@@ -396,7 +389,7 @@ class TestThreadedComputeScores:
     def test_bytes_do_not_depend_on_thread_count(self, monkeypatch, n):
         rng = np.random.default_rng(n)
         c = 19
-        bank = make_bank(rng.standard_normal((c, c)))
+        bank = PrototypeBank(rng.standard_normal((c, c)))
         feats = FeatureSet(semantic=rng.standard_normal((n, c)) * 3.0,
                            contrastive=rng.standard_normal((n, c)) * 0.6)
         outputs = []
@@ -407,6 +400,35 @@ class TestThreadedComputeScores:
             outputs.append({k: np.asarray(v).tobytes() for k, v in vars(got).items()})
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_concurrent_calls_on_a_new_bank(self):
+        # the bank's unit rows are set when it is built: calls that start
+        # together on a new bank read them as one call does
+        rng = np.random.default_rng(21)
+        n, c, callers = 3 * _BLOCK_ROWS + 7, 19, 4
+        protos = rng.standard_normal((c, c))
+        feats = FeatureSet(semantic=rng.standard_normal((n, c)) * 3.0,
+                           contrastive=rng.standard_normal((n, c)) * 0.6)
+
+        def scores(bank):
+            return {k: np.asarray(v).tobytes() for k, v in vars(compute_scores(feats, bank)).items()}
+
+        want = scores(PrototypeBank(protos))
+        bank = PrototypeBank(protos)
+        start = threading.Barrier(callers, timeout=60)
+
+        def run(_):
+            start.wait()
+            return scores(bank)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=callers) as pool:
+                got = list(pool.map(run, range(callers), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * callers
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("c, radius, message", [(1, 5.0, "C<2"),
                                                     (4, float("nan"), "radius must be"),
@@ -416,7 +438,7 @@ class TestThreadedComputeScores:
         n = 3 * _BLOCK_ROWS + 7
         feats = FeatureSet(semantic=np.ones((n, c)), contrastive=np.ones((n, c)))
         with pytest.raises(ValidationError, match=message):
-            compute_scores(feats, make_bank(np.eye(c)), radius=radius)
+            compute_scores(feats, PrototypeBank(np.eye(c)), radius=radius)
 
 
 # -- the whole-array expressions that softmax, log_softmax, score_entropy
@@ -562,7 +584,7 @@ class TestTensorIO:
         rng = np.random.default_rng(5)
         feats = FeatureSet(semantic=rng.standard_normal((50, 4)),
                            contrastive=rng.standard_normal((50, 4)))
-        bank = make_bank(rng.standard_normal((4, 4)))
+        bank = PrototypeBank(rng.standard_normal((4, 4)))
         sv = compute_scores(feats, bank)
         write_scores(tmp_path / "scan0", sv, which="fused")
         back = read_scores(tmp_path / "scan0.scores")
