@@ -17,9 +17,9 @@ from .metrics import (EvalPair, auroc, average_precision, fpr_at_tpr, range_binn
 from .range_projection import RangeImage, point_ranges, project, write_pgm
 from .scan_io import (LabelArray, PointCloud, SensorConfig, check_pair,
                       read_labels, read_scan, write_labels, write_scan)
-from .scoring import (ClassificationResult, FeatureSet, PrototypeBank, ScoreVector,
-                      accumulate_prototypes, classify, compute_scores, read_tensor,
-                      score_contrastive, score_cosine, score_entropy, score_fused,
-                      score_semantic, write_tensor)
+from .scoring import (FeatureSet, PrototypeBank, ScoreVector, accumulate_prototypes,
+                      classify, compute_scores, read_tensor, score_contrastive,
+                      score_cosine, score_entropy, score_fused, score_semantic,
+                      write_tensor)
 
 __version__ = "0.1.0"

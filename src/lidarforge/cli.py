@@ -15,6 +15,7 @@ failed run never leaves a partial dataset.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import shutil
 import sys
@@ -158,19 +159,33 @@ def cmd_score(args) -> int:
     # scan's classify rejects
     bank = scoring.PrototypeBank(scoring.read_tensor(args.prototypes))
     out_dir = Path(args.out)
+    created = not out_dir.exists()
 
     pairs = _feature_pairs(features_dir)
     buffers = (bytearray(), bytearray())  # one per head, reused by every scan
-    for stem, sem_path, cont_path in pairs:
-        _score_scan(stem, sem_path, cont_path, bank, out_dir, args, buffers)
+    written: list[Path] = []
+    try:
+        for stem, sem_path, cont_path in pairs:
+            _score_scan(stem, sem_path, cont_path, bank, out_dir, args, buffers, written)
+    except BaseException:
+        # a failed run leaves no partial set of score files for eval to read
+        for base in written:
+            for path in scoring.score_paths(base):
+                path.unlink(missing_ok=True)
+        if created:
+            with contextlib.suppress(OSError):  # not empty: files this run did not write
+                out_dir.rmdir()
+        raise
     print(f"scored {len(pairs)} scans -> {out_dir}")
     return 0
 
 
 def _score_scan(stem: str, sem_path: Path, cont_path: Path, bank: scoring.PrototypeBank,
-                out_dir: Path, args, buffers: tuple[bytearray, bytearray]) -> None:
-    """Score one scan and write its score file.  Its features and scores
-    die on return, so one scan is alive at a time.
+                out_dir: Path, args, buffers: tuple[bytearray, bytearray],
+                written: list[Path]) -> None:
+    """Score one scan and write its score files, first adding their base
+    to ``written``.  Its features and scores die on return, so one scan
+    is alive at a time.
 
     Each head is read into its own buffer of ``buffers``, which the
     features view: the caller passes the same two for every scan, so no
@@ -184,8 +199,9 @@ def _score_scan(stem: str, sem_path: Path, cont_path: Path, bank: scoring.Protot
     # after the first scan's scores: a bad --radius or prototype shape fails
     # before the directory exists
     out_dir.mkdir(parents=True, exist_ok=True)
+    written.append(out_dir / stem)
     scoring.write_scores(out_dir / stem, scores, which=args.score)
-    if args.losses:
+    if args.losses is not None:
         _print_losses(stem, feats, bank, args)
 
 
@@ -196,7 +212,7 @@ def _print_losses(stem: str, feats: scoring.FeatureSet, bank: scoring.PrototypeB
     Labels must hold class indices below C; points at or above C are
     excluded from the losses (they are not inlier training points).
     """
-    label_path = Path(args.labels) / f"{stem}.label"
+    label_path = Path(args.losses) / f"{stem}.label"
     y = read_labels(label_path).class_ids.astype(np.int64)
     if y.shape[0] != feats.count:
         raise ValidationError(f"{stem}: {y.shape[0]} labels vs {feats.count} feature rows")
@@ -210,7 +226,7 @@ def _print_losses(stem: str, feats: scoring.FeatureSet, bank: scoring.PrototypeB
     lovasz, _ = losses.loss_lovasz(sem, y)
     prot, _ = losses.loss_prototype(sem, y, bank)
     means, _ = losses.mean_class_features(cont, y, c)
-    cont_loss, _ = losses.loss_contrastive(means, bank, losses.TEMPERATURE)
+    cont_loss, _ = losses.loss_contrastive(means, bank)
     obj, _ = losses.loss_objectosphere(cont, np.ones(y.shape[0], dtype=bool), args.radius)
     shead, chead = losses.loss_heads(ce, lovasz, prot, cont_loss, obj)
     print(f"{stem}\tce={ce:.6f}\tlovasz={lovasz:.6f}\tprototype={prot:.6f}"
@@ -351,10 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--radius", type=float, default=scoring.DEFAULT_NORM_THRESHOLD)
     score.add_argument("--score", choices=scoring.SCORE_NAMES,
                        default="fused", help="which score channel to write")
-    score.add_argument("--losses", action="store_true",
-                       help="also print forward loss values (needs --labels)")
-    score.add_argument("--labels", default=None,
-                       help="directory of <stem>.label files with class indices, for --losses")
+    score.add_argument("--losses", default=None, metavar="LABELS_DIR",
+                       help="also print forward loss values against the <stem>.label "
+                            "files with class indices in this directory")
     score.set_defaults(func=cmd_score)
 
     ev = sub.add_parser("eval", help="evaluate score files against labels")
@@ -371,9 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "losses", False) and not args.labels:
-        print("error: --losses requires --labels", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (LidarForgeError, OSError) as exc:

@@ -143,9 +143,10 @@ def mean_class_features(features, labels, num_classes: int):
     return means, counts
 
 
-def loss_contrastive(mean_features, bank: PrototypeBank, temperature: float):
+def loss_contrastive(mean_features, bank: PrototypeBank):
     """Softmax alignment of each class's mean feature with its own
-    unit-normalized prototype against all prototypes.
+    unit-normalized prototype against all prototypes, at temperature
+    ``TEMPERATURE``.
 
     The denominator sums exp(<mean_c, proto_i>/t) over classes i.  The
     paper's literal form repeats the numerator term there instead, which
@@ -153,20 +154,18 @@ def loss_contrastive(mean_features, bank: PrototypeBank, temperature: float):
     not used.
     """
     fbar = np.asarray(mean_features, dtype=np.float64)
-    if not 0 < temperature < math.inf:
-        raise ValidationError(f"temperature must be positive and finite, got {temperature}")
     if fbar.ndim != 2 or fbar.shape[0] != bank.num_classes:
         raise ValidationError(
             f"mean features must be ({bank.num_classes}, D), got {fbar.shape}")
     bank.require_complete()
 
     unit = bank.unit
-    logits = (fbar @ unit.T) / temperature           # (C, C): row c vs every prototype
+    logits = (fbar @ unit.T) / TEMPERATURE           # (C, C): row c vs every prototype
     probs = softmax(logits)
     own = np.arange(bank.num_classes)
     value = float(-log_softmax(logits)[own, own].sum())
 
-    grad = -(unit - probs @ unit) / temperature      # d(-log p_cc)/d fbar_c
+    grad = -(unit - probs @ unit) / TEMPERATURE      # d(-log p_cc)/d fbar_c
     return value, grad
 
 

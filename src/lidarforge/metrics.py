@@ -31,6 +31,8 @@ import numpy as np
 from .errors import UndefinedMetricError, ValidationError
 
 DEFAULT_RANGE_EDGES = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
+# the operating point of fpr_at_tpr, as anomaly-segmentation benchmarks report it
+TPR_TARGET = 0.95
 # entries per chunk of a pass: each chunk's temporaries stay small
 _CHUNK = 8192
 
@@ -119,31 +121,29 @@ def _true_positives(hit: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return hit.shape[0] - np.searchsorted(hit, starts, "left")
 
 
-def fpr_at_tpr(pair: EvalPair, tpr_target: float = 0.95) -> float:
+def fpr_at_tpr(pair: EvalPair) -> float:
     """False-positive rate at the largest threshold whose true-positive
-    rate reaches the target (step convention, no interpolation)."""
+    rate reaches ``TPR_TARGET`` (step convention, no interpolation)."""
     _require_both_classes(pair, "fpr_at_tpr")
     ordered = np.sort(pair.scores)
-    return _fpr_at_tpr(ordered, _positive_starts(pair, ordered), tpr_target)
+    return _fpr_at_tpr(ordered, _positive_starts(pair, ordered))
 
 
-def _fpr_at_tpr(ordered: np.ndarray, hit: np.ndarray, tpr_target: float) -> float:
-    """FPR at the TPR target of a pair with both classes, given its
+def _fpr_at_tpr(ordered: np.ndarray, hit: np.ndarray) -> float:
+    """FPR at ``TPR_TARGET`` of a pair with both classes, given its
     sorted scores and ``_positive_starts``.
 
     A block's TPR is ``(p - m) / p``, ``m`` the positives whose block
     starts lower, and ``m`` grows as the threshold falls.  With ``M``
     the largest ``m`` whose TPR reaches the target, the answer is the
     highest block with at most ``M`` positives below it: the block of
-    ``hit[M]``, or the top block when ``M == p``.  So only the
-    positives are visited, not the blocks.
+    ``hit[M]``.  TPR 1 (``m = 0``) always reaches the target and TPR 0
+    (``m = p``) never does, so ``M < p``.  Only the positives are
+    visited, not the blocks.
     """
     n, p = ordered.shape[0], hit.shape[0]
-    reaching = np.flatnonzero(np.arange(p, -1, -1) / p >= tpr_target)
-    if not reaching.size:
-        raise UndefinedMetricError(f"no threshold reaches TPR {tpr_target}")
-    m = reaching[-1]
-    start = hit[m] if m < p else np.searchsorted(ordered, ordered[-1], "left")
+    m = np.flatnonzero(np.arange(p, -1, -1) / p >= TPR_TARGET)[-1]
+    start = hit[m]
     tp = _true_positives(hit, start)
     return float((n - start - tp) / (n - p))
 
@@ -189,7 +189,7 @@ def _average_precision(ordered: np.ndarray, hit: np.ndarray) -> float:
 
 
 def split_metrics(pair: EvalPair) -> tuple[float, float, float]:
-    """``(auroc(pair), fpr_at_tpr(pair, 0.95), average_precision(pair))``
+    """``(auroc(pair), fpr_at_tpr(pair), average_precision(pair))``
     from one sort and one threshold pass, bit for bit.
 
     Raises what ``auroc`` raises first: a pair without both classes.
@@ -197,7 +197,7 @@ def split_metrics(pair: EvalPair) -> tuple[float, float, float]:
     _require_both_classes(pair, "auroc")
     ordered = np.sort(pair.scores)
     hit = _positive_starts(pair, ordered)
-    return (_auroc(ordered, hit), _fpr_at_tpr(ordered, hit, 0.95),
+    return (_auroc(ordered, hit), _fpr_at_tpr(ordered, hit),
             _average_precision(ordered, hit))
 
 

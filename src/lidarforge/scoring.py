@@ -4,7 +4,9 @@ Two heads feed the scorer: the semantic head's pre-softmax features
 drive a cosine-distance score against per-class confidence-weighted
 prototypes plus a normalized-entropy score, and the contrastive head's
 feature norms drive a hypersphere score that reads small norms as
-anomalous.  The fused score is the mean of the two head scores.
+anomalous.  The fused score is the mean of the two head scores.  The
+cosine distance reads only each point's best similarity (``classify``
+returns the similarity matrix), so no point is assigned a class.
 
 ``compute_scores`` splits a scan into row blocks and scores them on a
 thread pool that lives for one call: one thread per CPU the process
@@ -169,14 +171,9 @@ def _unit_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mat / safe[:, None], zero
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    predictions: np.ndarray   # (N,) argmax class, ties to the smaller id
-    similarity: np.ndarray    # (N, C)
-
-
-def classify(features: np.ndarray, bank: PrototypeBank) -> ClassificationResult:
-    """Predict the inlier class by cosine similarity to each prototype.
+def classify(features: np.ndarray, bank: PrototypeBank) -> np.ndarray:
+    """The (N, C) cosine similarity of each feature row to each class's
+    prototype.
 
     Features and prototypes are compared as unit-normalized vectors,
     which bounds similarities by 1.  Zero-norm feature vectors get
@@ -190,7 +187,7 @@ def classify(features: np.ndarray, bank: PrototypeBank) -> ClassificationResult:
     for lo, hi in _row_blocks(f.shape[0], _MATMUL_ROWS):
         np.matmul(fu[lo:hi], unit_t, out=sim[lo:hi])
     sim[zero] = 0.0
-    return ClassificationResult(predictions=np.argmax(sim, axis=1), similarity=sim)
+    return sim
 
 
 def score_cosine(similarity: np.ndarray) -> np.ndarray:
@@ -284,14 +281,14 @@ def score_fused(semantic_score: np.ndarray, contrastive_score: np.ndarray) -> np
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """All per-point anomaly scores of one scan, each in [0, 1]."""
+    """All per-point anomaly scores of one scan, each in [0, 1]: no
+    predicted class."""
 
     cosine: np.ndarray
     entropy: np.ndarray
     semantic: np.ndarray
     contrastive: np.ndarray
     fused: np.ndarray
-    predictions: np.ndarray
     semantic_peak: float    # per-scan max used to normalize the semantic score
 
     def by_name(self, name: str) -> np.ndarray:
@@ -326,7 +323,7 @@ def _usable_cpus() -> int:
 
 def compute_scores(features: FeatureSet, bank: PrototypeBank,
                    radius: float = DEFAULT_NORM_THRESHOLD) -> ScoreVector:
-    """Run the full scoring path on one scan's features.
+    """Run the full scoring path on one scan's features: its ``ScoreVector``.
 
     The per-point stages run on row blocks, on one thread per usable
     CPU up to ``_MAX_THREADS``; only the semantic score, which needs
@@ -341,7 +338,6 @@ def compute_scores(features: FeatureSet, bank: PrototypeBank,
     if bank.prototypes.shape != (c, c):
         raise ValidationError(f"prototypes must be ({c}, {c}) for {c}-class features, "
                               f"got {bank.prototypes.shape}")
-    predictions = np.empty(n, dtype=np.intp)
     s_cos, s_ent, s_cont = np.empty(n), np.empty(n), np.empty(n)
 
     def score_block(span: tuple[int, int]) -> None:
@@ -351,9 +347,7 @@ def compute_scores(features: FeatureSet, bank: PrototypeBank,
         # entropy first: its temporaries are freed before classify makes its
         # own, so three (rows, C) arrays are alive at a time, not four
         s_ent[lo:hi] = score_entropy(sem)
-        result = classify(sem, bank)
-        predictions[lo:hi] = result.predictions
-        s_cos[lo:hi] = score_cosine(result.similarity)
+        s_cos[lo:hi] = score_cosine(classify(sem, bank))
         s_cont[lo:hi] = score_contrastive(features.contrastive[lo:hi], radius=radius)
 
     spans = _row_blocks(n)
@@ -363,8 +357,7 @@ def compute_scores(features: FeatureSet, bank: PrototypeBank,
     s_sem, peak = score_semantic(s_cos, s_ent)
     return ScoreVector(
         cosine=s_cos, entropy=s_ent, semantic=s_sem, contrastive=s_cont,
-        fused=score_fused(s_sem, s_cont), predictions=predictions,
-        semantic_peak=peak,
+        fused=score_fused(s_sem, s_cont), semantic_peak=peak,
     )
 
 
@@ -410,14 +403,24 @@ def read_tensor(path: str | os.PathLike, buffer: bytearray | None = None) -> np.
     return values.reshape(int(rows), int(cols))
 
 
+def score_paths(path_base: str | os.PathLike) -> tuple[Path, Path]:
+    """``<path_base>.scores`` and its sidecar ``<path_base>.scores.meta``.
+
+    The suffixes are appended to the whole name, so a stem with dots
+    (``a.1``, nuScenes' ``*.pcd``) keeps them.
+    """
+    base = os.fspath(path_base)
+    return Path(base + ".scores"), Path(base + ".scores.meta")
+
+
 def write_scores(path_base: str | os.PathLike, scores: ScoreVector,
                  which: str = "fused") -> None:
     """Write one score channel as raw float32 plus a text sidecar with
-    the per-scan normalization peak."""
-    base = Path(path_base)
+    the per-scan normalization peak, at ``score_paths(path_base)``."""
+    values_path, meta_path = score_paths(path_base)
     values = scores.by_name(which).astype("<f4")
-    base.with_suffix(".scores").write_bytes(values.tobytes())
-    write_keyvalue(base.with_suffix(".scores.meta"), {
+    values_path.write_bytes(values.tobytes())
+    write_keyvalue(meta_path, {
         "score": which,
         "count": values.shape[0],
         "semantic_peak": f"{scores.semantic_peak:.12g}",

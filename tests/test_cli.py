@@ -392,6 +392,60 @@ class TestScoreAndEval:
                      "--out", str(out_dir)]) == 0
         assert capsys.readouterr().out == f"scored 1 scans -> {out_dir}\n"
 
+    @staticmethod
+    def _write_scans(tmp_path, sizes, c=4):
+        """One feature pair and label file per ``stem: points`` of ``sizes``;
+        returns the directories, the prototype path and each scan's truth."""
+        rng = np.random.default_rng(2)
+        feat_dir, label_dir = tmp_path / "features", tmp_path / "labels"
+        feat_dir.mkdir()
+        label_dir.mkdir()
+        truth = {}
+        for stem, n in sizes.items():
+            truth[stem] = rng.random(n) < 0.25
+            sem, cont = synth_features(n, c, truth[stem], rng)
+            write_tensor(feat_dir / f"{stem}.sem.ftr", sem)
+            write_tensor(feat_dir / f"{stem}.cont.ftr", cont)
+            write_labels(LabelArray(np.where(truth[stem], 2, 40).astype(np.uint32)),
+                         label_dir / f"{stem}.label")
+        write_tensor(tmp_path / "proto.ftr", np.eye(c, dtype=np.float32))
+        return feat_dir, label_dir, tmp_path / "proto.ftr", truth
+
+    def test_dotted_stems_keep_their_own_score_files(self, tmp_path, capsys):
+        feat_dir, label_dir, proto, truth = self._write_scans(tmp_path, {"a.1": 30, "a.2": 50})
+        out_dir = tmp_path / "scores"
+        assert main(["score", "--features", str(feat_dir), "--prototypes", str(proto),
+                     "--out", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "a.1.scores", "a.1.scores.meta", "a.2.scores", "a.2.scores.meta"]
+        capsys.readouterr()
+        assert main(["eval", "--scores", str(out_dir), "--labels", str(label_dir),
+                     "--anomaly-label", "2", "--per-scan"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        scores = [scoring.read_scores(out_dir / f"{stem}.scores") for stem in truth]
+        assert [s.shape[0] for s in scores] == [30, 50]
+        every_point = EvalPair(np.concatenate(scores), np.concatenate(list(truth.values())))
+        assert f"auroc = {auroc(every_point):.9f}" in lines
+        assert [line.split(" auroc")[0] for line in lines if line.startswith("scan ")] == [
+            "scan a.1", "scan a.2"]
+
+    @pytest.mark.parametrize("older", [False, True])
+    def test_failed_score_removes_what_it_wrote(self, tmp_path, capsys, older):
+        feat_dir, _, proto, _ = self._write_scans(tmp_path, {"s0": 20, "s1": 20, "s2": 20})
+        with open(feat_dir / "s2.sem.ftr", "ab") as f:
+            f.write(b"\0")
+        out_dir = tmp_path / "scores"
+        if older:
+            out_dir.mkdir()
+            (out_dir / "older.scores").write_bytes(b"")
+        assert main(["score", "--features", str(feat_dir), "--prototypes", str(proto),
+                     "--out", str(out_dir)]) == 1
+        assert "s2.sem.ftr" in capsys.readouterr().err
+        if older:
+            assert [p.name for p in out_dir.iterdir()] == ["older.scores"]
+        else:
+            assert not out_dir.exists()
+
     @pytest.mark.parametrize("label", ["-1", "65536", "65538", "70000"])
     def test_invalid_eval_anomaly_label_rejected(self, tmp_path, capsys, label):
         scores_dir, label_dir = tmp_path / "scores", tmp_path / "labels"
@@ -600,15 +654,27 @@ class TestScoreAndEval:
     def test_losses_flag_prints_values(self, tmp_path, capsys):
         feat_dir, label_dir, proto = self._setup(tmp_path)
         code = main(["score", "--features", str(feat_dir), "--prototypes", str(proto),
-                     "--out", str(tmp_path / "s2"), "--losses", "--labels", str(label_dir)])
+                     "--out", str(tmp_path / "s2"), "--losses", str(label_dir)])
         assert code == 0
         out = capsys.readouterr().out
         assert "ce=" in out and "lovasz=" in out and "objectosphere=" in out
 
     def test_losses_without_labels_rejected(self, tmp_path, capsys):
-        code = main(["score", "--features", str(tmp_path), "--prototypes", "x",
-                     "--out", str(tmp_path / "o"), "--losses"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--features", str(tmp_path), "--prototypes", "x",
+                  "--out", str(tmp_path / "o"), "--losses"])
+        assert exc.value.code == 2
+        assert "--losses: expected one argument" in capsys.readouterr().err
+
+    def test_score_has_no_labels_option(self, tmp_path, capsys):
+        # --losses takes the labels directory: a --labels would be read by nothing
+        feat_dir, label_dir, proto = self._setup(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--features", str(feat_dir), "--prototypes", str(proto),
+                  "--out", str(tmp_path / "o"), "--labels", str(label_dir)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --labels" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 # argv[1]: JSON [numpy-only commands, forge command]

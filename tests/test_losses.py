@@ -215,20 +215,15 @@ class TestContrastive:
         c = 4
         bank = PrototypeBank(np.eye(c))
         fbar = np.zeros((c, c))  # every inner product is 0
-        value, _ = loss_contrastive(fbar, bank, temperature=0.1)
+        value, _ = loss_contrastive(fbar, bank)
         assert value == pytest.approx(c * np.log(c), abs=1e-12)
 
     def test_dominant_alignment_drives_term_to_zero(self):
         c = 3
         bank = PrototypeBank(np.eye(c))
         fbar = np.eye(c) * 50.0
-        value, _ = loss_contrastive(fbar, bank, temperature=0.1)
+        value, _ = loss_contrastive(fbar, bank)
         assert value == pytest.approx(0.0, abs=1e-9)
-
-    @pytest.mark.parametrize("tau", [0.0, -0.1, float("inf"), float("nan")])
-    def test_temperature_must_be_positive_and_finite(self, tau):
-        with pytest.raises(ValidationError, match="temperature must be positive and finite"):
-            loss_contrastive(np.zeros((2, 2)), PrototypeBank(np.eye(2)), temperature=tau)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
@@ -236,8 +231,8 @@ class TestContrastive:
         protos = rng.standard_normal((c, c))
         bank = PrototypeBank(protos)
         fbar = rng.standard_normal((c, c))
-        tau = 0.7
-        value, _ = loss_contrastive(fbar, bank, temperature=tau)
+        tau = losses.TEMPERATURE
+        value, _ = loss_contrastive(fbar, bank)
         unit = protos / np.linalg.norm(protos, axis=1, keepdims=True)
         total = 0.0
         for cls in range(c):
@@ -250,24 +245,23 @@ class TestContrastive:
         rng = np.random.default_rng(9)
         protos = rng.standard_normal((3, 3))
         fbar = rng.standard_normal((3, 3))
-        v1, _ = loss_contrastive(fbar, PrototypeBank(protos), temperature=0.2)
-        v2, _ = loss_contrastive(fbar, PrototypeBank(protos * 50.0), temperature=0.2)
+        v1, _ = loss_contrastive(fbar, PrototypeBank(protos))
+        v2, _ = loss_contrastive(fbar, PrototypeBank(protos * 50.0))
         assert v1 == pytest.approx(v2, abs=1e-10)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             bank = PrototypeBank(rng.standard_normal((4, 4)))
-            value, _ = loss_contrastive(rng.standard_normal((4, 4)), bank, 0.1)
+            value, _ = loss_contrastive(rng.standard_normal((4, 4)), bank)
             assert value >= 0.0
 
     def test_gradient(self):
         rng = np.random.default_rng(11)
         bank = PrototypeBank(rng.standard_normal((4, 4)))
         fbar = rng.standard_normal((4, 4))
-        _, grad = loss_contrastive(fbar, bank, temperature=0.5)
-        assert_grad_close(grad, fd_grad(
-            lambda x: loss_contrastive(x, bank, temperature=0.5)[0], fbar))
+        _, grad = loss_contrastive(fbar, bank)
+        assert_grad_close(grad, fd_grad(lambda x: loss_contrastive(x, bank)[0], fbar))
 
     def test_mean_class_features(self):
         f = np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 20.0]])

@@ -126,7 +126,7 @@ class TestFprAtTpr:
         # 2 positives: TPR jumps 0.5 -> 1.0; target 0.95 needs both
         scores = np.array([0.9, 0.5, 0.7, 0.6])
         truth = np.array([True, True, False, False])
-        assert fpr_at_tpr(EvalPair(scores, truth), 0.95) == 1.0
+        assert fpr_at_tpr(EvalPair(scores, truth)) == 1.0
 
 
 class TestAveragePrecision:
@@ -295,7 +295,7 @@ def test_value_sort_metrics_equal_argsort_reference(make):
     pair = EvalPair(scores, truth, ranges)
     ref = reference_metrics(scores, truth, ranges)
     assert auroc(pair) == ref["auroc"]
-    assert fpr_at_tpr(pair, 0.95) == ref["fpr_at_tpr"]
+    assert fpr_at_tpr(pair) == ref["fpr_at_tpr"]
     assert average_precision(pair) == ref["average_precision"]
     assert range_binned_ap(pair) == ref["range_binned_ap"]
 
@@ -353,6 +353,19 @@ def bits(value) -> bytes:
     return np.float64(value).tobytes()
 
 
+def with_positive_counts(pair):
+    """``pair``'s scores with 1, 2, 19, 20, 21 and 40 positives and with
+    all points but one, where that leaves a negative.  At 95% TPR the
+    FPR's threshold lies above 0, 1 (from 20 positives) or 2 (from 40)
+    positives."""
+    n = pair.scores.shape[0]
+    order = np.random.default_rng(n).permutation(n)
+    for count in sorted({k for k in (1, 2, 19, 20, 21, 40, n - 1) if 0 < k < n}):
+        truth = np.zeros(n, dtype=bool)
+        truth[order[:count]] = True
+        yield EvalPair(pair.scores, truth)
+
+
 @st.composite
 def split_pairs(draw):
     """Pairs with both classes: heavy ties, float32-rounded scores,
@@ -382,8 +395,8 @@ class TestSplitMetricsOracles:
         assert [bits(v) for v in split_metrics(pair)] == [bits(v) for v in want]
         assert bits(auroc(pair)) == bits(want[0])
         assert bits(average_precision(pair)) == bits(want[2])
-        for target in (0.95, 0.5, 1.0):
-            assert bits(fpr_at_tpr(pair, target)) == bits(oracle_fpr_at_tpr(pair, target))
+        for other in with_positive_counts(pair):
+            assert bits(fpr_at_tpr(other)) == bits(oracle_fpr_at_tpr(other, 0.95))
 
     @pytest.mark.parametrize("truth", [[True, True], [False, False]])
     def test_split_metrics_raises_what_auroc_raises(self, truth):
@@ -423,8 +436,8 @@ def test_chunked_pass_equals_oracles_across_chunk_edges(pair, chunk):
         want = (oracle_auroc(pair), oracle_fpr_at_tpr(pair, 0.95),
                 oracle_average_precision(pair))
         assert [bits(v) for v in got] == [bits(v) for v in want]
-        for target in (0.95, 0.5, 1.0):
-            assert bits(fpr_at_tpr(pair, target)) == bits(oracle_fpr_at_tpr(pair, target))
+        for other in with_positive_counts(pair):
+            assert bits(fpr_at_tpr(other)) == bits(oracle_fpr_at_tpr(other, 0.95))
         assert bits(average_precision(pair)) == bits(want[2])
         binned = range_binned_ap(pair)
         for key, lo, hi in zip(binned, (0, 10, 20, 30, 40), (10, 20, 30, 40, 50)):

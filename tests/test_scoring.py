@@ -89,33 +89,34 @@ class TestAccumulate:
 class TestClassify:
     def test_prototype_feature_maps_to_itself(self):
         bank = PrototypeBank(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 5.0]]))
-        result = classify(bank.prototypes[2][None, :], bank)
-        assert result.predictions[0] == 2
-        assert result.similarity[0, 2] == pytest.approx(1.0, abs=1e-12)
+        sim = classify(bank.prototypes[2][None, :], bank)
+        assert sim.shape == (1, 3) and np.argmax(sim[0]) == 2
+        assert sim[0, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_feature_breaks_tie_to_zero(self):
         bank = PrototypeBank(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        result = classify(np.array([[0.0, 0.0, 1.0]]), bank)
-        np.testing.assert_allclose(result.similarity[0], 0.0, atol=1e-12)
-        assert result.predictions[0] == 0
+        sim = classify(np.array([[0.0, 0.0, 1.0]]), bank)
+        np.testing.assert_allclose(sim[0], 0.0, atol=1e-12)
+        assert np.argmax(sim[0]) == 0
 
     def test_zero_norm_feature_gets_zero_similarity(self):
         bank = PrototypeBank(np.eye(2))
-        result = classify(np.zeros((1, 2)), bank)
-        np.testing.assert_array_equal(result.similarity[0], [0.0, 0.0])
+        sim = classify(np.zeros((1, 2)), bank)
+        np.testing.assert_array_equal(sim[0], [0.0, 0.0])
 
     def test_matches_brute_force_cosine(self):
         rng = np.random.default_rng(0)
         bank = PrototypeBank(rng.standard_normal((6, 6)))
         feats = rng.standard_normal((1000, 6))
-        result = classify(feats, bank)
+        sim = classify(feats, bank)
+        assert sim.shape == (1000, 6)
         for n in range(0, 1000, 37):
             sims = []
             for c in range(6):
                 f, p = feats[n], bank.prototypes[c]
                 sims.append(f @ p / (np.linalg.norm(f) * np.linalg.norm(p)))
-            assert result.predictions[n] == int(np.argmax(sims))
-            np.testing.assert_allclose(result.similarity[n], sims, atol=1e-12)
+            assert np.argmax(sim[n]) == np.argmax(sims)
+            np.testing.assert_allclose(sim[n], sims, atol=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
@@ -123,8 +124,8 @@ class TestClassify:
         feats = rng.standard_normal((50, 4))
         a = classify(feats, bank)
         b = classify(feats * 7.3, bank)
-        np.testing.assert_array_equal(a.predictions, b.predictions)
-        np.testing.assert_allclose(a.similarity, b.similarity, atol=1e-12)
+        np.testing.assert_array_equal(np.argmax(a, axis=1), np.argmax(b, axis=1))
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_uninitialized_bank_rejected(self):
         bank = PrototypeBank(np.diag([1.0, 0.0]))
@@ -137,7 +138,7 @@ class TestClassify:
         with pytest.raises(ValidationError, match=message):
             classify(np.eye(3), bank)
         with pytest.raises(ValidationError, match=message):
-            loss_contrastive(np.eye(3), bank, temperature=0.1)
+            loss_contrastive(np.eye(3), bank)
 
     def test_unit_bank_is_division_by_row_norm(self):
         rng = np.random.default_rng(4)
@@ -167,8 +168,8 @@ class TestClassify:
         feats = np.vstack(feats)
         labels = np.array(labels)
         bank = accumulate_prototypes(feats, labels, labels)
-        result = classify(bank.prototypes, bank)
-        np.testing.assert_array_equal(result.predictions, np.arange(c))
+        sim = classify(bank.prototypes, bank)
+        np.testing.assert_array_equal(np.argmax(sim, axis=1), np.arange(c))
 
 
 class TestScores:
@@ -266,14 +267,12 @@ class TestScores:
 def one_shot_scores(features, bank, radius):
     """compute_scores composed from the per-stage functions, each run
     on the whole scan at once."""
-    result = classify(features.semantic, bank)
-    s_cos = score_cosine(result.similarity)
+    s_cos = score_cosine(classify(features.semantic, bank))
     s_ent = score_entropy(features.semantic)
     s_sem, peak = score_semantic(s_cos, s_ent)
     s_cont = score_contrastive(features.contrastive, radius=radius)
     return {"cosine": s_cos, "entropy": s_ent, "semantic": s_sem, "contrastive": s_cont,
-            "fused": score_fused(s_sem, s_cont), "predictions": result.predictions,
-            "semantic_peak": peak}
+            "fused": score_fused(s_sem, s_cont), "semantic_peak": peak}
 
 
 class TestBlockedComputeScores:
@@ -332,7 +331,7 @@ class TestBlockedComputeScores:
         fu, zero = _unit_rows(f)
         want = fu @ bank.unit.T
         want[zero] = 0.0
-        sim = classify(f, bank).similarity
+        sim = classify(f, bank)
         assert sim.shape == want.shape and sim.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", CHUNK_EDGES)
