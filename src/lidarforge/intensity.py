@@ -20,17 +20,54 @@ from .range_projection import point_ranges
 DEFAULT_NEIGHBORS = 10
 NOISE_SCALE = 0.05           # intensity noise std as a share of the scan's mean remission
 _DEGENERATE_EIGRATIO = 1e-8
-_VOXEL_SCALE = 3.0           # crop voxel edge over the sample spacing on the bounding box's surface
-_VOXELS_PER_POINT = 8        # a finer grid means a cloud too thin to crop by voxels
+_VOXEL_SCALE = 3.0           # search voxel edge over the sample spacing on the bounding box's surface
+_VOXELS_PER_POINT = 8        # a finer grid means a cloud too thin to bin
+_PAIR_BUDGET = 1 << 15       # (query, point) pairs whose distances a search holds at once
 
 
-def _query_neighbourhood(points: np.ndarray, at: np.ndarray):
-    """(crop, radius): the indices of the points that lie in the 3x3x3
-    voxel block around the voxel of each query ``points[at]``, and the
-    distance within which every point of ``points`` near a query is sure
-    to be in ``crop``.  (None, 0.0) when the cloud is degenerate (a
-    bounding box without area, a non-finite size, far more voxels than
-    points) or the crop holds at most DEFAULT_NEIGHBORS points.
+def _chunks(pairs: np.ndarray):
+    """(start, stop) ranges of consecutive queries, the ``pairs[i]``
+    candidates of query i, that each hold at most _PAIR_BUDGET pairs
+    plus those of their last query."""
+    first = np.cumsum(pairs) - pairs
+    cuts = np.flatnonzero(np.diff(first // _PAIR_BUDGET)) + 1
+    bounds = [0, *cuts.tolist(), len(pairs)] if len(pairs) else []
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _squared_distances(diff: np.ndarray) -> np.ndarray:
+    """Squared lengths of the per-axis differences ``diff[0]``,
+    ``diff[1]``, ``diff[2]``, summed x, then y, then z, as cKDTree sums
+    them; ``diff`` is overwritten."""
+    diff *= diff
+    d2 = diff[0]
+    d2 += diff[1]
+    d2 += diff[2]
+    return d2
+
+
+def _nearest_in_rows(d2: np.ndarray):
+    """(columns, values) of the DEFAULT_NEIGHBORS + 1 smallest entries
+    of each row of ``d2``, nearest first."""
+    k = DEFAULT_NEIGHBORS
+    part = np.argpartition(d2, k, axis=1)[:, :k + 1]
+    vals = np.take_along_axis(d2, part, axis=1)
+    order = np.argsort(vals, axis=1, kind="stable")
+    return np.take_along_axis(part, order, axis=1), np.take_along_axis(vals, order, axis=1)
+
+
+def _query_blocks(cols: np.ndarray, at: np.ndarray):
+    """(crop, run_start, run_len, radius) for the queries ``cols[:, at]``
+    among the (3, N) per-axis coordinates ``cols``, or None when the
+    cloud is degenerate (a bounding box without area, a non-finite size,
+    far more voxels than points).
+
+    ``crop`` holds the indices of the points in the 3x3x3 voxel block
+    around the voxel of each query, sorted by voxel key.  z varies
+    fastest in a key, so a block is nine runs of three consecutive
+    keys: run j of query i is the ``run_len[9i + j]`` entries of
+    ``crop`` from ``run_start[9i + j]`` on.  Every point of ``cols``
+    closer than ``radius`` to a query is in its block.
 
     The voxel edge h is _VOXEL_SCALE times sqrt(A / n), the spacing of n
     samples spread over the surface A = 2(ab + bc + ca) of the bounding
@@ -43,30 +80,90 @@ def _query_neighbourhood(points: np.ndarray, at: np.ndarray):
     radius stays 0.1% under h so that rounding in the voxel keys cannot
     move such a point out.
     """
-    n = points.shape[0]
-    cols = points.T  # per-axis: numpy is slow at broadcasting over (N, 3) rows
-    lo = [float(col.min()) for col in cols]
-    extent = [float(col.max()) - low for col, low in zip(cols, lo)]
+    n = cols.shape[1]
+    lo = cols.min(axis=1)
+    extent = (cols.max(axis=1) - lo).tolist()
     a, b, c = extent
     h = _VOXEL_SCALE * math.sqrt(2 * (a * b + b * c + c * a) / n)
     if not (0 < h < math.inf and math.prod(e / h + 3 for e in extent) <= _VOXELS_PER_POINT * n):
-        return None, 0.0
+        return None
     dims = [int(e / h) + 3 for e in extent]  # one voxel of padding on each side
-    keys = np.zeros(n, dtype=np.int64)
-    for axis, size in enumerate(dims):
-        cell = cols[axis] - lo[axis]
-        cell /= h
-        keys *= size
-        keys += cell.astype(np.int64)
+    cells = cols - lo[:, None]
+    cells *= 1 / h
+    cells = cells.astype(np.int32)  # each below its dim, which _VOXELS_PER_POINT * n bounds
+    keys = cells[0].astype(np.intp)
+    keys *= dims[1]
+    keys += cells[1]
+    keys *= dims[2]
+    keys += cells[2]
     keys += (dims[1] + 1) * dims[2] + 1  # the padding: one more voxel on each axis
     step = np.arange(-1, 2)
-    block = ((step[:, None, None] * dims[1] + step[:, None]) * dims[2] + step).ravel()
+    columns = ((step[:, None] * dims[1] + step) * dims[2]).ravel()
+    runs = (keys[at][:, None] + (columns - 1)).ravel()  # each run's first key
     near = np.zeros(math.prod(dims), dtype=bool)
-    near[keys[at][:, None] + block] = True
+    for dz in range(3):
+        near[runs + dz] = True
     crop = np.flatnonzero(near[keys])
-    if len(crop) <= DEFAULT_NEIGHBORS:
-        return None, 0.0
-    return crop, h * (1 - 1e-3)
+    crop_keys = keys[crop]
+    crop = crop[np.argsort(crop_keys)]
+    first = np.zeros(len(near) + 1, dtype=np.intp)  # each key's first position in crop
+    np.cumsum(np.bincount(crop_keys, minlength=len(near)), out=first[1:])
+    run_start = first[runs]
+    return crop, run_start, first[runs + 3] - run_start, h * (1 - 1e-3)
+
+
+def _query_neighbourhood(cols: np.ndarray, at: np.ndarray):
+    """(idx, found): the DEFAULT_NEIGHBORS + 1 nearest points, nearest
+    first, of each query ``cols[:, at]`` among the (3, N) per-axis
+    coordinates ``cols``, searched in the query's voxel block
+    (``_query_blocks``).  ``found`` is False, and that row of ``idx``
+    undefined, where the block cannot prove the row exact: the query's
+    (k+1)-th nearest point in its block is not closer than the radius,
+    or the cloud is degenerate.  Otherwise no point outside the block
+    is that close, so the row is the exact answer.
+    """
+    k = DEFAULT_NEIGHBORS
+    m = len(at)
+    idx = np.empty((m, k + 1), dtype=np.intp)
+    found = np.zeros(m, dtype=bool)
+    blocks = _query_blocks(cols, at)
+    if blocks is None:
+        return idx, found
+    crop, run_start, run_len, radius = blocks
+    pairs = run_len.reshape(m, 9).sum(axis=1)
+    crop_cols = np.take(cols, crop, axis=1)
+    query_cols = np.take(cols, at, axis=1)
+    r2 = radius * radius
+    for q0, q1 in _chunks(pairs):
+        # each candidate's position in crop, query by query
+        lens = run_len[9 * q0:9 * q1]
+        pos = np.repeat(run_start[9 * q0:9 * q1] - (np.cumsum(lens) - lens), lens)
+        pos += np.arange(len(pos))
+        diff = np.take(crop_cols, pos, axis=1)
+        diff -= np.repeat(query_cols[:, q0:q1], pairs[q0:q1], axis=1)
+        d2 = _squared_distances(diff)
+        # only candidates within the radius can be proven nearest: pad them into rows
+        close = np.flatnonzero(d2 < r2)
+        owner = np.repeat(np.arange(q1 - q0), pairs[q0:q1])[close]
+        count = np.bincount(owner, minlength=q1 - q0)
+        offset = np.cumsum(count) - count
+        padded = np.full((q1 - q0, max(int(count.max()), k + 1)), np.inf)
+        padded[owner, np.arange(len(owner)) - offset[owner]] = d2[close]
+        col, vals = _nearest_in_rows(padded)
+        ok = vals[:, k] < r2
+        idx[q0:q1][ok] = crop[pos[close[offset[ok, None] + col[ok]]]]
+        found[q0:q1] = ok
+    return idx, found
+
+
+def _brute_force_neighbourhood(cols: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The DEFAULT_NEIGHBORS + 1 nearest points, nearest first, of each
+    query ``cols[:, at]`` among all of the (3, N) coordinates ``cols``."""
+    idx = np.empty((len(at), DEFAULT_NEIGHBORS + 1), dtype=np.intp)
+    for q0, q1 in _chunks(np.full(len(at), cols.shape[1])):
+        d2 = _squared_distances(cols[:, None, :] - np.take(cols, at[q0:q1, None], axis=1))
+        idx[q0:q1] = _nearest_in_rows(d2)[0]
+    return idx
 
 
 def estimate_normals(points: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -83,42 +180,31 @@ def estimate_normals(points: np.ndarray, at: np.ndarray) -> np.ndarray:
     ``len(points)``, and an entry's normal does not depend on the other
     entries of ``at`` unless its neighbors tie (see below).
 
-    Neighbors come from a sliding-midpoint KD-tree (``cKDTree`` with
-    ``balanced_tree=False, compact_nodes=False``), which builds in about
-    half the time of a balanced one.  The tree is built over the
-    queries' neighbourhood only: the points in the 3x3x3 voxel block
-    around each query's voxel (``_query_neighbourhood``).  When a
-    query's farthest neighbor is not provably inside that block, or the
-    cloud is too degenerate to bin (collinear, say), the tree is built
-    over all of ``points`` instead.  Either way the result is the exact
-    k+1 nearest neighbors in distance order.  Only points at exactly
-    equal distances could come back in a different order, or, when
-    they tie for the last place, another of them be taken.
-
-    scipy is imported here, on the first call, and nowhere else in the
-    package: ``score``, ``eval`` and ``project`` run on numpy alone, and
-    only a forge that inserts an object loads ``scipy.spatial``.
+    Neighbors come from an exact search in numpy on a voxel grid
+    (``_query_neighbourhood``): the points in the 3x3x3 voxel block
+    around each query's voxel.  A query whose farthest neighbor is not
+    provably inside that block, and every query of a cloud too
+    degenerate to bin (collinear, say), is searched among all of
+    ``points`` instead.  Both searches hold the distances of at most
+    about _PAIR_BUDGET (query, point) pairs at once.  Either way the
+    result is the exact k+1 nearest neighbors in distance order, with
+    squared distances summed as cKDTree sums them, so the normals are
+    those of a KD-tree search.  Only points at exactly equal distances
+    could come back in a different order, or, when they tie for the
+    last place, another of them be taken.
     """
-    from scipy.spatial import cKDTree
-
     k = DEFAULT_NEIGHBORS
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     if n < k + 1:
         raise ValidationError(f"need at least k+1={k + 1} points, got {n}")
 
+    at = np.asarray(at, dtype=np.intp)
     query = pts[at]
     m = query.shape[0]
-    idx = None
-    crop, radius = _query_neighbourhood(pts, at)
-    if crop is not None:
-        dist, local = cKDTree(np.take(pts, crop, axis=0), balanced_tree=False,
-                              compact_nodes=False).query(query, k=k + 1)
-        if (dist[:, k] < radius).all():
-            idx = crop[local]
-    if idx is None:
-        tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
-        _, idx = tree.query(query, k=k + 1)
+    cols = np.ascontiguousarray(pts.T)  # per-axis: numpy is slow at broadcasting over (N, 3) rows
+    idx, found = _query_neighbourhood(cols, at)
+    idx[~found] = _brute_force_neighbourhood(cols, at[~found])
     neighbors = pts[idx[:, 1:]]  # drop the query point itself
 
     centered = neighbors - neighbors.mean(axis=1, keepdims=True)

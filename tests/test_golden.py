@@ -14,11 +14,13 @@ Every object is forged at the production setting, 50 000 surface
 points (``mesh_bank.OBJECT_POINTS``), so the digests pin the dense
 sample, the normals and the occlusion contest that real splits run.
 
-The digests depend on the numpy/scipy/LAPACK build: normal estimation
-goes through ``numpy.linalg.eigh`` and ``scipy.spatial.cKDTree``, whose
-last bits may differ between builds.  They were recorded with Python
-3.11, numpy 2.4 and scipy 1.17.  A change that alters the bytes on
-purpose records new digests here and says why in CHANGES.md.
+The digests depend on the numpy/LAPACK build: normal estimation goes
+through ``numpy.linalg.eigh``, whose last bits may differ between
+builds.  The neighbour search before it is numpy arithmetic in a fixed
+order.  The digests were recorded with Python 3.11 and numpy 2.4, and
+held when that search replaced scipy's ``cKDTree``.  A change that
+alters the bytes on purpose records new digests here and says why in
+CHANGES.md.
 """
 
 import hashlib

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,8 +151,9 @@ def brute_force_normals(pts, at):
 
 
 class TestNeighborOracle:
-    """The KD-tree finds the same neighbors, in the same order, as a full
-    distance sort, so the normals equal the brute-force estimate bit for bit."""
+    """The voxel-grid search finds the same neighbors, in the same order,
+    as a full distance sort, so the normals equal the brute-force
+    estimate bit for bit."""
 
     def test_bitwise_equal_to_brute_force(self):
         pts = sample_surface(make_cube_mesh(1.5), 4000, 31) + [7.0, -3.0, 0.5]
@@ -158,26 +161,44 @@ class TestNeighborOracle:
         assert np.array_equal(estimate_normals(pts, at=at), brute_force_normals(pts, at))
 
 
-def full_tree_normals(monkeypatch, pts, at):
-    """estimate_normals with its KD-tree built over all of ``pts``."""
+def columns(pts):
+    return np.ascontiguousarray(pts.T)
+
+
+def search_all_points(monkeypatch, pts, at):
+    """estimate_normals with every query searched among all of ``pts``."""
+    def nothing_found(cols, at):
+        return np.empty((len(at), intensity.DEFAULT_NEIGHBORS + 1), dtype=np.intp), \
+            np.zeros(len(at), dtype=bool)
     with monkeypatch.context() as patch:
-        patch.setattr(intensity, "_query_neighbourhood", lambda points, at: (None, 0.0))
+        patch.setattr(intensity, "_query_neighbourhood", nothing_found)
         return estimate_normals(pts, at=at)
 
 
-def crop_answers(pts, at):
-    """True when the tree over the queries' neighbourhood gives the neighbors,
-    False when estimate_normals falls back to the tree over all points."""
-    crop, radius = intensity._query_neighbourhood(pts, at)
-    if crop is None:
-        return False
-    dist, _ = cKDTree(pts).query(pts[at], k=intensity.DEFAULT_NEIGHBORS + 1)
-    return bool((dist[:, -1] < radius).all())
+def grid_found(pts, at):
+    """Which queries the voxel-grid search answers itself; checks that
+    each answer is the KD-tree's over the whole cloud."""
+    idx, found = intensity._query_neighbourhood(columns(pts), at)
+    _, tree_idx = cKDTree(pts).query(pts[at], k=intensity.DEFAULT_NEIGHBORS + 1)
+    assert np.array_equal(idx[found], tree_idx[found])
+    return found
+
+
+def assert_blocks_exact(pts, at):
+    """Every point closer than the radius to a query is in its block."""
+    crop, run_start, run_len, radius = intensity._query_blocks(columns(pts), at)
+    for i, q in enumerate(at):
+        block = np.concatenate([crop[s:s + n] for s, n in
+                                zip(run_start[9 * i:9 * i + 9], run_len[9 * i:9 * i + 9])])
+        close = np.flatnonzero(np.linalg.norm(pts - pts[q], axis=1) < radius)
+        assert np.isin(close, block).all()
+    return crop
 
 
 class TestNeighbourhoodCrop:
-    """The tree over the queries' voxel neighbourhood finds the neighbors of
-    the tree over the whole cloud, and the fallback covers what it cannot."""
+    """The search in the queries' voxel blocks finds the neighbors of a
+    search over the whole cloud, and the brute-force fallback covers
+    what it cannot."""
 
     @pytest.mark.parametrize("size", [(0.8, 0.8, 0.8), (1.0, 1.0, 0.04), (0.9, 0.04, 2.0)],
                              ids=["cube", "plate", "door"])
@@ -189,22 +210,21 @@ class TestNeighbourhoodCrop:
         cloud = PointCloud(np.hstack([dense, np.zeros((len(dense), 1))]).astype(np.float32))
         at = project(cloud, KITTI_SENSOR).surviving_indices()
         assert 0 < len(at) < len(dense) // 10
-        crop, _ = intensity._query_neighbourhood(dense, at)
+        crop = assert_blocks_exact(dense, at)
         # a door seen face-on shows half its surface, so its crop is more than half
-        assert len(crop) < len(dense) * 0.6 and crop_answers(dense, at)
+        assert len(crop) < len(dense) * 0.6 and grid_found(dense, at).all()
         assert np.array_equal(estimate_normals(dense, at=at),
-                              full_tree_normals(monkeypatch, dense, at))
+                              search_all_points(monkeypatch, dense, at))
 
     def test_isolated_query_falls_back(self):
         rng = np.random.default_rng(42)
         pts = np.vstack([rng.uniform(0.0, 1.0, (2000, 3)) + [6.0, 0.0, 0.0],
                          [[12.0, 5.0, 3.0]]])
         alone = np.array([len(pts) - 1])
-        crop, _ = intensity._query_neighbourhood(pts, alone)
-        assert crop is None  # its voxel block holds only itself
+        crop = assert_blocks_exact(pts, alone)
+        assert np.array_equal(crop, alone)  # its voxel block holds only itself
         mixed = np.array([3, len(pts) - 1, 700])
-        assert intensity._query_neighbourhood(pts, mixed)[0] is not None
-        assert not crop_answers(pts, mixed)
+        assert grid_found(pts, mixed).tolist() == [True, False, True]
         for at in (alone, mixed):
             assert np.array_equal(estimate_normals(pts, at=at), brute_force_normals(pts, at))
 
@@ -219,7 +239,8 @@ class TestNeighbourhoodCrop:
             pts[:, 2] = rng.uniform(0.0, 1e-9, len(pts))
         at = rng.choice(len(pts), 200, replace=False)
         # a plane still has area to bin by; a line has none
-        assert crop_answers(pts, at) == (shape != "collinear")
+        assert (intensity._query_blocks(columns(pts), at) is None) == (shape == "collinear")
+        assert grid_found(pts, at).all() == (shape != "collinear")
         assert np.array_equal(estimate_normals(pts, at=at), brute_force_normals(pts, at))
 
     @pytest.mark.parametrize("at", [np.array([], dtype=np.int64),
@@ -227,18 +248,51 @@ class TestNeighbourhoodCrop:
                              ids=["empty", "repeated"])
     def test_empty_and_repeated_queries(self, monkeypatch, at):
         pts = sample_surface(make_cube_mesh(1.0), 3000, 44) + [8.0, -2.0, 0.0]
-        assert crop_answers(pts, at) == (len(at) > 0)
+        assert grid_found(pts, at).all()
         normals = estimate_normals(pts, at=at)
         assert normals.shape == (len(at), 3)
-        assert np.array_equal(normals, full_tree_normals(monkeypatch, pts, at))
+        assert np.array_equal(normals, search_all_points(monkeypatch, pts, at))
         assert np.array_equal(normals, brute_force_normals(pts, at))
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     def test_extreme_coordinates(self, scale):
         pts = (sample_surface(make_cube_mesh(1.0), 3000, 45) + [8.0, -2.0, 0.0]) * scale
         at = np.random.default_rng(46).choice(len(pts), 150, replace=False)
-        assert crop_answers(pts, at)
+        assert grid_found(pts, at).all()
         assert np.array_equal(estimate_normals(pts, at=at), brute_force_normals(pts, at))
+
+
+class TestPairBudget:
+    """Both searches hold at most about _PAIR_BUDGET (query, point) pairs at once."""
+
+    @pytest.mark.parametrize("budget", [1, 7, 200, 4000])
+    def test_chunk_edges(self, monkeypatch, budget):
+        # budgets below one query's candidates, a few queries' and many queries';
+        # the isolated last point sends its query to the brute-force search
+        rng = np.random.default_rng(47)
+        pts = np.vstack([sample_surface(make_cube_mesh(1.0), 1500, 48) + [8.0, -2.0, 0.0],
+                         [[14.0, 3.0, 2.0]]])
+        at = np.append(rng.choice(len(pts) - 1, 60, replace=False), len(pts) - 1)
+        monkeypatch.setattr(intensity, "_PAIR_BUDGET", budget)
+        assert grid_found(pts, at).tolist() == [True] * 60 + [False]
+        assert np.array_equal(estimate_normals(pts, at=at), brute_force_normals(pts, at))
+
+    @pytest.mark.parametrize("cloud", ["object", "collinear"])
+    def test_peak_memory(self, cloud):
+        # 50k object points and 400 queries: the search's own arrays, not
+        # a distance per (query, point) pair of the 20M that a full search holds
+        rng = np.random.default_rng(49)
+        pts = sample_surface(make_cube_mesh(1.0), 50_000, 50) + [8.0, -2.0, 0.0]
+        if cloud == "collinear":  # no grid: every query is searched among all points
+            pts[:, 1:] = 0.0
+        at = rng.choice(len(pts), 400, replace=False)
+        tracemalloc.start()
+        try:
+            estimate_normals(pts, at=at)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * pts.nbytes
 
 
 def head_on(distance, normal):
