@@ -7,19 +7,16 @@ Subcommands:
 * ``score``    compute anomaly scores from feature tensor files
 * ``eval``     evaluate score files against label files
 
-Randomized behavior is keyed to a single master seed; forge writes to
-a temporary directory and renames it into place on success, so a
-failed run never leaves a partial dataset.
+Randomized behavior is keyed to a single master seed.  forge and score
+stage their files beside ``--out`` and move them into place only on
+success (``scan_io.staged``), so a failed run leaves ``--out`` as it
+found it.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import os
-import shutil
 import sys
-import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -31,7 +28,7 @@ from .insertion import DEFAULT_MAX_RADIUS, STYLE_PRESETS, SplitPolicy, check_ano
 from .intensity import DEFAULT_NEIGHBORS, NOISE_SCALE
 from .mesh_bank import OBJECT_POINTS, MeshBank, ReflectivityCatalog, load_target_heights
 from .range_projection import point_ranges, project, write_pgm
-from .scan_io import SensorConfig, read_labels, read_scan
+from .scan_io import SensorConfig, read_labels, read_scan, staged
 
 BUNDLED_SENSORS = {
     "semantickitti": "sensor_semantickitti.cfg",
@@ -66,9 +63,6 @@ def _build_policy(args) -> SplitPolicy:
 
 
 def cmd_forge(args) -> int:
-    out_dir = Path(args.out)
-    if out_dir.exists():
-        raise ValidationError(f"output directory {out_dir} already exists")
     for name in ("scans", "labels", "meshes"):
         if not Path(getattr(args, name)).is_dir():
             raise ValidationError(f"--{name} directory {getattr(args, name)!r} does not exist")
@@ -103,17 +97,9 @@ def cmd_forge(args) -> int:
         "normalization": "mean",
     }
 
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=out_dir.name + ".tmp.", dir=out_dir.parent))
-    try:
-        summary = insertion.forge_split(
-            pairs, tmp, policy, sensor, bank, args.seed,
-            workers=args.workers, config_echo=echo)
-        os.replace(tmp, out_dir)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    print(f"forged {summary.scan_count} scans -> {out_dir}")
+    summary = insertion.forge_split(pairs, args.out, policy, sensor, bank, args.seed,
+                                    workers=args.workers, config_echo=echo)
+    print(f"forged {summary.scan_count} scans -> {args.out}")
     print(f"  anomaly scans: {summary.anomaly_scan_count}"
           f" ({summary.anomaly_scan_count / max(summary.scan_count, 1):.2%})")
     print(f"  objects inserted: {summary.object_count}")
@@ -152,40 +138,28 @@ def _feature_pairs(features_dir: Path):
 
 
 def cmd_score(args) -> int:
+    """Score every scan of ``--features`` into ``--out``, staged: a failed
+    run leaves ``--out`` as it found it, so eval never reads a partial
+    set of score files or one that mixes two runs."""
     features_dir = Path(args.features)
     if not features_dir.is_dir():
         raise ValidationError(f"--features directory {features_dir} does not exist")
     # an all-zero row is a class without a prototype, which the first
     # scan's classify rejects
     bank = scoring.PrototypeBank(scoring.read_tensor(args.prototypes))
-    out_dir = Path(args.out)
-    created = not out_dir.exists()
-
     pairs = _feature_pairs(features_dir)
     buffers = (bytearray(), bytearray())  # one per head, reused by every scan
-    written: list[Path] = []
-    try:
+    with staged(args.out) as stage:
         for stem, sem_path, cont_path in pairs:
-            _score_scan(stem, sem_path, cont_path, bank, out_dir, args, buffers, written)
-    except BaseException:
-        # a failed run leaves no partial set of score files for eval to read
-        for base in written:
-            for path in scoring.score_paths(base):
-                path.unlink(missing_ok=True)
-        if created:
-            with contextlib.suppress(OSError):  # not empty: files this run did not write
-                out_dir.rmdir()
-        raise
-    print(f"scored {len(pairs)} scans -> {out_dir}")
+            _score_scan(stem, sem_path, cont_path, bank, stage, args, buffers)
+    print(f"scored {len(pairs)} scans -> {args.out}")
     return 0
 
 
 def _score_scan(stem: str, sem_path: Path, cont_path: Path, bank: scoring.PrototypeBank,
-                out_dir: Path, args, buffers: tuple[bytearray, bytearray],
-                written: list[Path]) -> None:
-    """Score one scan and write its score files, first adding their base
-    to ``written``.  Its features and scores die on return, so one scan
-    is alive at a time.
+                out_dir: Path, args, buffers: tuple[bytearray, bytearray]) -> None:
+    """Score one scan and write its score files into ``out_dir``.  Its
+    features and scores die on return, so one scan is alive at a time.
 
     Each head is read into its own buffer of ``buffers``, which the
     features view: the caller passes the same two for every scan, so no
@@ -196,10 +170,6 @@ def _score_scan(stem: str, sem_path: Path, cont_path: Path, bank: scoring.Protot
         contrastive=scoring.read_tensor(cont_path, buffers[1]),
     )
     scores = scoring.compute_scores(feats, bank, radius=args.radius)
-    # after the first scan's scores: a bad --radius or prototype shape fails
-    # before the directory exists
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written.append(out_dir / stem)
     scoring.write_scores(out_dir / stem, scores, which=args.score)
     if args.losses is not None:
         _print_losses(stem, feats, bank, args)

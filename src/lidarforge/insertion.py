@@ -29,7 +29,7 @@ from .intensity import estimate_normals, lambert_intensity, normalize_and_noise
 from .mesh_bank import AnomalyObject, MeshBank
 from .range_projection import point_ranges, project
 from .scan_io import (CLASS_ID_MASK, LabelArray, PointCloud, SensorConfig, check_pair,
-                      read_labels, read_scan, write_labels, write_scan)
+                      read_labels, read_scan, staged, write_labels, write_scan)
 
 SINGLE_RATIO = 0.40
 MULTI_RATIO = 0.60
@@ -372,7 +372,7 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
     for _ in range(n_objects):
         category, mesh = bank.choose(rng)
         obj = _settle(surface, rng, mesh_bank.build_anomaly_object(
-            mesh, category, bank.catalog.get(category), bank.heights[category], rng), placed)
+            mesh, category, bank.reflectivity[category], bank.heights[category], rng), placed)
         if obj is not None:
             placed.append(obj)
     if not placed:
@@ -418,67 +418,71 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
     reported in the manifest, with none of their files left behind.
     Each worker holds one scan at a time: a scan's cloud and labels die
     once they are written, and only its records wait for the manifest.
-    A master seed outside [0, 2**64) or fewer than one worker is
-    rejected before ``out_dir`` is created.
+    The tree is staged (``scan_io.staged``), so a split that raises
+    leaves no partial tree.  An existing ``out_dir``, a master seed
+    outside [0, 2**64) or fewer than one worker is rejected first.
     """
     if not pairs:
         raise ValidationError("scan list is empty")
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     seeds = {sid: scan_seed(master_seed, sid) for sid, _, _ in pairs}
-    out_dir = Path(out_dir)
-    (out_dir / "velodyne").mkdir(parents=True, exist_ok=True)
-    (out_dir / "labels").mkdir(parents=True, exist_ok=True)
+    if Path(out_dir).exists():
+        raise ValidationError(f"output directory {out_dir} already exists")
 
-    def work(item):
-        sid, scan_path, label_path = item
-        try:
-            scene = read_scan(scan_path)
-            labels = read_labels(label_path)
-        except Exception as exc:  # noqa: BLE001 - skip-and-report contract
-            return sid, None, f"{type(exc).__name__}: {exc}"
-        scan_file = out_dir / "velodyne" / f"{sid}.bin"
-        label_file = out_dir / "labels" / f"{sid}.label"
-        try:
-            result = forge_scan(scene, labels, sid, cfg, policy, bank, seeds[sid])
-            write_scan(result.cloud, scan_file)
-            write_labels(result.labels, label_file)
-        except LidarForgeError as exc:  # skip-and-report contract
-            scan_file.unlink(missing_ok=True)
-            label_file.unlink(missing_ok=True)
-            return sid, None, f"{type(exc).__name__}: {exc}"
-        # not the result: its cloud and labels would live until the manifest
-        return sid, result.records, None
+    with staged(out_dir) as tree:
+        (tree / "velodyne").mkdir()
+        (tree / "labels").mkdir()
 
-    # kept serial: one worker in a thread pool measured ~7 MB more peak RSS on forge-single
-    if workers <= 1:
-        outcomes = [work(item) for item in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, pairs))
+        def work(item):
+            sid, scan_path, label_path = item
+            try:
+                scene = read_scan(scan_path)
+                labels = read_labels(label_path)
+            except Exception as exc:  # noqa: BLE001 - skip-and-report contract
+                return sid, None, f"{type(exc).__name__}: {exc}"
+            scan_file = tree / "velodyne" / f"{sid}.bin"
+            label_file = tree / "labels" / f"{sid}.label"
+            try:
+                result = forge_scan(scene, labels, sid, cfg, policy, bank, seeds[sid])
+                write_scan(result.cloud, scan_file)
+                write_labels(result.labels, label_file)
+            except LidarForgeError as exc:  # skip-and-report contract
+                scan_file.unlink(missing_ok=True)
+                label_file.unlink(missing_ok=True)
+                return sid, None, f"{type(exc).__name__}: {exc}"
+            # not the result: its cloud and labels would live until the manifest
+            return sid, result.records, None
 
-    records, skipped, per_scan = [], [], {}
-    anomaly_points = 0
-    for sid, scan_records, error in sorted(outcomes, key=lambda t: t[0]):
-        if error is not None:
-            skipped.append((sid, error))
-            continue
-        records.extend(scan_records)
-        alive = sum(1 for rec in scan_records if rec.surviving_count > 0)
-        if alive:
-            per_scan[sid] = alive
-            anomaly_points += sum(rec.surviving_count for rec in scan_records)
+        # kept serial: one worker in a thread pool measured ~7 MB more peak RSS on forge-single
+        if workers <= 1:
+            outcomes = [work(item) for item in pairs]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(work, pairs))
 
-    summary = ForgeSummary(
-        scan_count=len(pairs) - len(skipped),
-        anomaly_scan_count=len(per_scan),
-        object_count=sum(per_scan.values()),
-        anomaly_point_count=anomaly_points,
-        records=records,
-        per_scan_objects=per_scan,
-        skipped=skipped,
-    )
-    _write_manifest(out_dir / "manifest.tsv", summary, config_echo or {})
+        records, skipped, per_scan = [], [], {}
+        anomaly_points = 0
+        for sid, scan_records, error in sorted(outcomes, key=lambda t: t[0]):
+            if error is not None:
+                skipped.append((sid, error))
+                continue
+            records.extend(scan_records)
+            alive = sum(1 for rec in scan_records if rec.surviving_count > 0)
+            if alive:
+                per_scan[sid] = alive
+                anomaly_points += sum(rec.surviving_count for rec in scan_records)
+
+        summary = ForgeSummary(
+            scan_count=len(pairs) - len(skipped),
+            anomaly_scan_count=len(per_scan),
+            object_count=sum(per_scan.values()),
+            anomaly_point_count=anomaly_points,
+            records=records,
+            per_scan_objects=per_scan,
+            skipped=skipped,
+        )
+        _write_manifest(tree / "manifest.tsv", summary, config_echo or {})
     return summary
 
 

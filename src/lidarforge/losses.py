@@ -7,12 +7,10 @@ central finite differences.  No autodiff framework is involved.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ValidationError
-from .scoring import PrototypeBank, log_softmax, softmax
+from .scoring import PrototypeBank, log_softmax, softmax, squared_norms
 
 # head combination weights, see loss_heads
 WEIGHT_CE = 1.0
@@ -176,10 +174,8 @@ def loss_objectosphere(features, inlier_mask, radius: float):
     mask = np.asarray(inlier_mask, dtype=bool)
     if f.ndim != 2 or mask.shape != (f.shape[0],):
         raise ValidationError("features must be (N, D) with an (N,) inlier mask")
-    if not 0 < radius < math.inf:
-        raise ValidationError(f"radius must be positive and finite, got {radius}")
     n = f.shape[0]
-    sq = np.einsum("ij,ij->i", f, f)
+    sq = squared_norms(f, radius)
 
     penalty = np.where(mask, np.maximum(radius - sq, 0.0), sq)
     value = float(penalty.mean())

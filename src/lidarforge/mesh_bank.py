@@ -73,10 +73,11 @@ class TriangleMesh:
 
 # a comment runs to the end of its line, wherever str.splitlines ends lines
 _COMMENT = re.compile("#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
-# face tokens as np.fromstring separates them, and the integers it reads
-# (at most 18 digits, so every one fits in int64)
+# face tokens as np.fromstring separates them
 _FACE_TOKEN = re.compile(r"[^ \t\n\r\v\f]+")
-_INTEGER = re.compile(r"[+-]?[0-9]{1,18}")
+# per character: d a digit, s a sign, a space a separator, x other
+_CHAR_CLASSES = b"".join(b"d" if chr(i) in "0123456789" else b"s" if chr(i) in "+-"
+                        else b" " if chr(i) in " \t\n\r\v\f" else b"x" for i in range(256))
 
 
 def load_off(path: str | os.PathLike) -> TriangleMesh:
@@ -197,12 +198,15 @@ def _is_number(token: str) -> bool:
 def _leading_integers(text: str) -> tuple[np.ndarray, int | None]:
     """The integer tokens that open ``text``, and the offset of the first
     token that is not one (None when every token is an integer)."""
-    values = []
-    for match in _FACE_TOKEN.finditer(text):
-        if not _INTEGER.fullmatch(match.group()):
-            return np.array(values, dtype=np.int64), match.start()
-        values.append(int(match.group()))
-    return np.array(values, dtype=np.int64), None
+    # "?" per non-ASCII character keeps offsets; a space ends the last token
+    classes = text.encode("ascii", "replace").translate(_CHAR_CLASSES) + b" "
+    # an integer token is a sign at most, then 1-18 digits (so it fits in
+    # int64); any other token holds one of these
+    hits = [at for at in map(classes.find, (b"x", b"ds", b"ss", b"s ", b"d" * 19)) if at >= 0]
+    bad = classes.rfind(b" ", 0, min(hits)) + 1 if hits else None
+    # up to the last integer: np.fromstring reads separators alone as one 0
+    end = len(classes[:bad].rstrip())
+    return np.fromstring(text[:end], dtype=np.int64, sep=" "), bad
 
 
 def sample_surface(mesh: TriangleMesh, n: int, seed: int | np.random.Generator) -> np.ndarray:
@@ -407,7 +411,6 @@ class MeshBank:
     def __init__(self, root: str | os.PathLike, catalog: ReflectivityCatalog,
                  heights: dict[str, float]):
         self.root = Path(root)
-        self.catalog = catalog
         self._files: dict[str, list[Path]] = {}
         self._cache: dict[Path, TriangleMesh | FormatError] = {}
         self._parse_lock = threading.Lock()
@@ -425,6 +428,7 @@ class MeshBank:
         unsized = [c for c in self.categories if c not in heights]
         if unsized:
             raise ValidationError(f"no target height for mesh categories {', '.join(unsized)}")
+        self.reflectivity = {c: catalog.get(c) for c in self.categories}
         self.heights = {c: heights[c] for c in self.categories}
 
     @property

@@ -10,13 +10,17 @@ dataset style):
   instance id that is preserved on round-trip but otherwise ignored.
 
 All containers are immutable after construction and safe to share
-across threads.
+across threads.  ``staged`` commits an output directory (a forged
+split, a set of score files) only when its writer succeeds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -262,6 +266,29 @@ def _write_records(array: np.ndarray, dtype: str, path: str | os.PathLike) -> No
     """Write ``array`` as ``dtype`` from its own buffer, without a bytes copy."""
     with open(path, "wb") as f:
         array.astype(dtype, copy=False).tofile(f)
+
+
+@contextlib.contextmanager
+def staged(out_dir: str | os.PathLike) -> Iterator[Path]:
+    """Yield an empty directory whose entries reach ``out_dir`` only when
+    the block returns: it is renamed to ``out_dir``, or its entries are
+    moved into an existing ``out_dir``, replacing files of the same name.
+    It sits in a ``<name>.tmp.*`` sibling that is removed either way, so
+    a block that raises leaves ``out_dir`` as it found it.
+    """
+    # "." gets a name, and a symlinked out_dir is staged beside its target
+    out_dir = Path(out_dir).resolve()
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=out_dir.name + ".tmp.", dir=out_dir.parent,
+                                     ignore_cleanup_errors=True) as tmp:
+        stage = Path(tmp) / out_dir.name
+        stage.mkdir()  # under the umask: the temporary directory is private
+        yield stage
+        if out_dir.exists():
+            for path in stage.iterdir():
+                os.replace(path, out_dir / path.name)
+        else:
+            os.replace(stage, out_dir)
 
 
 def check_pair(cloud: PointCloud, labels: LabelArray) -> None:

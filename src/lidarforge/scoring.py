@@ -263,15 +263,20 @@ def score_semantic(cosine_score: np.ndarray,
     return (product / peak if peak > 0 else product), peak
 
 
+def squared_norms(features: np.ndarray, radius: float) -> np.ndarray:
+    """Each feature row's squared norm in float64, for a comparison with
+    the hypersphere ``radius``, which must be positive and finite."""
+    if not 0 < radius < math.inf:
+        raise ValidationError(f"radius must be positive and finite, got {radius}")
+    f = np.asarray(features, dtype=np.float64)
+    return np.einsum("ij,ij->i", f, f)
+
+
 def score_contrastive(features: np.ndarray,
                       radius: float = DEFAULT_NORM_THRESHOLD) -> np.ndarray:
     """Hypersphere score: 1 at zero feature norm, 0 once the squared
     norm reaches the radius."""
-    if not 0 < radius < math.inf:
-        raise ValidationError(f"radius must be positive and finite, got {radius}")
-    f = np.asarray(features, dtype=np.float64)
-    sq = np.einsum("ij,ij->i", f, f)
-    return np.maximum(0.0, 1.0 - sq / radius)
+    return np.maximum(0.0, 1.0 - squared_norms(features, radius) / radius)
 
 
 def score_fused(semantic_score: np.ndarray, contrastive_score: np.ndarray) -> np.ndarray:
@@ -403,24 +408,16 @@ def read_tensor(path: str | os.PathLike, buffer: bytearray | None = None) -> np.
     return values.reshape(int(rows), int(cols))
 
 
-def score_paths(path_base: str | os.PathLike) -> tuple[Path, Path]:
-    """``<path_base>.scores`` and its sidecar ``<path_base>.scores.meta``.
-
-    The suffixes are appended to the whole name, so a stem with dots
-    (``a.1``, nuScenes' ``*.pcd``) keeps them.
-    """
-    base = os.fspath(path_base)
-    return Path(base + ".scores"), Path(base + ".scores.meta")
-
-
 def write_scores(path_base: str | os.PathLike, scores: ScoreVector,
                  which: str = "fused") -> None:
-    """Write one score channel as raw float32 plus a text sidecar with
-    the per-scan normalization peak, at ``score_paths(path_base)``."""
-    values_path, meta_path = score_paths(path_base)
+    """Write one score channel as raw float32 to ``<path_base>.scores``,
+    plus a text sidecar ``<path_base>.scores.meta`` with the per-scan
+    normalization peak.  The suffixes are appended to the whole name, so
+    a stem with dots (``a.1``, nuScenes' ``*.pcd``) keeps them."""
+    base = os.fspath(path_base)
     values = scores.by_name(which).astype("<f4")
-    values_path.write_bytes(values.tobytes())
-    write_keyvalue(meta_path, {
+    Path(base + ".scores").write_bytes(values.tobytes())
+    write_keyvalue(base + ".scores.meta", {
         "score": which,
         "count": values.shape[0],
         "semantic_peak": f"{scores.semantic_peak:.12g}",

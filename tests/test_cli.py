@@ -99,6 +99,7 @@ class TestForgeCommand:
         assert main(forge_args(root, root / "out_a")) == 0
         assert main(forge_args(root, root / "out_b")) == 0
         assert tree_bytes(root / "out_a") == tree_bytes(root / "out_b")
+        assert not list(root.glob("out_*.tmp.*"))
 
     def test_existing_output_refused(self, forge_inputs):
         root = forge_inputs
@@ -445,6 +446,24 @@ class TestScoreAndEval:
             assert [p.name for p in out_dir.iterdir()] == ["older.scores"]
         else:
             assert not out_dir.exists()
+
+    def test_failed_rerun_leaves_the_good_run_as_it_was(self, tmp_path, capsys):
+        feat_dir, label_dir, proto, _ = self._write_scans(tmp_path, {"s0": 50, "s1": 50, "s2": 50})
+        out_dir = tmp_path / "scores"
+        args = ["score", "--features", str(feat_dir), "--prototypes", str(proto),
+                "--out", str(out_dir)]
+        assert main(args) == 0
+        good = tree_bytes(out_dir)
+        assert len(good) == 6
+        with open(feat_dir / "s2.sem.ftr", "ab") as f:
+            f.write(b"\0")
+        # another channel: a rerun that overwrote s0 or s1 would change their bytes
+        assert main(args + ["--score", "cont"]) == 1
+        assert "s2.sem.ftr" in capsys.readouterr().err
+        assert tree_bytes(out_dir) == good
+        assert not list(tmp_path.glob("scores.tmp.*"))
+        assert main(["eval", "--scores", str(out_dir), "--labels", str(label_dir),
+                     "--anomaly-label", "2"]) == 0
 
     @pytest.mark.parametrize("label", ["-1", "65536", "65538", "70000"])
     def test_invalid_eval_anomaly_label_rejected(self, tmp_path, capsys, label):

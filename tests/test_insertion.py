@@ -517,6 +517,7 @@ class TestForgeSplit:
         summary = forge_split(discover_pairs(scans, labels), out, single_policy(),
                               TEST_SENSOR, bank, master_seed=5)
         assert summary.scan_count == 8
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "meshes", "out"]
         assert sorted(p.name for p in (out / "velodyne").iterdir()) == \
             [f"{i:06d}.bin" for i in range(8)]
         manifest = (out / "manifest.tsv").read_text()
@@ -614,6 +615,36 @@ class TestForgeSplit:
         # the scan file was written before the label write failed, and is removed
         assert sorted(p.name for p in (out / "velodyne").iterdir()) == ["000000.bin", "000002.bin"]
         assert sorted(p.name for p in (out / "labels").iterdir()) == ["000000.label", "000002.label"]
+
+    def test_existing_out_dir_rejected_and_left_as_it_was(self, tmp_path):
+        scans, labels = self._dataset(tmp_path, n_scans=2)
+        out = tmp_path / "out"
+        (out / "labels").mkdir(parents=True)
+        (out / "manifest.tsv").write_text("an earlier split\n")
+        with pytest.raises(ValidationError, match=f"output directory {out} already exists"):
+            forge_split(discover_pairs(scans, labels), out, single_policy(), TEST_SENSOR,
+                        _bank_with_cube(tmp_path / "meshes"), master_seed=0)
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == \
+            ["labels", "manifest.tsv"]
+        assert (out / "manifest.tsv").read_text() == "an earlier split\n"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_split_aborted_mid_run_leaves_no_tree(self, tmp_path, monkeypatch, workers):
+        # an OSError is not a per-scan failure: it aborts the split
+        scans, labels = self._dataset(tmp_path, n_scans=4, seed=6)
+        real_write_labels = insertion.write_labels
+
+        def write_labels_failing_for_one(words, path):
+            if Path(path).stem == "000002":
+                raise OSError("no space left on device")
+            real_write_labels(words, path)
+
+        monkeypatch.setattr(insertion, "write_labels", write_labels_failing_for_one)
+        bank = _bank_with_cube(tmp_path / "meshes")
+        with pytest.raises(OSError, match="no space left on device"):
+            forge_split(discover_pairs(scans, labels), tmp_path / "out", single_policy(),
+                        TEST_SENSOR, bank, master_seed=11, workers=workers)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "meshes"]
 
     @pytest.mark.parametrize("master_seed, workers", [(-1, 1), (2**64, 1), (0, 0), (0, -3)])
     def test_bad_seed_or_workers_rejected_before_output(self, tmp_path, master_seed, workers):

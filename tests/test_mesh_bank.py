@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -5,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from helpers import make_cube_mesh
@@ -75,8 +78,40 @@ OFF_ERROR_CASES = [
     ("no-faces", "OFF\n4 0 0\n" + _TETRA_VERTS, None, "mesh has no face with nonzero area"),
     ("zero-area", "OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n",
      None, "mesh has no face with nonzero area"),
+    # np.fromstring reads 19 digits, but a token past the faces sends the
+    # face section to the integer-token scan, which stops at 18
+    ("19-digit-index", TETRA_OFF.replace("3 0 2 3", "3 0 2 1234567890123456789"),
+     9, "face index 1234567890123456789 out of range for 4 vertices"),
+    ("19-digit-index-before-trailing-text",
+     TETRA_OFF.replace("3 0 2 3", "3 0 2 1234567890123456789") + "end\n",
+     9, "non-integer face token '1234567890123456789'"),
 ]
 OFF_ERRORS = [case[1:] for case in OFF_ERROR_CASES]
+
+
+# (face replacing "3 0 2 3", the token named in the error)
+NON_INTEGER_FACES = [
+    ("3 0 1 x", "x"), ("3 0 1 2.0", "2.0"), ("3.0 0 1 2", "3.0"), ("x 0 1 2", "x"),
+    ("3 1e0 1 2", "1e0"),
+    # made of digits and signs, but not an integer of at most 18 digits
+    ("3 0 1+2 3", "1+2"), ("3 + 1 2", "+"), ("3 0 --3 1", "--3"), ("3 0 1 2-", "2-"),
+]
+# tokens and separators for the token-loop oracle: "" glues two tokens;
+# \x1c, \x85 and \xa0 are whitespace to str.split but not to np.fromstring
+FACE_TOKENS = ["3", "0", "17", "-1", "+2", "007", "-0", "+", "-", "1+2", "--3", "2-",
+               "123456789012345678", "1234567890123456789", "0000000000000000001",
+               "99999999999999999999", "x", "end", "1.5", "1e3", "\u0663", "nan"]
+SEPARATORS = [" ", "\n", "\r\n", "\t", "\v", "\f", "  \n ", "", "\x1c", "\x85", "\xa0"]
+
+
+def leading_integers_loop(text: str) -> tuple[list[int], int | None]:
+    """Token by token, the reference for mesh_bank._leading_integers."""
+    values = []
+    for match in re.finditer(r"[^ \t\n\r\v\f]+", text):
+        if not re.fullmatch(r"[+-]?[0-9]{1,18}", match.group()):
+            return values, match.start()
+        values.append(int(match.group()))
+    return values, None
 
 
 def reference_off(text: str) -> TriangleMesh:
@@ -134,7 +169,10 @@ class TestLoadOff:
         TETRA_OFF.replace("\n", "\r\n"),
         TETRA_OFF.replace("0 1 0\n0 0 1\n3 0 1 2", "0 1 0 0\n0 1 3\n0 1 2"),
         TETRA_OFF + "trailing data\n",
-    ], ids=["comments", "blank-lines", "crlf", "tokens-across-lines", "trailing-data"])
+        TETRA_OFF + "1+2\n", TETRA_OFF + "+\n", TETRA_OFF + "--3 4\n",
+        TETRA_OFF + "1234567890123456789\n",
+    ], ids=["comments", "blank-lines", "crlf", "tokens-across-lines", "trailing-data",
+            "trailing-1+2", "trailing-sign", "trailing---3", "trailing-19-digits"])
     def test_accepted_layouts(self, tmp_path, text):
         path = tmp_path / "m.off"
         path.write_text(text, newline="")
@@ -169,16 +207,34 @@ class TestLoadOff:
             load_off(path)
         assert str(info.value) == f"{where}: {message}"
 
-    @pytest.mark.parametrize("face, token", [
-        ("3 0 1 x", "x"), ("3 0 1 2.0", "2.0"), ("3.0 0 1 2", "3.0"), ("x 0 1 2", "x"),
-        ("3 1e0 1 2", "1e0"),
-    ])
+    @pytest.mark.parametrize("face, token", NON_INTEGER_FACES)
     def test_non_integer_face_token(self, tmp_path, face, token):
         path = tmp_path / "bad.off"
         path.write_text(TETRA_OFF.replace("3 0 2 3", face))
         with pytest.raises(FormatError) as info:
             load_off(path)
         assert str(info.value) == f"{path}:9: non-integer face token {token!r}"
+
+    @pytest.mark.parametrize("face, token", NON_INTEGER_FACES)
+    def test_non_integer_face_token_before_trailing_text(self, tmp_path, face, token):
+        path = tmp_path / "bad.off"
+        path.write_text(TETRA_OFF.replace("3 0 2 3", face) + "end\n")
+        with pytest.raises(FormatError) as info:
+            load_off(path)
+        assert str(info.value) == f"{path}:9: non-integer face token {token!r}"
+
+    @given(tokens=st.lists(st.sampled_from(FACE_TOKENS), max_size=12),
+           separators=st.lists(st.sampled_from(SEPARATORS), min_size=13, max_size=13),
+           lead=st.booleans())
+    @example(tokens=["3", "-"], separators=[" "] + [""] * 12, lead=False)  # a sign ends it
+    @settings(max_examples=400, deadline=None)
+    def test_leading_integers_equal_the_token_loop(self, tokens, separators, lead):
+        text = (separators[-1] if lead else "") + "".join(
+            token + sep for token, sep in zip(tokens, separators))
+        values, bad = mesh_bank._leading_integers(text)
+        expected, expected_bad = leading_integers_loop(text)
+        assert bad == expected_bad
+        assert values.dtype == np.int64 and values.tolist() == expected
 
 
 class TestSampleSurface:
@@ -501,6 +557,7 @@ class TestMeshBank:
                         {"chair": 0.9, "glass box": 0.4})
         assert bank.categories == ["chair", "glass box"]
         assert bank.heights == {"chair": 0.9, "glass box": 0.4}
+        assert bank.reflectivity == {"chair": 0.35, "glass box": 0.2}
         a = bank.choose(np.random.default_rng(0))
         b = bank.choose(np.random.default_rng(0))
         assert a[0] == b[0]

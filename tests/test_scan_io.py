@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lidarforge import (FormatError, LabelArray, PointCloud, SensorConfig,
                         ValidationError, check_pair, read_labels, read_scan,
                         write_labels, write_scan)
+from lidarforge.scan_io import staged
 
 
 class TestReadScan:
@@ -138,6 +139,59 @@ class TestInvariants:
             assert not frozen.flags.writeable
             with pytest.raises(ValueError):
                 frozen[0] = 2
+
+
+def files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestStaged:
+    def test_new_directory_appears_whole_on_success(self, tmp_path):
+        out = tmp_path / "deep" / "out"
+        with staged(out) as stage:
+            assert list(stage.iterdir()) == []
+            (stage / "sub").mkdir()
+            (stage / "sub" / "a.bin").write_bytes(b"a")
+            assert not out.exists()
+        assert files(out) == {"sub/a.bin": b"a"}
+        assert [p.name for p in out.parent.iterdir()] == ["out"]
+        # made under the umask, as mkdir makes a directory
+        (tmp_path / "plain").mkdir()
+        assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    def test_entries_move_into_an_existing_directory(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "old.scores").write_bytes(b"old")
+        (out / "same.scores").write_bytes(b"earlier")
+        with staged(out) as stage:
+            (stage / "same.scores").write_bytes(b"later")
+            (stage / "new.scores").write_bytes(b"new")
+        assert files(out) == {"new.scores": b"new", "old.scores": b"old",
+                              "same.scores": b"later"}
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_current_directory_as_out_dir(self, tmp_path, monkeypatch):
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path / "out")
+        with staged(".") as stage:
+            (stage / "a.scores").write_bytes(b"a")
+        assert files(tmp_path) == {"out/a.scores": b"a"}
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_raising_block_leaves_out_dir_as_it_was(self, tmp_path, existing):
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+            (out / "same.scores").write_bytes(b"earlier")
+        with pytest.raises(KeyboardInterrupt):
+            with staged(out) as stage:
+                (stage / "same.scores").write_bytes(b"later")
+                raise KeyboardInterrupt
+        assert files(tmp_path) == ({"out/same.scores": b"earlier"} if existing else {})
+        assert [p.name for p in tmp_path.iterdir()] == (["out"] if existing else [])
 
 
 class TestSensorConfig:
