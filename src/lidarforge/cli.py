@@ -25,8 +25,7 @@ import numpy as np
 from . import insertion, losses, metrics, scoring
 from .errors import LidarForgeError, ValidationError
 from .insertion import DEFAULT_MAX_RADIUS, STYLE_PRESETS, SplitPolicy, check_anomaly_label
-from .intensity import DEFAULT_NEIGHBORS, NOISE_SCALE
-from .mesh_bank import OBJECT_POINTS, MeshBank, ReflectivityCatalog, load_target_heights
+from .mesh_bank import MeshBank, ReflectivityCatalog, load_target_heights
 from .range_projection import point_ranges, project, write_pgm
 from .scan_io import SensorConfig, read_labels, read_scan, staged
 
@@ -49,17 +48,15 @@ def _load_sensor(name_or_path: str) -> SensorConfig:
 
 
 def _build_policy(args) -> SplitPolicy:
-    anomaly_label, single_surfaces, multi_surfaces = STYLE_PRESETS[args.style]
-    surfaces = single_surfaces if args.policy == "single" else multi_surfaces
+    """The policy of ``args``; what they leave unset comes from the style's preset."""
+    surfaces = None
     if args.surface_classes:
         try:
             surfaces = tuple(int(t) for t in args.surface_classes.split(","))
         except ValueError:
             raise ValidationError(f"--surface-classes must be comma-separated integers, "
                                   f"got {args.surface_classes!r}") from None
-    if args.anomaly_label is not None:
-        anomaly_label = args.anomaly_label
-    return SplitPolicy(args.policy, frozenset(surfaces), anomaly_label, args.max_radius)
+    return SplitPolicy(args.policy, surfaces, args.anomaly_label, args.max_radius, args.style)
 
 
 def cmd_forge(args) -> int:
@@ -77,28 +74,8 @@ def cmd_forge(args) -> int:
     if not pairs:
         raise ValidationError(f"no .bin scans found under {args.scans}")
 
-    echo = {
-        "seed": args.seed,
-        "policy": policy.kind,
-        "anomaly_ratio": policy.anomaly_ratio,
-        "surface_classes": ",".join(str(c) for c in sorted(policy.surface_classes)),
-        "anomaly_label": policy.anomaly_label,
-        "max_radius": policy.max_radius,
-        "count_distribution": ",".join(f"{p:g}" for p in policy.count_distribution),
-        "sensor_beams": sensor.beams,
-        "sensor_width": sensor.width,
-        "sensor_fov_up_deg": sensor.fov_up_deg,
-        "sensor_fov_down_deg": sensor.fov_down_deg,
-        "style": args.style,
-        # fixed values, kept in the header the golden digests cover
-        "object_points": OBJECT_POINTS,
-        "noise_scale": NOISE_SCALE,
-        "normal_neighbors": DEFAULT_NEIGHBORS,
-        "normalization": "mean",
-    }
-
     summary = insertion.forge_split(pairs, args.out, policy, sensor, bank, args.seed,
-                                    workers=args.workers, config_echo=echo)
+                                    workers=args.workers)
     print(f"forged {summary.scan_count} scans -> {args.out}")
     print(f"  anomaly scans: {summary.anomaly_scan_count}"
           f" ({summary.anomaly_scan_count / max(summary.scan_count, 1):.2%})")

@@ -18,14 +18,15 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import mesh_bank
 from .errors import LidarForgeError, PlacementInfeasibleError, ValidationError
-from .intensity import estimate_normals, lambert_intensity, normalize_and_noise
+from .intensity import (DEFAULT_NEIGHBORS, NOISE_SCALE, estimate_normals, lambert_intensity,
+                        normalize_and_noise)
 from .mesh_bank import AnomalyObject, MeshBank
 from .range_projection import point_ranges, project
 from .scan_io import (CLASS_ID_MASK, LabelArray, PointCloud, SensorConfig, check_pair,
@@ -62,17 +63,27 @@ class SplitPolicy:
     ``kind`` fixes the protocol: the share of scans that receive
     anomalies (``anomaly_ratio``) and the object count distribution,
     whose entry i is the probability of inserting i+1 objects into a
-    selected scan.
+    selected scan.  ``surface_classes`` and ``anomaly_label`` left None
+    are taken from ``style``'s entry of ``STYLE_PRESETS`` for ``kind``.
     """
 
     kind: str
-    surface_classes: frozenset
-    anomaly_label: int
+    surface_classes: frozenset | None = None
+    anomaly_label: int | None = None
     max_radius: float = DEFAULT_MAX_RADIUS
+    style: str = "kitti"
 
     def __post_init__(self):
         if self.kind not in ("single", "multi"):
             raise ValidationError(f"policy kind must be 'single' or 'multi', got {self.kind!r}")
+        if self.style not in STYLE_PRESETS:
+            raise ValidationError(f"style {self.style!r} is not one of {sorted(STYLE_PRESETS)}")
+        label, single, multi = STYLE_PRESETS[self.style]
+        preset = single if self.kind == "single" else multi
+        object.__setattr__(self, "surface_classes", frozenset(
+            preset if self.surface_classes is None else self.surface_classes))
+        if self.anomaly_label is None:
+            object.__setattr__(self, "anomaly_label", label)
         if not 0 < self.max_radius < math.inf:
             raise ValidationError(f"max_radius must be positive and finite, got {self.max_radius}")
         if not self.surface_classes:
@@ -95,17 +106,15 @@ class SplitPolicy:
         return (1.0,) if self.kind == "single" else MULTI_COUNT_DISTRIBUTION
 
     @classmethod
-    def single(cls, surface_classes=STYLE_PRESETS["kitti"][1],
-               anomaly_label=STYLE_PRESETS["kitti"][0]) -> "SplitPolicy":
+    def single(cls, surface_classes=None, anomaly_label=None) -> "SplitPolicy":
         """One object per anomaly scan, kitti road surfaces only by default."""
-        return cls("single", frozenset(surface_classes), anomaly_label)
+        return cls("single", surface_classes, anomaly_label)
 
     @classmethod
-    def multi(cls, surface_classes=STYLE_PRESETS["kitti"][2],
-              anomaly_label=STYLE_PRESETS["kitti"][0]) -> "SplitPolicy":
+    def multi(cls, surface_classes=None, anomaly_label=None) -> "SplitPolicy":
         """1-4 objects per anomaly scan on any permitted planar surface,
         the kitti ones by default."""
-        return cls("multi", frozenset(surface_classes), anomaly_label)
+        return cls("multi", surface_classes, anomaly_label)
 
 
 @dataclass(frozen=True)
@@ -407,14 +416,15 @@ def discover_pairs(scans_dir: str | Path, labels_dir: str | Path):
 
 
 def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
-                cfg: SensorConfig, bank: MeshBank, master_seed: int, workers: int = 1,
-                config_echo: dict | None = None) -> ForgeSummary:
+                cfg: SensorConfig, bank: MeshBank, master_seed: int,
+                workers: int = 1) -> ForgeSummary:
     """Forge a whole split into ``out_dir`` (velodyne/, labels/, manifest.tsv).
 
     Deterministic for a given master seed: each scan is keyed by
     (master seed, scan id) only, so the output tree is byte-identical
-    regardless of worker count.  Scans that cannot be read, or whose
-    forging or writing raises a LidarForgeError, are skipped and
+    regardless of worker count.  The manifest's header records how the
+    split was forged, as the CLI's does.  Scans that cannot be read, or
+    whose forging or writing raises a LidarForgeError, are skipped and
     reported in the manifest, with none of their files left behind.
     Each worker holds one scan at a time: a scan's cloud and labels die
     once they are written, and only its records wait for the manifest.
@@ -482,19 +492,36 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
             per_scan_objects=per_scan,
             skipped=skipped,
         )
-        _write_manifest(tree / "manifest.tsv", summary, config_echo or {})
+        _write_manifest(tree / "manifest.tsv", summary, policy, cfg, master_seed)
     return summary
 
 
-def _write_manifest(path: Path, summary: ForgeSummary, config_echo: dict) -> None:
+def _write_manifest(path: Path, summary: ForgeSummary, policy: SplitPolicy,
+                    cfg: SensorConfig, master_seed: int) -> None:
+    """The header (how the split was forged, its counts, skipped scans), then the records."""
+    header = {
+        "seed": master_seed,
+        "policy": policy.kind,
+        "anomaly_ratio": policy.anomaly_ratio,
+        "surface_classes": ",".join(str(c) for c in sorted(policy.surface_classes)),
+        "anomaly_label": policy.anomaly_label,
+        "max_radius": policy.max_radius,
+        "count_distribution": ",".join(f"{p:g}" for p in policy.count_distribution),
+        **{f"sensor_{f.name}": getattr(cfg, f.name) for f in fields(cfg)},
+        "style": policy.style,
+        # fixed values, kept in the header the golden digests cover
+        "object_points": mesh_bank.OBJECT_POINTS,
+        "noise_scale": NOISE_SCALE,
+        "normal_neighbors": DEFAULT_NEIGHBORS,
+        "normalization": "mean",
+        "scans_total": summary.scan_count,
+        "scans_skipped": len(summary.skipped),
+        "scans_with_anomaly": summary.anomaly_scan_count,
+        "objects_inserted": summary.object_count,
+        "anomaly_points": summary.anomaly_point_count,
+    }
     lines = ["# lidarforge forge manifest"]
-    for key, value in config_echo.items():
-        lines.append(f"# {key} = {value}")
-    lines.append(f"# scans_total = {summary.scan_count}")
-    lines.append(f"# scans_skipped = {len(summary.skipped)}")
-    lines.append(f"# scans_with_anomaly = {summary.anomaly_scan_count}")
-    lines.append(f"# objects_inserted = {summary.object_count}")
-    lines.append(f"# anomaly_points = {summary.anomaly_point_count}")
+    lines += [f"# {key} = {value}" for key, value in header.items()]
     for sid, reason in summary.skipped:
         lines.append(f"# skipped: {sid}\t{reason}")
     lines.append("scan_id\tcategory\tyaw\tx\ty\tz\tscale\tpoints\tindex_start\tindex_end\tseed")

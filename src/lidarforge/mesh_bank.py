@@ -152,11 +152,14 @@ def load_off(path: str | os.PathLike) -> TriangleMesh:
         flat, bad = _leading_integers(faces_text)
     faces_base = len(body) - len(faces_text)
 
-    def face_token(k: int) -> int:
-        """Offset in body of token k of the face section."""
-        match = next(itertools.islice(_FACE_TOKEN.finditer(faces_text), k, None))
-        return faces_base + match.start()
+    def face_fail(face: int, token: int, message: str) -> NoReturn:
+        """Fail at face ``face``; ``{}`` in ``message`` becomes its token ``token``
+        (0: the arity) as written, not the value np.fromstring saturated."""
+        matches = list(itertools.islice(_FACE_TOKEN.finditer(faces_text),
+                                        4 * face, 4 * face + token + 1))
+        fail(faces_base + matches[0].start(), message.format(matches[-1].group()))
 
+    arity = "face with {} vertices; only triangles supported"
     # faces in full before the stream ends; check them in file order
     whole = min(flat.size, need) // 4
     table = flat[:4 * whole].reshape(whole, 4)
@@ -165,16 +168,14 @@ def load_off(path: str | os.PathLike) -> TriangleMesh:
     if not good.all():
         i = int(np.argmin(good))
         if table[i, 0] != 3:
-            fail(face_token(4 * i), f"face with {table[i, 0]} vertices; only triangles supported")
-        j = int(table[i, 1 + np.argmin(in_range[i])])
-        fail(face_token(4 * i),
-             f"face index {j} out of range for {n_vertices} vertices")
+            face_fail(i, 0, arity)
+        face_fail(i, 1 + int(np.argmin(in_range[i])),
+                  f"face index {{}} out of range for {n_vertices} vertices")
     if whole < n_faces:
         # the stream ends inside face `whole`, at the end of the file or at a bad token
         partial = flat[4 * whole:]
         if partial.size and partial[0] != 3:
-            fail(face_token(4 * whole),
-                 f"face with {partial[0]} vertices; only triangles supported")
+            face_fail(whole, 0, arity)
         if bad is None or (partial.size and partial.size + len(faces_text[bad:].split()) < 4):
             end_of_file("face indices" if partial.size else "face arity")
         token = _FACE_TOKEN.match(faces_text, bad).group()
@@ -200,9 +201,9 @@ def _leading_integers(text: str) -> tuple[np.ndarray, int | None]:
     token that is not one (None when every token is an integer)."""
     # "?" per non-ASCII character keeps offsets; a space ends the last token
     classes = text.encode("ascii", "replace").translate(_CHAR_CLASSES) + b" "
-    # an integer token is a sign at most, then 1-18 digits (so it fits in
-    # int64); any other token holds one of these
-    hits = [at for at in map(classes.find, (b"x", b"ds", b"ss", b"s ", b"d" * 19)) if at >= 0]
+    # an integer token is a sign at most, then digits, as np.fromstring
+    # reads them; any other token holds one of these
+    hits = [at for at in map(classes.find, (b"x", b"ds", b"ss", b"s ")) if at >= 0]
     bad = classes.rfind(b" ", 0, min(hits)) + 1 if hits else None
     # up to the last integer: np.fromstring reads separators alone as one 0
     end = len(classes[:bad].rstrip())

@@ -94,9 +94,6 @@ class PointCloud:
     def count(self) -> int:
         return self._data.shape[0]
 
-    def __len__(self) -> int:
-        return self.count
-
     def take(self, indices: np.ndarray) -> "PointCloud":
         """Select points by index, preserving exact float bits."""
         return PointCloud(self._data[np.asarray(indices)])
@@ -149,9 +146,6 @@ class LabelArray:
     @property
     def count(self) -> int:
         return self._words.shape[0]
-
-    def __len__(self) -> int:
-        return self.count
 
     def take(self, indices: np.ndarray) -> "LabelArray":
         return LabelArray(self._words[np.asarray(indices)])

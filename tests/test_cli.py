@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 
 from helpers import make_cube_mesh, make_flat_scene, write_off
 
-from lidarforge import (EvalPair, FeatureSet, LabelArray, PointCloud, PrototypeBank, auroc,
-                        compute_scores, point_ranges, range_binned_ap, read_tensor,
-                        write_labels, write_scan, write_tensor)
+from lidarforge import (EvalPair, FeatureSet, LabelArray, MeshBank, PointCloud, PrototypeBank,
+                        ReflectivityCatalog, SensorConfig, SplitPolicy, auroc, compute_scores,
+                        forge_split, load_target_heights, point_ranges, range_binned_ap,
+                        read_tensor, write_labels, write_scan, write_tensor)
 from lidarforge import mesh_bank, scoring
 from lidarforge.cli import _float32_at_most, main
+from lidarforge.insertion import discover_pairs
 
 SENSOR_CFG = """beams = 32
 width = 512
@@ -100,6 +102,22 @@ class TestForgeCommand:
         assert main(forge_args(root, root / "out_b")) == 0
         assert tree_bytes(root / "out_a") == tree_bytes(root / "out_b")
         assert not list(root.glob("out_*.tmp.*"))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_library_forge_writes_the_cli_tree(self, forge_inputs, workers):
+        """forge_split with the bundled configs and the default policy
+        writes the CLI's tree byte for byte, the manifest header included."""
+        root = forge_inputs
+        args = forge_args(root, root / "cli", workers=workers)
+        args[args.index("--policy") + 1] = "multi"
+        assert main(args) == 0
+        bank = MeshBank(root / "meshes", ReflectivityCatalog.default(), load_target_heights())
+        forge_split(discover_pairs(root / "in" / "velodyne", root / "in" / "labels"),
+                    root / "lib", SplitPolicy.multi(), SensorConfig.from_file(root / "sensor.cfg"),
+                    bank, master_seed=7, workers=workers)
+        cli_tree = tree_bytes(root / "cli")
+        assert b"# seed = 7\n" in cli_tree["manifest.tsv"]
+        assert tree_bytes(root / "lib") == cli_tree
 
     def test_existing_output_refused(self, forge_inputs):
         root = forge_inputs

@@ -80,6 +80,23 @@ class TestSplitPolicy:
         # scans out of 500, i.e. 0.392 per scan
         assert abs(196 / 500 - single_policy().anomaly_ratio) < 0.015
 
+    @pytest.mark.parametrize("style, kind, label, surfaces", [
+        ("kitti", "single", 2, {40}), ("kitti", "multi", 2, {40, 44, 48, 49}),
+        ("poss", "multi", 2, {22}), ("nuscenes", "single", 100, {24}),
+        ("nuscenes", "multi", 100, {24, 25, 26})])
+    def test_unset_values_come_from_the_style_preset(self, style, kind, label, surfaces):
+        p = SplitPolicy(kind, style=style)
+        assert (p.anomaly_label, p.surface_classes) == (label, frozenset(surfaces))
+
+    def test_set_values_override_the_preset(self):
+        p = SplitPolicy("multi", (24, 25), 7, style="nuscenes")
+        assert (p.anomaly_label, p.surface_classes) == (7, frozenset({24, 25}))
+        assert SplitPolicy.single() == SplitPolicy("single", frozenset({40}), 2)
+
+    def test_unknown_style_rejected(self):
+        with pytest.raises(ValidationError, match="style 'waymo' is not one of"):
+            SplitPolicy("single", style="waymo")
+
 
 class TestPickPlacement:
     def test_flat_disc_placement(self):

@@ -2,6 +2,7 @@ import re
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,8 @@ OFF_ERROR_CASES = [
      9, "unexpected end of file while reading face arity"),
     ("truncated-face-indices", TETRA_OFF.replace("3 1 2 3\n", "3 1 2\n"),
      10, "unexpected end of file while reading face indices"),
+    ("truncated-face-arity-4", TETRA_OFF.replace("3 1 2 3\n", "4 1 2\n"),
+     10, "face with 4 vertices; only triangles supported"),
     ("arity-4", TETRA_OFF.replace("3 0 1 3", "4 0 1 3 2"),
      8, "face with 4 vertices; only triangles supported"),
     ("arity-4-before-truncation", TETRA_OFF.replace("3 0 1 3", "4 0 1 3").replace("3 1 2 3\n", ""),
@@ -78,14 +81,25 @@ OFF_ERROR_CASES = [
     ("no-faces", "OFF\n4 0 0\n" + _TETRA_VERTS, None, "mesh has no face with nonzero area"),
     ("zero-area", "OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n",
      None, "mesh has no face with nonzero area"),
-    # np.fromstring reads 19 digits, but a token past the faces sends the
-    # face section to the integer-token scan, which stops at 18
+    # a token past the faces sends the face section to the integer-token
+    # scan, which reads integers of any length, as the clean parse does
     ("19-digit-index", TETRA_OFF.replace("3 0 2 3", "3 0 2 1234567890123456789"),
      9, "face index 1234567890123456789 out of range for 4 vertices"),
     ("19-digit-index-before-trailing-text",
      TETRA_OFF.replace("3 0 2 3", "3 0 2 1234567890123456789") + "end\n",
-     9, "non-integer face token '1234567890123456789'"),
+     9, "face index 1234567890123456789 out of range for 4 vertices"),
 ]
+# past int64, np.fromstring saturates either sign to 2**63 - 1: the
+# messages quote the token as written
+for _sign, _token in (("", "99999999999999999999"), ("negative-", "-99999999999999999999")):
+    for _tail, _where in (("", ""), ("end\n", "-before-trailing-text")):
+        OFF_ERROR_CASES += [
+            (f"20-digit-{_sign}index{_where}",
+             TETRA_OFF.replace("3 0 2 3", f"3 0 2 {_token}") + _tail,
+             9, f"face index {_token} out of range for 4 vertices"),
+            (f"20-digit-{_sign}arity{_where}",
+             TETRA_OFF.replace("3 0 2 3", f"{_token} 0 2 3") + _tail,
+             9, f"face with {_token} vertices; only triangles supported")]
 OFF_ERRORS = [case[1:] for case in OFF_ERROR_CASES]
 
 
@@ -93,24 +107,27 @@ OFF_ERRORS = [case[1:] for case in OFF_ERROR_CASES]
 NON_INTEGER_FACES = [
     ("3 0 1 x", "x"), ("3 0 1 2.0", "2.0"), ("3.0 0 1 2", "3.0"), ("x 0 1 2", "x"),
     ("3 1e0 1 2", "1e0"),
-    # made of digits and signs, but not an integer of at most 18 digits
+    # made of digits and signs, but not a sign followed by digits
     ("3 0 1+2 3", "1+2"), ("3 + 1 2", "+"), ("3 0 --3 1", "--3"), ("3 0 1 2-", "2-"),
 ]
 # tokens and separators for the token-loop oracle: "" glues two tokens;
 # \x1c, \x85 and \xa0 are whitespace to str.split but not to np.fromstring
 FACE_TOKENS = ["3", "0", "17", "-1", "+2", "007", "-0", "+", "-", "1+2", "--3", "2-",
                "123456789012345678", "1234567890123456789", "0000000000000000001",
-               "99999999999999999999", "x", "end", "1.5", "1e3", "\u0663", "nan"]
+               "99999999999999999999", "-99999999999999999999", "x", "end", "1.5", "1e3",
+               "\u0663", "nan"]
 SEPARATORS = [" ", "\n", "\r\n", "\t", "\v", "\f", "  \n ", "", "\x1c", "\x85", "\xa0"]
 
 
-def leading_integers_loop(text: str) -> tuple[list[int], int | None]:
-    """Token by token, the reference for mesh_bank._leading_integers."""
+def leading_integers_loop(text: str) -> tuple[list[int | None], int | None]:
+    """Token by token, the reference for mesh_bank._leading_integers.
+    A value outside int64, which np.fromstring saturates, is None."""
     values = []
     for match in re.finditer(r"[^ \t\n\r\v\f]+", text):
-        if not re.fullmatch(r"[+-]?[0-9]{1,18}", match.group()):
+        if not re.fullmatch(r"[+-]?[0-9]+", match.group()):
             return values, match.start()
-        values.append(int(match.group()))
+        value = int(match.group())
+        values.append(value if -2**63 <= value < 2**63 else None)
     return values, None
 
 
@@ -171,8 +188,11 @@ class TestLoadOff:
         TETRA_OFF + "trailing data\n",
         TETRA_OFF + "1+2\n", TETRA_OFF + "+\n", TETRA_OFF + "--3 4\n",
         TETRA_OFF + "1234567890123456789\n",
+        TETRA_OFF.replace("3 0 2 3", "3 0 2 0000000000000000003"),
+        TETRA_OFF.replace("3 0 2 3", "3 0 2 0000000000000000003") + "end\n",
     ], ids=["comments", "blank-lines", "crlf", "tokens-across-lines", "trailing-data",
-            "trailing-1+2", "trailing-sign", "trailing---3", "trailing-19-digits"])
+            "trailing-1+2", "trailing-sign", "trailing---3", "trailing-19-digits",
+            "zero-padded-index", "zero-padded-index-before-trailing-text"])
     def test_accepted_layouts(self, tmp_path, text):
         path = tmp_path / "m.off"
         path.write_text(text, newline="")
@@ -234,7 +254,8 @@ class TestLoadOff:
         values, bad = mesh_bank._leading_integers(text)
         expected, expected_bad = leading_integers_loop(text)
         assert bad == expected_bad
-        assert values.dtype == np.int64 and values.tolist() == expected
+        assert values.dtype == np.int64 and len(values) == len(expected)
+        assert all(want is None or got == want for got, want in zip(values.tolist(), expected))
 
 
 class TestSampleSurface:
@@ -474,6 +495,22 @@ class TestBuildAndPlace:
         assert obj.points[:, 2].min() == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(obj.points[:, :2].mean(axis=0), 0.0, atol=1e-9)
 
+    def test_build_sizes_a_flat_mesh_by_its_largest_extent(self):
+        # a 2 x 1 quad in the xy plane has no height to size
+        quad = TriangleMesh(vertices=np.array([[0.0, 0, 0], [2, 0, 0], [2, 1, 0], [0, 1, 0]]),
+                            faces=np.array([[0, 1, 2], [0, 2, 3]]))
+        obj = build_anomaly_object(quad, "chair", 0.35, 0.9, np.random.default_rng(10))
+        rng = np.random.default_rng(10)
+        sample_surface(quad, OBJECT_POINTS, rng)
+        yaw, factor = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(*SCALE_RANGE)
+        assert obj.yaw == yaw
+        c, s = np.cos(yaw), np.sin(yaw)
+        unturned = obj.points @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        extents = unturned.max(axis=0) - unturned.min(axis=0)
+        assert extents[0] == pytest.approx(0.9 * factor, rel=1e-9)
+        assert extents[1] == pytest.approx(0.45 * factor, rel=1e-3)
+        assert extents[2] == 0.0
+
     def test_place_rests_on_ground(self):
         rng = np.random.default_rng(7)
         obj = build_anomaly_object(make_cube_mesh(), "chair", 0.35, 0.9, rng)
@@ -569,6 +606,18 @@ class TestMeshBank:
         (tmp_path / "spaceship" / "s.off").write_text(TETRA_OFF)
         with pytest.warns(UserWarning, match="spaceship"):
             bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}), {"chair": 0.9})
+        assert bank.categories == ["chair"]
+
+    def test_directory_without_off_files_skipped_silently(self, tmp_path):
+        (tmp_path / "chair").mkdir()
+        (tmp_path / "chair" / "c.off").write_text(TETRA_OFF)
+        (tmp_path / "table").mkdir()
+        (tmp_path / "table" / "notes.txt").write_text("no meshes yet\n")
+        catalog = ReflectivityCatalog({"chair": 0.35, "table": 0.5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a skipped category needs no height
+            bank = MeshBank(tmp_path, catalog, {"chair": 0.9})
         assert bank.categories == ["chair"]
 
     def test_concurrent_draws_parse_a_file_once(self, tmp_path, monkeypatch):
