@@ -86,6 +86,8 @@ class SplitPolicy:
             object.__setattr__(self, "anomaly_label", label)
         if not 0 < self.max_radius < math.inf:
             raise ValidationError(f"max_radius must be positive and finite, got {self.max_radius}")
+        # stored as float, so the manifest reads 50.0 whether 50 or 50.0 was passed
+        object.__setattr__(self, "max_radius", float(self.max_radius))
         if not self.surface_classes:
             raise ValidationError("at least one allowed surface class is required")
         check_anomaly_label(self.anomaly_label)

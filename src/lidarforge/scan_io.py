@@ -180,6 +180,7 @@ class SensorConfig:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValidationError(
                     f"{name} must be a finite magnitude >= 0, got {getattr(self, name)}")
+            object.__setattr__(self, name, float(getattr(self, name)))  # as from_file reads it
         if self.fov_rad <= 0:
             raise ValidationError("total vertical field of view must be positive")
 

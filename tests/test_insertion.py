@@ -544,6 +544,20 @@ class TestForgeSplit:
             if rec.surviving_count > 0:
                 assert rec.scan_id in manifest
 
+    def test_int_settings_write_the_float_manifest(self, tmp_path):
+        # the CLI parses --max-radius and the sensor file's angles as floats
+        scans, labels = self._dataset(tmp_path, n_scans=2)
+        bank = _bank_with_cube(tmp_path / "meshes")
+        manifests = []
+        for name, radius, up, down in (("int", 50, 3, 25), ("float", 50.0, 3.0, 25.0)):
+            forge_split(discover_pairs(scans, labels), tmp_path / name,
+                        SplitPolicy("multi", max_radius=radius), SensorConfig(64, 2048, up, down),
+                        bank, master_seed=5)
+            manifests.append((tmp_path / name / "manifest.tsv").read_bytes())
+        assert b"# max_radius = 50.0\n" in manifests[1]
+        assert b"# sensor_fov_up_deg = 3.0\n" in manifests[1]
+        assert manifests[0] == manifests[1]
+
     def test_anomaly_labels_match_manifest(self, tmp_path):
         scans, labels = self._dataset(tmp_path, seed=1)
         bank = _bank_with_cube(tmp_path / "meshes")

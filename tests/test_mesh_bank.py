@@ -1,9 +1,13 @@
 import re
 import sys
+import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -117,6 +121,41 @@ FACE_TOKENS = ["3", "0", "17", "-1", "+2", "007", "-0", "+", "-", "1+2", "--3", 
                "99999999999999999999", "-99999999999999999999", "x", "end", "1.5", "1e3",
                "\u0663", "nan"]
 SEPARATORS = [" ", "\n", "\r\n", "\t", "\v", "\f", "  \n ", "", "\x1c", "\x85", "\xa0"]
+
+
+# well-formed files for the parity test.  A plain file has ASCII
+# separators (comments included) and vertex tokens np.fromstring reads;
+# any other file also has vertex tokens Python's float reads but
+# np.fromstring does not ("1_0", "\u0663") and the separators of
+# SEPARATORS.  The face section splits only where np.fromstring does.
+COMMENTS = [" # note\n", "\t#\r\n"]
+ASCII_SEPARATORS = [" ", "\n", "\r\n", "\t", "\v", "\f", "  \n "] + COMMENTS
+ALL_SEPARATORS = [sep for sep in SEPARATORS if sep] + COMMENTS
+PLAIN_VERTEX_TOKENS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+VERTEX_TOKENS = st.one_of(PLAIN_VERTEX_TOKENS,
+                          st.sampled_from(["1_0", "\u0663", "-0", "+.5", "7.", "1E-3", "0.1"]))
+
+
+@st.composite
+def off_texts(draw):
+    """A well-formed OFF text; its first face has nonzero area."""
+    plain = draw(st.booleans())
+    extra = draw(st.integers(0, 5))
+    n_vertices = 3 + extra
+    vertex_tokens = "0 0 0 1 0 0 0 1 0".split() + draw(st.lists(
+        PLAIN_VERTEX_TOKENS if plain else VERTEX_TOKENS, min_size=3 * extra, max_size=3 * extra))
+    index = st.integers(0, n_vertices - 1).map(str)
+    faces = [["3", "0", "1", "2"]] + draw(
+        st.lists(st.lists(index, min_size=3, max_size=3).map(lambda f: ["3", *f]), max_size=5))
+    tokens = [str(n_vertices), str(len(faces)), "0", *vertex_tokens, *sum(faces, [])]
+    head = 3 + len(vertex_tokens)  # str.split splits the counts and vertices
+    separators = draw(st.lists(st.sampled_from(ASCII_SEPARATORS if plain else ALL_SEPARATORS),
+                               min_size=head, max_size=head))
+    separators += draw(st.lists(st.sampled_from(ASCII_SEPARATORS),
+                                min_size=len(tokens) - head, max_size=len(tokens) - head))
+    header = draw(st.sampled_from(["OFF\n", "OFF", "OFF ", "# exported\r\nOFF # header\n"]))
+    trailing = draw(st.sampled_from(["", "", "end\n", "trailing data", "7 1+2\n"]))
+    return header + "".join(t + sep for t, sep in zip(tokens, separators)) + trailing
 
 
 def leading_integers_loop(text: str) -> tuple[list[int | None], int | None]:
@@ -243,6 +282,39 @@ class TestLoadOff:
             load_off(path)
         assert str(info.value) == f"{path}:9: non-integer face token {token!r}"
 
+    @given(text=off_texts(), block=st.sampled_from([1, 2, 5, 64, mesh_bank._SCAN_BLOCK]))
+    @example(text="OFF3 1 0\n1_0 0 0\n0 1 0\n0 0 1\n3 0 1 2\n", block=mesh_bank._SCAN_BLOCK)
+    @settings(max_examples=300, deadline=None)
+    def test_byte_and_text_readers_equal_the_token_reference(self, text, block):
+        # the byte reader takes the ASCII files without text after the faces,
+        # the text reader the rest; at any scan block, both give the reference
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(mesh_bank, "_SCAN_BLOCK", block):
+            path = Path(tmp) / "m.off"
+            path.write_text(text, encoding="utf-8", newline="")
+            mesh = load_off(path)
+        ref = reference_off(text)
+        assert np.array_equal(mesh.vertices.view(np.uint64), ref.vertices.view(np.uint64))
+        assert mesh.faces.dtype == np.int64 and np.array_equal(mesh.faces, ref.faces)
+
+    def test_parse_peak_under_five_times_the_file(self, tmp_path):
+        # 50k faces, as the largest benchmark mesh: no token list, no decoded
+        # text, face areas a block at a time
+        rng = np.random.default_rng(17)
+        n_vertices, n_faces = 25_000, 50_000
+        rows = ["%.6f %.6f %.6f" % tuple(v) for v in rng.standard_normal((n_vertices, 3)).tolist()]
+        rows += ["3 %d %d %d" % tuple(f)
+                 for f in rng.integers(0, n_vertices, (n_faces, 3)).tolist()]
+        path = tmp_path / "big.off"
+        path.write_text(f"OFF\n{n_vertices} {n_faces} 0\n" + "\n".join(rows) + "\n")
+        tracemalloc.start()
+        try:
+            load_off(path).face_areas
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * path.stat().st_size
+
     @given(tokens=st.lists(st.sampled_from(FACE_TOKENS), max_size=12),
            separators=st.lists(st.sampled_from(SEPARATORS), min_size=13, max_size=13),
            lead=st.booleans())
@@ -347,6 +419,14 @@ class TestFaceAreasOracle:
             got, want = mesh.face_areas, reference_face_areas(mesh)
             assert got.dtype == want.dtype == np.float64
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), trial
+
+    def test_blocks_give_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        mesh = TriangleMesh(vertices=rng.standard_normal((50, 3)),
+                            faces=rng.integers(0, 50, (1000, 3)))
+        monkeypatch.setattr(mesh_bank, "_AREA_BLOCK", 7)
+        got, want = mesh.face_areas, reference_face_areas(mesh)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def reference_sample_surface(mesh: TriangleMesh, n: int, seed) -> np.ndarray:
