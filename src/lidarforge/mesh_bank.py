@@ -79,49 +79,35 @@ class TriangleMesh:
         return areas
 
 
-# a comment runs to the end of its line, wherever str.splitlines ends lines
-_COMMENT = re.compile("#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
-# face tokens as np.fromstring separates them
-_FACE_TOKEN = re.compile(r"[^ \t\n\r\v\f]+")
-# per character: d a digit, s a sign, a space a separator, x other
-_CHAR_CLASSES = b"".join(b"d" if chr(i) in "0123456789" else b"s" if chr(i) in "+-"
-                        else b" " if chr(i) in " \t\n\r\v\f" else b"x" for i in range(256))
-
-
-# the byte reader's files are ASCII without these bytes, which str.split
-# takes as whitespace: bytes.split and np.fromstring then split on
-# " \t\n\r\v\f" alone, and a comment ends at "\n\r\v\f"
-_TEXT_ONLY_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-_ASCII_COMMENT = re.compile(rb"#[^\n\r\v\f]*")
-_ASCII_COUNTS = re.compile(rb"\s*OFF\s*(\S+)\s+(\S+)\s+(\S+)")
-# 1 for a separator byte, 0 for any other
-_SEPARATOR_BYTES = bytes(c in b" \t\n\r\v\f" for c in range(256))
+# the separators are " \t\n\r\v\f" throughout: the bytes that np.fromstring's
+# sep=" ", bytes.split and bytes.isspace skip, and \s matches in a bytes pattern
+_COMMENT = re.compile(rb"#[^\n\r\v\f]*")  # to the end of its line, of any bytes
+_COUNTS = re.compile(rb"\s*(\S*)\s*(\S*)\s*(\S*)\s*")  # after "OFF"; empty when missing
+_TOKEN = re.compile(rb"\S+")
+# per byte: d a digit, s a sign, a space a separator, x other
+_CHAR_CLASSES = b"".join(b"d" if c in b"0123456789" else b"s" if c in b"+-"
+                        else b" " if c in b" \t\n\r\v\f" else b"x" for c in range(256))
 _SCAN_BLOCK = 1 << 16  # bytes per step of _token_start
 
 
 def load_off(path: str | os.PathLike) -> TriangleMesh:
     """Parse an ASCII OFF mesh.
 
-    The body is read as a stream of whitespace-separated tokens, with
-    ``#`` comments and blank lines ignored, so line breaks may fall
-    anywhere.  Tolerates the header token glued to the counts line
-    ("OFF490 518 0"), a quirk of many ModelNet files.  Tokens after the
-    last face are ignored.  Raises FormatError naming the file and,
-    where one token is at fault, its line.
+    The body is read as a stream of tokens split on " \\t\\n\\r\\v\\f",
+    with ``#`` comments (which may hold any bytes) ignored, so line
+    breaks may fall anywhere.  Every other byte belongs to a token, and
+    a vertex coordinate is a token np.fromstring reads ("1_0" and
+    "\\u0663" are not).  Tolerates the header token glued to the counts
+    line ("OFF490 518 0"), a quirk of many ModelNet files.  Tokens
+    after the last face are ignored.  Raises FormatError naming the
+    file and, where one token is at fault, its line.
 
-    The file's bytes are read once.  A well-formed file of ASCII text
-    with nothing after its last face is parsed from them in bounded
-    memory: a block-wise scan finds where the vertex tokens end, and
-    np.fromstring reads the vertices and then the faces.  No token list
-    or decoded text is built; only a file with comments is copied, once,
-    without them.  The traced peak, face_areas included, stays under 5
-    times the file's size (2.9 times for a 1.6 MB file of 50k faces).
-    Any other file is decoded as UTF-8 and read as text, by the only
-    code that words errors: a file with a non-ASCII byte (``float``
-    reads "\u0663" as 3.0, and str.split splits on "\x85" and "\xa0"),
-    one of the separators "\x1c"-"\x1f" (whitespace to str.split, not to
-    bytes.split), a token after the faces, or any fault.  Both readers
-    give the same arrays for the same file.
+    The file's bytes are read once and parsed as bytes: a block-wise
+    scan finds where the vertex tokens end, and np.fromstring reads the
+    vertices, then the faces, with no token list or decoded text; a
+    file with comments is copied once without them.  For every
+    well-formed file the traced peak, face_areas included, stays under
+    5 times the file's size (2.9 times for a 1.6 MB file of 50k faces).
     """
     mesh = TriangleMesh(*_off_arrays(path))
     if not (mesh.face_areas > 0).any():
@@ -130,140 +116,75 @@ def load_off(path: str | os.PathLike) -> TriangleMesh:
 
 
 def _off_arrays(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices and faces of an OFF file, from the byte reader where
-    it applies, else from the text reader; the bytes die on return,
-    before TriangleMesh copies the arrays."""
+    """An OFF file's vertices and faces; its bytes die before TriangleMesh copies them."""
     data = Path(path).read_bytes()
-    return _read_ascii(data) or _read_text(path, data.decode("utf-8", errors="replace"))
-
-
-def _read_ascii(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """The vertices and faces of a well-formed ASCII OFF file with no
-    token after its faces, as _read_text reads them; None for any other
-    file."""
-    if not data.isascii() or any(sep in data for sep in _TEXT_ONLY_SEPARATORS):
-        return None
     if b"#" in data:
-        data = _ASCII_COMMENT.sub(b"", data)
-    counts = _ASCII_COUNTS.match(data)
-    if counts is None:
-        return None
-    try:
-        n_vertices, n_faces, _n_edges = map(int, counts.groups())
-    except ValueError:
-        return None
-    if n_vertices <= 0 or n_faces <= 0:
-        return None
-    end = _token_start(data, counts.end(), 3 * n_vertices)
-    try:
-        # np.fromstring reads an ASCII token to a finite float only where
-        # Python's float reads it to the same value, and reads one value
-        # per token, so a vertex range it reads in full holds as many
-        # tokens as values
-        vertices = np.fromstring(data[counts.end():end], dtype=np.float64, sep=" ")
-        flat = np.fromstring(data[end:], dtype=np.int64, sep=" ")
-    except ValueError:  # a token that is not a number, or text after the faces
-        return None
-    need = 4 * n_faces
-    if vertices.size != 3 * n_vertices or flat.size < need or not np.isfinite(vertices).all():
-        return None
-    table = flat[:need].reshape(n_faces, 4)
-    faces = table[:, 1:]
-    if (table[:, 0] != 3).any() or (faces < 0).any() or (faces >= n_vertices).any():
-        return None
-    return vertices.reshape(n_vertices, 3), faces
-
-
-def _token_start(data: bytes, start: int, k: int) -> int:
-    """Offset of token k (from 0) of ``data[start:]`` split on
-    " \t\n\r\v\f", or len(data) when it has no more than k tokens.
-    Copies one block of bytes at a time, never the whole range."""
-    before = True  # whether the byte before the block is a separator
-    for at in range(start, len(data), _SCAN_BLOCK):
-        space = np.frombuffer(data[at:at + _SCAN_BLOCK].translate(_SEPARATOR_BYTES),
-                              dtype=np.bool_)
-        starts = ~space
-        starts[0] &= before
-        starts[1:] &= space[:-1]
-        found = int(np.count_nonzero(starts))
-        if found > k:
-            return at + int(np.flatnonzero(starts)[k])
-        k -= found
-        before = space[-1]
-    return len(data)
-
-
-def _read_text(path: str | os.PathLike, text: str) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices and faces of an OFF file's decoded text, token by
-    token; raises FormatError naming the file and, where one token is at
-    fault, its line."""
-    body = _COMMENT.sub("", text)  # removes no line break, so lines keep their numbers
-
-    def line_at(offset: int) -> int:
-        return len(body[:offset + 1].splitlines())
+        data = _COMMENT.sub(b"", data)  # removes no line break, so lines keep their numbers
 
     def fail(offset: int | None, message: str) -> NoReturn:
-        where = f"{path}:{line_at(offset)}" if offset is not None else f"{path}"
-        raise FormatError(f"{where}: {message}")
+        if offset is not None:  # the line as str.splitlines counts it
+            lines = data[:offset + 1].decode("utf-8", "replace").splitlines()
+            raise FormatError(f"{path}:{len(lines)}: {message}")
+        raise FormatError(f"{path}: {message}")
 
-    def end_of_file(what: str) -> NoReturn:
-        # the last token, or the header when there is none
-        fail(len(body.rstrip()) - 1, f"unexpected end of file while reading {what}")
+    def end_of_file(what: str) -> NoReturn:  # at the last token, or the header if none
+        fail(len(data.rstrip()) - 1, f"unexpected end of file while reading {what}")
 
-    header = len(body) - len(body.lstrip())
-    if header == len(body):
+    def quote(token: re.Match) -> str:
+        return repr(token.group().decode("utf-8", "replace"))
+
+    header = _token_start(data, 0, 0)
+    if header == len(data):
         fail(None, "empty file, missing OFF header")
-    if not body.startswith("OFF", header):
+    if not data.startswith(b"OFF", header):
         fail(header, "missing OFF header")
-
-    after_header = body[header + 3:]
-    counts = after_header.split(None, 3)
-    first = len(body) - len(after_header.lstrip()) if counts else header
+    counts = _COUNTS.match(data, header + 3)
+    first = counts.start(1) if counts.group(1) else header
     try:
-        n_vertices, n_faces, _n_edges = (int(t) for t in counts[:3])
+        n_vertices, n_faces, _n_edges = map(int, counts.groups())
     except ValueError:
         fail(first, "malformed counts line")
     if n_vertices < 0 or n_faces < 0:
         fail(first, "negative counts")
 
-    # split off exactly the vertex tokens; the rest is the face section
-    parts = counts[3].split(None, 3 * n_vertices) if len(counts) > 3 else []
-    if len(parts) < 3 * n_vertices:
-        end_of_file("vertices")
-    faces_text = parts[3 * n_vertices] if len(parts) > 3 * n_vertices else ""
-
-    def vertex_fail(k: int, what: str) -> NoReturn:
-        """Fail at vertex token k, quoting it."""
-        match = next(itertools.islice(re.finditer(r"\S+", counts[3]), k, None))
-        fail(len(body) - len(counts[3]) + match.start(),
-             f"{what} vertex coordinate {match.group()!r}")
-
+    start = counts.end()  # the first vertex token
+    end = _token_start(data, start, 3 * n_vertices)  # the first face token
     try:
-        vertices = np.array(parts[:3 * n_vertices], dtype=np.float64).reshape(n_vertices, 3)
-    except ValueError:
-        vertex_fail(next(k for k, token in enumerate(parts) if not _is_number(token)),
-                    "non-numeric")
-    finite = np.isfinite(vertices.ravel())
-    if not finite.all():
+        vertices = np.fromstring(data[start:end], dtype=np.float64, sep=" ")
+    except ValueError:  # a token that is not a number
+        vertices = None
+    if vertices is None or vertices.size != 3 * n_vertices:
+        if _token_start(data, start, 3 * n_vertices - 1) == len(data):
+            end_of_file("vertices")
+        for token in _TOKEN.finditer(data, start, end):
+            try:  # item() fails too unless the token reads as one value
+                np.fromstring(token.group(), dtype=np.float64, sep=" ").item()
+            except ValueError:
+                fail(token.start(), f"non-numeric vertex coordinate {quote(token)}")
+    if not np.isfinite(vertices).all():
         # nan, inf or a value that overflows (1e400) would reach the area sums
-        vertex_fail(int(np.argmin(finite)), "non-finite")
+        k = int(np.argmin(np.isfinite(vertices)))
+        token = _TOKEN.match(data, _token_start(data, start, k))
+        fail(token.start(), f"non-finite vertex coordinate {quote(token)}")
 
     need = 4 * n_faces
-    try:
-        flat = np.fromstring(faces_text, dtype=np.int64, sep=" ")
-    except ValueError:  # a token that is not an integer
-        flat = None
-    bad = None
+    flat = bad = None
+    # np.fromstring reads a lone sign as the sign of the next integer, or
+    # as 0 at the end, so a face section with a sign takes the token scan
+    if data.find(b"+", end) < 0 and data.find(b"-", end) < 0:
+        try:
+            flat = np.fromstring(data[end:], dtype=np.int64, sep=" ")
+        except ValueError:  # a token that is not an integer
+            pass
     if flat is None or flat.size < need:
-        flat, bad = _leading_integers(faces_text)
-    faces_base = len(body) - len(faces_text)
+        flat, bad = _leading_integers(data, end)
 
     def face_fail(face: int, token: int, message: str) -> NoReturn:
-        """Fail at face ``face``; ``{}`` in ``message`` becomes its token ``token``
-        (0: the arity) as written, not the value np.fromstring saturated."""
-        matches = list(itertools.islice(_FACE_TOKEN.finditer(faces_text),
+        # {} in message: token `token` of face `face` (0: the arity) as
+        # written, not the value np.fromstring saturated
+        matches = list(itertools.islice(_TOKEN.finditer(data, end),
                                         4 * face, 4 * face + token + 1))
-        fail(faces_base + matches[0].start(), message.format(matches[-1].group()))
+        fail(matches[0].start(), message.format(matches[-1].group().decode()))
 
     arity = "face with {} vertices; only triangles supported"
     # faces in full before the stream ends; check them in file order
@@ -278,38 +199,49 @@ def _read_text(path: str | os.PathLike, text: str) -> tuple[np.ndarray, np.ndarr
         face_fail(i, 1 + int(np.argmin(in_range[i])),
                   f"face index {{}} out of range for {n_vertices} vertices")
     if whole < n_faces:
-        # the stream ends inside face `whole`, at the end of the file or at a bad token
+        # the stream ends inside face `whole`, at the end of the file or at a
+        # bad token; too few tokens from that one on to finish the face is the end
         partial = flat[4 * whole:]
         if partial.size and partial[0] != 3:
             face_fail(whole, 0, arity)
-        if bad is None or (partial.size and partial.size + len(faces_text[bad:].split()) < 4):
+        if bad is None or partial.size and _token_start(data, bad, 3 - partial.size) == len(data):
             end_of_file("face indices" if partial.size else "face arity")
-        token = _FACE_TOKEN.match(faces_text, bad).group()
-        fail(faces_base + bad, f"non-integer face token {token!r}")
-    return vertices, table[:, 1:]
+        token = _TOKEN.match(data, bad)
+        fail(bad, f"non-integer face token {quote(token)}")
+    return vertices.reshape(n_vertices, 3), table[:, 1:]
 
 
-def _is_number(token: str) -> bool:
-    """Whether numpy reads ``token`` as a float64, as load_off reads vertices."""
-    try:
-        np.array(token, dtype=np.float64)
-    except ValueError:
-        return False
-    return True
+def _token_start(data: bytes, start: int, k: int) -> int:
+    """Offset of token k (from 0) of ``data[start:]``, or len(data) when
+    it has no more than k tokens.  Copies one block of bytes at a time,
+    never the whole range."""
+    before = True  # whether the byte before the block is a separator
+    for at in range(start, len(data), _SCAN_BLOCK):
+        block = data[at:at + _SCAN_BLOCK].translate(_CHAR_CLASSES)
+        space = np.frombuffer(block, dtype=np.uint8) == ord(" ")
+        starts = ~space
+        starts[0] &= before
+        starts[1:] &= space[:-1]
+        found = int(np.count_nonzero(starts))
+        if found > k:
+            return at + int(np.flatnonzero(starts)[k])
+        k -= found
+        before = space[-1]
+    return len(data)
 
 
-def _leading_integers(text: str) -> tuple[np.ndarray, int | None]:
-    """The integer tokens that open ``text``, and the offset of the first
-    token that is not one (None when every token is an integer)."""
-    # "?" per non-ASCII character keeps offsets; a space ends the last token
-    classes = text.encode("ascii", "replace").translate(_CHAR_CLASSES) + b" "
+def _leading_integers(data: bytes, start: int) -> tuple[np.ndarray, int | None]:
+    """The integer tokens that open ``data[start:]``, and the offset of the
+    first token that is not one (None when every token is an integer)."""
+    classes = (data[start:] + b" ").translate(_CHAR_CLASSES)  # a space ends the last token
     # an integer token is a sign at most, then digits, as np.fromstring
     # reads them; any other token holds one of these
     hits = [at for at in map(classes.find, (b"x", b"ds", b"ss", b"s ")) if at >= 0]
-    bad = classes.rfind(b" ", 0, min(hits)) + 1 if hits else None
-    # up to the last integer: np.fromstring reads separators alone as one 0
-    end = len(classes[:bad].rstrip())
-    return np.fromstring(text[:end], dtype=np.int64, sep=" "), bad
+    bad = start + classes.rfind(b" ", 0, min(hits)) + 1 if hits else None
+    del classes
+    integers = data[start:bad]
+    # np.fromstring reads separators alone as one 0
+    return np.fromstring(b"" if integers.isspace() else integers, dtype=np.int64, sep=" "), bad
 
 
 def sample_surface(mesh: TriangleMesh, n: int, seed: int | np.random.Generator) -> np.ndarray:

@@ -92,6 +92,12 @@ OFF_ERROR_CASES = [
     ("19-digit-index-before-trailing-text",
      TETRA_OFF.replace("3 0 2 3", "3 0 2 1234567890123456789") + "end\n",
      9, "face index 1234567890123456789 out of range for 4 vertices"),
+    # np.fromstring alone reads a final lone sign as the index 0
+    ("lone-sign-last-index", TETRA_OFF.replace("3 1 2 3", "3 1 2 -"),
+     10, "non-integer face token '-'"),
+    # a count past ssize_t
+    ("huge-vertex-count", "OFF 100000000000000000000 5 0\n0 0 0\n",
+     2, "unexpected end of file while reading vertices"),
 ]
 # past int64, np.fromstring saturates either sign to 2**63 - 1: the
 # messages quote the token as written
@@ -113,9 +119,11 @@ NON_INTEGER_FACES = [
     ("3 1e0 1 2", "1e0"),
     # made of digits and signs, but not a sign followed by digits
     ("3 0 1+2 3", "1+2"), ("3 + 1 2", "+"), ("3 0 --3 1", "--3"), ("3 0 1 2-", "2-"),
+    # a lone sign, which np.fromstring alone reads as the next integer's sign
+    ("3 0 + 2 3", "+"), ("3 0 2 -", "-"),
 ]
 # tokens and separators for the token-loop oracle: "" glues two tokens;
-# \x1c, \x85 and \xa0 are whitespace to str.split but not to np.fromstring
+# \x1c, \x85 and \xa0 are whitespace to str.split, but part of a token here
 FACE_TOKENS = ["3", "0", "17", "-1", "+2", "007", "-0", "+", "-", "1+2", "--3", "2-",
                "123456789012345678", "1234567890123456789", "0000000000000000001",
                "99999999999999999999", "-99999999999999999999", "x", "end", "1.5", "1e3",
@@ -123,47 +131,38 @@ FACE_TOKENS = ["3", "0", "17", "-1", "+2", "007", "-0", "+", "-", "1+2", "--3", 
 SEPARATORS = [" ", "\n", "\r\n", "\t", "\v", "\f", "  \n ", "", "\x1c", "\x85", "\xa0"]
 
 
-# well-formed files for the parity test.  A plain file has ASCII
-# separators (comments included) and vertex tokens np.fromstring reads;
-# any other file also has vertex tokens Python's float reads but
-# np.fromstring does not ("1_0", "\u0663") and the separators of
-# SEPARATORS.  The face section splits only where np.fromstring does.
+# well-formed files for the parity test: ASCII separators (comments
+# included) and vertex tokens np.fromstring reads
 COMMENTS = [" # note\n", "\t#\r\n"]
 ASCII_SEPARATORS = [" ", "\n", "\r\n", "\t", "\v", "\f", "  \n "] + COMMENTS
-ALL_SEPARATORS = [sep for sep in SEPARATORS if sep] + COMMENTS
-PLAIN_VERTEX_TOKENS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
-VERTEX_TOKENS = st.one_of(PLAIN_VERTEX_TOKENS,
-                          st.sampled_from(["1_0", "\u0663", "-0", "+.5", "7.", "1E-3", "0.1"]))
+VERTEX_TOKENS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                          st.sampled_from(["-0", "+.5", "7.", "1E-3", "0.1"]))
 
 
 @st.composite
 def off_texts(draw):
     """A well-formed OFF text; its first face has nonzero area."""
-    plain = draw(st.booleans())
     extra = draw(st.integers(0, 5))
     n_vertices = 3 + extra
     vertex_tokens = "0 0 0 1 0 0 0 1 0".split() + draw(st.lists(
-        PLAIN_VERTEX_TOKENS if plain else VERTEX_TOKENS, min_size=3 * extra, max_size=3 * extra))
+        VERTEX_TOKENS, min_size=3 * extra, max_size=3 * extra))
     index = st.integers(0, n_vertices - 1).map(str)
     faces = [["3", "0", "1", "2"]] + draw(
         st.lists(st.lists(index, min_size=3, max_size=3).map(lambda f: ["3", *f]), max_size=5))
     tokens = [str(n_vertices), str(len(faces)), "0", *vertex_tokens, *sum(faces, [])]
-    head = 3 + len(vertex_tokens)  # str.split splits the counts and vertices
-    separators = draw(st.lists(st.sampled_from(ASCII_SEPARATORS if plain else ALL_SEPARATORS),
-                               min_size=head, max_size=head))
-    separators += draw(st.lists(st.sampled_from(ASCII_SEPARATORS),
-                                min_size=len(tokens) - head, max_size=len(tokens) - head))
+    separators = draw(st.lists(st.sampled_from(ASCII_SEPARATORS),
+                               min_size=len(tokens), max_size=len(tokens)))
     header = draw(st.sampled_from(["OFF\n", "OFF", "OFF ", "# exported\r\nOFF # header\n"]))
-    trailing = draw(st.sampled_from(["", "", "end\n", "trailing data", "7 1+2\n"]))
+    trailing = draw(st.sampled_from(["", "", "end\n", "trailing data", "7 1+2\n", "+ 1\n"]))
     return header + "".join(t + sep for t, sep in zip(tokens, separators)) + trailing
 
 
-def leading_integers_loop(text: str) -> tuple[list[int | None], int | None]:
+def leading_integers_loop(data: bytes) -> tuple[list[int | None], int | None]:
     """Token by token, the reference for mesh_bank._leading_integers.
     A value outside int64, which np.fromstring saturates, is None."""
     values = []
-    for match in re.finditer(r"[^ \t\n\r\v\f]+", text):
-        if not re.fullmatch(r"[+-]?[0-9]+", match.group()):
+    for match in re.finditer(rb"[^ \t\n\r\v\f]+", data):
+        if not re.fullmatch(rb"[+-]?[0-9]+", match.group()):
             return values, match.start()
         value = int(match.group())
         values.append(value if -2**63 <= value < 2**63 else None)
@@ -225,13 +224,13 @@ class TestLoadOff:
         TETRA_OFF.replace("\n", "\r\n"),
         TETRA_OFF.replace("0 1 0\n0 0 1\n3 0 1 2", "0 1 0 0\n0 1 3\n0 1 2"),
         TETRA_OFF + "trailing data\n",
-        TETRA_OFF + "1+2\n", TETRA_OFF + "+\n", TETRA_OFF + "--3 4\n",
+        TETRA_OFF + "1+2\n", TETRA_OFF + "+\n", TETRA_OFF + "+ 1\n", TETRA_OFF + "--3 4\n",
         TETRA_OFF + "1234567890123456789\n",
         TETRA_OFF.replace("3 0 2 3", "3 0 2 0000000000000000003"),
         TETRA_OFF.replace("3 0 2 3", "3 0 2 0000000000000000003") + "end\n",
     ], ids=["comments", "blank-lines", "crlf", "tokens-across-lines", "trailing-data",
-            "trailing-1+2", "trailing-sign", "trailing---3", "trailing-19-digits",
-            "zero-padded-index", "zero-padded-index-before-trailing-text"])
+            "trailing-1+2", "trailing-sign", "trailing-sign-then-integer", "trailing---3",
+            "trailing-19-digits", "zero-padded-index", "zero-padded-index-before-trailing-text"])
     def test_accepted_layouts(self, tmp_path, text):
         path = tmp_path / "m.off"
         path.write_text(text, newline="")
@@ -283,11 +282,11 @@ class TestLoadOff:
         assert str(info.value) == f"{path}:9: non-integer face token {token!r}"
 
     @given(text=off_texts(), block=st.sampled_from([1, 2, 5, 64, mesh_bank._SCAN_BLOCK]))
-    @example(text="OFF3 1 0\n1_0 0 0\n0 1 0\n0 0 1\n3 0 1 2\n", block=mesh_bank._SCAN_BLOCK)
+    @example(text="OFF3 1 0 # c\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n+ 1\n", block=1)
     @settings(max_examples=300, deadline=None)
     def test_byte_and_text_readers_equal_the_token_reference(self, text, block):
-        # the byte reader takes the ASCII files without text after the faces,
-        # the text reader the rest; at any scan block, both give the reference
+        # the one reader gives the reference at any scan block, with or
+        # without text after the faces
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(mesh_bank, "_SCAN_BLOCK", block):
             path = Path(tmp) / "m.off"
@@ -297,16 +296,18 @@ class TestLoadOff:
         assert np.array_equal(mesh.vertices.view(np.uint64), ref.vertices.view(np.uint64))
         assert mesh.faces.dtype == np.int64 and np.array_equal(mesh.faces, ref.faces)
 
-    def test_parse_peak_under_five_times_the_file(self, tmp_path):
+    @pytest.mark.parametrize("tail", ["", "end\n"], ids=["clean", "text-after-faces"])
+    def test_parse_peak_under_five_times_the_file(self, tmp_path, tail):
         # 50k faces, as the largest benchmark mesh: no token list, no decoded
-        # text, face areas a block at a time
+        # text, face areas a block at a time; text after the faces sends the
+        # face section to the integer-token scan
         rng = np.random.default_rng(17)
         n_vertices, n_faces = 25_000, 50_000
         rows = ["%.6f %.6f %.6f" % tuple(v) for v in rng.standard_normal((n_vertices, 3)).tolist()]
         rows += ["3 %d %d %d" % tuple(f)
                  for f in rng.integers(0, n_vertices, (n_faces, 3)).tolist()]
         path = tmp_path / "big.off"
-        path.write_text(f"OFF\n{n_vertices} {n_faces} 0\n" + "\n".join(rows) + "\n")
+        path.write_text(f"OFF\n{n_vertices} {n_faces} 0\n" + "\n".join(rows) + "\n" + tail)
         tracemalloc.start()
         try:
             load_off(path).face_areas
@@ -315,17 +316,36 @@ class TestLoadOff:
             tracemalloc.stop()
         assert peak < 5 * path.stat().st_size
 
+    # a byte outside ASCII, or one of \x1c-\x1f, is part of a token, and
+    # "1_0" and "\u0663", which Python's float reads, are not numbers here;
+    # a comment may hold any of them
+    @pytest.mark.parametrize("token", ["0\xa01", "0\x851", "0\x1c1", "1_0", "\u0663"],
+                             ids=["nbsp", "nel", "file-separator", "underscore", "arabic-digit"])
+    def test_non_ascii_and_python_only_tokens_rejected(self, tmp_path, token):
+        path = tmp_path / "bad.off"
+        path.write_text(TETRA_OFF.replace("0 1 0", f"0 {token} 0"), encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            load_off(path)
+        assert str(info.value) == f"{path}:5: non-numeric vertex coordinate {token!r}"
+        path.write_text(TETRA_OFF.replace("0 1 0", f"0 1 0 # {token} caf\u00e9"),
+                        encoding="utf-8")
+        mesh, ref = load_off(path), reference_off(TETRA_OFF)
+        assert np.array_equal(mesh.vertices, ref.vertices)
+        assert np.array_equal(mesh.faces, ref.faces)
+
     @given(tokens=st.lists(st.sampled_from(FACE_TOKENS), max_size=12),
            separators=st.lists(st.sampled_from(SEPARATORS), min_size=13, max_size=13),
            lead=st.booleans())
     @example(tokens=["3", "-"], separators=[" "] + [""] * 12, lead=False)  # a sign ends it
     @settings(max_examples=400, deadline=None)
     def test_leading_integers_equal_the_token_loop(self, tokens, separators, lead):
-        text = (separators[-1] if lead else "") + "".join(
-            token + sep for token, sep in zip(tokens, separators))
-        values, bad = mesh_bank._leading_integers(text)
-        expected, expected_bad = leading_integers_loop(text)
-        assert bad == expected_bad
+        data = ((separators[-1] if lead else "") + "".join(
+            token + sep for token, sep in zip(tokens, separators))).encode()
+        # the scan starts after bytes it must not read
+        before = b"x 1+ 2 -"
+        values, bad = mesh_bank._leading_integers(before + b" " + data, len(before) + 1)
+        expected, expected_bad = leading_integers_loop(data)
+        assert bad == (None if expected_bad is None else len(before) + 1 + expected_bad)
         assert values.dtype == np.int64 and len(values) == len(expected)
         assert all(want is None or got == want for got, want in zip(values.tolist(), expected))
 
@@ -699,6 +719,15 @@ class TestMeshBank:
             # a skipped category needs no height
             bank = MeshBank(tmp_path, catalog, {"chair": 0.9})
         assert bank.categories == ["chair"]
+
+    def test_huge_vertex_count_is_a_cached_format_error(self, tmp_path):
+        (tmp_path / "chair").mkdir()
+        (tmp_path / "chair" / "c.off").write_text("OFF 100000000000000000000 5 0\n0 0 0\n")
+        bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}), {"chair": 0.9})
+        for _ in range(2):
+            with pytest.raises(FormatError, match="unexpected end of file while reading"):
+                bank.choose(np.random.default_rng(0))
+        assert isinstance(bank._cache[tmp_path / "chair" / "c.off"], FormatError)
 
     def test_concurrent_draws_parse_a_file_once(self, tmp_path, monkeypatch):
         (tmp_path / "chair").mkdir()
