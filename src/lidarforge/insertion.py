@@ -217,7 +217,9 @@ def pick_placement(surface: PlacementSurface, seed: int | np.random.Generator,
         pick = int(candidates[rng.integers(candidates.size)])
         cx, cy = surface.xy[pick]
 
-        if any(np.hypot(cx - ox, cy - oy) < object_radius + orad for ox, oy, orad in occupied):
+        # the norm that point_ranges and AnomalyObject.xy_radius compute
+        gaps = [(cx - ox, cy - oy, orad) for ox, oy, orad in occupied]
+        if any(math.sqrt(dx * dx + dy * dy) < object_radius + orad for dx, dy, orad in gaps):
             continue
 
         z_near = surface.heights_near(cx, cy)
@@ -466,12 +468,8 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
             # not the result: its cloud and labels would live until the manifest
             return sid, result.records, None
 
-        # kept serial: one worker in a thread pool measured ~7 MB more peak RSS on forge-single
-        if workers <= 1:
-            outcomes = [work(item) for item in pairs]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(work, pairs))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(work, pairs))
 
         records, skipped, per_scan = [], [], {}
         anomaly_points = 0

@@ -12,7 +12,6 @@ import itertools
 import math
 import os
 import re
-import threading
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -84,6 +83,7 @@ class TriangleMesh:
 _COMMENT = re.compile(rb"#[^\n\r\v\f]*")  # to the end of its line, of any bytes
 _COUNTS = re.compile(rb"\s*(\S*)\s*(\S*)\s*(\S*)\s*")  # after "OFF"; empty when missing
 _TOKEN = re.compile(rb"\S+")
+_LINE_BREAK = re.compile(rb"\r\n|[\n\r\v\f]")  # the separators that end a line
 # per byte: d a digit, s a sign, a space a separator, x other
 _CHAR_CLASSES = b"".join(b"d" if c in b"0123456789" else b"s" if c in b"+-"
                         else b" " if c in b" \t\n\r\v\f" else b"x" for c in range(256))
@@ -122,9 +122,9 @@ def _off_arrays(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
         data = _COMMENT.sub(b"", data)  # removes no line break, so lines keep their numbers
 
     def fail(offset: int | None, message: str) -> NoReturn:
-        if offset is not None:  # the line as str.splitlines counts it
-            lines = data[:offset + 1].decode("utf-8", "replace").splitlines()
-            raise FormatError(f"{path}:{len(lines)}: {message}")
+        if offset is not None:
+            line = 1 + len(_LINE_BREAK.findall(data, 0, offset))
+            raise FormatError(f"{path}:{line}: {message}")
         raise FormatError(f"{path}: {message}")
 
     def end_of_file(what: str) -> NoReturn:  # at the last token, or the header if none
@@ -434,21 +434,19 @@ class MeshBank:
     """Lazy-loading collection of category-organized OFF meshes, with
     each category's reflectivity and target height.  A category missing
     from the catalog is skipped with a warning; one without a height is
-    rejected.
+    rejected, and so are two directories that name one category
+    (``flower_pot`` and ``flower pot``).
 
-    A file is parsed once, on its first draw; its mesh, or the
-    FormatError it raised, is kept and served to every later draw.
-    Parses run under one lock, so a worker thread that draws a file
-    while another parses it waits for that parse instead of repeating
-    it; a draw of a file already parsed takes no lock.
+    The bank keeps file lists only: each draw parses its file, so a
+    mesh lives as long as the draw's caller holds it, and forge threads
+    share no mutable state through the bank.
     """
 
     def __init__(self, root: str | os.PathLike, catalog: ReflectivityCatalog,
                  heights: dict[str, float]):
         self.root = Path(root)
         self._files: dict[str, list[Path]] = {}
-        self._cache: dict[Path, TriangleMesh | FormatError] = {}
-        self._parse_lock = threading.Lock()
+        seen: dict[str, str] = {}  # category -> the directory that named it
         for sub in sorted(p for p in self.root.iterdir() if p.is_dir()):
             category = sub.name.replace("_", " ")
             files = sorted(sub.rglob("*.off"))
@@ -457,6 +455,10 @@ class MeshBank:
             if category not in catalog:
                 warnings.warn(f"skipping mesh directory {sub.name!r}: not in reflectivity catalog")
                 continue
+            if category in seen:
+                raise ValidationError(f"mesh directories {seen[category]!r} and {sub.name!r} "
+                                      f"both name the category {category!r}")
+            seen[category] = sub.name
             self._files[category] = files
         if not self._files:
             raise ValidationError(f"no usable mesh categories under {self.root}")
@@ -473,18 +475,4 @@ class MeshBank:
     def choose(self, rng: np.random.Generator) -> tuple[str, TriangleMesh]:
         category = self.categories[int(rng.integers(len(self.categories)))]
         files = self._files[category]
-        path = files[int(rng.integers(len(files)))]
-        mesh = self._cache.get(path)
-        if mesh is None:
-            with self._parse_lock:
-                mesh = self._cache.get(path)
-                if mesh is None:
-                    try:
-                        mesh = load_off(path)
-                    except FormatError as exc:
-                        mesh = exc
-                    self._cache[path] = mesh
-        if isinstance(mesh, FormatError):
-            # a new instance each time: threads may raise it at once
-            raise FormatError(*mesh.args)
-        return category, mesh
+        return category, load_off(files[int(rng.integers(len(files)))])

@@ -22,7 +22,7 @@ from lidarforge import (EvalPair, FeatureSet, LabelArray, MeshBank, PointCloud, 
                         ReflectivityCatalog, SensorConfig, SplitPolicy, auroc, compute_scores,
                         forge_split, load_target_heights, point_ranges, range_binned_ap,
                         read_tensor, write_labels, write_scan, write_tensor)
-from lidarforge import mesh_bank, scoring
+from lidarforge import scoring
 from lidarforge.cli import _float32_at_most, main
 from lidarforge.insertion import discover_pairs
 
@@ -142,39 +142,22 @@ class TestForgeCommand:
         lines = bad.read_text().splitlines()
         lines[4] = f"{vertex} 0.5 -0.5"  # vertex 2, on line 5
         bad.write_text("\n".join(lines) + "\n")
-        out = root / "out_bad_mesh"
-        assert main(forge_args(root, out)) == 0
-        assert "Traceback" not in capsys.readouterr().err
-        manifest = (out / "manifest.tsv").read_text()
-        skipped = dict(line[len("# skipped: "):].split("\t")
-                       for line in manifest.splitlines() if line.startswith("# skipped: "))
-        assert skipped  # the anomaly scans, each of which draws the one mesh
-        assert set(skipped.values()) == {reason.format(path=bad)}
-        written = {p.stem for p in (out / "velodyne").iterdir()}
-        assert {p.stem for p in (out / "labels").iterdir()} == written
-        assert written.isdisjoint(skipped) and len(written) + len(skipped) == 5
-
-    def test_malformed_mesh_is_parsed_once(self, forge_inputs, monkeypatch):
-        root = forge_inputs
-        bad = root / "meshes" / "chair" / "chair_0001.off"
-        lines = bad.read_text().splitlines()
-        lines[4] = "nan 0.5 -0.5"
-        bad.write_text("\n".join(lines) + "\n")
-        loads = []
-        real_load_off = mesh_bank.load_off
-
-        def counting_load_off(path):
-            loads.append(path)
-            return real_load_off(path)
-
-        monkeypatch.setattr(mesh_bank, "load_off", counting_load_off)
-        args = forge_args(root, root / "out_multi")
-        args[args.index("--policy") + 1] = "multi"
-        assert main(args) == 0
-        manifest = (root / "out_multi" / "manifest.tsv").read_text()
-        # several scans draw the mesh; each is skipped for the one parse's error
-        assert manifest.count("# skipped: ") > 1
-        assert loads == [bad]
+        # multi at 2 workers: several scans draw the mesh, in parallel, and
+        # each parses it and is skipped for the same reason
+        for policy, workers in (("single", 1), ("multi", 2)):
+            out = root / f"out_bad_mesh_{policy}"
+            args = forge_args(root, out, workers=workers)
+            args[args.index("--policy") + 1] = policy
+            assert main(args) == 0
+            assert "Traceback" not in capsys.readouterr().err
+            manifest = (out / "manifest.tsv").read_text()
+            skipped = dict(line[len("# skipped: "):].split("\t")
+                           for line in manifest.splitlines() if line.startswith("# skipped: "))
+            assert len(skipped) > (policy == "multi")  # the anomaly scans, each drawing the mesh
+            assert set(skipped.values()) == {reason.format(path=bad)}
+            written = {p.stem for p in (out / "velodyne").iterdir()}
+            assert {p.stem for p in (out / "labels").iterdir()} == written
+            assert written.isdisjoint(skipped) and len(written) + len(skipped) == 5
 
     def test_object_points_is_an_unknown_option(self, forge_inputs, capsys):
         root = forge_inputs

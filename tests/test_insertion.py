@@ -17,10 +17,10 @@ from helpers import (ROAD_CLASS, ROAD_Z, TEST_SENSOR, full_coverage_wall,
 
 from lidarforge import (AnomalyObject, LabelArray, PlacementInfeasibleError,
                         PointCloud, ReflectivityCatalog, SensorConfig, SplitPolicy,
-                        ValidationError, build_anomaly_object, compose_scan,
+                        TriangleMesh, ValidationError, build_anomaly_object, compose_scan,
                         forge_scan, forge_split, pick_placement, place, project,
                         scan_seed)
-from lidarforge import insertion, range_projection
+from lidarforge import insertion, mesh_bank, range_projection
 from lidarforge.insertion import GROUND_NEIGHBORHOOD, PlacementSurface, discover_pairs
 from lidarforge.mesh_bank import OBJECT_POINTS, MeshBank
 from lidarforge.scan_io import read_labels, read_scan, write_labels, write_scan
@@ -703,8 +703,8 @@ class TestForgeSplit:
         cloud plus labels than forging 2, at the peak and when the
         manifest is written: a worker holds one scan at a time, and only
         the records wait for the manifest.  With two workers the peak
-        depends on how the threads overlap, so only the serial one's is
-        compared."""
+        depends on how the threads overlap, so only the one-worker
+        forge's is compared."""
         scene, lab = make_flat_scene(np.random.default_rng(12), 20_000)
         bank = _bank_with_cube(tmp_path / "meshes")
         held = []
@@ -737,19 +737,69 @@ class TestForgeSplit:
         if workers == 1:
             assert peaks[1] - peaks[0] < one_scan
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_the_meshes_drawn(self, tmp_path, monkeypatch, workers):
+        """Forging 8 scans that draw from a bank of 16 distinct meshes
+        holds less than one more mesh than forging 2, when the manifest
+        is written: no mesh outlives the scan that drew it."""
+        rng = np.random.default_rng(13)
+        (tmp_path / "meshes" / "chair").mkdir(parents=True)
+        for i in range(16):
+            mesh = TriangleMesh(rng.random((3000, 3)), rng.integers(0, 3000, (6000, 3)))
+            write_off(mesh, tmp_path / "meshes" / "chair" / f"chair_{i:04d}.off")
+        one_mesh = mesh.vertices.nbytes + mesh.faces.nbytes + mesh.face_areas.nbytes
+        scene, lab = make_flat_scene(np.random.default_rng(12), 20_000)
+        drawn, held = [], []
+        load_off, write_manifest = mesh_bank.load_off, insertion._write_manifest
+
+        def load_off_noting_path(path):
+            drawn[-1].add(path)
+            return load_off(path)
+
+        def write_manifest_noting_memory(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            write_manifest(*args)
+
+        monkeypatch.setattr(mesh_bank, "load_off", load_off_noting_path)
+        monkeypatch.setattr(insertion, "_write_manifest", write_manifest_noting_memory)
+        for n_scans in (2, 8):
+            scans = tmp_path / f"in{n_scans}" / "velodyne"
+            labels = tmp_path / f"in{n_scans}" / "labels"
+            scans.mkdir(parents=True)
+            labels.mkdir(parents=True)
+            for i in range(n_scans):
+                write_scan(scene, scans / f"{i:06d}.bin")
+                write_labels(lab, labels / f"{i:06d}.label")
+            bank = MeshBank(tmp_path / "meshes", CATALOG, HEIGHTS)
+            drawn.append(set())
+            tracemalloc.start()
+            try:
+                forge_split(discover_pairs(scans, labels), tmp_path / f"out{n_scans}",
+                            EVERY_SCAN, TEST_SENSOR, bank, master_seed=3, workers=workers)
+            finally:
+                tracemalloc.stop()
+        assert len(drawn[1]) >= len(drawn[0]) + 4
+        assert held[1] - held[0] < one_mesh
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         scans, labels = self._dataset(tmp_path, n_scans=6, seed=4)
-        bank = _bank_with_cube(tmp_path / "meshes")
-        trees = []
-        for workers, name in ((1, "w1"), (4, "w4")):
-            out = tmp_path / name
-            forge_split(discover_pairs(scans, labels), out, single_policy(),
-                        TEST_SENSOR, bank, master_seed=9,
-                        workers=workers)
-            tree = {p.relative_to(out).as_posix(): p.read_bytes()
-                    for p in sorted(out.rglob("*")) if p.is_file()}
-            trees.append(tree)
-        assert trees[0] == trees[1]
+        # the second bank adds a file cut after its counts line: the
+        # scans that draw it are skipped, at any worker count
+        (tmp_path / "broken" / "chair").mkdir(parents=True)
+        (tmp_path / "broken" / "chair" / "chair_0000.off").write_text("OFF\n8 12 0\n")
+        for name in ("meshes", "broken"):
+            bank = _bank_with_cube(tmp_path / name)
+            trees = []
+            for workers in (1, 4):
+                out = tmp_path / f"{name}-w{workers}"
+                forge_split(discover_pairs(scans, labels), out, single_policy(),
+                            TEST_SENSOR, bank, master_seed=9,
+                            workers=workers)
+                tree = {p.relative_to(out).as_posix(): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file()}
+                trees.append(tree)
+            assert trees[0] == trees[1]
+        assert b"# skipped: " in trees[0]["manifest.tsv"]
 
 
 def degenerate_scan(n_points, seed=0, origin_at=None, intensity_scale=1.0,

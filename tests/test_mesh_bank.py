@@ -1,8 +1,5 @@
 import re
-import sys
 import tempfile
-import threading
-import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -99,6 +96,11 @@ OFF_ERROR_CASES = [
     ("huge-vertex-count", "OFF 100000000000000000000 5 0\n0 0 0\n",
      2, "unexpected end of file while reading vertices"),
 ]
+# a token byte that str.splitlines takes for a line break ends no line
+for _name, _char in (("line-separator", "\u2028"), ("file-separator", "\x1c"),
+                     ("next-line", "\x85")):
+    OFF_ERROR_CASES.append((f"{_name}-in-a-token", f"OFF\n3 1 0\n0 0 0\n1{_char} 0 0\n",
+                            4, "unexpected end of file while reading vertices"))
 # past int64, np.fromstring saturates either sign to 2**63 - 1: the
 # messages quote the token as written
 for _sign, _token in (("", "99999999999999999999"), ("negative-", "-99999999999999999999")):
@@ -259,7 +261,7 @@ class TestLoadOff:
                              ids=[case[0] for case in OFF_ERROR_CASES])
     def test_error_message_and_line(self, tmp_path, text, line, message):
         path = tmp_path / "bad.off"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         where = f"{path}:{line}" if line else f"{path}"
         with pytest.raises(FormatError) as info:
             load_off(path)
@@ -720,55 +722,37 @@ class TestMeshBank:
             bank = MeshBank(tmp_path, catalog, {"chair": 0.9})
         assert bank.categories == ["chair"]
 
-    def test_huge_vertex_count_is_a_cached_format_error(self, tmp_path):
+    def test_colliding_category_directories_rejected(self, tmp_path):
+        for name in ("flower pot", "flower_pot"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "m.off").write_text(TETRA_OFF)
+        with pytest.raises(ValidationError) as info:
+            MeshBank(tmp_path, ReflectivityCatalog({"flower pot": 0.3}), {"flower pot": 0.3})
+        assert str(info.value) == ("mesh directories 'flower pot' and 'flower_pot' "
+                                   "both name the category 'flower pot'")
+
+    def test_huge_vertex_count_is_a_format_error_on_every_draw(self, tmp_path):
         (tmp_path / "chair").mkdir()
         (tmp_path / "chair" / "c.off").write_text("OFF 100000000000000000000 5 0\n0 0 0\n")
         bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}), {"chair": 0.9})
         for _ in range(2):
             with pytest.raises(FormatError, match="unexpected end of file while reading"):
                 bank.choose(np.random.default_rng(0))
-        assert isinstance(bank._cache[tmp_path / "chair" / "c.off"], FormatError)
 
-    def test_concurrent_draws_parse_a_file_once(self, tmp_path, monkeypatch):
+    def test_each_draw_parses_its_file(self, tmp_path, monkeypatch):
         (tmp_path / "chair").mkdir()
         (tmp_path / "chair" / "c.off").write_text(TETRA_OFF)
         bank = MeshBank(tmp_path, ReflectivityCatalog({"chair": 0.35}), {"chair": 0.9})
-        parses, started = [], threading.Barrier(2, timeout=10)
+        parses = []
         real_load_off = mesh_bank.load_off
 
-        def slow_counting_load_off(path):
+        def counting_load_off(path):
             parses.append(path)
-            time.sleep(0.2)   # both threads are inside choose by now
             return real_load_off(path)
 
-        monkeypatch.setattr(mesh_bank, "load_off", slow_counting_load_off)
-        drawn = []
-
-        def draw(seed):
-            drawn.append(bank.choose(np.random.default_rng(seed))[1])
-
-        def race(seed):
-            started.wait()
-            draw(seed)
-
-        threads = [threading.Thread(target=race, args=(seed,)) for seed in (0, 1)]
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-        finally:
-            sys.setswitchinterval(old_interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(parses) == 1
-        assert len(drawn) == 2 and drawn[0] is drawn[1]
-
-        # a draw of a parsed file does not wait for a parse in progress
-        with bank._parse_lock:
-            hit = threading.Thread(target=draw, args=(2,))
-            hit.start()
-            hit.join(timeout=10)
-            assert not hit.is_alive()
-        assert len(parses) == 1 and drawn[2] is drawn[0]
+        # choose looks load_off up when it draws, so a wrapper set later sees every parse
+        monkeypatch.setattr(mesh_bank, "load_off", counting_load_off)
+        first, second = (bank.choose(np.random.default_rng(seed))[1] for seed in (0, 1))
+        assert parses == [tmp_path / "chair" / "c.off"] * 2
+        assert first is not second
+        assert np.array_equal(first.vertices, second.vertices)
