@@ -388,6 +388,8 @@ def forge_scan(scene: PointCloud, labels: LabelArray, scan_id: str,
             mesh, category, bank.reflectivity[category], bank.heights[category], rng), placed)
         if obj is not None:
             placed.append(obj)
+    # float64 copies of every allowed point; compose_scan builds its own for retries
+    del surface
     if not placed:
         return ForgeScanResult(scene, labels, [], modified=False)
 

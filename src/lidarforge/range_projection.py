@@ -15,6 +15,13 @@ the one with the minimum range wins, emulating line of sight.
 Cells store the index of the winning point, so re-projection,
 ``cloud.take(img.surviving_indices())``, recovers the original
 coordinates and intensities without quantization loss.
+
+Each projected point costs 12 bytes: its cell as one int32 index,
+``row * W + col``, and its float64 range.  Points outside the FOV take
+row H, an extra row that ``SensorConfig`` counts in its bound of
+2**31 - 1 cells, so every index fits int32.  The formulas run
+``_CHUNK`` points at a time through one reused scratch, so the
+transient memory of a projection does not grow with the cloud.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ import numpy as np
 from ._kernels import scatter_min
 from .errors import ValidationError
 from .scan_io import PointCloud, SensorConfig, check_finite
+
+# points per pass of the projection formulas: a (4, _CHUNK) float64
+# scratch of 512 kB, whatever the cloud's size
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -92,53 +103,64 @@ def point_ranges(xyz: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def _cell_coords(xyz: np.ndarray, cfg: SensorConfig, rows: np.ndarray,
-                 cols: np.ndarray, ranges: np.ndarray) -> None:
-    """Write each point's cell row, column and range into ``rows``,
-    ``cols`` and ``ranges``; a point outside the vertical FOV gets row
-    ``cfg.beams``.
+def _cell_coords(xyz: np.ndarray, cfg: SensorConfig, cells: np.ndarray,
+                 ranges: np.ndarray, scratch: np.ndarray) -> None:
+    """Write each point's cell index ``row * cfg.width + col`` and range
+    into ``cells`` and ``ranges``; a point outside the vertical FOV gets
+    row ``cfg.beams``.
 
-    Each axis is one contiguous float64 column, and every step writes
-    in place.  The steps are the formulas of the module docstring, term
-    by term in the same order, so every value is bit-identical to the
-    same formulas written as whole-array expressions.
+    The points go ``scratch.shape[1]`` at a time through ``scratch``, a
+    (4, chunk) float64 buffer: one contiguous column per axis and one
+    for the terms, every step written in place.  The steps are the
+    formulas of the module docstring, term by term in the same order,
+    so every value is bit-identical to the same formulas written as
+    whole-array expressions.  Rows and columns are whole floats below
+    2**31 (``SensorConfig`` bounds the grid), so the cell index is
+    exact in float64.
     """
-    x, y, z, t = np.empty((4, xyz.shape[0]))
-    for col, axis in zip((x, y, z), xyz.T):
-        np.copyto(col, axis)
-    np.multiply(x, x, out=ranges)   # summed in point_ranges' order
-    ranges += np.multiply(y, y, out=t)
-    ranges += np.multiply(z, z, out=t)
-    np.sqrt(ranges, out=ranges)
-    # a point at the sensor origin has no direction: it lies outside the FOV
-    seen = ranges > 0.0
+    chunk = scratch.shape[1]
+    for lo in range(0, xyz.shape[0], chunk):
+        hi = min(lo + chunk, xyz.shape[0])
+        x, y, z, t = scratch[:, :hi - lo]
+        r = ranges[lo:hi]
+        for col, axis in zip((x, y, z), xyz[lo:hi].T):
+            np.copyto(col, axis)
+        np.multiply(x, x, out=r)   # summed in point_ranges' order
+        r += np.multiply(y, y, out=t)
+        r += np.multiply(z, z, out=t)
+        np.sqrt(r, out=r)
+        # a point at the sensor origin has no direction: it lies outside the FOV
+        seen = r > 0.0
 
-    # u = 0.5 * (1 - yaw / pi) * W
-    np.arctan2(y, x, out=t)
-    t /= np.pi
-    np.subtract(1.0, t, out=t)
-    t *= 0.5
-    t *= cfg.width
-    cols[...] = np.floor(t, out=t)
-    np.clip(cols, 0, cfg.width - 1, out=cols)
+        # u = 0.5 * (1 - yaw / pi) * W; the column goes to x, no longer needed
+        np.arctan2(y, x, out=t)
+        t /= np.pi
+        np.subtract(1.0, t, out=t)
+        t *= 0.5
+        t *= cfg.width
+        np.floor(t, out=x)
+        np.clip(x, 0, cfg.width - 1, out=x)
 
-    # v = (1 - (asin(z / r) + fov_down) / fov) * H, with z / 1 at the origin
-    np.copyto(t, z)
-    np.divide(z, ranges, out=t, where=seen)
-    np.clip(t, -1.0, 1.0, out=t)
-    np.arcsin(t, out=t)
-    t += cfg.fov_down_rad
-    t /= cfg.fov_rad
-    np.subtract(1.0, t, out=t)
-    t *= cfg.beams
+        # v = (1 - (asin(z / r) + fov_down) / fov) * H, with z / 1 at the origin
+        np.copyto(t, z)
+        np.divide(z, r, out=t, where=seen)
+        np.clip(t, -1.0, 1.0, out=t)
+        np.arcsin(t, out=t)
+        t += cfg.fov_down_rad
+        t /= cfg.fov_rad
+        np.subtract(1.0, t, out=t)
+        t *= cfg.beams
 
-    # keep points on the FOV edge despite float32 quantization of inputs
-    tol = 1e-4
-    seen &= t >= -tol
-    seen &= t <= cfg.beams + tol
-    rows[...] = np.floor(t, out=t)
-    np.clip(rows, 0, cfg.beams - 1, out=rows)
-    np.copyto(rows, cfg.beams, where=~seen)
+        # keep points on the FOV edge despite float32 quantization of inputs
+        tol = 1e-4
+        seen &= t >= -tol
+        seen &= t <= cfg.beams + tol
+        np.floor(t, out=t)
+        np.clip(t, 0, cfg.beams - 1, out=t)
+        np.copyto(t, cfg.beams, where=~seen)
+        t *= cfg.width
+        t += x
+        cells[lo:hi] = t
 
 
 def project(cloud: PointCloud, cfg: SensorConfig, objects=()) -> RangeImage:
@@ -150,9 +172,10 @@ def project(cloud: PointCloud, cfg: SensorConfig, objects=()) -> RangeImage:
     order, as if the blocks were appended to the cloud with zero
     intensity.  Object coordinates are rounded to float32 first, as such
     a cloud would store them; a block with a non-finite coordinate
-    raises ValidationError naming that point's index.  Rows, columns
-    and ranges of all points go into one set of buffers, so no combined
-    cloud is built.
+    raises ValidationError naming that point's index.  The int32 cell
+    index and the float64 range of every point go into one pair of
+    buffers, 12 bytes a point, so no combined cloud is built; the
+    formulas run ``_CHUNK`` points at a time through one fixed scratch.
     """
     blocks = [np.asarray(pts) for pts in objects]
     for pts in blocks:
@@ -162,22 +185,23 @@ def project(cloud: PointCloud, cfg: SensorConfig, objects=()) -> RangeImage:
     if total == 0:
         raise ValidationError("cannot project an empty point cloud")
 
-    rows = np.empty(total, dtype=np.int64)
-    cols = np.empty(total, dtype=np.int64)
+    cells = np.empty(total, dtype=np.int32)
     ranges = np.empty(total, dtype=np.float64)
-    _cell_coords(cloud.xyz, cfg, rows[:cloud.count], cols[:cloud.count], ranges[:cloud.count])
+    scratch = np.empty((4, min(_CHUNK, total)))
+    _cell_coords(cloud.xyz, cfg, cells[:cloud.count], ranges[:cloud.count], scratch)
     start = cloud.count
     for pts in blocks:
         with np.errstate(over="ignore"):   # an overflow to inf is reported below
             pts = pts.astype(np.float32, copy=False)
         check_finite(pts, first_index=start)
         end = start + len(pts)
-        _cell_coords(pts, cfg, rows[start:end], cols[start:end], ranges[start:end])
+        _cell_coords(pts, cfg, cells[start:end], ranges[start:end], scratch)
         start = end
+    del scratch
 
     # points outside the FOV compete in one extra row, dropped below, so
     # scatter_min's indices are point indices and its ties stay in index order
-    index_grid, range_grid = scatter_min(rows, cols, ranges, cfg.beams + 1, cfg.width)
+    index_grid, range_grid = scatter_min(cells, ranges, cfg.beams + 1, cfg.width)
     return RangeImage(
         point_index=index_grid[:cfg.beams],
         ranges=range_grid[:cfg.beams],

@@ -30,6 +30,7 @@ from .configfile import parse_number, read_keyvalue
 from .errors import FormatError, ValidationError
 
 CLASS_ID_MASK = 0xFFFF
+MAX_GRID_CELLS = 2**31 - 1   # (beams + 1) x width, for int32 cell indices
 
 
 def check_finite(rows: np.ndarray, first_index: int = 0) -> None:
@@ -166,6 +167,8 @@ class SensorConfig:
     ``fov_up_deg`` and ``fov_down_deg`` are the upward and downward
     inclination extents as finite magnitudes >= 0 in degrees; the total
     vertical field of view is their sum, which must be positive.
+    ``(beams + 1) * width``, the range image with the out-of-FOV row
+    that projection adds, may hold at most ``MAX_GRID_CELLS`` cells.
     """
 
     beams: int
@@ -176,6 +179,12 @@ class SensorConfig:
     def __post_init__(self):
         if self.beams <= 0 or self.width <= 0:
             raise ValidationError("beams and width must be positive")
+        # projection indexes its cells, the out-of-FOV row included, as int32
+        if (self.beams + 1) * self.width > MAX_GRID_CELLS:
+            raise ValidationError(
+                f"sensor grid too large: beams = {self.beams} and width = {self.width} give "
+                f"(beams + 1) x width = {(self.beams + 1) * self.width} cells, "
+                f"more than {MAX_GRID_CELLS}")
         for name in ("fov_up_deg", "fov_down_deg"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValidationError(

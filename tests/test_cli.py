@@ -70,6 +70,8 @@ BAD_CONFIGS = {
                           SENSOR_CFG.replace("fov_down_deg = 24.0", "fov_down_deg = -4")),
     "fov-up-text": ("--sensor", SENSOR_CFG.replace("fov_up_deg = 8.0", "fov_up_deg = up")),
     "beams-fraction": ("--sensor", SENSOR_CFG.replace("beams = 32", "beams = 32.5")),
+    "grid-too-large": ("--sensor", SENSOR_CFG.replace("beams = 32", "beams = 65536")
+                       .replace("width = 512", "width = 65536")),
     "height-nan": ("--heights", "chair = nan\n"),
     "height-inf": ("--heights", "chair = inf\n"),
     "height-text": ("--heights", "chair = tall\n"),
@@ -324,6 +326,25 @@ class TestProjectCommand:
         code = main(["project", "--scan", str(root / "in" / "velodyne" / "000000.bin"),
                      "--sensor", "semantickitti", "--out", str(root / "k.pgm")])
         assert code == 0
+
+    def test_sensor_grid_too_large_rejected_before_allocating(self, forge_inputs, capsys):
+        root = forge_inputs
+        sensor = root / "huge.cfg"
+        sensor.write_text(SENSOR_CFG.replace("beams = 32", "beams = 65536")
+                          .replace("width = 512", "width = 65536"))
+        out = root / "huge.pgm"
+        tracemalloc.start()
+        try:
+            code = main(["project", "--scan", str(root / "in" / "velodyne" / "000000.bin"),
+                         "--sensor", str(sensor), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: sensor grid too large: beams = 65536 and width = 65536")
+        assert not out.exists()
+        assert peak < 1 << 20   # no grid, not even the scan
 
 
 def synth_features(n, c, anomaly_mask, rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +9,8 @@ from helpers import TEST_SENSOR, full_coverage_wall, make_random_cloud
 
 from lidarforge import (PointCloud, SensorConfig, ValidationError, point_ranges, project,
                         write_pgm)
-from lidarforge._kernels import scatter_min
-from lidarforge.range_projection import RangeImage, _cell_coords
+from lidarforge._kernels import _TIE_CHUNK, scatter_min
+from lidarforge.range_projection import _CHUNK, RangeImage, _cell_coords
 
 KITTI_LIKE = SensorConfig(beams=64, width=2048, fov_up_deg=3.0, fov_down_deg=25.0)
 
@@ -17,9 +19,25 @@ def cell_coords(xyz: np.ndarray, cfg: SensorConfig):
     """(rows, cols, ranges) of every point; row cfg.beams marks a point
     outside the vertical FOV."""
     n = xyz.shape[0]
-    rows, cols, ranges = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n)
-    _cell_coords(xyz, cfg, rows, cols, ranges)
-    return rows, cols, ranges
+    cells, ranges = np.empty(n, np.int32), np.empty(n)
+    _cell_coords(xyz, cfg, cells, ranges, np.empty((4, min(_CHUNK, n))))
+    return cells // cfg.width, cells % cfg.width, ranges
+
+
+def whole_array_cells(xyz: np.ndarray, cfg: SensorConfig):
+    """(cells, ranges) of every point, by the module docstring's formulas
+    written as whole-array expressions; row cfg.beams marks a point
+    outside the vertical FOV."""
+    x, y, z = np.asarray(xyz, dtype=np.float64).T
+    r = np.sqrt(x * x + y * y + z * z)
+    seen = r > 0.0
+    u = 0.5 * (1.0 - np.arctan2(y, x) / np.pi) * cfg.width
+    sin = np.clip(z / np.where(seen, r, 1.0), -1.0, 1.0)
+    v = (1.0 - (np.arcsin(sin) + cfg.fov_down_rad) / cfg.fov_rad) * cfg.beams
+    seen &= (v >= -1e-4) & (v <= cfg.beams + 1e-4)
+    rows = np.where(seen, np.clip(np.floor(v), 0, cfg.beams - 1), cfg.beams)
+    cols = np.clip(np.floor(u), 0, cfg.width - 1)
+    return (rows * cfg.width + cols).astype(np.int64), r
 
 
 def brute_force_cells(cloud: PointCloud, cfg: SensorConfig):
@@ -263,35 +281,43 @@ class TestObjectBlocks:
             project(PointCloud(np.empty((0, 4), np.float32)), TEST_SENSOR, [np.empty((0, 3))])
 
 
-def sequential_scatter_min(rows, cols, ranges, height, width):
+def sequential_scatter_min(cells, ranges, height, width):
     """Reference winner-per-cell: one pass in index order with a strict
     ``<``, so a tie on range keeps the earlier (smaller) index."""
-    index_grid = np.full((height, width), -1, dtype=np.int64)
-    range_grid = np.full((height, width), np.inf, dtype=np.float64)
-    for i in range(rows.shape[0]):
-        u, v, r = rows[i], cols[i], ranges[i]
-        if r < range_grid[u, v]:
-            range_grid[u, v] = r
-            index_grid[u, v] = i
-    return index_grid, range_grid
+    index_grid = np.full(height * width, -1, dtype=np.int64)
+    range_grid = np.full(height * width, np.inf, dtype=np.float64)
+    for i in range(cells.shape[0]):
+        c, r = cells[i], ranges[i]
+        if r < range_grid[c]:
+            range_grid[c] = r
+            index_grid[c] = i
+    return index_grid.reshape(height, width), range_grid.reshape(height, width)
 
 
-class TestBackends:
-    """The numpy kernel against the sequential reference above."""
+def sequential_project(xyz: np.ndarray, cfg: SensorConfig):
+    """Reference ``project`` of float32 points: whole-array cells, the
+    sequential scan over the grid with its out-of-FOV row, that row
+    dropped."""
+    cells, ranges = whole_array_cells(xyz, cfg)
+    idx, rgrid = sequential_scatter_min(cells, ranges, cfg.beams + 1, cfg.width)
+    return idx[:cfg.beams], rgrid[:cfg.beams]
 
-    def test_scatter_min_backends_identical(self):
+
+class TestSequentialScan:
+    """The numpy kernel and ``project`` against the sequential references above."""
+
+    def test_scatter_min_matches(self):
         rng = np.random.default_rng(8)
         n = 20000
-        rows = rng.integers(0, 64, n)
-        cols = rng.integers(0, 512, n)
+        cells = rng.integers(0, 64 * 512, n).astype(np.int32)
         ranges = rng.uniform(1.0, 80.0, n)
         ranges[: n // 2] = ranges[: n // 2].round(1)  # force some exact ties
-        idx, rgrid = scatter_min(rows, cols, ranges, 64, 512)
-        idx_ref, rgrid_ref = sequential_scatter_min(rows, cols, ranges, 64, 512)
+        idx, rgrid = scatter_min(cells, ranges, 64, 512)
+        idx_ref, rgrid_ref = sequential_scatter_min(cells, ranges, 64, 512)
         np.testing.assert_array_equal(idx, idx_ref)
         np.testing.assert_array_equal(rgrid, rgrid_ref)
 
-    def test_project_backend_equivalence(self):
+    def test_project_matches(self):
         rng = np.random.default_rng(9)
         data = make_random_cloud(rng, 5000).data.copy()
         # a few points outside the vertical FOV exercise the filter and
@@ -304,16 +330,101 @@ class TestBackends:
         assert not in_fov[:50].all()
         # out-of-FOV points get an infinite range, so they never win a cell
         ranges = np.where(in_fov, ranges, np.inf)
-        rows = np.where(in_fov, rows, 0)
-        idx_ref, rgrid_ref = sequential_scatter_min(rows, cols, ranges,
+        cells = np.where(in_fov, rows, 0) * TEST_SENSOR.width + cols
+        idx_ref, rgrid_ref = sequential_scatter_min(cells, ranges,
                                                     TEST_SENSOR.beams, TEST_SENSOR.width)
         np.testing.assert_array_equal(img.point_index, idx_ref)
         np.testing.assert_array_equal(img.ranges, rgrid_ref)
 
 
+def edge_cloud(rng: np.random.Generator, n: int, edges) -> np.ndarray:
+    """(n, 3) float32 points inside the FOV of TEST_SENSOR, dense enough
+    that cells collide, with a point at the origin, one above and one
+    below the vertical FOV, and an exact copy of its neighbour (a tie)
+    on each side of every index in ``edges``."""
+    xyz = make_random_cloud(rng, n).xyz.copy()
+    for edge in edges:
+        for i, kind in zip(range(edge - 4, edge + 4), "oabt" * 2):
+            if 0 < i < n:
+                if kind == "o":
+                    xyz[i] = 0.0
+                elif kind in "ab":
+                    xyz[i, 2] = (1.0 if kind == "a" else -1.0) * 3.0 * np.abs(xyz[i, :2]).sum()
+                else:
+                    xyz[i] = xyz[i - 1]
+    return xyz
+
+
+class TestChunkEdges:
+    """``project`` against the sequential reference wherever the chunks
+    of the cell formulas and of the tie pass end."""
+
+    def assert_matches_sequential(self, scene, objects=()):
+        img = project(PointCloud.from_xyz(scene), TEST_SENSOR, objects)
+        xyz = np.concatenate([scene] + [np.asarray(o, np.float32) for o in objects])
+        idx_ref, rgrid_ref = sequential_project(xyz, TEST_SENSOR)
+        np.testing.assert_array_equal(img.point_index, idx_ref)
+        assert img.ranges.tobytes() == rgrid_ref.tobytes()
+        return img
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_cloud_sizes_around_the_chunk(self, n):
+        rng = np.random.default_rng(n)
+        scene = edge_cloud(rng, n, [_CHUNK, 2 * _CHUNK, _TIE_CHUNK])
+        cells, _ = whole_array_cells(scene, TEST_SENSOR)
+        outside = cells >= TEST_SENSOR.beams * TEST_SENSOR.width
+        assert outside[_CHUNK - 4:_CHUNK + 4].sum() >= min(n - _CHUNK + 4, 6)
+        img = self.assert_matches_sequential(scene)
+        assert not np.isin(img.point_index, np.flatnonzero(outside)).any()
+
+    def test_object_blocks_straddle_the_chunks(self):
+        rng = np.random.default_rng(30)
+        scene = edge_cloud(rng, _CHUNK - 5, [_CHUNK - 10])
+        # a block across the tie pass's first edge, one across its own
+        # chunk edge with a copy of a scene point at its start, a lone point
+        first = edge_cloud(rng, 10, [6]).astype(np.float64) * (1.0 + 1e-9 * np.pi)
+        second = edge_cloud(rng, _CHUNK + 1, [_CHUNK])
+        second[0] = scene[-1]
+        objects = [first, second, scene[:1]]
+        assert _CHUNK - 5 < _TIE_CHUNK < _CHUNK + 5
+        img = self.assert_matches_sequential(scene, objects)
+        assert img.source_count == 2 * _CHUNK + 7
+
+    def test_ties_across_the_tie_chunk_go_to_the_first_index(self):
+        n = 2 * _TIE_CHUNK + 3
+        cells = np.full(n, 5, dtype=np.int32)
+        ranges = np.full(n, 2.0)
+        ranges[_TIE_CHUNK + 1:] = 1.5    # the minimum starts after the first edge
+        idx, rgrid = scatter_min(cells, ranges, 2, 4)
+        assert idx[1, 1] == _TIE_CHUNK + 1 and rgrid[1, 1] == 1.5
+        cells[_TIE_CHUNK - 1:] = 6       # ties from either side of the edge
+        ranges[:] = 1.0
+        idx, _ = scatter_min(cells, ranges, 2, 4)
+        assert idx[1, 1] == 0 and idx[1, 2] == _TIE_CHUNK - 1
+
+
+def test_project_peak_memory_per_point():
+    """The occlusion pass of a forge: a KITTI-size scene and four float64
+    object blocks of OBJECT_POINTS each.  Beside the two grids it
+    returns, ``project`` holds its 12-byte cells and ranges, a
+    chunk-sized scratch and one block's float32 rounding."""
+    rng = np.random.default_rng(31)
+    scene = make_random_cloud(rng, 113_000, KITTI_LIKE)
+    objects = [make_random_cloud(rng, 50_000, KITTI_LIKE).xyz.astype(np.float64)
+               for _ in range(4)]
+    n = scene.count + 4 * 50_000
+    grids = 2 * 8 * (KITTI_LIKE.beams + 1) * KITTI_LIKE.width
+    tracemalloc.start()
+    try:
+        project(scene, KITTI_LIKE, objects)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - grids) / n < 18.0
+
+
 def _scatter_case(cells, ranges, height, width):
-    cells = np.asarray(cells, dtype=np.int64)
-    return (cells // width, cells % width, np.asarray(ranges, dtype=np.float64),
+    return (np.asarray(cells, dtype=np.int32), np.asarray(ranges, dtype=np.float64),
             height, width)
 
 
@@ -330,10 +441,9 @@ def tie_heavy_scatters(draw):
 
 class TestScatterMin:
     def test_tie_goes_to_first_index(self):
-        rows = np.array([3, 3])
-        cols = np.array([7, 7])
+        cells = np.array([3 * 8 + 7, 3 * 8 + 7], dtype=np.int32)
         ranges = np.array([5.0, 5.0])
-        idx, _ = scatter_min(rows, cols, ranges, 8, 8)
+        idx, _ = scatter_min(cells, ranges, 8, 8)
         assert idx[3, 7] == 0
 
     @given(case=tie_heavy_scatters())
@@ -342,9 +452,9 @@ class TestScatterMin:
     @example(case=_scatter_case([1, 6, 1, 1, 6, 1], [1.5, 1.0, 1.5, 1.5, 1.0, 1.5], 2, 4))  # repeated pairs
     @settings(max_examples=200, deadline=None)
     def test_matches_sequential_reference(self, case):
-        rows, cols, ranges, height, width = case
-        idx, rgrid = scatter_min(rows, cols, ranges, height, width)
-        idx_ref, rgrid_ref = sequential_scatter_min(rows, cols, ranges, height, width)
+        cells, ranges, height, width = case
+        idx, rgrid = scatter_min(cells, ranges, height, width)
+        idx_ref, rgrid_ref = sequential_scatter_min(cells, ranges, height, width)
         np.testing.assert_array_equal(idx, idx_ref)
         np.testing.assert_array_equal(rgrid, rgrid_ref)
         assert idx.dtype == np.int64 and rgrid.dtype == np.float64

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from lidarforge import (FormatError, LabelArray, PointCloud, SensorConfig,
                         ValidationError, check_pair, read_labels, read_scan,
                         write_labels, write_scan)
-from lidarforge.scan_io import staged
+from lidarforge.cli import BUNDLED_SENSORS, _load_sensor
+from lidarforge.scan_io import MAX_GRID_CELLS, staged
 
 
 class TestReadScan:
@@ -236,6 +237,29 @@ class TestSensorConfig:
     def test_zero_upward_extent_allowed(self):
         cfg = SensorConfig(beams=16, width=1024, fov_up_deg=0.0, fov_down_deg=15.0)
         assert cfg.fov_rad == cfg.fov_down_rad
+
+    @pytest.mark.parametrize("beams, width", [
+        (65536, 65536), (2**31 - 1, 1), (65535, 32768), (1, 2**30)])
+    def test_grid_above_int32_cells_rejected(self, beams, width):
+        # (beams + 1) x width counts the out-of-FOV row; nothing is allocated
+        with pytest.raises(ValidationError, match=f"beams = {beams} and width = {width}"):
+            SensorConfig(beams=beams, width=width, fov_up_deg=3.0, fov_down_deg=25.0)
+
+    @pytest.mark.parametrize("beams, width", [(2**31 - 2, 1), (65534, 32768), (1, 2**30 - 1)])
+    def test_grid_at_most_int32_cells_accepted(self, beams, width):
+        cfg = SensorConfig(beams=beams, width=width, fov_up_deg=3.0, fov_down_deg=25.0)
+        assert (cfg.beams + 1) * cfg.width <= MAX_GRID_CELLS
+
+    def test_grid_bound_applies_to_files(self, tmp_path):
+        path = tmp_path / "sensor.cfg"
+        path.write_text("beams = 65536\nwidth = 65536\nfov_up_deg = 3.0\nfov_down_deg = 25.0\n")
+        with pytest.raises(ValidationError, match="beams = 65536 and width = 65536"):
+            SensorConfig.from_file(path)
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_SENSORS))
+    def test_bundled_sensors_load(self, name):
+        cfg = _load_sensor(name)
+        assert (cfg.beams + 1) * cfg.width <= MAX_GRID_CELLS
 
     def test_non_numeric_value_is_format_error(self, tmp_path):
         path = tmp_path / "sensor.cfg"
