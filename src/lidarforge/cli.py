@@ -8,9 +8,8 @@ Subcommands:
 * ``eval``     evaluate score files against label files
 
 Randomized behavior is keyed to a single master seed.  forge and score
-stage their files beside ``--out`` and move them into place only on
-success (``scan_io.staged``), so a failed run leaves ``--out`` as it
-found it.
+write only a new ``--out``: they stage it and rename it into place only
+on success (``scan_io.staged``), so a failed run leaves no directory.
 """
 
 from __future__ import annotations
@@ -24,10 +23,10 @@ import numpy as np
 
 from . import insertion, losses, metrics, scoring
 from .errors import LidarForgeError, ValidationError
-from .insertion import DEFAULT_MAX_RADIUS, STYLE_PRESETS, SplitPolicy, check_anomaly_label
+from .insertion import DEFAULT_MAX_RADIUS, STYLE_PRESETS, SplitPolicy
 from .mesh_bank import MeshBank, ReflectivityCatalog, load_target_heights
 from .range_projection import point_ranges, project, write_pgm
-from .scan_io import SensorConfig, read_labels, read_scan, staged
+from .scan_io import SensorConfig, check_class_ids, read_labels, read_scan, staged
 
 BUNDLED_SENSORS = {
     "semantickitti": "sensor_semantickitti.cfg",
@@ -115,20 +114,26 @@ def _feature_pairs(features_dir: Path):
 
 
 def cmd_score(args) -> int:
-    """Score every scan of ``--features`` into ``--out``, staged: a failed
-    run leaves ``--out`` as it found it, so eval never reads a partial
-    set of score files or one that mixes two runs."""
+    """Score every scan of ``--features`` into a new ``--out``, staged:
+    an existing ``--out`` is refused and a failed run leaves no
+    directory, so eval never reads a partial set of score files or one
+    that mixes two runs.  A scan's ValidationError names its
+    ``.sem.ftr`` file."""
     features_dir = Path(args.features)
     if not features_dir.is_dir():
         raise ValidationError(f"--features directory {features_dir} does not exist")
-    # an all-zero row is a class without a prototype, which the first
-    # scan's classify rejects
     bank = scoring.PrototypeBank(scoring.read_tensor(args.prototypes))
+    # faults of the run, not of the scan that would meet them first
+    bank.require_complete()
+    scoring.check_radius(args.radius)
     pairs = _feature_pairs(features_dir)
     buffers = (bytearray(), bytearray())  # one per head, reused by every scan
     with staged(args.out) as stage:
         for stem, sem_path, cont_path in pairs:
-            _score_scan(stem, sem_path, cont_path, bank, stage, args, buffers)
+            try:
+                _score_scan(stem, sem_path, cont_path, bank, stage, args, buffers)
+            except ValidationError as exc:
+                raise ValidationError(f"{sem_path}: {exc}") from exc
     print(f"scored {len(pairs)} scans -> {args.out}")
     return 0
 
@@ -162,7 +167,7 @@ def _print_losses(stem: str, feats: scoring.FeatureSet, bank: scoring.PrototypeB
     label_path = Path(args.losses) / f"{stem}.label"
     y = read_labels(label_path).class_ids.astype(np.int64)
     if y.shape[0] != feats.count:
-        raise ValidationError(f"{stem}: {y.shape[0]} labels vs {feats.count} feature rows")
+        raise ValidationError(f"{y.shape[0]} labels vs {feats.count} feature rows")
     c = feats.num_classes
     keep = y < c
     sem, cont, y = feats.semantic[keep], feats.contrastive[keep], y[keep]
@@ -239,9 +244,15 @@ def _float32_at_most(values: np.ndarray) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
-    check_anomaly_label(args.anomaly_label)
+    check_class_ids("anomaly label", args.anomaly_label)
     stems, offsets, scores, truth, ranges = _collect_eval(args)
-    pair = metrics.EvalPair(scores, truth, ranges)
+    try:
+        pair = metrics.EvalPair(scores, truth, ranges)
+    except ValidationError as exc:
+        # the arrays match in length, so a score is not finite: name its file
+        first = int(np.flatnonzero(~np.isfinite(scores))[0])
+        stem = stems[int(np.searchsorted(offsets, first, side="right")) - 1]
+        raise ValidationError(f"{Path(args.scores) / stem}.scores: {exc}") from exc
 
     lines = ["metric               value", "-" * 27]
     if pair.positives and pair.negatives:
@@ -310,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--features", required=True,
                        help="directory of <stem>.sem.ftr / <stem>.cont.ftr tensor files")
     score.add_argument("--prototypes", required=True, help="prototype tensor file (C x C)")
-    score.add_argument("--out", required=True)
+    score.add_argument("--out", required=True,
+                       help="output directory of score files (must not exist)")
     score.add_argument("--radius", type=float, default=scoring.DEFAULT_NORM_THRESHOLD)
     score.add_argument("--score", choices=scoring.SCORE_NAMES,
                        default="fused", help="which score channel to write")

@@ -29,7 +29,7 @@ from .intensity import (DEFAULT_NEIGHBORS, NOISE_SCALE, estimate_normals, lamber
                         normalize_and_noise)
 from .mesh_bank import AnomalyObject, MeshBank
 from .range_projection import point_ranges, project
-from .scan_io import (CLASS_ID_MASK, LabelArray, PointCloud, SensorConfig, check_pair,
+from .scan_io import (LabelArray, PointCloud, SensorConfig, check_class_ids, check_pair,
                       read_labels, read_scan, staged, write_labels, write_scan)
 
 SINGLE_RATIO = 0.40
@@ -48,12 +48,6 @@ STYLE_PRESETS = {
     "poss": (2, (22,), (22,)),
     "nuscenes": (100, (24,), (24, 25, 26)),
 }
-
-
-def check_anomaly_label(label: int) -> None:
-    """Raise ValidationError unless ``label`` fits the 16-bit class field of a label."""
-    if not 0 <= label <= CLASS_ID_MASK:
-        raise ValidationError(f"anomaly label must be in [0, {CLASS_ID_MASK}], got {label}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +84,8 @@ class SplitPolicy:
         object.__setattr__(self, "max_radius", float(self.max_radius))
         if not self.surface_classes:
             raise ValidationError("at least one allowed surface class is required")
-        check_anomaly_label(self.anomaly_label)
-        if not all(0 <= cid <= CLASS_ID_MASK for cid in self.surface_classes):
-            raise ValidationError(f"surface classes must be in [0, {CLASS_ID_MASK}], "
-                                  f"got {sorted(self.surface_classes)}")
+        check_class_ids("anomaly label", self.anomaly_label)
+        check_class_ids("surface classes", sorted(self.surface_classes))
         # objects rest on surface points, so those scenes would already use the anomaly id
         if self.anomaly_label in self.surface_classes:
             raise ValidationError(f"anomaly label {self.anomaly_label} is one of the "
@@ -434,17 +426,16 @@ def forge_split(pairs: list, out_dir: str | Path, policy: SplitPolicy,
     reported in the manifest, with none of their files left behind.
     Each worker holds one scan at a time: a scan's cloud and labels die
     once they are written, and only its records wait for the manifest.
-    The tree is staged (``scan_io.staged``), so a split that raises
-    leaves no partial tree.  An existing ``out_dir``, a master seed
-    outside [0, 2**64) or fewer than one worker is rejected first.
+    A master seed outside [0, 2**64) or fewer than one worker is
+    rejected first.  The tree is committed by ``scan_io.staged``, so an
+    existing ``out_dir`` is refused, and a split that raises leaves no
+    directory behind.
     """
     if not pairs:
         raise ValidationError("scan list is empty")
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     seeds = {sid: scan_seed(master_seed, sid) for sid, _, _ in pairs}
-    if Path(out_dir).exists():
-        raise ValidationError(f"output directory {out_dir} already exists")
 
     with staged(out_dir) as tree:
         (tree / "velodyne").mkdir()

@@ -33,6 +33,17 @@ CLASS_ID_MASK = 0xFFFF
 MAX_GRID_CELLS = 2**31 - 1   # (beams + 1) x width, for int32 cell indices
 
 
+def check_class_ids(what: str, ids) -> None:
+    """Raise ValidationError, naming ``what`` and the first id outside,
+    unless every id of ``ids`` (a number or an array) fits the 16-bit
+    class field of a label word."""
+    ids = np.asarray(ids)
+    outside = ~((ids >= 0) & (ids <= CLASS_ID_MASK))
+    if outside.any():
+        raise ValidationError(
+            f"{what} must be in [0, {CLASS_ID_MASK}], got {ids[outside].flat[0]}")
+
+
 def check_finite(rows: np.ndarray, first_index: int = 0) -> None:
     """Raise ValidationError naming the first row of ``rows`` that holds
     a non-finite value, counting rows from ``first_index``."""
@@ -128,8 +139,7 @@ class LabelArray:
     @classmethod
     def from_class_ids(cls, class_ids: np.ndarray) -> "LabelArray":
         ids = np.asarray(class_ids)
-        if ids.size and (ids.min() < 0 or ids.max() > CLASS_ID_MASK):
-            raise ValidationError("class ids must fit in 16 bits")
+        check_class_ids("class ids", ids)
         return cls(ids.astype(np.uint32))
 
     @property
@@ -274,25 +284,26 @@ def _write_records(array: np.ndarray, dtype: str, path: str | os.PathLike) -> No
 
 @contextlib.contextmanager
 def staged(out_dir: str | os.PathLike) -> Iterator[Path]:
-    """Yield an empty directory whose entries reach ``out_dir`` only when
-    the block returns: it is renamed to ``out_dir``, or its entries are
-    moved into an existing ``out_dir``, replacing files of the same name.
-    It sits in a ``<name>.tmp.*`` sibling that is removed either way, so
-    a block that raises leaves ``out_dir`` as it found it.
+    """Yield an empty directory that is renamed to ``out_dir`` when the
+    block returns.  An existing ``out_dir`` is refused with
+    ValidationError before the block runs.  The directory is staged in a
+    ``<name>.tmp.*`` directory, removed either way, in the nearest
+    existing ancestor of ``out_dir`` (its parent, when that exists), and
+    missing parents are made just before the rename, so a block that
+    raises leaves no directory behind.
     """
-    # "." gets a name, and a symlinked out_dir is staged beside its target
-    out_dir = Path(out_dir).resolve()
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=out_dir.name + ".tmp.", dir=out_dir.parent,
+    if Path(out_dir).exists():
+        raise ValidationError(f"output directory {out_dir} already exists")
+    # a symlinked parent or a dangling symlink is staged beside its target
+    target = Path(out_dir).resolve()
+    anchor = next(parent for parent in target.parents if parent.exists())
+    with tempfile.TemporaryDirectory(prefix=target.name + ".tmp.", dir=anchor,
                                      ignore_cleanup_errors=True) as tmp:
-        stage = Path(tmp) / out_dir.name
+        stage = Path(tmp) / target.name
         stage.mkdir()  # under the umask: the temporary directory is private
         yield stage
-        if out_dir.exists():
-            for path in stage.iterdir():
-                os.replace(path, out_dir / path.name)
-        else:
-            os.replace(stage, out_dir)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        os.replace(stage, target)
 
 
 def check_pair(cloud: PointCloud, labels: LabelArray) -> None:

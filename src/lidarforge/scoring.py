@@ -263,11 +263,16 @@ def score_semantic(cosine_score: np.ndarray,
     return (product / peak if peak > 0 else product), peak
 
 
+def check_radius(radius: float) -> None:
+    """Raise ValidationError unless the hypersphere ``radius`` is positive and finite."""
+    if not 0 < radius < math.inf:
+        raise ValidationError(f"radius must be positive and finite, got {radius}")
+
+
 def squared_norms(features: np.ndarray, radius: float) -> np.ndarray:
     """Each feature row's squared norm in float64, for a comparison with
     the hypersphere ``radius``, which must be positive and finite."""
-    if not 0 < radius < math.inf:
-        raise ValidationError(f"radius must be positive and finite, got {radius}")
+    check_radius(radius)
     f = np.asarray(features, dtype=np.float64)
     return np.einsum("ij,ij->i", f, f)
 

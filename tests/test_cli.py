@@ -403,14 +403,12 @@ class TestScoreAndEval:
         # --flag=value: argparse would read a lone "-1" as an option
         assert main(["score", "--features", str(feat_dir), "--prototypes", str(proto),
                      "--out", str(out_dir), f"--radius={radius}"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith("error: radius must be positive and finite")
         assert not out_dir.exists()
 
     def test_score_count_is_the_scans_scored(self, tmp_path, capsys):
         feat_dir, _, proto = self._setup(tmp_path)
         out_dir = tmp_path / "scores"
-        out_dir.mkdir()
-        (out_dir / "older.scores").write_bytes(b"")
         assert main(["score", "--features", str(feat_dir), "--prototypes", str(proto),
                      "--out", str(out_dir)]) == 0
         assert capsys.readouterr().out == f"scored 1 scans -> {out_dir}\n"
@@ -452,24 +450,19 @@ class TestScoreAndEval:
         assert [line.split(" auroc")[0] for line in lines if line.startswith("scan ")] == [
             "scan a.1", "scan a.2"]
 
-    @pytest.mark.parametrize("older", [False, True])
-    def test_failed_score_removes_what_it_wrote(self, tmp_path, capsys, older):
+    @pytest.mark.parametrize("parents", ["", "deep/er/"], ids=["parent-exists", "parents-missing"])
+    def test_failed_score_leaves_no_directory(self, tmp_path, capsys, parents):
         feat_dir, _, proto, _ = self._write_scans(tmp_path, {"s0": 20, "s1": 20, "s2": 20})
         with open(feat_dir / "s2.sem.ftr", "ab") as f:
             f.write(b"\0")
-        out_dir = tmp_path / "scores"
-        if older:
-            out_dir.mkdir()
-            (out_dir / "older.scores").write_bytes(b"")
+        before = sorted(tmp_path.iterdir())
+        out_dir = tmp_path / parents / "scores"
         assert main(["score", "--features", str(feat_dir), "--prototypes", str(proto),
                      "--out", str(out_dir)]) == 1
         assert "s2.sem.ftr" in capsys.readouterr().err
-        if older:
-            assert [p.name for p in out_dir.iterdir()] == ["older.scores"]
-        else:
-            assert not out_dir.exists()
+        assert sorted(tmp_path.iterdir()) == before
 
-    def test_failed_rerun_leaves_the_good_run_as_it_was(self, tmp_path, capsys):
+    def test_rerun_into_existing_out_is_refused(self, tmp_path, capsys):
         feat_dir, label_dir, proto, _ = self._write_scans(tmp_path, {"s0": 50, "s1": 50, "s2": 50})
         out_dir = tmp_path / "scores"
         args = ["score", "--features", str(feat_dir), "--prototypes", str(proto),
@@ -477,15 +470,44 @@ class TestScoreAndEval:
         assert main(args) == 0
         good = tree_bytes(out_dir)
         assert len(good) == 6
-        with open(feat_dir / "s2.sem.ftr", "ab") as f:
-            f.write(b"\0")
-        # another channel: a rerun that overwrote s0 or s1 would change their bytes
+        capsys.readouterr()
+        # fewer scans on another channel: a merge would mix s0 and s1 of this
+        # run with s2 of the first
+        for head in ("sem", "cont"):
+            (feat_dir / f"s2.{head}.ftr").unlink()
         assert main(args + ["--score", "cont"]) == 1
-        assert "s2.sem.ftr" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: output directory {out_dir} already exists\n"
         assert tree_bytes(out_dir) == good
         assert not list(tmp_path.glob("scores.tmp.*"))
         assert main(["eval", "--scores", str(out_dir), "--labels", str(label_dir),
                      "--anomaly-label", "2"]) == 0
+
+    def test_score_error_names_the_scan(self, tmp_path, capsys):
+        feat_dir, _, proto, _ = self._write_scans(tmp_path, {"s0": 20, "s1": 20, "s2": 20})
+        sem = read_tensor(feat_dir / "s1.sem.ftr").copy()
+        sem[3, 1] = np.nan
+        write_tensor(feat_dir / "s1.sem.ftr", sem)
+        out_dir = tmp_path / "scores"
+        assert main(["score", "--features", str(feat_dir), "--prototypes", str(proto),
+                     "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {feat_dir / 's1.sem.ftr'}: features must be finite\n"
+        assert not out_dir.exists()
+
+    def test_eval_names_the_file_with_a_nonfinite_score(self, tmp_path, capsys):
+        scores_dir, label_dir = tmp_path / "scores", tmp_path / "labels"
+        scores_dir.mkdir()
+        label_dir.mkdir()
+        for stem, n in (("a", 4), ("b", 5), ("c", 3)):
+            scores = np.linspace(0, 1, n, dtype="<f4")
+            if stem == "b":
+                scores[n - 1] = np.nan
+            (scores_dir / f"{stem}.scores").write_bytes(scores.tobytes())
+            write_labels(LabelArray(np.full(n, 2, dtype=np.uint32)), label_dir / f"{stem}.label")
+        assert main(["eval", "--scores", str(scores_dir), "--labels", str(label_dir),
+                     "--anomaly-label", "2"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {scores_dir / 'b.scores'}: scores must be finite\n"
 
     @pytest.mark.parametrize("label", ["-1", "65536", "65538", "70000"])
     def test_invalid_eval_anomaly_label_rejected(self, tmp_path, capsys, label):
@@ -572,7 +594,8 @@ class TestScoreAndEval:
         out_dir = tmp_path / "out"
         assert main(["score", "--features", str(feat_dir),
                      "--prototypes", str(tmp_path / "proto.ftr"), "--out", str(out_dir)]) == 1
-        assert capsys.readouterr().err.startswith("error: prototypes must be (4, 4)")
+        assert capsys.readouterr().err.startswith(
+            f"error: {feat_dir / 's.sem.ftr'}: prototypes must be (4, 4)")
         assert not out_dir.exists()
 
     def test_prototype_zero_row_rejected_before_output(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidarforge import (FormatError, LabelArray, PointCloud, SensorConfig,
+from lidarforge import (FormatError, LabelArray, PointCloud, SensorConfig, SplitPolicy,
                         ValidationError, check_pair, read_labels, read_scan,
                         write_labels, write_scan)
 from lidarforge.cli import BUNDLED_SENSORS, _load_sensor
@@ -119,6 +120,18 @@ class TestInvariants:
         with pytest.raises(ValidationError, match="intensity"):
             PointCloud(data)
 
+    @pytest.mark.parametrize("build, what, got", [
+        (lambda: LabelArray.from_class_ids(np.array([3, 70000, -1])), "class ids", 70000),
+        (lambda: LabelArray.from_class_ids(np.array([-1, 3])), "class ids", -1),
+        (lambda: SplitPolicy("multi", (40, 65536, 70000)), "surface classes", 65536),
+        (lambda: SplitPolicy("single", anomaly_label=-1), "anomaly label", -1),
+        (lambda: SplitPolicy("single", (40,), math.nan), "anomaly label", math.nan),
+    ], ids=["class-id-above", "class-id-below", "surface-class", "anomaly-label", "nan-label"])
+    def test_class_id_range_has_one_message(self, build, what, got):
+        with pytest.raises(ValidationError, match=rf"^{what} must be in \[0, 65535\], got {got}$"):
+            build()
+        assert LabelArray.from_class_ids(np.array([0, 65535])).class_ids.tolist() == [0, 65535]
+
     def test_pair_length_mismatch_rejected(self):
         cloud = PointCloud(np.zeros((3, 4), dtype=np.float32))
         labels = LabelArray.from_class_ids(np.zeros(2, dtype=np.int64))
@@ -161,38 +174,45 @@ class TestStaged:
         (tmp_path / "plain").mkdir()
         assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
 
-    def test_entries_move_into_an_existing_directory(self, tmp_path):
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "old.scores").write_bytes(b"old")
-        (out / "same.scores").write_bytes(b"earlier")
-        with staged(out) as stage:
-            (stage / "same.scores").write_bytes(b"later")
-            (stage / "new.scores").write_bytes(b"new")
-        assert files(out) == {"new.scores": b"new", "old.scores": b"old",
-                              "same.scores": b"later"}
+    @pytest.mark.parametrize("name", ["out", "out/"])
+    def test_existing_directory_is_refused_before_the_block(self, tmp_path, monkeypatch, name):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "old.scores").write_bytes(b"old")
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        with pytest.raises(ValidationError, match=f"^output directory {name} already exists$"):
+            with staged(name):
+                ran.append(True)
+        assert not ran
+        assert files(tmp_path) == {"out/old.scores": b"old"}
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
     def test_current_directory_as_out_dir(self, tmp_path, monkeypatch):
         (tmp_path / "out").mkdir()
         monkeypatch.chdir(tmp_path / "out")
-        with staged(".") as stage:
-            (stage / "a.scores").write_bytes(b"a")
-        assert files(tmp_path) == {"out/a.scores": b"a"}
+        with pytest.raises(ValidationError, match=r"^output directory \. already exists$"):
+            with staged("."):
+                pass
+        assert files(tmp_path) == {}
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
-    @pytest.mark.parametrize("existing", [False, True])
-    def test_raising_block_leaves_out_dir_as_it_was(self, tmp_path, existing):
-        out = tmp_path / "out"
-        if existing:
-            out.mkdir()
-            (out / "same.scores").write_bytes(b"earlier")
+    def test_stages_in_the_nearest_existing_ancestor(self, tmp_path):
+        out = tmp_path / "deep" / "er" / "out"
+        with staged(out) as stage:
+            (stage / "a.scores").write_bytes(b"a")
+            assert stage.parent.parent == tmp_path.resolve()
+            assert stage.parent.name.startswith("out.tmp.")
+            assert [p.name for p in tmp_path.iterdir()] == [stage.parent.name]
+        assert files(tmp_path) == {"deep/er/out/a.scores": b"a"}
+
+    @pytest.mark.parametrize("parents", ["", "deep/er/"], ids=["parent-exists", "parents-missing"])
+    def test_raising_block_leaves_no_directory(self, tmp_path, parents):
+        out = tmp_path / parents / "out"
         with pytest.raises(KeyboardInterrupt):
             with staged(out) as stage:
                 (stage / "same.scores").write_bytes(b"later")
                 raise KeyboardInterrupt
-        assert files(tmp_path) == ({"out/same.scores": b"earlier"} if existing else {})
-        assert [p.name for p in tmp_path.iterdir()] == (["out"] if existing else [])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSensorConfig:
