@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import insertion, losses, metrics, scoring
+from .configfile import read_bundled
 from .errors import LidarForgeError, ValidationError
 from .insertion import DEFAULT_MAX_RADIUS, STYLE_PRESETS, SplitPolicy
 from .mesh_bank import MeshBank, ReflectivityCatalog, load_target_heights
@@ -39,9 +39,7 @@ def _load_sensor(name_or_path: str) -> SensorConfig:
     if Path(name_or_path).exists():
         return SensorConfig.from_file(name_or_path)
     if name_or_path in BUNDLED_SENSORS:
-        with resources.as_file(resources.files("lidarforge.data")
-                               / BUNDLED_SENSORS[name_or_path]) as p:
-            return SensorConfig.from_file(p)
+        return read_bundled(BUNDLED_SENSORS[name_or_path], SensorConfig.from_file)
     raise ValidationError(
         f"sensor {name_or_path!r} is neither a file nor one of {sorted(BUNDLED_SENSORS)}")
 
@@ -117,8 +115,8 @@ def cmd_score(args) -> int:
     """Score every scan of ``--features`` into a new ``--out``, staged:
     an existing ``--out`` is refused and a failed run leaves no
     directory, so eval never reads a partial set of score files or one
-    that mixes two runs.  A scan's ValidationError names its
-    ``.sem.ftr`` file."""
+    that mixes two runs.  A scan's ValidationError names the feature
+    file at fault (see ``_score_scan``)."""
     features_dir = Path(args.features)
     if not features_dir.is_dir():
         raise ValidationError(f"--features directory {features_dir} does not exist")
@@ -130,10 +128,7 @@ def cmd_score(args) -> int:
     buffers = (bytearray(), bytearray())  # one per head, reused by every scan
     with staged(args.out) as stage:
         for stem, sem_path, cont_path in pairs:
-            try:
-                _score_scan(stem, sem_path, cont_path, bank, stage, args, buffers)
-            except ValidationError as exc:
-                raise ValidationError(f"{sem_path}: {exc}") from exc
+            _score_scan(stem, sem_path, cont_path, bank, stage, args, buffers)
     print(f"scored {len(pairs)} scans -> {args.out}")
     return 0
 
@@ -146,15 +141,23 @@ def _score_scan(stem: str, sem_path: Path, cont_path: Path, bank: scoring.Protot
     Each head is read into its own buffer of ``buffers``, which the
     features view: the caller passes the same two for every scan, so no
     scan allocates its file buffers anew.
+
+    A ValidationError is prefixed with the file at fault: the
+    ``.cont.ftr`` when only its values are not finite, else the
+    ``.sem.ftr``.  The heads are searched only once the scan has failed.
     """
-    feats = scoring.FeatureSet(
-        semantic=scoring.read_tensor(sem_path, buffers[0]),
-        contrastive=scoring.read_tensor(cont_path, buffers[1]),
-    )
-    scores = scoring.compute_scores(feats, bank, radius=args.radius)
-    scoring.write_scores(out_dir / stem, scores, which=args.score)
-    if args.losses is not None:
-        _print_losses(stem, feats, bank, args)
+    sem = scoring.read_tensor(sem_path, buffers[0])
+    cont = scoring.read_tensor(cont_path, buffers[1])
+    try:
+        feats = scoring.FeatureSet(semantic=sem, contrastive=cont)
+        scores = scoring.compute_scores(feats, bank, radius=args.radius)
+        scoring.write_scores(out_dir / stem, scores, which=args.score)
+        if args.losses is not None:
+            _print_losses(stem, feats, bank, args)
+    except ValidationError as exc:
+        in_cont = (sem.shape == cont.shape and np.isfinite(sem).all()
+                   and not np.isfinite(cont).all())
+        raise ValidationError(f"{cont_path if in_cont else sem_path}: {exc}") from exc
 
 
 def _print_losses(stem: str, feats: scoring.FeatureSet, bank: scoring.PrototypeBank,
@@ -189,11 +192,12 @@ def _print_losses(stem: str, feats: scoring.FeatureSet, bank: scoring.PrototypeB
 def _collect_eval(args):
     """Read every scan's scores, truth and, with ``--scans``, ranges.
 
-    Returns ``(stems, offsets, scores, truth, ranges)``: float32 scores,
-    bool truth and float32 ranges, each filled into one array sized from
-    the score files' lengths, scan ``i`` at ``offsets[i]:offsets[i + 1]``;
-    ``ranges`` is None without ``--scans``.  Only one scan's file
-    contents are alive besides them.
+    Returns ``(paths, offsets, scores, truth, ranges)``: the score files
+    read, then float32 scores, bool truth and float32 ranges, each
+    filled into one array sized from the score files' lengths, scan
+    ``i`` at ``offsets[i]:offsets[i + 1]``; ``ranges`` is None without
+    ``--scans``.  Only one scan's file contents are alive besides them.
+    An error in a scan, label or score file names that file.
     """
     scores_dir = Path(args.scores)
     labels_dir = Path(args.labels)
@@ -217,14 +221,18 @@ def _collect_eval(args):
         scores[lo:hi] = s
         labels = read_labels(label_path)
         if labels.count != hi - lo:
-            raise ValidationError(f"{stem}: {hi - lo} scores vs {labels.count} labels")
+            raise ValidationError(f"{label_path}: {hi - lo} scores vs {labels.count} labels")
         np.equal(labels.class_ids, args.anomaly_label, out=truth[lo:hi])
         if ranges is not None:
-            cloud = read_scan(scans_dir / f"{stem}.bin")
+            scan_path = scans_dir / f"{stem}.bin"
+            try:
+                cloud = read_scan(scan_path)
+            except ValidationError as exc:
+                raise ValidationError(f"{scan_path}: {exc}") from exc
             if cloud.count != hi - lo:
-                raise ValidationError(f"{stem}: scan size does not match scores")
+                raise ValidationError(f"{scan_path}: {cloud.count} points vs {hi - lo} scores")
             ranges[lo:hi] = _float32_at_most(point_ranges(cloud.xyz))
-    return [path.stem for path in paths], offsets, scores, truth, ranges
+    return paths, offsets, scores, truth, ranges
 
 
 def _float32_at_most(values: np.ndarray) -> np.ndarray:
@@ -245,14 +253,14 @@ def _float32_at_most(values: np.ndarray) -> np.ndarray:
 
 def cmd_eval(args) -> int:
     check_class_ids("anomaly label", args.anomaly_label)
-    stems, offsets, scores, truth, ranges = _collect_eval(args)
+    paths, offsets, scores, truth, ranges = _collect_eval(args)
     try:
         pair = metrics.EvalPair(scores, truth, ranges)
     except ValidationError as exc:
         # the arrays match in length, so a score is not finite: name its file
         first = int(np.flatnonzero(~np.isfinite(scores))[0])
-        stem = stems[int(np.searchsorted(offsets, first, side="right")) - 1]
-        raise ValidationError(f"{Path(args.scores) / stem}.scores: {exc}") from exc
+        path = paths[int(np.searchsorted(offsets, first, side="right")) - 1]
+        raise ValidationError(f"{path}: {exc}") from exc
 
     lines = ["metric               value", "-" * 27]
     if pair.positives and pair.negatives:
@@ -273,12 +281,12 @@ def cmd_eval(args) -> int:
 
     if args.per_scan:
         lines.append("")
-        for stem, lo, hi in zip(stems, offsets[:-1], offsets[1:]):
+        for path, lo, hi in zip(paths, offsets[:-1], offsets[1:]):
             try:
                 value = metrics.auroc(metrics.EvalPair(scores[lo:hi], truth[lo:hi]))
-                lines.append(f"scan {stem} auroc = {value:.6f}")
+                lines.append(f"scan {path.stem} auroc = {value:.6f}")
             except LidarForgeError as exc:
-                lines.append(f"scan {stem} auroc = undefined ({exc})")
+                lines.append(f"scan {path.stem} auroc = undefined ({exc})")
 
     report = "\n".join(lines) + "\n"
     print(report, end="")
@@ -336,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--labels", required=True, help="directory of <stem>.label files")
     ev.add_argument("--scans", default=None,
                     help="directory of <stem>.bin scans; enables range-binned AP")
-    ev.add_argument("--anomaly-label", type=int, default=STYLE_PRESETS["kitti"][0])
+    ev.add_argument("--anomaly-label", type=int, default=SplitPolicy.single().anomaly_label)
     ev.add_argument("--per-scan", action="store_true")
     ev.add_argument("--out", default=None, help="also write the report to this file")
     ev.set_defaults(func=cmd_eval)

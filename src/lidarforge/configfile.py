@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import os
+from importlib import resources
 from pathlib import Path
 
 from .errors import FormatError
@@ -43,6 +44,12 @@ def read_keyvalue(path: str | os.PathLike) -> dict[str, str]:
         seen[key] = lineno
         out[key] = value
     return out
+
+
+def read_bundled(name: str, read):
+    """``read(path)`` of the bundled data file ``lidarforge.data/<name>``."""
+    with resources.as_file(resources.files("lidarforge.data") / name) as path:
+        return read(path)
 
 
 def parse_number(path: str | os.PathLike, key: str, text: str, kind: type):

@@ -188,7 +188,8 @@ def pick_placement(surface: PlacementSurface, seed: int | np.random.Generator,
     allowed-surface neighbors within GROUND_NEIGHBORHOOD of the site.
     Candidates with fewer than 5 neighbors, whose neighbors spread more
     than FLATNESS_THRESHOLD in z, or that would overlap an entry of
-    ``occupied`` ((x, y, radius) triples), are rejected and redrawn.
+    ``occupied`` ((x, y, radius) triples: nearer, by ``point_ranges``,
+    than ``object_radius`` plus radius), are rejected and redrawn.
     Raises PlacementInfeasibleError when no site is found.
     """
     rng = np.random.default_rng(seed)
@@ -205,13 +206,12 @@ def pick_placement(surface: PlacementSurface, seed: int | np.random.Generator,
             f"no allowed-surface point leaves room for an object of radius {object_radius:.2f} m"
         )
 
+    sites = np.asarray(occupied, dtype=np.float64).reshape(-1, 3)
     for _ in range(PLACEMENT_ATTEMPTS):
         pick = int(candidates[rng.integers(candidates.size)])
         cx, cy = surface.xy[pick]
 
-        # the norm that point_ranges and AnomalyObject.xy_radius compute
-        gaps = [(cx - ox, cy - oy, orad) for ox, oy, orad in occupied]
-        if any(math.sqrt(dx * dx + dy * dy) < object_radius + orad for dx, dy, orad in gaps):
+        if (point_ranges(surface.xy[pick] - sites[:, :2]) < object_radius + sites[:, 2]).any():
             continue
 
         z_near = surface.heights_near(cx, cy)

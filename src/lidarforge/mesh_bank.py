@@ -15,14 +15,14 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
-from .configfile import parse_number, read_keyvalue
+from .configfile import parse_number, read_bundled, read_keyvalue
 from .errors import FormatError, UnknownCategoryError, ValidationError
+from .range_projection import point_ranges
 
 OBJECT_POINTS = 50_000       # surface points sampled per forged object
 SCALE_RANGE = (0.5, 1.0)     # uniform scale augmentation after sizing to the target height
@@ -310,8 +310,7 @@ class ReflectivityCatalog:
 
     @classmethod
     def default(cls) -> "ReflectivityCatalog":
-        with resources.as_file(resources.files("lidarforge.data") / "reflectivity.cfg") as p:
-            return cls.from_file(p)
+        return read_bundled("reflectivity.cfg", cls.from_file)
 
     @property
     def categories(self) -> list[str]:
@@ -330,8 +329,7 @@ class ReflectivityCatalog:
 def load_target_heights(path: str | os.PathLike | None = None) -> dict[str, float]:
     """Category -> target physical height in meters (editable config)."""
     if path is None:
-        with resources.as_file(resources.files("lidarforge.data") / "target_heights.cfg") as p:
-            return load_target_heights(p)
+        return read_bundled("target_heights.cfg", load_target_heights)
     heights = {cat: parse_number(path, cat, v, float) for cat, v in read_keyvalue(path).items()}
     for cat, h in heights.items():
         if not 0 < h < math.inf:
@@ -370,16 +368,13 @@ class AnomalyObject:
 
     @cached_property
     def xy_radius(self) -> float:
-        """Largest horizontal distance of any point from the translation center.
+        """Largest horizontal distance of any point from the translation
+        center: the largest ``point_ranges`` of the points' xy offsets.
 
         Computed once per instance: ``place`` and ``replace`` build new
         instances, so a cached radius always belongs to its own points.
         """
-        dx = self.points[:, 0] - self.translation[0]
-        dy = self.points[:, 1] - self.translation[1]
-        # the squares summed as point_ranges sums them; sqrt is monotone,
-        # so the root of the largest sum is the largest root
-        return math.sqrt((dx * dx + dy * dy).max())
+        return float(point_ranges(self.points[:, :2] - self.translation[:2]).max())
 
 
 def _yaw_matrix(angle: float) -> np.ndarray:

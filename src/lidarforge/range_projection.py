@@ -111,12 +111,11 @@ def _cell_coords(xyz: np.ndarray, cfg: SensorConfig, cells: np.ndarray,
 
     The points go ``scratch.shape[1]`` at a time through ``scratch``, a
     (4, chunk) float64 buffer: one contiguous column per axis and one
-    for the terms, every step written in place.  The steps are the
-    formulas of the module docstring, term by term in the same order,
-    so every value is bit-identical to the same formulas written as
-    whole-array expressions.  Rows and columns are whole floats below
-    2**31 (``SensorConfig`` bounds the grid), so the cell index is
-    exact in float64.
+    for the terms.  The ranges are ``point_ranges`` of the axis columns,
+    the angles the formulas of the module docstring term by term, so
+    every value is bit-identical to those formulas as whole-array
+    expressions.  Rows and columns are whole floats below 2**31
+    (``SensorConfig`` bounds the grid), so the cell index is exact.
     """
     chunk = scratch.shape[1]
     for lo in range(0, xyz.shape[0], chunk):
@@ -125,10 +124,7 @@ def _cell_coords(xyz: np.ndarray, cfg: SensorConfig, cells: np.ndarray,
         r = ranges[lo:hi]
         for col, axis in zip((x, y, z), xyz[lo:hi].T):
             np.copyto(col, axis)
-        np.multiply(x, x, out=r)   # summed in point_ranges' order
-        r += np.multiply(y, y, out=t)
-        r += np.multiply(z, z, out=t)
-        np.sqrt(r, out=r)
+        r[...] = point_ranges(scratch[:3, :hi - lo].T)
         # a point at the sensor origin has no direction: it lies outside the FOV
         seen = r > 0.0
 

@@ -23,7 +23,7 @@ from lidarforge import (EvalPair, FeatureSet, LabelArray, MeshBank, PointCloud, 
                         forge_split, load_target_heights, point_ranges, range_binned_ap,
                         read_tensor, write_labels, write_scan, write_tensor)
 from lidarforge import scoring
-from lidarforge.cli import _float32_at_most, main
+from lidarforge.cli import BUNDLED_SENSORS, _float32_at_most, main
 from lidarforge.insertion import discover_pairs
 
 SENSOR_CFG = """beams = 32
@@ -133,6 +133,23 @@ class TestForgeCommand:
         assert main(args) == 1
         assert not (root / "out_c").exists()
 
+    @pytest.mark.parametrize("flag", ["--sensor", "--scans", "--meshes"])
+    def test_input_with_nothing_usable_rejected(self, forge_inputs, capsys, flag):
+        root = forge_inputs
+        empty = root / "empty"
+        (empty / "chair").mkdir(parents=True)   # a category directory without a mesh
+        value = str(root / "nowhere.cfg") if flag == "--sensor" else str(empty)
+        want = {
+            "--sensor": f"sensor {value!r} is neither a file nor one of {sorted(BUNDLED_SENSORS)}",
+            "--scans": f"no .bin scans found under {empty}",
+            "--meshes": f"no usable mesh categories under {empty}",
+        }[flag]
+        out = root / "out_empty"
+        assert main(forge_args(root, out) + [flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not out.exists()
+        assert not list(root.glob("out_empty.tmp.*"))
+
     @pytest.mark.parametrize("vertex, reason", [
         ("nan", "FormatError: {path}:5: non-finite vertex coordinate 'nan'"),
         ("1e200", "ValidationError: mesh total surface area is not finite (inf)"),
@@ -208,6 +225,20 @@ class TestForgeCommand:
         out = root / "out_cfg"
         assert main(forge_args(root, out) + [flag, str(config)]) == 1
         assert capsys.readouterr().err == f"error: {config}:2: not UTF-8 text (byte 0xe9)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, text, reason", [
+        ("--heights", "chair 0.9\n", "expected 'key = value', got 'chair 0.9'"),
+        ("--catalog", " = 0.35\n", "empty key"),
+    ], ids=["no-equals", "empty-key"])
+    def test_config_line_that_is_not_a_pair_rejected(self, forge_inputs, capsys,
+                                                      flag, text, reason):
+        root = forge_inputs
+        config = root / "bad.cfg"
+        config.write_text("# a comment\n" + text)
+        out = root / "out_cfg"
+        assert main(forge_args(root, out) + [flag, str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}:2: {reason}\n"
         assert not out.exists()
 
     def test_config_with_byte_order_mark_read(self, forge_inputs):
@@ -494,6 +525,87 @@ class TestScoreAndEval:
             f"error: {feat_dir / 's1.sem.ftr'}: features must be finite\n"
         assert not out_dir.exists()
 
+    def test_score_error_names_the_contrastive_file(self, tmp_path, capsys):
+        feat_dir, _, proto, _ = self._write_scans(tmp_path, {"s0": 20, "s1": 20, "s2": 20})
+        cont = read_tensor(feat_dir / "s1.cont.ftr").copy()
+        cont[3, 1] = np.nan
+        write_tensor(feat_dir / "s1.cont.ftr", cont)
+        out_dir = tmp_path / "scores"
+        assert main(["score", "--features", str(feat_dir), "--prototypes", str(proto),
+                     "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {feat_dir / 's1.cont.ftr'}: features must be finite\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("case", ["missing-features", "no-sem-ftr", "no-cont-ftr",
+                                      "losses-count"])
+    def test_score_input_error_names_the_path(self, tmp_path, capsys, case):
+        feat_dir, label_dir, proto, _ = self._write_scans(tmp_path, {"s0": 20, "s1": 20})
+        features, extra = feat_dir, []
+        if case == "missing-features":
+            features = tmp_path / "nowhere"
+            want = f"--features directory {features} does not exist"
+        elif case == "no-sem-ftr":
+            for path in feat_dir.glob("*.sem.ftr"):
+                path.unlink()
+            want = f"no *.sem.ftr feature files under {feat_dir}"
+        elif case == "no-cont-ftr":
+            (feat_dir / "s1.cont.ftr").unlink()
+            want = f"missing contrastive features for 's1': {feat_dir / 's1.cont.ftr'}"
+        else:
+            write_labels(LabelArray(np.zeros(19, dtype=np.uint32)), label_dir / "s1.label")
+            extra = ["--losses", str(label_dir)]
+            want = f"{feat_dir / 's1.sem.ftr'}: 19 labels vs 20 feature rows"
+        out_dir = tmp_path / "scores"
+        assert main(["score", "--features", str(features), "--prototypes", str(proto),
+                     "--out", str(out_dir)] + extra) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not out_dir.exists()
+
+    @staticmethod
+    def _write_eval_inputs(tmp_path):
+        """Scores, labels and scans of stems a, b, c (4, 5 and 3 points)."""
+        dirs = {name: tmp_path / name for name in ("scores", "labels", "scans")}
+        for d in dirs.values():
+            d.mkdir()
+        for stem, n in (("a", 4), ("b", 5), ("c", 3)):
+            (dirs["scores"] / f"{stem}.scores").write_bytes(
+                np.linspace(0, 1, n, dtype="<f4").tobytes())
+            write_labels(LabelArray(np.full(n, 2, dtype=np.uint32)),
+                         dirs["labels"] / f"{stem}.label")
+            write_scan(PointCloud.from_xyz(np.full((n, 3), 5.0)), dirs["scans"] / f"{stem}.bin")
+        return dirs
+
+    @pytest.mark.parametrize("case", ["no-scores", "no-label", "label-count", "scan-size",
+                                      "scan-nonfinite"])
+    def test_eval_error_names_the_file(self, tmp_path, capsys, case):
+        dirs = self._write_eval_inputs(tmp_path)
+        label_path, scan_path = dirs["labels"] / "b.label", dirs["scans"] / "b.bin"
+        if case == "no-scores":
+            for path in dirs["scores"].iterdir():
+                path.unlink()
+            want = f"no *.scores files under {dirs['scores']}"
+        elif case == "no-label":
+            label_path.unlink()
+            want = f"missing labels for 'b': {label_path}"
+        elif case == "label-count":
+            write_labels(LabelArray(np.full(4, 2, dtype=np.uint32)), label_path)
+            want = f"{label_path}: 5 scores vs 4 labels"
+        elif case == "scan-size":
+            write_scan(PointCloud.from_xyz(np.full((6, 3), 5.0)), scan_path)
+            want = f"{scan_path}: 6 points vs 5 scores"
+        else:  # read_scan's own message names no file
+            points = np.full((5, 4), 5.0, dtype="<f4")
+            points[4, 2] = np.nan
+            scan_path.write_bytes(points.tobytes())
+            want = f"{scan_path}: non-finite value at point index 4"
+        report = tmp_path / "report.txt"
+        assert main(["eval", "--scores", str(dirs["scores"]), "--labels", str(dirs["labels"]),
+                     "--scans", str(dirs["scans"]), "--anomaly-label", "2",
+                     "--out", str(report)]) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not report.exists()
+
     def test_eval_names_the_file_with_a_nonfinite_score(self, tmp_path, capsys):
         scores_dir, label_dir = tmp_path / "scores", tmp_path / "labels"
         scores_dir.mkdir()
@@ -722,6 +834,18 @@ class TestScoreAndEval:
         assert code == 0
         out = capsys.readouterr().out
         assert "ce=" in out and "lovasz=" in out and "objectosphere=" in out
+
+    def test_losses_skipped_without_inlier_points(self, tmp_path, capsys):
+        feat_dir, label_dir, proto = self._setup(tmp_path)
+        # every label is a class id of 4 or more, so no point is an inlier of C = 4
+        write_labels(LabelArray(np.full(400, 40, dtype=np.uint32)), label_dir / "scan0.label")
+        out_dir = tmp_path / "scores"
+        assert main(["score", "--features", str(feat_dir), "--prototypes", str(proto),
+                     "--out", str(out_dir), "--losses", str(label_dir)]) == 0
+        assert capsys.readouterr().out == (
+            "scan0\tno inlier-labeled points, losses skipped\n"
+            f"scored 1 scans -> {out_dir}\n")
+        assert (out_dir / "scan0.scores").exists()
 
     def test_losses_without_labels_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import warnings
@@ -370,7 +371,8 @@ class TestThreadedComputeScores:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(scoring, "_usable_cpus", lambda: cpus)
+        if cpus is not None:   # None: the real _usable_cpus
+            monkeypatch.setattr(scoring, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(scoring, "_MAX_THREADS", cap)
         monkeypatch.setattr(scoring, "ThreadPoolExecutor", RecordingPool)
         return sizes
@@ -382,6 +384,17 @@ class TestThreadedComputeScores:
         compute_scores(FeatureSet(semantic=np.ones((n, 4)), contrastive=np.ones((n, 4))),
                        PrototypeBank(np.eye(4)))
         assert sizes == [min(cpus, scoring._MAX_THREADS, len(_row_blocks(n)))]
+
+    @pytest.mark.parametrize("cpus", [None, 1, 3])
+    def test_pool_size_without_sched_getaffinity(self, monkeypatch, cpus):
+        # where the platform has no affinity mask the CPU count is used, 1 if unknown
+        sizes = self._patch_pool(monkeypatch, cpus=None)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        n = 3 * _BLOCK_ROWS + 7
+        compute_scores(FeatureSet(semantic=np.ones((n, 4)), contrastive=np.ones((n, 4))),
+                       PrototypeBank(np.eye(4)))
+        assert sizes == [min(cpus or 1, scoring._MAX_THREADS, len(_row_blocks(n)))]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 511, 512, 513, _BLOCK_ROWS + 1,
                                    3 * _BLOCK_ROWS + 7])
